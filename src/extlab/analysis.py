@@ -130,13 +130,7 @@ class PiecewiseFunction:
 
     def dirac_apply(self) -> "PiecewiseFunction":
         """(1/i) d/dtheta, the symbol every operator here is built from."""
-        return PiecewiseFunction(
-            self.partition,
-            tuple(
-                ExponentialAtom(a.piece, a.coefficient * a.exponent / 1j, a.exponent)
-                for a in self.atoms
-            ),
-        )
+        return (-1j) * self.differentiate()
 
     def conjugate(self) -> "PiecewiseFunction":
         return PiecewiseFunction(
@@ -163,12 +157,6 @@ class PiecewiseFunction:
                 out[mask] += a.coefficient * np.exp(a.exponent * th[mask])
         return out[0] if scalar else out
 
-    def piece_restriction(self, k: int):
-        """Atoms alive on piece k, as (coefficient, exponent) arrays."""
-        cs = [a.coefficient for a in self.atoms if a.piece == k]
-        mus = [a.exponent for a in self.atoms if a.piece == k]
-        return np.asarray(cs, dtype=complex), np.asarray(mus, dtype=complex)
-
 
 def _require_shared_partition(f: PiecewiseFunction, g: PiecewiseFunction):
     if f.partition.endpoints != g.partition.endpoints:
@@ -177,24 +165,37 @@ def _require_shared_partition(f: PiecewiseFunction, g: PiecewiseFunction):
 
 # ---- closed-form integrals -------------------------------------------------
 
-def exp_integral(delta: complex, a: float, b: float) -> complex:
+def exp_integral(delta, a, b):
     """Integral of exp(delta*theta) over [a, b].
 
+    ``delta`` is a complex scalar or an array; an array is integrated
+    elementwise, each entry getting the same value as a scalar call.  The
+    bounds are floats or, for an array ``delta``, arrays of its shape.
     Written as exp(delta*a) * (b-a) * phi(delta*(b-a)) with
     phi(x) = (exp(x)-1)/x.  For |x| < 0.1 the difference quotient loses
     digits to cancellation, so phi is evaluated by its Taylor series there
     (13 terms; truncation below 1e-21).  This also covers the removable
     singularity at delta = 0.
     """
-    delta = complex(delta)
-    h = b - a
-    x = delta * h
-    if abs(x) < 0.1:
-        phi = 0.0 + 0.0j
+    d = np.atleast_1d(np.asarray(delta, dtype=complex))
+    h = np.broadcast_to(np.subtract(b, a), d.shape)
+    x = d * h
+    series = np.abs(x) < 0.1
+    ea = np.exp(d * a)
+    out = np.exp(d * b)
+    out -= ea
+    np.divide(out, d, out=out, where=~series)
+    if np.any(series):
+        # Horner in real arithmetic: numpy may fuse a complex array product
+        # (FMA), which rounds differently from the same scalar product
+        xr, xi = x.real[series], x.imag[series]
+        pr, pi = np.zeros_like(xr), np.zeros_like(xr)
         for k in range(12, -1, -1):
-            phi = phi * x + 1.0 / math.factorial(k + 1)
-        return np.exp(delta * a) * h * phi
-    return (np.exp(delta * b) - np.exp(delta * a)) / delta
+            pr, pi = pr * xr - pi * xi + 1.0 / math.factorial(k + 1), pr * xi + pi * xr
+        e = ea[series] * h[series]
+        out.real[series] = e.real * pr - e.imag * pi
+        out.imag[series] = e.real * pi + e.imag * pr
+    return out.reshape(np.shape(delta)) if np.ndim(delta) else out[0]
 
 
 def inner_product(f: PiecewiseFunction, g: PiecewiseFunction) -> complex:
@@ -203,15 +204,17 @@ def inner_product(f: PiecewiseFunction, g: PiecewiseFunction) -> complex:
     Computed atom-pair by atom-pair in closed form; exact up to rounding.
     """
     _require_shared_partition(f, g)
-    total = 0.0 + 0.0j
     ends = f.partition.endpoints
-    for af in f.atoms:
-        for ag in g.atoms:
-            if af.piece != ag.piece:
-                continue
-            a, b = ends[af.piece], ends[af.piece + 1]
-            delta = np.conj(af.exponent) + ag.exponent
-            total += np.conj(af.coefficient) * ag.coefficient * exp_integral(delta, a, b)
+    pairs = [(af, ag) for af in f.atoms for ag in g.atoms if af.piece == ag.piece]
+    # one exp_integral call for all pairs; the sum keeps the atom-pair order
+    integrals = exp_integral(
+        np.array([np.conj(af.exponent) + ag.exponent for af, ag in pairs], dtype=complex),
+        np.array([ends[af.piece] for af, _ in pairs], dtype=float),
+        np.array([ends[af.piece + 1] for af, _ in pairs], dtype=float),
+    )
+    total = 0.0 + 0.0j
+    for (af, ag), e in zip(pairs, integrals):
+        total += np.conj(af.coefficient) * ag.coefficient * e
     return complex(total)
 
 
@@ -235,13 +238,10 @@ def refine_to(f: PiecewiseFunction, fine: Partition) -> PiecewiseFunction:
     """Re-express f on a finer partition (exact: atoms split, nothing changes)."""
     if not fine.refines(f.partition):
         raise StructuralError("target partition does not refine the source")
-    coarse = np.asarray(f.partition.endpoints)
     atoms = []
     for k in range(fine.npieces):
         lo, hi = fine.piece_bounds(k)
-        mid = 0.5 * (lo + hi)
-        src = int(np.searchsorted(coarse, mid, side="right")) - 1
-        src = min(max(src, 0), f.partition.npieces - 1)
+        src = f.partition.piece_of(0.5 * (lo + hi))
         for a in f.atoms:
             if a.piece == src:
                 atoms.append(ExponentialAtom(k, a.coefficient, a.exponent))
@@ -268,12 +268,8 @@ def quadrature_inner_product(f, g, partition: Partition = None) -> complex:
         a, b = part.piece_bounds(k)
         x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
         w = 0.5 * (b - a) * _GL_WEIGHTS
-        total += np.sum(w * np.conj(_eval_any(f, x)) * _eval_any(g, x))
+        total += np.sum(w * np.conj(f(x)) * g(x))
     return complex(total)
-
-
-def _eval_any(f, x):
-    return f(x) if callable(f) else np.asarray([f(t) for t in x])
 
 
 def boundary_values(f: PiecewiseFunction):

@@ -41,7 +41,6 @@ from .errors import (
     ValidationError,
 )
 from .pairing import (
-    DEFAULT_CUTOFFS,
     UnitaryLoop,
     pair,
     pullback_loop,
@@ -214,6 +213,32 @@ _ALLOWED_KEYS = {
 }
 
 
+def _number(value, what: str, kind=float):
+    """``kind(value)`` for a config entry, kind being float or int.
+
+    A value the conversion refuses, or a non-finite float, is invalid input.
+    """
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{what} must be {noun}, got {value!r}") from exc
+    if kind is float and not math.isfinite(out):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    return out
+
+
+def _numbers(value, what: str, kind=float) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be a list")
+    return tuple(_number(v, what + " entry", kind) for v in value)
+
+
+def _json_number(text: str) -> float:
+    """JSON float and constant hook: NaN, Infinity and overflow are refused."""
+    return _number(text, "config number")
+
+
 @dataclass
 class ExperimentConfig:
     """A validated experiment description plus flag overrides."""
@@ -232,7 +257,7 @@ class ExperimentConfig:
         if args.config:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
-                    raw = json.load(fh)
+                    raw = json.load(fh, parse_float=_json_number, parse_constant=_json_number)
             except OSError as exc:
                 raise ValidationError(f"cannot read config: {exc}") from exc
             except json.JSONDecodeError as exc:
@@ -242,16 +267,15 @@ class ExperimentConfig:
         unknown = set(raw) - _ALLOWED_KEYS
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(raw.get("suite", {}), dict):
+            raise ValidationError("suite must be an object")
 
         tol = default_tol
         env_tol = os.environ.get("EXTLAB_TOL")
         if env_tol is not None:
-            try:
-                tol = float(env_tol)
-            except ValueError as exc:
-                raise ValidationError(f"EXTLAB_TOL is not a float: {env_tol!r}") from exc
+            tol = _number(env_tol, "EXTLAB_TOL")
         if "tolerance" in raw:
-            tol = float(raw["tolerance"])
+            tol = _number(raw["tolerance"], "tolerance")
         if tol <= 0:
             raise ValidationError("tolerance must be positive")
 
@@ -278,43 +302,36 @@ class ExperimentConfig:
     # -- domain resolution ---------------------------------------------------
 
     def operator_spec(self) -> OperatorSpec:
-        knots = self.raw.get("partition", [0.0, 0.5, 1.0])
-        if not isinstance(knots, (list, tuple)):
-            raise ValidationError("partition must be a list of knots")
-        part = Partition(tuple(float(t) for t in knots))
+        part = Partition(_numbers(self.raw.get("partition", [0.0, 0.5, 1.0]), "partition"))
         constraints = self.raw.get("knot_constraints")
         if constraints is not None:
-            constraints = tuple(float(t) for t in constraints)
+            constraints = _numbers(constraints, "knot_constraints")
         return OperatorSpec(part, constraints)
 
     def window(self, default=(-30.0, 30.0)):
-        win = self.raw.get("window", list(default))
-        if not isinstance(win, (list, tuple)) or len(win) != 2:
+        win = _numbers(self.raw.get("window", list(default)), "window")
+        if len(win) != 2:
             raise ValidationError("window must be [lo, hi]")
-        return float(win[0]), float(win[1])
+        return win
 
     def cutoffs(self):
         cut = self.raw.get("cutoffs")
         if cut is None:
             return None
-        cut = tuple(float(c) for c in cut)
-        if any(c <= 0 for c in cut) or any(b <= a for a, b in zip(cut, cut[1:])):
+        cut = _numbers(cut, "cutoffs")
+        if (not cut or any(c <= 0 for c in cut)
+                or any(b <= a for a, b in zip(cut, cut[1:]))):
             raise ValidationError("cutoffs must be positive and increasing")
         return cut
 
-    def extensions(self, spec: OperatorSpec, default=None):
+    def extensions(self, spec: OperatorSpec, default: list):
         """Resolve the extension spec to [(label, u, B)] in config order."""
         entries = self.raw.get("extensions")
         if entries is None:
             single = self.raw.get("extension")
-            if single is not None:
-                entries = [single]
-            elif isinstance(default, list):
-                entries = default
-            elif default is not None:
-                entries = [default]
-            else:
-                raise ValidationError("an extension spec is required")
+            entries = default if single is None else [single]
+        if not isinstance(entries, list):
+            raise ValidationError("extensions must be a list")
         resolved = []
         for entry in entries:
             resolved.extend(self._resolve_extension(entry, spec))
@@ -345,10 +362,12 @@ class ExperimentConfig:
             return [("explicit-B", unitary_from_boundary(spec, B), B)]
         if "random" in entry:
             opts = entry["random"]
-            seed = int(opts.get("seed", self.seed))
-            count = int(opts.get("count", 1))
-            if count < 1:
-                raise ValidationError("random extension count must be >= 1")
+            if not isinstance(opts, dict):
+                raise ValidationError("random extension options must be an object")
+            seed = _number(opts.get("seed", self.seed), "random extension seed", int)
+            count = _number(opts.get("count", 1), "random extension count", int)
+            if seed < 0 or count < 1:
+                raise ValidationError("random extensions need a seed >= 0 and a count >= 1")
             rng = np.random.default_rng(seed)
             out = []
             for i in range(count):
@@ -380,12 +399,14 @@ def _resolve_loop(entry):
     if not isinstance(entry, dict):
         raise ValidationError("loop spec must be an object or an integer power")
     if "monomial" in entry:
-        n = int(entry["monomial"])
+        n = _number(entry["monomial"], "monomial power", int)
         return f"z^{n}", UnitaryLoop.monomial(n)
     if "fourier" in entry:
+        if not isinstance(entry["fourier"], dict):
+            raise ValidationError("fourier loop spec must map frequencies to coefficients")
         coeffs = {}
         for key, val in entry["fourier"].items():
-            coeffs[int(key)] = _parse_complex(val)
+            coeffs[_number(key, "fourier frequency", int)] = _parse_complex(val)
         label = "fourier[" + ";".join(str(m) for m in sorted(coeffs)) + "]"
         return label, UnitaryLoop.from_fourier(coeffs)
     if "wedge" in entry:
@@ -400,15 +421,17 @@ def _resolve_loop(entry):
 
 def _parse_complex(val):
     if isinstance(val, (int, float)):
-        return complex(val)
+        return complex(_number(val, "complex value"))
     if isinstance(val, (list, tuple)) and len(val) == 2:
-        return complex(float(val[0]), float(val[1]))
+        return complex(_number(val[0], "real part"), _number(val[1], "imaginary part"))
     raise ValidationError(f"complex values must be numbers or [re, im]: {val!r}")
 
 
 def _parse_complex_matrix(rows):
-    if not isinstance(rows, (list, tuple)) or not rows:
-        raise ValidationError("matrix must be a list of rows")
+    if (not isinstance(rows, (list, tuple)) or not rows
+            or any(not isinstance(row, (list, tuple)) or len(row) != len(rows[0])
+                   for row in rows)):
+        raise ValidationError("matrix must be a list of rows of equal length")
     return np.array([[_parse_complex(v) for v in row] for row in rows], dtype=complex)
 
 
@@ -495,7 +518,7 @@ def cmd_deficiency(cfg: ExperimentConfig) -> int:
 def cmd_boundary_matrix(cfg: ExperimentConfig) -> int:
     spec = cfg.operator_spec()
     run_numeric = bool(cfg.raw.get("suite", {}).get("numeric", True))
-    entries = cfg.extensions(spec, default={"anchor": "swap"})
+    entries = cfg.extensions(spec, default=[{"anchor": "swap"}])
 
     rows = []
     table = []
@@ -627,7 +650,7 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
     part = spec.effective_partition
     loop_label, loop = cfg.loop()
     cutoffs = cfg.cutoffs()
-    entries = cfg.extensions(spec, default={"anchor": "swap"})
+    entries = cfg.extensions(spec, default=[{"anchor": "swap"}])
 
     tasks = [
         (loop_label, loop, label, B, cutoffs, part) for label, _u, B in entries
@@ -658,30 +681,23 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
     return EXIT_OK if all_stable else EXIT_NUMERICAL
 
 
-def _suite_extension_independence(cfg: ExperimentConfig):
-    """Sweep monomial loops against random extensions: index == -winding."""
+def _sweep(cfg: ExperimentConfig, loops, default_count: int):
+    """Pair each (label, loop, expected index) with seeded Haar extensions.
+
+    A certified pairing fails unless index == expected == -winding.
+    """
     suite = cfg.raw.get("suite", {})
-    powers = suite.get("powers", [-3, 3])
-    count = int(suite.get("count", 20))
     spec = cfg.operator_spec()
     part = spec.effective_partition
     cutoffs = cfg.cutoffs()
-
-    seed = int(suite.get("extension_seed", cfg.seed))
-    rng = np.random.default_rng(seed)
-    exts = []
-    for i in range(count):
-        u = haar_unitary(rng, spec.deficiency_index)
-        exts.append((f"seed{seed}-{i}", ExperimentConfig._to_boundary(spec, u)))
-
-    loops = []
-    for n in range(int(powers[0]), int(powers[1]) + 1):
-        loops.append((f"z^{n}", UnitaryLoop.monomial(n), -n))
+    exts = cfg._resolve_extension({"random": {"seed": suite.get("extension_seed", cfg.seed),
+                                              "count": suite.get("count", default_count)}},
+                                  spec)
 
     tasks = []
     expected = []
     for loop_label, loop, expect in loops:
-        for ext_label, B in exts:
+        for ext_label, _u, B in exts:
             tasks.append((loop_label, loop, ext_label, B, cutoffs, part))
             expected.append(expect)
     outcomes = _run_pairings(tasks, cfg.jobs)
@@ -702,54 +718,6 @@ def _suite_extension_independence(cfg: ExperimentConfig):
             )
     rows = [o["row"] for o in outcomes]
     return rows, failures, unstable, {"loops": len(loops), "extensions": len(exts)}
-
-
-def _suite_addition_dirac(cfg: ExperimentConfig):
-    """Wedge-pair pullbacks against extensions: index == -(n1 + n2)."""
-    suite = cfg.raw.get("suite", {})
-    max_power = int(suite.get("max_power", 2))
-    count = int(suite.get("count", 5))
-    spec = cfg.operator_spec()
-    part = spec.effective_partition
-    cutoffs = cfg.cutoffs()
-
-    seed = int(suite.get("extension_seed", cfg.seed))
-    rng = np.random.default_rng(seed)
-    exts = []
-    for i in range(count):
-        u = haar_unitary(rng, spec.deficiency_index)
-        exts.append((f"seed{seed}-{i}", ExperimentConfig._to_boundary(spec, u)))
-
-    tasks = []
-    expected = []
-    for n1 in range(-max_power, max_power + 1):
-        for n2 in range(-max_power, max_power + 1):
-            loop = UnitaryLoop.wedge_pair(
-                UnitaryLoop.monomial(n1), UnitaryLoop.monomial(n2)
-            )
-            label = f"wedge(z^{n1}|z^{n2})"
-            for ext_label, B in exts:
-                tasks.append((label, loop, ext_label, B, cutoffs, part))
-                expected.append(-(n1 + n2))
-    outcomes = _run_pairings(tasks, cfg.jobs)
-
-    failures = []
-    unstable = []
-    for (task, expect, outcome) in zip(tasks, expected, outcomes):
-        if not outcome["stable"]:
-            unstable.append({"loop": task[0], "extension": task[2]})
-        elif outcome["index"] != expect:
-            failures.append(
-                {
-                    "loop": task[0],
-                    "extension": task[2],
-                    "index": outcome["index"],
-                    "expected": expect,
-                }
-            )
-    rows = [o["row"] for o in outcomes]
-    info = {"loops": (2 * max_power + 1) ** 2, "extensions": len(exts)}
-    return rows, failures, unstable, info
 
 
 def _ksum_rows(report):
@@ -773,8 +741,9 @@ _KSUM_CSV_HEADER = ("identity", "g1", "g2", "lhs", "rhs", "expected", "status")
 
 
 def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
+    options = cfg.raw.get("suite", {})
     if suite == "ksum":
-        bound = int(cfg.raw.get("suite", {}).get("genus_bound", 6))
+        bound = _number(options.get("genus_bound", 6), "suite genus_bound", int)
         rep = ksum_calculus.verify_identities(bound)
         result = {
             "suite": suite,
@@ -788,9 +757,20 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
         return EXIT_OK if rep.passed else EXIT_PROPERTY
 
     if suite == "extension-independence":
-        rows, failures, unstable, info = _suite_extension_independence(cfg)
+        powers = _numbers(options.get("powers", [-3, 3]), "suite powers", int)
+        if len(powers) != 2:
+            raise ValidationError("suite powers must be [lo, hi]")
+        loops = [(f"z^{n}", UnitaryLoop.monomial(n), -n)
+                 for n in range(powers[0], powers[1] + 1)]
+        rows, failures, unstable, info = _sweep(cfg, loops, 20)
     elif suite == "addition-dirac":
-        rows, failures, unstable, info = _suite_addition_dirac(cfg)
+        max_power = _number(options.get("max_power", 2), "suite max_power", int)
+        ns = range(-max_power, max_power + 1)
+        # the pullback of wedge(z^n1|z^n2) winds n1 + n2
+        loops = [(f"wedge(z^{n1}|z^{n2})",
+                  UnitaryLoop.wedge_pair(UnitaryLoop.monomial(n1), UnitaryLoop.monomial(n2)),
+                  -(n1 + n2)) for n1 in ns for n2 in ns]
+        rows, failures, unstable, info = _sweep(cfg, loops, 5)
     else:
         raise ValidationError(
             f"unknown suite {suite!r} "
@@ -817,10 +797,6 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
     art.files[f"verify-{suite}.csv"] = csv_text(_PAIR_CSV_HEADER, rows)
     art.emit(cfg.out_dir)
     return code
-
-
-def cmd_ksum(cfg: ExperimentConfig) -> int:
-    return cmd_verify(cfg, "ksum")
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +864,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         if args.command == "ksum":
-            return cmd_ksum(cfg)
+            return cmd_verify(cfg, "ksum")
         raise ValidationError(f"unknown command {args.command!r}")
     except ValidationError as exc:
         print(f"error (validation): {exc}", file=sys.stderr)

@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .spectral import eigenbasis
-from .vonneumann import BoundaryMatrix, OperatorSpec, minimal_domain_sample
+from .vonneumann import OperatorSpec, boundary_array, minimal_domain_sample
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,13 +87,7 @@ class UnitaryLoop:
             return
         if self.pieces is None:
             raise StructuralError("a non-wedge loop needs pieces")
-        pieces = tuple(
-            (float(lo), float(hi), tuple((float(nu), complex(c)) for nu, c in terms))
-            for lo, hi, terms in self.pieces
-        )
-        object.__setattr__(self, "pieces", pieces)
-        if abs(pieces[0][0]) > 1e-12 or abs(pieces[-1][1] - 1.0) > 1e-12:
-            raise ValidationError("loop pieces must cover [0, 1]")
+        object.__setattr__(self, "pieces", _normalize_pieces(self.pieces))
         vals = np.abs(self(_MARGIN_GRID))
         if np.min(vals) <= MARGIN:
             raise IllConditionedLoopError(
@@ -104,10 +98,8 @@ class UnitaryLoop:
 
     @classmethod
     def from_fourier(cls, coefficients: dict) -> "UnitaryLoop":
-        terms = tuple(sorted(((TWO_PI * m, complex(c)) for m, c in coefficients.items()),
-                             key=lambda t: t[0]))
         clean = {int(m): complex(c) for m, c in coefficients.items()}
-        return cls(pieces=((0.0, 1.0, terms),), coefficients=clean)
+        return cls(pieces=((0.0, 1.0, _fourier_terms(coefficients)),), coefficients=clean)
 
     @classmethod
     def monomial(cls, n: int) -> "UnitaryLoop":
@@ -133,17 +125,8 @@ class UnitaryLoop:
         if self.is_wedge:
             raise StructuralError("a wedge pair has no single-circle values; pull it back")
         th = np.mod(np.asarray(theta, dtype=float), 1.0)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
-        out = np.zeros(th.shape, dtype=complex)
-        bounds = [p[0] for p in self.pieces] + [1.0]
-        idx = np.clip(np.searchsorted(bounds, th, side="right") - 1, 0, len(self.pieces) - 1)
-        for k, (_lo, _hi, terms) in enumerate(self.pieces):
-            mask = idx == k
-            if np.any(mask):
-                for nu, c in terms:
-                    out[mask] += c * np.exp(1j * nu * th[mask])
-        return out[0] if scalar else out
+        out = _evaluate(self.pieces, np.atleast_1d(th))
+        return out[0] if th.ndim == 0 else out
 
     def conjugate(self) -> "UnitaryLoop":
         if self.is_wedge:
@@ -161,24 +144,15 @@ class UnitaryLoop:
         """Pointwise product (stays exact: exponents add on a common refinement)."""
         if self.is_wedge or other.is_wedge:
             raise StructuralError("products of wedge pairs are not defined here")
-        cuts = sorted({p[0] for p in self.pieces} | {p[0] for p in other.pieces} | {1.0})
+        cuts = _cuts([p[0] for p in self.pieces], other.pieces)
         pieces = []
         for lo, hi in zip(cuts, cuts[1:]):
             mid = 0.5 * (lo + hi)
-            t1 = _terms_at(self, mid)
-            t2 = _terms_at(other, mid)
-            terms = {}
-            for nu1, c1 in t1:
-                for nu2, c2 in t2:
-                    nu = nu1 + nu2
-                    terms[nu] = terms.get(nu, 0.0) + c1 * c2
+            terms = _convolve(_terms_at(self.pieces, mid), _terms_at(other.pieces, mid))
             pieces.append((lo, hi, tuple(sorted(terms.items()))))
         coeffs = None
         if self.coefficients is not None and other.coefficients is not None:
-            coeffs = {}
-            for m1, c1 in self.coefficients.items():
-                for m2, c2 in other.coefficients.items():
-                    coeffs[m1 + m2] = coeffs.get(m1 + m2, 0.0) + c1 * c2
+            coeffs = _convolve(self.coefficients.items(), other.coefficients.items())
         return UnitaryLoop(pieces=tuple(pieces), coefficients=coeffs)
 
     @property
@@ -186,18 +160,6 @@ class UnitaryLoop:
         """max |nu| over all terms — how far M_u can shift eigenfrequencies."""
         return max((abs(nu) for _lo, _hi, terms in self.pieces for nu, _c in terms),
                    default=0.0)
-
-    def as_piecewise(self, partition: Partition) -> PiecewiseFunction:
-        """The loop as atoms on the common refinement with `partition`."""
-        cuts = sorted({round(t, 15) for t in partition.endpoints}
-                      | {round(p[0], 15) for p in self.pieces} | {1.0})
-        fine = Partition(tuple(cuts))
-        atoms = []
-        for k in range(fine.npieces):
-            lo, hi = fine.piece_bounds(k)
-            for nu, c in _terms_at(self, 0.5 * (lo + hi)):
-                atoms.append(ExponentialAtom(k, c, 1j * nu))
-        return PiecewiseFunction(fine, tuple(atoms))
 
     def fourier_coefficients(self, bandwidth: int, tol: float = 1e-10) -> dict:
         """Re-expansion as a plain Fourier series up to the given bandwidth.
@@ -209,18 +171,15 @@ class UnitaryLoop:
         """
         if self.is_wedge:
             raise StructuralError("pull a wedge pair back before re-expanding")
-        coeffs = {}
-        for m in range(-bandwidth, bandwidth + 1):
-            cm = 0.0 + 0.0j
-            for lo, hi, terms in self.pieces:
-                for nu, c in terms:
-                    cm += c * exp_integral(1j * (nu - TWO_PI * m), lo, hi)
-            coeffs[m] = cm
+        ms = np.arange(-bandwidth, bandwidth + 1)
+        cm = np.zeros(len(ms), dtype=complex)
         norm2 = 0.0
         for lo, hi, terms in self.pieces:
-            for nu1, c1 in terms:
-                for nu2, c2 in terms:
-                    norm2 += (np.conj(c1) * c2 * exp_integral(1j * (nu2 - nu1), lo, hi)).real
+            nus, cs = (np.array(v) for v in zip(*terms))
+            cm += exp_integral(1j * (nus[None, :] - TWO_PI * ms[:, None]), lo, hi) @ cs
+            gram = exp_integral(1j * (nus[None, :] - nus[:, None]), lo, hi)
+            norm2 += (cs.conj() @ gram @ cs).real
+        coeffs = dict(zip(ms.tolist(), cm))
         residual2 = norm2 - sum(abs(c) ** 2 for c in coeffs.values())
         if residual2 > tol ** 2 * max(norm2, 1.0) + 1e-15:
             raise BandwidthError(
@@ -230,11 +189,56 @@ class UnitaryLoop:
         return coeffs
 
 
-def _terms_at(loop: UnitaryLoop, theta: float):
-    for lo, hi, terms in loop.pieces:
+def _normalize_pieces(pieces):
+    """Loop pieces as floats and complex coefficients, checked to cover [0, 1]."""
+    pieces = tuple(
+        (float(lo), float(hi), tuple((float(nu), complex(c)) for nu, c in terms))
+        for lo, hi, terms in pieces
+    )
+    if abs(pieces[0][0]) > 1e-12 or abs(pieces[-1][1] - 1.0) > 1e-12:
+        raise ValidationError("loop pieces must cover [0, 1]")
+    return pieces
+
+
+def _fourier_terms(coefficients: dict):
+    """The (nu, c) terms of a Fourier series {m: c}, with nu = 2 pi m."""
+    return tuple(sorted(((TWO_PI * m, complex(c)) for m, c in coefficients.items()),
+                        key=lambda t: t[0]))
+
+
+def _convolve(a, b) -> dict:
+    """{k1 + k2: sum of c1 c2} over the (k, c) pairs of a and of b."""
+    out = {}
+    for k1, c1 in a:
+        for k2, c2 in b:
+            out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
+    return out
+
+
+def _terms_at(pieces, theta: float):
+    for lo, hi, terms in pieces:
         if lo <= theta < hi:
             return terms
-    return loop.pieces[-1][2]
+    return pieces[-1][2]
+
+
+def _cuts(endpoints, pieces):
+    """Sorted points of the common refinement of knots and piece breaks."""
+    return sorted({round(t, 15) for t in endpoints}
+                  | {round(p[0], 15) for p in pieces} | {1.0})
+
+
+def _evaluate(pieces, th: np.ndarray) -> np.ndarray:
+    """Values of a piece tuple at points of [0, 1], half-open [lo, hi) pieces."""
+    out = np.zeros(th.shape, dtype=complex)
+    bounds = [p[0] for p in pieces] + [1.0]
+    idx = np.clip(np.searchsorted(bounds, th, side="right") - 1, 0, len(pieces) - 1)
+    for k, (_lo, _hi, terms) in enumerate(pieces):
+        mask = idx == k
+        if np.any(mask):
+            for nu, c in terms:
+                out[mask] += c * np.exp(1j * nu * th[mask])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +284,11 @@ def pullback_loop(wedge_loop: UnitaryLoop, pinch: str = "double-cover") -> Unita
     u1, u2 = wedge_loop.wedge
     if u1.coefficients is None or u2.coefficients is None:
         raise StructuralError("wedge components must be plain Fourier loops")
-    t1 = tuple(sorted((2 * TWO_PI * m, complex(c)) for m, c in u1.coefficients.items()))
-    t2 = tuple(sorted((2 * TWO_PI * m, complex(c)) for m, c in u2.coefficients.items()))
-    if u1.coefficients == u2.coefficients:
-        doubled = {2 * m: c for m, c in u1.coefficients.items()}
-        return UnitaryLoop.from_fourier(doubled)
-    return UnitaryLoop(pieces=((0.0, 0.5, t1), (0.5, 1.0, t2)))
+    d1 = {2 * m: c for m, c in u1.coefficients.items()}
+    d2 = {2 * m: c for m, c in u2.coefficients.items()}
+    if d1 == d2:
+        return UnitaryLoop.from_fourier(d1)
+    return UnitaryLoop(pieces=((0.0, 0.5, _fourier_terms(d1)), (0.5, 1.0, _fourier_terms(d2))))
 
 
 # ---------------------------------------------------------------------------
@@ -303,33 +306,19 @@ def _eigen_arrays(B, partition: Partition, window):
     return lam, coef
 
 
-def _ip_matrix(D, lo, hi):
-    """integral_lo^hi e^{i D theta} dtheta, elementwise over a real array D."""
-    D = np.asarray(D)
-    out = np.empty(D.shape, dtype=complex)
-    small = np.abs(D) < 1e-9
-    Ds = np.where(small, 1.0, D)
-    out = (np.exp(1j * Ds * hi) - np.exp(1j * Ds * lo)) / (1j * Ds)
-    if np.any(small):
-        mid = 0.5 * (lo + hi)
-        out = np.where(small, (hi - lo) * np.exp(1j * D * mid), out)
-    return out
-
-
 def compression_matrix(loop: UnitaryLoop, partition: Partition,
                        lam_rows, coef_rows, lam_cols, coef_cols) -> np.ndarray:
     """A[i, j] = <psi_i, u psi_j> for eigenfunction rows/columns."""
     R, C = len(lam_rows), len(lam_cols)
     A = np.zeros((R, C), dtype=complex)
-    cuts = sorted({round(t, 15) for t in partition.endpoints}
-                  | {round(p[0], 15) for p in loop.pieces} | {1.0})
+    cuts = _cuts(partition.endpoints, loop.pieces)
     for lo, hi in zip(cuts, cuts[1:]):
         mid = 0.5 * (lo + hi)
         k = partition.piece_of(mid)
         w = np.conj(coef_rows[:, k])[:, None] * coef_cols[None, :, k]
-        for nu, c in _terms_at(loop, mid):
+        for nu, c in _terms_at(loop.pieces, mid):
             D = nu + lam_cols[None, :] - lam_rows[:, None]
-            A += (c * w) * _ip_matrix(D, lo, hi)
+            A += (c * w) * exp_integral(1j * D, lo, hi)
     return A
 
 
@@ -426,8 +415,7 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
     lengths = np.asarray(partition.lengths)
     if len(lengths) != 2 or abs(lengths[0] - lengths[1]) > 1e-12:
         raise StructuralError("the symbol route is built for two equal pieces")
-    Bm = B.matrix if isinstance(B, BoundaryMatrix) else np.asarray(B, dtype=complex)
-    w, W = np.linalg.eig(Bm)
+    w, W = np.linalg.eig(boundary_array(B))
     phi = np.angle(w)
     alpha = phi - TWO_PI * (phi > 0)
 
@@ -506,9 +494,7 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None) -> Pai
         partition = Partition.default()
     if cutoffs is None:
         cutoffs = DEFAULT_CUTOFFS
-    Bm = B.matrix if isinstance(B, BoundaryMatrix) else np.asarray(B, dtype=complex)
-    if np.max(np.abs(Bm @ Bm.conj().T - np.eye(Bm.shape[0]))) > 1e-9:
-        raise ValidationError("boundary matrix must be unitary")
+    Bm = boundary_array(B)
 
     plateau, indices, resolved, fs_index = _finite_section(loop, Bm, partition, tuple(cutoffs))
 
@@ -565,9 +551,14 @@ def _multiplier_pieces(f):
             raise StructuralError("pull the wedge function back before estimating")
         return f.pieces
     if isinstance(f, dict):
-        return ((0.0, 1.0, tuple(sorted((TWO_PI * m, complex(c)) for m, c in f.items()))),)
-    return tuple((float(lo), float(hi), tuple((float(nu), complex(c)) for nu, c in terms))
-                 for lo, hi, terms in f)
+        return ((0.0, 1.0, _fourier_terms(f)),)
+    return _normalize_pieces(f)
+
+
+def _derivative_pieces(f):
+    """The pieces of f' = sum i nu c e^{i nu theta}, piece by piece."""
+    return tuple((lo, hi, tuple((nu, 1j * nu * c) for nu, c in terms))
+                 for lo, hi, terms in _multiplier_pieces(f))
 
 
 def commutator_norm_estimate(f, B, samples: int = 20, seed: int = 0,
@@ -581,23 +572,13 @@ def commutator_norm_estimate(f, B, samples: int = 20, seed: int = 0,
     """
     if partition is None:
         partition = Partition.default()
-    pieces = _multiplier_pieces(f)
-    fprime_pieces = tuple(
-        (lo, hi, tuple((nu, 1j * nu * c) for nu, c in terms))
-        for lo, hi, terms in pieces
-    )
-    cuts = sorted({round(t, 15) for t in partition.endpoints}
-                  | {round(p[0], 15) for p in fprime_pieces} | {1.0})
-    fine = Partition(tuple(cuts))
+    fprime_pieces = _derivative_pieces(f)
+    fine = Partition(tuple(_cuts(partition.endpoints, fprime_pieces)))
     fprime_atoms = []
     for k in range(fine.npieces):
         lo, hi = fine.piece_bounds(k)
-        mid = 0.5 * (lo + hi)
-        for plo, phi_, terms in fprime_pieces:
-            if plo <= mid < phi_:
-                for nu, c in terms:
-                    fprime_atoms.append(ExponentialAtom(k, c, 1j * nu))
-                break
+        for nu, c in _terms_at(fprime_pieces, 0.5 * (lo + hi)):
+            fprime_atoms.append(ExponentialAtom(k, c, 1j * nu))
     fprime = PiecewiseFunction(fine, tuple(fprime_atoms))
 
     # sampling with traces vanishing at every cut (knots and multiplier breaks)
@@ -617,14 +598,5 @@ def commutator_norm_estimate(f, B, samples: int = 20, seed: int = 0,
 
 def derivative_sup(f, ngrid: int = 8192) -> float:
     """sup |f'| on a fine grid, for the commutator bound's right-hand side."""
-    pieces = _multiplier_pieces(f)
     th = (np.arange(ngrid) + 0.5) / ngrid
-    vals = np.zeros(ngrid, dtype=complex)
-    bounds = [p[0] for p in pieces] + [1.0]
-    idx = np.clip(np.searchsorted(bounds, th, side="right") - 1, 0, len(pieces) - 1)
-    for k, (_lo, _hi, terms) in enumerate(pieces):
-        mask = idx == k
-        if np.any(mask):
-            for nu, c in terms:
-                vals[mask] += 1j * nu * c * np.exp(1j * nu * th[mask])
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(_evaluate(_derivative_pieces(f), th))))

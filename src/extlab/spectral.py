@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import ExponentialAtom, Partition, PiecewiseFunction
 from .errors import NumericalError, ValidationError
-from .vonneumann import BoundaryMatrix, Extension
+from .vonneumann import Extension, boundary_array
 
 RESIDUAL_TOL = 1e-9
 
@@ -48,14 +48,7 @@ class Spectrum:
 
     def grouped(self, tol: float = 1e-8):
         """(value, multiplicity) pairs, clustering within tol."""
-        out = []
-        for lam in self.eigenvalues:
-            if out and abs(lam - out[-1][0]) <= tol:
-                v, m = out[-1]
-                out[-1] = ((v * m + lam) / (m + 1), m + 1)
-            else:
-                out.append((lam, 1))
-        return out
+        return _cluster(self.eigenvalues, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +57,13 @@ class EigenPair:
     eigenfunction: PiecewiseFunction
 
 
+def _characteristic_matrix(B: np.ndarray, lengths, lam: float) -> np.ndarray:
+    """I - B Diag(e^{i lambda l_k})."""
+    return np.eye(B.shape[0]) - B @ np.diag(np.exp(1j * lam * np.asarray(lengths)))
+
+
 def characteristic_residual(B: np.ndarray, lengths, lam: float) -> float:
-    D = np.diag(np.exp(1j * lam * np.asarray(lengths)))
-    return float(abs(np.linalg.det(np.eye(B.shape[0]) - B @ D)))
-
-
-def _bmatrix(B) -> np.ndarray:
-    return B.matrix if isinstance(B, BoundaryMatrix) else np.asarray(B, dtype=complex)
+    return float(abs(np.linalg.det(_characteristic_matrix(B, lengths, lam))))
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +79,7 @@ def eigenphases(B, partition: Partition, window, force_tracking: bool = False) -
     min(l) and max(l); each branch is tracked on a fine grid and its zero
     crossings are bisected to 1e-11.
     """
-    Bm = _bmatrix(B)
-    if np.max(np.abs(Bm @ Bm.conj().T - np.eye(Bm.shape[0]))) > 1e-9:
-        raise ValidationError("boundary matrix must be unitary")
+    Bm = boundary_array(B)
     lo, hi = float(window[0]), float(window[1])
     if hi < lo:
         raise ValidationError("empty window: hi < lo")
@@ -105,7 +96,8 @@ def eigenphases(B, partition: Partition, window, force_tracking: bool = False) -
     roots = np.sort(np.asarray(roots))
     values, residuals = [], []
     for lam, mult in _cluster(roots, 1e-9):
-        mult_sv = _nullity(Bm, lengths, lam)
+        mult_sv = _nullity(np.linalg.svd(_characteristic_matrix(Bm, lengths, lam),
+                                         compute_uv=False))
         res = characteristic_residual(Bm, lengths, lam)
         if res > RESIDUAL_TOL:
             raise NumericalError(f"characteristic residual {res:.2e} at lambda={lam!r}")
@@ -148,7 +140,7 @@ def _tracked_roots(Bm, lengths, lo, hi):
         used = np.zeros(n, dtype=bool)
         inc = np.empty(n)
         for j in range(n):
-            d = _circ_diff(cur, pw[j])
+            d = _wrap(cur - pw[j])
             d[used] = np.inf
             kbest = int(np.argmin(np.abs(d)))
             used[kbest] = True
@@ -178,10 +170,6 @@ def _stacked(Bm, lengths, grid):
 
 def _wrap(x):
     return np.angle(np.exp(1j * np.asarray(x)))
-
-
-def _circ_diff(a, b):
-    return np.angle(np.exp(1j * (np.asarray(a) - b)))
 
 
 def _branch_offset(Bm, lengths, lam, near_zero_guess):
@@ -216,12 +204,11 @@ def _cluster(sorted_vals, tol):
     return out
 
 
-def _nullity(Bm, lengths, lam):
+def _nullity(sv):
+    """Null dimension of a characteristic matrix from its singular values."""
     # threshold floored at the natural scale 1 of I - (unitary)(unitary):
     # at a full-multiplicity eigenvalue the matrix is numerically zero and a
     # purely relative cut would see rank where there is none
-    A = np.eye(Bm.shape[0]) - Bm @ np.diag(np.exp(1j * lam * np.asarray(lengths)))
-    sv = np.linalg.svd(A, compute_uv=False)
     return int(np.sum(sv < 1e-8 * max(sv[0], 1.0)))
 
 
@@ -238,15 +225,14 @@ def eigenbasis(B, partition: Partition, window, force_tracking: bool = False):
     the functions are orthonormalized in L^2 (the length-weighted metric on
     coefficient vectors).
     """
-    Bm = _bmatrix(B)
+    Bm = boundary_array(B)
     spec = eigenphases(Bm, partition, window, force_tracking=force_tracking)
     lengths = np.asarray(partition.lengths)
     tleft = np.asarray(partition.endpoints[:-1])
     pairs = []
     for lam, mult in spec.grouped(tol=1e-9):
-        A = np.eye(Bm.shape[0]) - Bm @ np.diag(np.exp(1j * lam * lengths))
-        _, sv, vh = np.linalg.svd(A)
-        nullity = int(np.sum(sv < 1e-8 * max(sv[0], 1.0)))
+        _, sv, vh = np.linalg.svd(_characteristic_matrix(Bm, lengths, lam))
+        nullity = _nullity(sv)
         if nullity == 0:
             raise NumericalError(f"no null direction at lambda={lam!r} (residual too large)")
         C = vh[len(sv) - nullity:].conj().T            # columns: trace vectors

@@ -31,10 +31,6 @@ from .errors import NumericalError, SingularParameterizationError, StructuralErr
 
 SQRT_E = math.sqrt(math.e)
 
-#: normalizer of the first minus-deficiency basis vector on the default
-#: partition: omega_0 = sqrt(2/(e-1))
-OMEGA0 = math.sqrt(2.0 / (math.e - 1.0))
-
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -116,6 +112,17 @@ def compute_deficiency(spec: OperatorSpec, sign: str) -> DeficiencySpace:
     return DeficiencySpace(sign=sign, basis=tuple(basis), index=len(basis))
 
 
+def _unitary(matrix, name: str, tol: float) -> np.ndarray:
+    """A read-only complex copy of `matrix`, checked square and unitary to `tol`."""
+    m = np.array(matrix, dtype=complex)
+    m.setflags(write=False)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise StructuralError(f"{name} must be square")
+    if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > tol:
+        raise ValidationError(f"{name} is not unitary (tol {tol:.0e})")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class ExtensionUnitary:
     """Unitary u : Ker(T*-i) -> Ker(T*+i) w.r.t. the canonical piece bases."""
@@ -123,13 +130,7 @@ class ExtensionUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StructuralError("extension unitary must be square")
-        if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > 1e-10:
-            raise ValidationError("extension parameter is not unitary (tol 1e-10)")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _unitary(self.matrix, "extension parameter", 1e-10))
 
     @property
     def size(self) -> int:
@@ -143,17 +144,16 @@ class BoundaryMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StructuralError("boundary matrix must be square")
-        if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > 1e-9:
-            raise ValidationError("boundary matrix is not unitary (tol 1e-9)")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _unitary(self.matrix, "boundary matrix", 1e-9))
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+
+def boundary_array(B) -> np.ndarray:
+    """The matrix of a BoundaryMatrix, or of an array-like checked to be one."""
+    return (B if isinstance(B, BoundaryMatrix) else BoundaryMatrix(B)).matrix
 
 
 def swap_unitary(n: int = 2) -> ExtensionUnitary:

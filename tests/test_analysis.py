@@ -40,14 +40,29 @@ def test_exp_integral_frozen_value():
     assert abs(got.imag) == 0.0
 
 
-@pytest.mark.parametrize(
-    "delta",
-    [1.0, -2.0, 3.5 + 2.0j, -0.7 - 4.0j, 1e-6, 1e-10, 0.0, 2j * math.pi],
-)
+DELTAS = [1.0, -2.0, 3.5 + 2.0j, -0.7 - 4.0j, 1e-6, 1e-10, 0.0, 2j * math.pi,
+          1e-8j, 1e-6j, 1e-3j]
+
+
+@pytest.mark.parametrize("delta", DELTAS)
 def test_exp_integral_matches_quad_oracle(delta):
     a, b = 0.125, 0.875
     oracle = _quad_complex(lambda t: np.exp(complex(delta) * t), a, b)
     assert abs(exp_integral(delta, a, b) - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("a, b", [(0.125, 0.875), (0.5, 1.0)])
+def test_exp_integral_on_an_array_equals_the_scalar_calls(a, b):
+    cut = 0.1 / (b - a)          # |delta| (b - a) = 0.1 is the series cut
+    near = [0.9999 * cut, 1.0001 * cut, -0.9999j * cut, 1.0001j * cut]
+    deltas = np.array(DELTAS + near + [0.5 * cut]).reshape(4, 4)
+    got = exp_integral(deltas, a, b)
+    assert got.shape == deltas.shape
+    want = np.array([[exp_integral(complex(d), a, b) for d in row] for row in deltas])
+    assert np.array_equal(got, want)
+    # bounds given per entry, as inner_product passes them
+    ones = np.ones(deltas.shape)
+    assert np.array_equal(exp_integral(deltas, a * ones, b * ones), want)
 
 
 def test_exp_integral_series_branch_is_continuous():

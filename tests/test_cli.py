@@ -100,6 +100,28 @@ def test_unknown_verify_suite_is_rejected_by_the_parser():
     assert "invalid choice" in proc.stderr
 
 
+_PARTITION_COMMANDS = [("deficiency",), ("boundary-matrix",), ("spectrum",), ("pair",),
+                       ("verify", "extension-independence"), ("verify", "addition-dirac")]
+
+
+@pytest.mark.parametrize("argv, config, env", [
+    pytest.param(("spectrum",), {"window": [math.nan, 5]}, None, id="nan-window"),
+    pytest.param(("pair",), {"loop": {"monomial": 1}, "cutoffs": [10, math.inf]}, None,
+                 id="infinite-cutoff"),
+    pytest.param(("pair",), {"loop": {"monomial": "x"}}, None, id="string-monomial"),
+    pytest.param(("deficiency",), {"tolerance": math.nan}, None, id="nan-tolerance"),
+    pytest.param(("deficiency",), {}, {"EXTLAB_TOL": "nan"}, id="nan-env-tolerance"),
+] + [pytest.param(argv, {"partition": [0, "a", 1], "loop": {"monomial": 1}}, None,
+                  id="string-knot-" + "-".join(argv))
+     for argv in _PARTITION_COMMANDS])
+def test_malformed_config_numbers_exit_2(tmp_path, argv, config, env):
+    # json.dumps writes math.nan and math.inf as the literals NaN and Infinity
+    proc = run_cli(*argv, config=config, tmp_path=tmp_path, env_extra=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "error (validation)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 

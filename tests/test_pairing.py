@@ -8,6 +8,7 @@ Oracles used here:
     Fourier basis and the compression is a pure shift.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from extlab.pairing import (
     DEFAULT_CUTOFFS,
     UnitaryLoop,
     commutator_norm_estimate,
+    compression_matrix,
     derivative_sup,
     pair,
     pullback_loop,
@@ -110,6 +112,17 @@ def test_anti_diagonal_compression_is_a_pure_shift(n):
     # plateau: the last three cutoffs report identical indices
     tail = [k - c for _, k, c in res.plateau[-3:]]
     assert tail == [-n] * 3
+
+
+@pytest.mark.parametrize("D", [1e-8, 1e-6, 1e-3])
+def test_compression_matrix_is_exact_near_resonance(D):
+    # unit-coefficient phases whose frequencies differ by D pair to the
+    # integral of e^{i D theta} over [0, 1], which is e^{i D/2} sin(D/2)/(D/2)
+    ones = np.ones((1, 2), dtype=complex)
+    A = compression_matrix(UnitaryLoop.constant(), Partition.default(),
+                           np.array([0.0]), ones, np.array([D]), ones)
+    exact = cmath.exp(0.5j * D) * math.sin(0.5 * D) / (0.5 * D)
+    assert abs(A[0, 0] - exact) <= 1e-14 * abs(exact)
 
 
 def test_pair_of_constant_loop_is_zero():
