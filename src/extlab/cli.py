@@ -41,7 +41,9 @@ from .errors import (
     ValidationError,
 )
 from .pairing import (
+    DEFAULT_CUTOFFS,
     UnitaryLoop,
+    eigen_arrays,
     pair,
     pullback_loop,
     winding,
@@ -66,6 +68,9 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+#: the most random extensions one config entry may ask for
+MAX_RANDOM_COUNT = 1000
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
@@ -317,7 +322,7 @@ class ExperimentConfig:
     def cutoffs(self):
         cut = self.raw.get("cutoffs")
         if cut is None:
-            return None
+            return DEFAULT_CUTOFFS
         cut = _numbers(cut, "cutoffs")
         if (not cut or any(c <= 0 for c in cut)
                 or any(b <= a for a, b in zip(cut, cut[1:]))):
@@ -366,8 +371,9 @@ class ExperimentConfig:
                 raise ValidationError("random extension options must be an object")
             seed = _number(opts.get("seed", self.seed), "random extension seed", int)
             count = _number(opts.get("count", 1), "random extension count", int)
-            if seed < 0 or count < 1:
-                raise ValidationError("random extensions need a seed >= 0 and a count >= 1")
+            if seed < 0 or not 1 <= count <= MAX_RANDOM_COUNT:
+                raise ValidationError("random extensions need a seed >= 0 and a count "
+                                      f"in [1, {MAX_RANDOM_COUNT}]")
             rng = np.random.default_rng(seed)
             out = []
             for i in range(count):
@@ -605,18 +611,26 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _pair_task(loop_label, loop, ext_label, B, cutoffs, partition):
-    """One pairing work item; returns a CSV-ready row and certification."""
+def _pair_task(loop_label, loop, ext_label, B, cutoffs, partition, basis=None):
+    """One pairing work item; returns a CSV-ready row and certification.
+
+    `basis` is a shared `eigen_arrays` result, or the NumericalError that
+    building it raised, which leaves this pairing uncertified like any other.
+    """
     wind = winding(pullback_loop(loop) if loop.is_wedge else loop)
-    try:
-        res = pair(loop, B, cutoffs=cutoffs, partition=partition)
-    except NumericalError as exc:
+    error = basis if isinstance(basis, NumericalError) else None
+    if error is None:
+        try:
+            res = pair(loop, B, cutoffs=cutoffs, partition=partition, basis=basis)
+        except NumericalError as exc:
+            error = exc
+    if error is not None:
         return {
             "row": (loop_label, ext_label, "", str(wind), "", "uncertified"),
             "stable": False,
             "index": None,
             "winding": wind,
-            "error": str(exc),
+            "error": str(error),
         }
     return {
         "row": (
@@ -635,7 +649,7 @@ def _pair_task(loop_label, loop, ext_label, B, cutoffs, partition):
 
 
 def _run_pairings(tasks, jobs):
-    """Run (label, loop, ext_label, B, cutoffs, partition) tasks, preserving order."""
+    """Run `_pair_task` argument tuples, preserving order."""
     if jobs <= 1:
         return [_pair_task(*t) for t in tasks]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -681,6 +695,14 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
     return EXIT_OK if all_stable else EXIT_NUMERICAL
 
 
+def _shared_basis(B, partition, cutoffs, reach):
+    """`eigen_arrays`, or the NumericalError it raised (each pairing reports it)."""
+    try:
+        return eigen_arrays(B, partition, cutoffs, reach)
+    except NumericalError as exc:
+        return exc
+
+
 def _sweep(cfg: ExperimentConfig, loops, default_count: int):
     """Pair each (label, loop, expected index) with seeded Haar extensions.
 
@@ -694,11 +716,17 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
                                               "count": suite.get("count", default_count)}},
                                   spec)
 
+    # one eigenbasis per B, at the widest window any loop needs, shared by
+    # every pairing with that B
+    reach = max((pullback_loop(loop) if loop.is_wedge else loop).frequency_reach
+                for _label, loop, _expect in loops)
+    bases = [_shared_basis(B, part, cutoffs, reach) for _label, _u, B in exts]
+
     tasks = []
     expected = []
     for loop_label, loop, expect in loops:
-        for ext_label, _u, B in exts:
-            tasks.append((loop_label, loop, ext_label, B, cutoffs, part))
+        for (ext_label, _u, B), basis in zip(exts, bases):
+            tasks.append((loop_label, loop, ext_label, B, cutoffs, part, basis))
             expected.append(expect)
     outcomes = _run_pairings(tasks, cfg.jobs)
 

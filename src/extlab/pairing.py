@@ -56,6 +56,13 @@ KERNEL_TOL = 1e-7
 GUARD_STEP = 0.90
 GUARD_TOTAL = 0.70
 
+#: spectral padding of the output rows past a cutoff, beyond the loop's reach
+PAD = 8 * np.pi
+
+#: the widest eigenbasis window a pairing may ask for (about 2048 basis vectors
+#: on the default knots); wider schedules or loops are refused as invalid input
+MAX_BASIS_WINDOW = 4096 * np.pi
+
 MARGIN = 0.1
 _MARGIN_GRID = np.arange(4096) / 4096.0
 
@@ -295,14 +302,28 @@ def pullback_loop(wedge_loop: UnitaryLoop, pinch: str = "double-cover") -> Unita
 # compressed multiplication operators (finite sections)
 # ---------------------------------------------------------------------------
 
-def _eigen_arrays(B, partition: Partition, window):
-    pairs = eigenbasis(B, partition, window)
-    n = partition.npieces
-    lam = np.asarray([p.eigenvalue for p in pairs])
-    coef = np.zeros((len(pairs), n), dtype=complex)
+def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
+    """Read-only (lam, coef) arrays of the eigenbasis of T_B on the window
+    [0, cutoffs[-1] + reach + PAD], coef[i, k] being the atom coefficient of
+    eigenfunction i on piece k.
+
+    One basis serves every loop whose frequency reach is at most `reach`:
+    each finite section keeps the eigenvalues inside its own window.
+    """
+    hi = cutoffs[-1] + reach + PAD
+    if hi > MAX_BASIS_WINDOW:
+        raise ValidationError(
+            f"eigenbasis window {hi:.6g} exceeds {MAX_BASIS_WINDOW:.6g} "
+            "(lower the cutoffs or the loop's frequency reach)"
+        )
+    pairs = eigenbasis(B, partition, (-1e-9, hi))
+    lam = np.asarray([p.eigenvalue for p in pairs], dtype=float)
+    coef = np.zeros((len(pairs), partition.npieces), dtype=complex)
     for i, p in enumerate(pairs):
         for a in p.eigenfunction.atoms:
             coef[i, a.piece] += a.coefficient
+    lam.flags.writeable = False
+    coef.flags.writeable = False
     return lam, coef
 
 
@@ -333,8 +354,8 @@ def _numerical_kernel(A: np.ndarray):
     return nullity, float(retained[-1] / smax)
 
 
-def _finite_section(loop: UnitaryLoop, B, partition: Partition, cutoffs):
-    """The truncation route over the cutoff schedule.
+def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
+    """The truncation route over the cutoff schedule, on an `eigen_arrays` basis.
 
     Returns (plateau, indices, resolved, index).  `resolved` demands both the
     three-equal-indices plateau and a stable smallest retained singular value;
@@ -342,14 +363,15 @@ def _finite_section(loop: UnitaryLoop, B, partition: Partition, cutoffs):
     slow tails, where a fixed threshold would plateau on a wrong integer.
     """
     reach = loop.frequency_reach
-    pad = 8 * np.pi
-    hi_all = cutoffs[-1] + reach + pad
-    lam, coef = _eigen_arrays(B, partition, (-1e-9, hi_all))
+    # a basis built for a wider reach is cut to this loop's own window, by the
+    # same rule the spectrum applies at a window's edge
+    keep = basis[0] <= cutoffs[-1] + reach + PAD + 1e-12
+    lam, coef = basis[0][keep], basis[1][keep]
     loop_conj = loop.conjugate()
     plateau, indices, smins = [], [], []
     for Lam in cutoffs:
         cols = lam <= Lam + 1e-9
-        rows = lam <= Lam + reach + pad + 1e-9
+        rows = lam <= Lam + reach + PAD + 1e-9
         lam_c, coef_c = lam[cols], coef[cols]
         lam_r, coef_r = lam[rows], coef[rows]
         A = compression_matrix(loop, partition, lam_r, coef_r, lam_c, coef_c)
@@ -392,6 +414,16 @@ def _chord_margin(vL: np.ndarray, vR: np.ndarray):
     return best, scale
 
 
+def _sandwich_matrix(W: np.ndarray) -> np.ndarray:
+    """T[k, n j + l] = conj(W[k, j]) W[k, l] for an n x n matrix W.
+
+    Row p of (U @ T).reshape(-1, n, n) is then W* diag(U[p]) W: one matmul
+    conjugates a whole grid of diagonal symbols.
+    """
+    n = W.shape[0]
+    return (W.conj()[:, :, None] * W[:, None, :]).reshape(n, n * n)
+
+
 def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
                  ngrid: int = 8192):
     """Exact Fredholm index of P M_u P via its block-Toeplitz symbol.
@@ -418,12 +450,11 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
     w, W = np.linalg.eig(boundary_array(B))
     phi = np.angle(w)
     alpha = phi - TWO_PI * (phi > 0)
+    T = _sandwich_matrix(W)
 
     def symbol_at(x):
-        u1 = loop(x / 2.0)
-        u2 = loop((x + 1.0) / 2.0)
-        Wc = W.conj().T
-        ut = np.einsum("jk,nk,kl->njl", Wc, np.stack([u1, u2], axis=1), W)
+        U = np.stack([loop(x / 2.0), loop((x + 1.0) / 2.0)], axis=1)
+        ut = (U @ T).reshape(len(x), 2, 2)
         g = np.exp(1j * np.outer(x, alpha))
         return ut * g[:, :, None] / g[:, None, :]
 
@@ -486,17 +517,25 @@ class PairingResult:
 _CANONICAL_B = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None) -> PairingResult:
-    """Index pairing of a loop with the extension of boundary matrix B."""
+def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
+         basis=None) -> PairingResult:
+    """Index pairing of a loop with the extension of boundary matrix B.
+
+    `basis` is an `eigen_arrays(B, partition, cutoffs, reach)` result with
+    reach at least the (pulled-back) loop's frequency reach; sweeps build it
+    once per B and share it between loops.  Without it the pairing builds its
+    own at the loop's reach.
+    """
     if loop.is_wedge:
         loop = pullback_loop(loop)
     if partition is None:
         partition = Partition.default()
-    if cutoffs is None:
-        cutoffs = DEFAULT_CUTOFFS
+    cutoffs = DEFAULT_CUTOFFS if cutoffs is None else tuple(cutoffs)
     Bm = boundary_array(B)
+    if basis is None:
+        basis = eigen_arrays(Bm, partition, cutoffs, loop.frequency_reach)
 
-    plateau, indices, resolved, fs_index = _finite_section(loop, Bm, partition, tuple(cutoffs))
+    plateau, indices, resolved, fs_index = _finite_section(loop, partition, cutoffs, basis)
 
     sym_available = (partition.npieces == 2
                      and abs(partition.lengths[0] - partition.lengths[1]) < 1e-12)

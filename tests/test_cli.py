@@ -8,6 +8,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 CMD = [sys.executable, "-m", "extlab"]
@@ -111,6 +112,17 @@ _PARTITION_COMMANDS = [("deficiency",), ("boundary-matrix",), ("spectrum",), ("p
     pytest.param(("pair",), {"loop": {"monomial": "x"}}, None, id="string-monomial"),
     pytest.param(("deficiency",), {"tolerance": math.nan}, None, id="nan-tolerance"),
     pytest.param(("deficiency",), {}, {"EXTLAB_TOL": "nan"}, id="nan-env-tolerance"),
+    # problem-size bounds: eigenbasis windows past 4096 pi, random counts past 1000
+    pytest.param(("pair",), {"loop": {"monomial": 1}, "cutoffs": [10, 20, 30, 20000]}, None,
+                 id="cutoff-window-too-wide"),
+    pytest.param(("pair",), {"loop": {"monomial": 2000}}, None, id="loop-reach-too-wide"),
+    pytest.param(("verify", "addition-dirac"), {"cutoffs": [10, 20, 30, 20000]}, None,
+                 id="sweep-window-too-wide"),
+    pytest.param(("pair",), {"loop": {"monomial": 1},
+                             "extensions": [{"random": {"count": 1001}}]}, None,
+                 id="random-count-too-large"),
+    pytest.param(("verify", "extension-independence"), {"suite": {"count": 10 ** 9}}, None,
+                 id="sweep-count-too-large"),
 ] + [pytest.param(argv, {"partition": [0, "a", 1], "loop": {"monomial": 1}}, None,
                   id="string-knot-" + "-".join(argv))
      for argv in _PARTITION_COMMANDS])
@@ -283,20 +295,62 @@ def test_pair_wedge_loop(tmp_path):
     assert pairing["index"] == -2 and pairing["winding"] == 2
 
 
-def test_pair_jobs_do_not_change_bytes(tmp_path):
-    cfg = {
-        "loop": {"monomial": -1},
-        "extensions": [{"anchor": "swap"}, {"random": {"count": 3, "seed": 9}}],
-    }
+@pytest.mark.parametrize("argv, cfg, csv_name", [
+    pytest.param(("pair",), {"loop": {"monomial": -1},
+                             "extensions": [{"anchor": "swap"},
+                                            {"random": {"count": 3, "seed": 9}}]},
+                 "pair.csv", id="pair"),
+    # the sweeps share one eigenbasis per B between the pool's threads
+    pytest.param(("verify", "extension-independence"), {"suite": {"count": 3}},
+                 "verify-extension-independence.csv", id="verify-extension-independence"),
+    pytest.param(("verify", "addition-dirac"), {"suite": {"count": 3}},
+                 "verify-addition-dirac.csv", id="verify-addition-dirac"),
+])
+def test_pair_jobs_do_not_change_bytes(tmp_path, argv, cfg, csv_name):
     outs = []
     for jobs, tag in (("1", "a"), ("3", "b")):
         out = tmp_path / tag
-        proc = run_cli("pair", "--jobs", jobs, "--out", str(out), config=cfg,
+        proc = run_cli(*argv, "--jobs", jobs, "--out", str(out), config=cfg,
                        tmp_path=tmp_path)
         assert proc.returncode == 0, proc.stderr
         outs.append((proc.stdout, (out / "report.json").read_bytes(),
-                     (out / "pair.csv").read_bytes()))
+                     (out / csv_name).read_bytes()))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_a_failed_eigenbasis_leaves_only_its_pairings_uncertified(
+        tmp_path, monkeypatch, capsys, jobs):
+    from extlab import cli, pairing
+    from extlab.errors import NumericalError
+    from extlab.vonneumann import boundary_array, boundary_matrix_closed_form, haar_unitary
+
+    rng = np.random.default_rng(5)
+    bad = [boundary_matrix_closed_form(haar_unitary(rng)).matrix for _ in range(3)][1]
+    original = pairing.eigenbasis
+
+    def eigenbasis(B, *args, **kwargs):
+        if np.array_equal(boundary_array(B), bad):
+            raise NumericalError("injected eigenbasis failure")
+        return original(B, *args, **kwargs)
+
+    monkeypatch.setattr(pairing, "eigenbasis", eigenbasis)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": {"count": 3, "extension_seed": 5,
+                                            "powers": [-1, 1]}}), encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main(["verify", "extension-independence", "--jobs", jobs,
+                     "--config", str(config), "--out", str(out)])
+    assert code == 3
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "unstable" and rep["result"]["failures"] == []
+    assert rep["result"]["unstable"] == [{"loop": f"z^{n}", "extension": "seed5-1"}
+                                         for n in (-1, 0, 1)]
+    assert rep == json.loads((out / "report.json").read_text(encoding="utf-8"))
+    _header, rows = _csv_rows(out / "verify-extension-independence.csv")
+    assert len(rows) == 9
+    for row in rows:
+        assert (row[-1] == "uncertified") == (row[1] == "seed5-1")
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,13 @@ from extlab.errors import (
 )
 from extlab.pairing import (
     DEFAULT_CUTOFFS,
+    MAX_BASIS_WINDOW,
     UnitaryLoop,
+    _sandwich_matrix,
     commutator_norm_estimate,
     compression_matrix,
     derivative_sup,
+    eigen_arrays,
     pair,
     pullback_loop,
     symbol_index,
@@ -198,6 +201,18 @@ def test_symbol_route_reports_non_fredholm_reason():
     assert "not Fredholm" in diag["reason"]
 
 
+def test_symbol_sandwich_matmul_matches_the_einsum():
+    # reference: the einsum the matmul replaced; the summation order differs,
+    # so the two agree to a relative 1e-14 rather than bit for bit
+    rng = np.random.default_rng(17)
+    for n, N in ((2, 1), (2, 1000), (3, 257)):
+        W = haar_unitary(rng, n).matrix
+        U = np.exp(2j * np.pi * rng.random((N, n)))
+        ref = np.einsum("jk,nk,kl->njl", W.conj().T, U, W)
+        got = (U @ _sandwich_matrix(W)).reshape(N, n, n)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_pair_rejects_non_unitary_boundary():
     with pytest.raises(ValidationError):
         pair(UnitaryLoop.monomial(1), np.array([[1.0, 0.2], [0.0, 1.0]]))
@@ -277,3 +292,50 @@ def test_commutator_accepts_piecewise_multipliers():
     )
     est = commutator_norm_estimate(pieces, SWAP, samples=8)
     assert 0.0 < est <= 4.0 * math.pi + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# shared eigenbases
+
+
+def _same_answer(a, b):
+    return (a.plateau, a.index, a.stable, a.method) == (b.plateau, b.index, b.stable, b.method)
+
+
+@pytest.mark.parametrize("loop", [
+    UnitaryLoop.monomial(-2),
+    UnitaryLoop.monomial(1),
+    UnitaryLoop.wedge_pair(UnitaryLoop.monomial(2), UnitaryLoop.monomial(-1)),
+], ids=["z^-2", "z^1", "wedge(z^2|z^-1)"])
+def test_a_wider_shared_basis_changes_no_answer(loop):
+    part = Partition.default()
+    B = random_boundary(31)
+    # the widest wedge loop of the default addition-dirac sweep reaches 8 pi
+    basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi)
+    assert _same_answer(pair(loop, B, basis=basis), pair(loop, B))
+
+
+def test_a_wider_shared_basis_changes_no_answer_on_unequal_pieces():
+    # three unequal pieces: no symbol route, and the tracked roots come from a
+    # branch grid that a wider window extends
+    part = Partition((0.0, 0.2, 0.55, 1.0))
+    B = build_extension(OperatorSpec(part),
+                        haar_unitary(np.random.default_rng(8), 3)).boundary
+    cutoffs = (4 * math.pi, 8 * math.pi, 16 * math.pi)      # short: tracking is slow
+    basis = eigen_arrays(B, part, cutoffs, 6 * math.pi)
+    for n in (-1, 2):
+        loop = UnitaryLoop.monomial(n)
+        shared = pair(loop, B, cutoffs=cutoffs, partition=part, basis=basis)
+        own = pair(loop, B, cutoffs=cutoffs, partition=part)
+        assert _same_answer(shared, own)
+
+
+def test_eigen_arrays_are_read_only_and_bounded():
+    lam, coef = eigen_arrays(SWAP, Partition.default(), FAST, 2 * math.pi)
+    assert lam.shape == (coef.shape[0],) and coef.shape[1] == 2
+    for arr in (lam, coef):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(ValidationError):
+        eigen_arrays(SWAP, Partition.default(), (MAX_BASIS_WINDOW,), 0.0)
