@@ -42,6 +42,7 @@ from .errors import (
 )
 from .pairing import (
     DEFAULT_CUTOFFS,
+    MAX_BASIS_WINDOW,
     UnitaryLoop,
     eigen_arrays,
     pair,
@@ -317,6 +318,10 @@ class ExperimentConfig:
         win = _numbers(self.raw.get("window", list(default)), "window")
         if len(win) != 2:
             raise ValidationError("window must be [lo, hi]")
+        if win[1] - win[0] > MAX_BASIS_WINDOW:
+            raise ValidationError(
+                f"window width {win[1] - win[0]:.6g} exceeds {MAX_BASIS_WINDOW:.6g}"
+            )
         return win
 
     def cutoffs(self):

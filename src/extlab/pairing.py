@@ -569,7 +569,13 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
             )
         return PairingResult(canon, tuple(plateau), True, "extension-independence")
     if resolved:
-        # symbol route unavailable (general partition): the guarded plateau stands
+        # symbol route unavailable (general partition): the guarded plateau
+        # stands only where it agrees with the index theorem, index = -winding
+        wind = winding(loop)
+        if fs_index != -wind:
+            raise NumericalError(
+                f"finite-section index {fs_index} disagrees with -winding {-wind}"
+            )
         return PairingResult(fs_index, tuple(plateau), True, "finite-section")
     return PairingResult(fs_index, tuple(plateau), False, "finite-section")
 

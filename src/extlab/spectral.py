@@ -76,8 +76,10 @@ def eigenphases(B, partition: Partition, window, force_tracking: bool = False) -
     Equal piece lengths l: exact closed form lambda = (2 pi m - phi_j)/l from
     the eigenphases e^{i phi_j} of B.  General lengths: the eigenphases of
     B Diag(e^{i lambda l_k}) increase strictly in lambda with speed between
-    min(l) and max(l); each branch is tracked on a fine grid and its zero
-    crossings are bisected to 1e-11.
+    min(l) and max(l); they are lifted to branches on a grid of 4096 points
+    per 4 pi in one array pass (a cyclic shift of each sorted row, counted
+    from the phase sums; see `_lifted_phases`), and each branch's crossings
+    of 2 pi Z are bisected to 1e-11.
     """
     Bm = boundary_array(B)
     lo, hi = float(window[0]), float(window[1])
@@ -121,32 +123,20 @@ def _closed_form_roots(Bm, ell, lo, hi):
     return roots
 
 
+TRACK_STEP = (4 * np.pi) / 4096   # grid pitch pinned: 4096 points per 4pi window
+TRACK_CHUNK = 4096                  # grid points per batched eigvals call
+
+
 def _tracked_roots(Bm, lengths, lo, hi):
-    """Monotone branch tracking of the eigenphases of B Diag(e^{i lam l})."""
+    """Roots of the eigenphase branches of B Diag(e^{i lam l}) in [lo, hi].
+
+    Each branch is lifted on the grid (`_lifted_phases`); every crossing of a
+    multiple of 2 pi is bisected to 1e-11.
+    """
     n = Bm.shape[0]
-    step = (4 * np.pi) / 4096  # grid pitch pinned: 4096 points per 4pi window
-    pad = step
-    grid = np.arange(lo - pad, hi + pad + step, step)
-    phases = np.angle(np.linalg.eigvals(_stacked(Bm, lengths, grid)))
-    # lift each branch to a continuous increasing function
-    lifted = np.empty_like(phases)
-    lifted[0] = np.sort(phases[0])
-    prev = lifted[0].copy()
-    for i in range(1, len(grid)):
-        cur = np.sort(phases[i])
-        pw = _wrap(prev)
-        # circular greedy matching; speeds are < step per grid cell, so the
-        # nearest wrapped phase is the continuation of the branch
-        used = np.zeros(n, dtype=bool)
-        inc = np.empty(n)
-        for j in range(n):
-            d = _wrap(cur - pw[j])
-            d[used] = np.inf
-            kbest = int(np.argmin(np.abs(d)))
-            used[kbest] = True
-            inc[j] = d[kbest]
-        prev = prev + inc
-        lifted[i] = prev
+    pad = TRACK_STEP
+    grid = np.arange(lo - pad, hi + pad + TRACK_STEP, TRACK_STEP)
+    lifted = _lifted_phases(Bm, lengths, grid)
     roots = []
     for j in range(n):
         branch = lifted[:, j]
@@ -161,6 +151,41 @@ def _tracked_roots(Bm, lengths, lo, hi):
             if lo - 1e-12 <= lam <= hi + 1e-12:
                 roots.append(lam)
     return roots
+
+
+def _lifted_phases(Bm, lengths, grid):
+    """Eigenphases of B Diag(e^{i lam l}) on the grid, lifted to continuous
+    increasing branches: column j starts at the j-th smallest phase.
+
+    The phases only increase in lambda (by Hellmann-Feynman at speeds in
+    [min l, max l]), so a sorted row of wrapped phases changes between grid
+    points only by the phases that crossed pi dropping from the top to the
+    bottom: a cyclic shift.  Their sum rises by exactly step * sum(l) per
+    cell, so the drop in the wrapped sum counts the crossings, and c_i, the
+    crossings up to row i, places branch j at sorted position (j + c_i) mod n
+    with (j + c_i) // n turns of 2 pi behind it.
+
+    The grid goes through eigvals TRACK_CHUNK points at a time, so beyond the
+    (grid, n) result the memory is O(TRACK_CHUNK n^2) whatever the window.
+    """
+    n = Bm.shape[0]
+    lifted = np.empty((len(grid), n))
+    shift = 0
+    for s in range(0, len(grid), TRACK_CHUNK):
+        # a chunk starts at the previous chunk's last row, whose shift is
+        # known, so the cell between the two chunks is counted too
+        start = max(s - 1, 0)
+        chunk = grid[start:s + TRACK_CHUNK]
+        phases = np.sort(np.angle(np.linalg.eigvals(_stacked(Bm, lengths, chunk))), axis=1)
+        total = phases.sum(axis=1)
+        crossings = np.rint((total[:-1] + np.diff(chunk) * np.sum(lengths) - total[1:])
+                            / (2 * np.pi)).astype(np.int64)
+        shifts = shift + np.concatenate(([0], np.cumsum(crossings)))
+        turns, pos = np.divmod(shifts[:, None] + np.arange(n), n)
+        lifted[start:start + len(chunk)] = (np.take_along_axis(phases, pos, axis=1)
+                                            + (2 * np.pi) * turns)
+        shift = shifts[-1]
+    return lifted
 
 
 def _stacked(Bm, lengths, grid):

@@ -105,6 +105,12 @@ _PARTITION_COMMANDS = [("deficiency",), ("boundary-matrix",), ("spectrum",), ("p
                        ("verify", "extension-independence"), ("verify", "addition-dirac")]
 
 
+def test_spectrum_window_bound_names_the_limit(tmp_path):
+    proc = run_cli("spectrum", config={"window": [0, 13000]}, tmp_path=tmp_path)
+    assert proc.returncode == 2
+    assert "window width 13000 exceeds 12868" in proc.stderr
+
+
 @pytest.mark.parametrize("argv, config, env", [
     pytest.param(("spectrum",), {"window": [math.nan, 5]}, None, id="nan-window"),
     pytest.param(("pair",), {"loop": {"monomial": 1}, "cutoffs": [10, math.inf]}, None,
@@ -123,6 +129,10 @@ _PARTITION_COMMANDS = [("deficiency",), ("boundary-matrix",), ("spectrum",), ("p
                  id="random-count-too-large"),
     pytest.param(("verify", "extension-independence"), {"suite": {"count": 10 ** 9}}, None,
                  id="sweep-count-too-large"),
+    # spectrum windows wider than the same 4096 pi
+    pytest.param(("spectrum",), {"window": [-1e7, 1e7]}, None, id="spectrum-window-too-wide"),
+    pytest.param(("spectrum",), {"partition": [0, 0.3, 1], "window": [-6500, 6500]}, None,
+                 id="tracked-spectrum-window-too-wide"),
 ] + [pytest.param(argv, {"partition": [0, "a", 1], "loop": {"monomial": 1}}, None,
                   id="string-knot-" + "-".join(argv))
      for argv in _PARTITION_COMMANDS])
@@ -293,6 +303,29 @@ def test_pair_wedge_loop(tmp_path):
     pairing = report_of(proc)["result"]["pairings"][0]
     assert pairing["loop"] == "wedge(z^1|z^1)"
     assert pairing["index"] == -2 and pairing["winding"] == 2
+
+
+def test_pair_withholds_a_plateau_that_contradicts_the_winding(tmp_path):
+    # three unequal pieces, no symbol route: a short schedule settles on
+    # index 0 for z^-1, whose index is 1
+    cfg = {"partition": [0, 0.2, 0.55, 1], "loop": {"monomial": -1},
+           "extensions": [{"random": {"seed": 8, "count": 1}}],
+           "cutoffs": [4 * math.pi, 8 * math.pi, 16 * math.pi]}
+    out = tmp_path / "out"
+    proc = run_cli("pair", "--out", str(out), config=cfg, tmp_path=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    rep = report_of(proc)
+    assert rep["status"] == "unstable"
+    assert rep["result"]["pairings"] == [{
+        "loop": "z^-1",
+        "extension": "seed8-0",
+        "index": None,
+        "winding": -1,
+        "stable": False,
+        "error": "finite-section index 0 disagrees with -winding 1",
+    }]
+    _header, rows = _csv_rows(out / "pair.csv")
+    assert rows == [["z^-1", "seed8-0", "", "-1", "", "uncertified"]]
 
 
 @pytest.mark.parametrize("argv, cfg, csv_name", [

@@ -19,12 +19,14 @@ from extlab.analysis import Partition
 from extlab.errors import (
     BandwidthError,
     IllConditionedLoopError,
+    NumericalError,
     StructuralError,
     ValidationError,
 )
 from extlab.pairing import (
     DEFAULT_CUTOFFS,
     MAX_BASIS_WINDOW,
+    PAD,
     UnitaryLoop,
     _sandwich_matrix,
     commutator_norm_estimate,
@@ -298,8 +300,13 @@ def test_commutator_accepts_piecewise_multipliers():
 # shared eigenbases
 
 
-def _same_answer(a, b):
-    return (a.plateau, a.index, a.stable, a.method) == (b.plateau, b.index, b.stable, b.method)
+def _answer(loop, B, **kwargs):
+    """pair()'s result fields, or the message of the NumericalError it raised."""
+    try:
+        res = pair(loop, B, **kwargs)
+    except NumericalError as exc:
+        return str(exc)
+    return res.plateau, res.index, res.stable, res.method
 
 
 @pytest.mark.parametrize("loop", [
@@ -312,7 +319,7 @@ def test_a_wider_shared_basis_changes_no_answer(loop):
     B = random_boundary(31)
     # the widest wedge loop of the default addition-dirac sweep reaches 8 pi
     basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi)
-    assert _same_answer(pair(loop, B, basis=basis), pair(loop, B))
+    assert _answer(loop, B, basis=basis) == _answer(loop, B)
 
 
 def test_a_wider_shared_basis_changes_no_answer_on_unequal_pieces():
@@ -321,13 +328,29 @@ def test_a_wider_shared_basis_changes_no_answer_on_unequal_pieces():
     part = Partition((0.0, 0.2, 0.55, 1.0))
     B = build_extension(OperatorSpec(part),
                         haar_unitary(np.random.default_rng(8), 3)).boundary
-    cutoffs = (4 * math.pi, 8 * math.pi, 16 * math.pi)      # short: tracking is slow
+    # a short schedule, where z^-1 settles on 0 against winding -1: both
+    # bases must withhold that plateau alike
+    cutoffs = (4 * math.pi, 8 * math.pi, 16 * math.pi)
     basis = eigen_arrays(B, part, cutoffs, 6 * math.pi)
     for n in (-1, 2):
         loop = UnitaryLoop.monomial(n)
-        shared = pair(loop, B, cutoffs=cutoffs, partition=part, basis=basis)
-        own = pair(loop, B, cutoffs=cutoffs, partition=part)
-        assert _same_answer(shared, own)
+        shared = _answer(loop, B, cutoffs=cutoffs, partition=part, basis=basis)
+        assert shared == _answer(loop, B, cutoffs=cutoffs, partition=part)
+
+
+def test_eigen_arrays_on_unequal_pieces_at_the_default_schedule():
+    part = Partition((0.0, 0.2, 0.55, 1.0))
+    B = build_extension(OperatorSpec(part),
+                        haar_unitary(np.random.default_rng(8), 3)).boundary
+    reach = 2 * math.pi
+    lam, coef = eigen_arrays(B, part, DEFAULT_CUTOFFS, reach)
+    assert coef.shape == (len(lam), 3)
+    assert np.all(np.diff(lam) >= 0) and lam[0] >= -1e-9
+    assert not lam.flags.writeable and not coef.flags.writeable
+    # det(I - B Diag(e^{i lam l})) winds once per 2 pi of lambda (sum l = 1),
+    # so the window [0, hi] holds hi / 2 pi eigenvalues up to the matrix size
+    hi = DEFAULT_CUTOFFS[-1] + reach + PAD
+    assert abs(len(lam) - hi / (2 * math.pi)) <= 3
 
 
 def test_eigen_arrays_are_read_only_and_bounded():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from extlab import spectral
 from extlab.analysis import Partition, boundary_values, inner_product
 from extlab.errors import ValidationError
 from extlab.spectral import (
@@ -97,6 +98,78 @@ def test_unequal_partition_tracked_spectrum():
     # reflection symmetry holds here too
     refl = eigenphases(np.conj(B.matrix), part, (-20.0, 20.0))
     assert np.max(np.abs(np.sort(-refl.eigenvalues) - np.sort(spec.eigenvalues))) < 1e-8
+
+
+def _greedy_lift(Bm, lengths, grid):
+    """Reference lift: nearest-phase greedy matching, one grid point at a time."""
+    phases = np.angle(np.linalg.eigvals(spectral._stacked(Bm, lengths, grid)))
+    n = Bm.shape[0]
+    lifted = np.empty_like(phases)
+    lifted[0] = np.sort(phases[0])
+    prev = lifted[0].copy()
+    for i in range(1, len(grid)):
+        cur = np.sort(phases[i])
+        pw = spectral._wrap(prev)
+        used = np.zeros(n, dtype=bool)
+        inc = np.empty(n)
+        for j in range(n):
+            d = spectral._wrap(cur - pw[j])
+            d[used] = np.inf
+            kbest = int(np.argmin(np.abs(d)))
+            used[kbest] = True
+            inc[j] = d[kbest]
+        prev = prev + inc
+        lifted[i] = prev
+    return lifted
+
+
+def _greedy_roots(monkeypatch, Bm, lengths, lo, hi):
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_lifted_phases", _greedy_lift)
+        return np.sort(spectral._tracked_roots(Bm, lengths, lo, hi))
+
+
+def _haar_boundary(part, seed):
+    rng = np.random.default_rng(seed)
+    return build_extension(OperatorSpec(part), haar_unitary(rng, part.npieces)).boundary.matrix
+
+
+@pytest.mark.parametrize("knots, seed", [
+    ((0.0, 0.3, 0.55, 1.0), 3),
+    ((0.0, 0.2, 0.55, 1.0), 8),
+    ((0.0, 0.1, 0.35, 0.6, 1.0), 5),
+    ((0.0, 0.25, 0.4, 0.8, 1.0), 9),
+], ids=["3-pieces-seed3", "3-pieces-seed8", "4-pieces-seed5", "4-pieces-seed9"])
+def test_cyclic_shift_lift_gives_the_greedy_roots(monkeypatch, knots, seed):
+    part = Partition(knots)
+    lengths = np.asarray(part.lengths)
+    B = _haar_boundary(part, seed)
+    roots = np.sort(spectral._tracked_roots(B, lengths, -20.0, 20.0))
+    assert len(roots) >= 5
+    assert np.array_equal(roots, _greedy_roots(monkeypatch, B, lengths, -20.0, 20.0))
+
+
+@pytest.mark.parametrize("B", [SWAP, np.eye(2, dtype=complex)], ids=["swap", "identity"])
+def test_cyclic_shift_lift_on_degenerate_branches(monkeypatch, B):
+    # equal pieces: every phase moves at the same speed, and for the identity
+    # the two branches coincide and cross pi together
+    lengths = np.asarray(PART.lengths)
+    roots = np.sort(spectral._tracked_roots(B, lengths, *WINDOW))
+    assert np.array_equal(roots, _greedy_roots(monkeypatch, B, lengths, *WINDOW))
+
+
+def test_chunked_lift_matches_one_batch_and_the_greedy_roots(monkeypatch):
+    part = Partition((0.0, 0.3, 0.55, 1.0))
+    lengths = np.asarray(part.lengths)
+    B = _haar_boundary(part, 5)
+    grid = np.arange(-12.0, 12.0, spectral.TRACK_STEP)
+    monkeypatch.setattr(spectral, "TRACK_CHUNK", len(grid))
+    whole = spectral._lifted_phases(B, lengths, grid)
+    # three points a chunk: a third of the cells straddle two chunks
+    monkeypatch.setattr(spectral, "TRACK_CHUNK", 3)
+    assert np.array_equal(spectral._lifted_phases(B, lengths, grid), whole)
+    roots = np.sort(spectral._tracked_roots(B, lengths, -12.0, 12.0))
+    assert np.array_equal(roots, _greedy_roots(monkeypatch, B, lengths, -12.0, 12.0))
 
 
 def test_window_validation():
