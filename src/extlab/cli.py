@@ -43,7 +43,9 @@ from .errors import (
 from .pairing import (
     DEFAULT_CUTOFFS,
     MAX_BASIS_WINDOW,
+    TWO_PI,
     UnitaryLoop,
+    basis_window,
     eigen_arrays,
     pair,
     pullback_loop,
@@ -72,6 +74,9 @@ EXIT_NUMERICAL = 3
 
 #: the most random extensions one config entry may ask for
 MAX_RANDOM_COUNT = 1000
+
+#: the largest `verify ksum` genus bound; the identity grid grows with its square
+MAX_GENUS_BOUND = 64
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
@@ -222,14 +227,20 @@ _ALLOWED_KEYS = {
 def _number(value, what: str, kind=float):
     """``kind(value)`` for a config entry, kind being float or int.
 
-    A value the conversion refuses, or a non-finite float, is invalid input.
+    A value the conversion refuses, a non-finite float, or an integer past
+    the float range is invalid input.
     """
     try:
         out = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        # an integer past the float range overflows here: no size or power
+        # that large can be computed with
+        finite = math.isfinite(out)
+    except OverflowError:
+        finite = False
+    except (TypeError, ValueError) as exc:
         noun = "an integer" if kind is int else "a number"
         raise ValidationError(f"{what} must be {noun}, got {value!r}") from exc
-    if kind is float and not math.isfinite(out):
+    if not finite:
         raise ValidationError(f"{what} must be finite, got {value!r}")
     return out
 
@@ -777,6 +788,8 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
     options = cfg.raw.get("suite", {})
     if suite == "ksum":
         bound = _number(options.get("genus_bound", 6), "suite genus_bound", int)
+        if not 0 <= bound <= MAX_GENUS_BOUND:
+            raise ValidationError(f"suite genus_bound must be in [0, {MAX_GENUS_BOUND}]")
         rep = ksum_calculus.verify_identities(bound)
         result = {
             "suite": suite,
@@ -791,13 +804,19 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
 
     if suite == "extension-independence":
         powers = _numbers(options.get("powers", [-3, 3]), "suite powers", int)
-        if len(powers) != 2:
-            raise ValidationError("suite powers must be [lo, hi]")
+        if len(powers) != 2 or powers[0] > powers[1]:
+            raise ValidationError("suite powers must be [lo, hi] with lo <= hi")
+        # z^n reaches 2 pi |n|; refuse the schedule before building any loop
+        basis_window(cfg.cutoffs(), TWO_PI * max(abs(powers[0]), abs(powers[1])))
         loops = [(f"z^{n}", UnitaryLoop.monomial(n), -n)
                  for n in range(powers[0], powers[1] + 1)]
         rows, failures, unstable, info = _sweep(cfg, loops, 20)
     elif suite == "addition-dirac":
         max_power = _number(options.get("max_power", 2), "suite max_power", int)
+        if max_power < 0:
+            raise ValidationError("suite max_power must be >= 0")
+        # the pullback doubles the frequency: wedge(z^n1|z^n2) reaches 4 pi max|n|
+        basis_window(cfg.cutoffs(), 2 * TWO_PI * max_power)
         ns = range(-max_power, max_power + 1)
         # the pullback of wedge(z^n1|z^n2) winds n1 + n2
         loops = [(f"wedge(z^{n1}|z^{n2})",

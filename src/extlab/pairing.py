@@ -302,6 +302,19 @@ def pullback_loop(wedge_loop: UnitaryLoop, pinch: str = "double-cover") -> Unita
 # compressed multiplication operators (finite sections)
 # ---------------------------------------------------------------------------
 
+def basis_window(cutoffs, reach: float) -> float:
+    """Upper end cutoffs[-1] + reach + PAD of the eigenbasis window a schedule
+    and a loop of this frequency reach need; ValidationError past
+    MAX_BASIS_WINDOW, so callers can refuse a problem before building it."""
+    hi = cutoffs[-1] + reach + PAD
+    if hi > MAX_BASIS_WINDOW:
+        raise ValidationError(
+            f"eigenbasis window {hi:.6g} exceeds {MAX_BASIS_WINDOW:.6g} "
+            "(lower the cutoffs or the loop's frequency reach)"
+        )
+    return hi
+
+
 def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
     """Read-only (lam, coef) arrays of the eigenbasis of T_B on the window
     [0, cutoffs[-1] + reach + PAD], coef[i, k] being the atom coefficient of
@@ -310,12 +323,7 @@ def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
     One basis serves every loop whose frequency reach is at most `reach`:
     each finite section keeps the eigenvalues inside its own window.
     """
-    hi = cutoffs[-1] + reach + PAD
-    if hi > MAX_BASIS_WINDOW:
-        raise ValidationError(
-            f"eigenbasis window {hi:.6g} exceeds {MAX_BASIS_WINDOW:.6g} "
-            "(lower the cutoffs or the loop's frequency reach)"
-        )
+    hi = basis_window(cutoffs, reach)
     pairs = eigenbasis(B, partition, (-1e-9, hi))
     lam = np.asarray([p.eigenvalue for p in pairs], dtype=float)
     coef = np.zeros((len(pairs), partition.npieces), dtype=complex)

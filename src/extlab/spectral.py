@@ -319,13 +319,45 @@ def fd_matrix(ext: Extension, N: int):
     return sp.csr_matrix((vals, (rows, cols)), shape=(N, N), dtype=complex)
 
 
+#: pitch of the fixed shift-invert lattice lo + 0.137 + FD_LATTICE_STEP Z; a
+#: target owns the eigenvalues whose real part lies within half a pitch of it,
+#: so the cells tile the window
+FD_LATTICE_STEP = np.pi
+FD_FIRST_CHECK = 4     # block iterations before the first Rayleigh-Ritz check
+
+
+def _rayleigh_ritz(A, Q):
+    """Ritz values of A on the orthonormal block Q, and which of them pass the
+    true-residual test |A x - v x| < 1e-8 (1 + |v|) |x|."""
+    H = Q.conj().T @ (A @ Q)
+    vals, vecs = np.linalg.eig(H)
+    X = Q @ vecs
+    res = np.linalg.norm(A @ X - X * vals[None, :], axis=0) / np.linalg.norm(X, axis=0)
+    return vals, res < 1e-8 * (1.0 + np.abs(vals))
+
+
+def _cell_converged(vals, converged, sigma, before):
+    """Stop test of `_ritz_near`: (stop, number of Ritz values in sigma's cell).
+
+    Stop once every Ritz value in the cell |Re v - sigma| <= FD_LATTICE_STEP/2
+    has converged and the cell holds as many as at the previous check.
+    """
+    cell = np.abs(vals.real - sigma.real) <= FD_LATTICE_STEP / 2
+    count = int(np.sum(cell))
+    return bool(np.all(converged[cell])) and count == before, count
+
+
 def _ritz_near(A, sigma: complex, k: int, iters: int = 30, seed: int = 0):
     """Converged eigenvalues of sparse A nearest sigma, multiplicity included.
 
     Block inverse iteration with (A - sigma I)^{-1} followed by a
     (non-Hermitian) Rayleigh-Ritz step.  A random block of width k covers
     degenerate eigenspaces, which single-vector Krylov methods may miss.
-    Ritz values are kept only when their true residual is small.
+    From iteration FD_FIRST_CHECK on, Rayleigh-Ritz runs after every
+    iteration, and the iteration stops once the values in sigma's own lattice
+    cell have all converged and their number held since the previous check
+    (`_cell_converged`); `iters` caps it.  Ritz values are kept only when
+    their true residual is small.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -335,31 +367,40 @@ def _ritz_near(A, sigma: complex, k: int, iters: int = 30, seed: int = 0):
     rng = np.random.default_rng(seed)
     Q = rng.normal(size=(N, k)) + 1j * rng.normal(size=(N, k))
     Q, _ = np.linalg.qr(Q)
-    for _ in range(iters):
+    count = None
+    for it in range(1, iters + 1):
         Q, _ = np.linalg.qr(lu.solve(Q))
-    H = Q.conj().T @ (A @ Q)
-    vals, vecs = np.linalg.eig(H)
-    V = A @ (Q @ vecs) - (Q @ vecs) * vals[None, :]
-    res = np.linalg.norm(V, axis=0) / np.linalg.norm(Q @ vecs, axis=0)
-    return vals[res < 1e-8 * (1.0 + np.abs(vals))]
+        if it < FD_FIRST_CHECK and it < iters:
+            continue
+        vals, converged = _rayleigh_ritz(A, Q)
+        stop, count = _cell_converged(vals, converged, sigma, count)
+        if stop:
+            break
+    return vals[converged]
 
 
 def fd_spectrum(ext: Extension, N: int, window) -> Spectrum:
     """Eigenvalues of the upwind matrix with real part in the window.
 
     Dense solve for small N; for large N, block shift-invert iteration at a
-    fixed lattice of real targets spaced pi across the window.  The lattice is
-    independent of B, keeping this route a genuine cross-check.  Values found
+    fixed lattice of real targets spaced FD_LATTICE_STEP (pi) across the
+    window.  The lattice is independent of B, keeping this route a genuine
+    cross-check.  Each target iterates until the eigenvalues in its own cell,
+    within half a pitch of it, have converged and their count is stable, at
+    most 30 iterations (`_ritz_near`); the cells tile the window, so every
+    eigenvalue in it is converged by the target that owns it.  Values found
     from several targets are merged with their per-target multiplicities.
     """
     lo, hi = float(window[0]), float(window[1])
+    if hi < lo:
+        raise ValidationError("empty window: hi < lo")
     A = fd_matrix(ext, N)
     if N <= 600:
         mu = np.linalg.eigvals(A.toarray())
     else:
         n_ext = ext.spec.deficiency_index
         k = max(10, 4 * n_ext + 2)
-        targets = np.arange(lo, hi + np.pi, np.pi) + 0.137
+        targets = np.arange(lo, hi + FD_LATTICE_STEP, FD_LATTICE_STEP) + 0.137
         merged = []  # list of (value, multiplicity)
         for sigma in targets:
             batch = _ritz_near(A, complex(sigma), k)

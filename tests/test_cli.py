@@ -111,6 +111,21 @@ def test_spectrum_window_bound_names_the_limit(tmp_path):
     assert "window width 13000 exceeds 12868" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, config, limit", [
+    pytest.param(("verify", "extension-independence"), {"suite": {"powers": [-10 ** 8, 10 ** 8]}},
+                 "exceeds 12868", id="powers"),
+    pytest.param(("verify", "addition-dirac"), {"suite": {"max_power": 1000}},
+                 "exceeds 12868", id="max-power"),
+    pytest.param(("verify", "ksum"), {"suite": {"genus_bound": 65}},
+                 "genus_bound must be in [0, 64]", id="genus-bound"),
+])
+def test_suite_size_bounds_name_the_limit(tmp_path, argv, config, limit):
+    # refused before any loop or surface is built
+    proc = run_cli(*argv, config=config, tmp_path=tmp_path)
+    assert proc.returncode == 2
+    assert limit in proc.stderr
+
+
 @pytest.mark.parametrize("argv, config, env", [
     pytest.param(("spectrum",), {"window": [math.nan, 5]}, None, id="nan-window"),
     pytest.param(("pair",), {"loop": {"monomial": 1}, "cutoffs": [10, math.inf]}, None,
@@ -133,6 +148,17 @@ def test_spectrum_window_bound_names_the_limit(tmp_path):
     pytest.param(("spectrum",), {"window": [-1e7, 1e7]}, None, id="spectrum-window-too-wide"),
     pytest.param(("spectrum",), {"partition": [0, 0.3, 1], "window": [-6500, 6500]}, None,
                  id="tracked-spectrum-window-too-wide"),
+    # suites that would run empty, and integers past the float range
+    pytest.param(("verify", "extension-independence"), {"suite": {"powers": [3, -3]}}, None,
+                 id="sweep-powers-reversed"),
+    pytest.param(("verify", "addition-dirac"), {"suite": {"max_power": -1}}, None,
+                 id="sweep-max-power-negative"),
+    pytest.param(("verify", "ksum"), {"suite": {"genus_bound": -3}}, None,
+                 id="ksum-genus-bound-negative"),
+    pytest.param(("verify", "extension-independence"), {"suite": {"powers": [0, 10 ** 400]}},
+                 None, id="sweep-power-past-float-range"),
+    pytest.param(("pair",), {"loop": {"monomial": 10 ** 400}}, None,
+                 id="monomial-past-float-range"),
 ] + [pytest.param(argv, {"partition": [0, "a", 1], "loop": {"monomial": 1}}, None,
                   id="string-knot-" + "-".join(argv))
      for argv in _PARTITION_COMMANDS])

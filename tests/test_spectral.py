@@ -179,6 +179,9 @@ def test_window_validation():
         eigenphases(np.array([[1.0, 0.1], [0.0, 1.0]]), PART, WINDOW)
     with pytest.raises(ValidationError):
         eigenphases(np.eye(3), PART, WINDOW)
+    ext = build_extension(OperatorSpec(PART), swap_unitary())
+    with pytest.raises(ValidationError, match="empty window"):
+        fd_spectrum(ext, 1024, (3.0, -3.0))
 
 
 def test_characteristic_residual_vanishes_on_eigenvalues_only():
@@ -306,3 +309,104 @@ def test_fd_error_shrinks_with_refinement():
     e1024 = _match_error(fd_spectrum(ext, 1024, WINDOW).eigenvalues, exact)
     e2048 = _match_error(fd_spectrum(ext, 2048, WINDOW).eigenvalues, exact)
     assert e2048 <= e1024
+
+
+# ---------------------------------------------------------------------------
+# the shift-invert stop rule
+
+FD_WINDOW = (-15.0, 15.0)
+
+
+def _fixed_ritz_near(A, sigma, k, iters=30, seed=0):
+    """Reference: a fixed `iters` block inverse iterations, then one
+    Rayleigh-Ritz step, with no stop test."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    N = A.shape[0]
+    lu = spla.splu((A - sigma * sp.identity(N, dtype=complex, format="csc")).tocsc())
+    rng = np.random.default_rng(seed)
+    Q = rng.normal(size=(N, k)) + 1j * rng.normal(size=(N, k))
+    Q, _ = np.linalg.qr(Q)
+    for _ in range(iters):
+        Q, _ = np.linalg.qr(lu.solve(Q))
+    H = Q.conj().T @ (A @ Q)
+    vals, vecs = np.linalg.eig(H)
+    V = A @ (Q @ vecs) - (Q @ vecs) * vals[None, :]
+    res = np.linalg.norm(V, axis=0) / np.linalg.norm(Q @ vecs, axis=0)
+    return vals[res < 1e-8 * (1.0 + np.abs(vals))]
+
+
+def _fixed_fd_spectrum(monkeypatch, ext, N, window):
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_ritz_near", _fixed_ritz_near)
+        return fd_spectrum(ext, N, window)
+
+
+def _fd_extension(case):
+    if case == "identity":
+        return build_extension(OperatorSpec(PART), identity_unitary())
+    if case == "swap":
+        return build_extension(OperatorSpec(PART), swap_unitary())
+    knots, seed = case
+    spec = OperatorSpec(Partition(knots))
+    return build_extension(spec, haar_unitary(np.random.default_rng(seed), spec.deficiency_index))
+
+
+_FD_CASES = [
+    pytest.param(((0.0, 0.5, 1.0), 1), id="2-pieces"),
+    pytest.param(((0.0, 0.3, 0.55, 1.0), 3), id="3-pieces"),
+    pytest.param(((0.0, 0.1, 0.35, 0.6, 1.0), 5), id="4-pieces"),
+    pytest.param("identity", id="identity"),
+    pytest.param("swap", id="swap"),
+]
+
+
+@pytest.mark.parametrize("N", [1024, 2048])
+@pytest.mark.parametrize("case", _FD_CASES)
+def test_fd_stop_gives_the_fixed_iteration_spectrum(monkeypatch, case, N):
+    # the identity has double eigenvalues, so multiplicities are covered
+    ext = _fd_extension(case)
+    fd = fd_spectrum(ext, N, FD_WINDOW)
+    ref = _fixed_fd_spectrum(monkeypatch, ext, N, FD_WINDOW)
+    assert len(fd) == len(ref) >= 4
+    assert np.max(np.abs(fd.eigenvalues - ref.eigenvalues)) < 1e-10
+
+
+def test_fd_capped_iteration_is_the_fixed_iteration(monkeypatch):
+    ext = _fd_extension(((0.0, 0.3, 0.55, 1.0), 3))
+    ref = _fixed_fd_spectrum(monkeypatch, ext, 1024, FD_WINDOW)
+    monkeypatch.setattr(spectral, "_cell_converged",
+                        lambda vals, converged, sigma, before: (False, 0))
+    capped = fd_spectrum(ext, 1024, FD_WINDOW)
+    assert np.array_equal(capped.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(capped.residuals, ref.residuals)
+
+
+def test_fd_targets_stop_before_the_cap(monkeypatch):
+    checks = {}
+    stop_test = spectral._cell_converged
+
+    def counted(vals, converged, sigma, before):
+        checks[sigma] = checks.get(sigma, 0) + 1
+        return stop_test(vals, converged, sigma, before)
+
+    monkeypatch.setattr(spectral, "_cell_converged", counted)
+    fd_spectrum(_fd_extension(((0.0, 0.3, 0.55, 1.0), 3)), 2048, FD_WINDOW)
+    # a target that never stops is checked after iterations 4..30
+    cap = 30 - spectral.FD_FIRST_CHECK + 1
+    assert len(checks) == 11
+    assert max(checks.values()) < cap
+
+
+def test_cell_stop_rule():
+    # the cell of sigma = 0.137 is |Re v - 0.137| <= pi/2: it holds the first
+    # two values; the other two are unconverged and outside it
+    sigma = 0.137 + 0j
+    vals = np.array([0.5 + 0.01j, -1.4 - 2e-4j, 3.0 + 0j, 10.0 + 0j])
+    converged = np.array([True, True, False, False])
+    stop = spectral._cell_converged
+    assert stop(vals, converged, sigma, 2) == (True, 2)
+    assert stop(vals, converged, sigma, None) == (False, 2)    # first check
+    assert stop(vals, converged, sigma, 1) == (False, 2)       # a value moved in
+    assert stop(vals, np.array([True, False, True, True]), sigma, 2) == (False, 2)
