@@ -78,6 +78,10 @@ MAX_RANDOM_COUNT = 1000
 #: the largest `verify ksum` genus bound; the identity grid grows with its square
 MAX_GENUS_BOUND = 64
 
+#: the most loops one `verify` sweep may build; every loop is paired with every
+#: extension, and building one takes about 2 ms and 1.4 KB
+MAX_SUITE_LOOPS = 1024
+
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
@@ -784,6 +788,11 @@ def _ksum_rows(report):
 _KSUM_CSV_HEADER = ("identity", "g1", "g2", "lhs", "rhs", "expected", "status")
 
 
+def _check_suite_size(nloops: int):
+    if nloops > MAX_SUITE_LOOPS:
+        raise ValidationError(f"suite has {nloops} loops, above the limit of {MAX_SUITE_LOOPS}")
+
+
 def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
     options = cfg.raw.get("suite", {})
     if suite == "ksum":
@@ -808,6 +817,7 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
             raise ValidationError("suite powers must be [lo, hi] with lo <= hi")
         # z^n reaches 2 pi |n|; refuse the schedule before building any loop
         basis_window(cfg.cutoffs(), TWO_PI * max(abs(powers[0]), abs(powers[1])))
+        _check_suite_size(powers[1] - powers[0] + 1)
         loops = [(f"z^{n}", UnitaryLoop.monomial(n), -n)
                  for n in range(powers[0], powers[1] + 1)]
         rows, failures, unstable, info = _sweep(cfg, loops, 20)
@@ -817,6 +827,7 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
             raise ValidationError("suite max_power must be >= 0")
         # the pullback doubles the frequency: wedge(z^n1|z^n2) reaches 4 pi max|n|
         basis_window(cfg.cutoffs(), 2 * TWO_PI * max_power)
+        _check_suite_size((2 * max_power + 1) ** 2)
         ns = range(-max_power, max_power + 1)
         # the pullback of wedge(z^n1|z^n2) winds n1 + n2
         loops = [(f"wedge(z^{n1}|z^{n2})",

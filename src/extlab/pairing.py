@@ -131,7 +131,10 @@ class UnitaryLoop:
     def __call__(self, theta):
         if self.is_wedge:
             raise StructuralError("a wedge pair has no single-circle values; pull it back")
-        th = np.mod(np.asarray(theta, dtype=float), 1.0)
+        th = np.asarray(theta, dtype=float)
+        if not np.all((th >= 0.0) & (th < 1.0)):
+            # np.mod is the identity on [0, 1), and costs more than the check
+            th = np.mod(th, 1.0)
         out = _evaluate(self.pieces, np.atleast_1d(th))
         return out[0] if th.ndim == 0 else out
 
@@ -238,14 +241,29 @@ def _cuts(endpoints, pieces):
 def _evaluate(pieces, th: np.ndarray) -> np.ndarray:
     """Values of a piece tuple at points of [0, 1], half-open [lo, hi) pieces."""
     out = np.zeros(th.shape, dtype=complex)
-    bounds = [p[0] for p in pieces] + [1.0]
-    idx = np.clip(np.searchsorted(bounds, th, side="right") - 1, 0, len(pieces) - 1)
-    for k, (_lo, _hi, terms) in enumerate(pieces):
-        mask = idx == k
-        if np.any(mask):
-            for nu, c in terms:
-                out[mask] += c * np.exp(1j * nu * th[mask])
+    for sel, (_lo, _hi, terms) in zip(_piece_selections(pieces, th), pieces):
+        t = th[sel]
+        for nu, c in terms:
+            # e^{i nu t} as cos + i sin: numpy's complex exp takes twice as long
+            e = np.empty(t.shape, dtype=complex)
+            np.cos(nu * t, out=e.real)
+            np.sin(nu * t, out=e.imag)
+            out[sel] += c * e
     return out
+
+
+def _piece_selections(pieces, th: np.ndarray):
+    """Per piece, the index of the points of th in it: a point lies in the
+    last piece whose start it has reached (the first piece also takes th < 0,
+    the last one th >= 1).  Sorted points, such as a grid, get slices."""
+    starts = [p[0] for p in pieces[1:]]
+    if not starts or np.all(th[1:] >= th[:-1]):
+        edges = [0, *np.searchsorted(th, starts), len(th)]
+        return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    idx = np.zeros(th.shape, dtype=np.intp)
+    for lo in starts:
+        idx += th >= lo
+    return [np.flatnonzero(idx == k) for k in range(len(pieces))]
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +355,57 @@ def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
 
 def compression_matrix(loop: UnitaryLoop, partition: Partition,
                        lam_rows, coef_rows, lam_cols, coef_cols) -> np.ndarray:
-    """A[i, j] = <psi_i, u psi_j> for eigenfunction rows/columns."""
-    R, C = len(lam_rows), len(lam_cols)
-    A = np.zeros((R, C), dtype=complex)
+    """A[i, j] = <psi_i, u psi_j> for eigenfunction rows/columns.
+
+    On an interval [lo, hi) of the common refinement of knots and loop
+    pieces, psi_i = a_i e^{i lam_i theta} and u = sum c e^{i nu theta}, so a
+    term contributes conj(a_i) b_j c times the integral of e^{i D theta},
+    D = nu + lam_j - lam_i.  The phase factors as
+    e^{i nu t} e^{-i lam_i t} e^{i lam_j t}, so that integral times the
+    coefficients is (r(hi) s(hi)^T - r(lo) s(lo)^T) / D with the row vector
+    r(t) = -i c e^{i nu t} conj(a) e^{-i lam_rows t} and the column vector
+    s(t) = b e^{i lam_cols t}: one (R x 2)(2 x C) product and one real
+    reciprocal per interval and term, with no R x C exponentials.
+
+    The quotient cancels digits where D is small, so the entries with
+    |D| (hi - lo) < 0.1 go through `exp_integral` instead, whose series
+    branch is the one implementation of the near-resonant integral; one call
+    takes them for every interval and term.  The factored phases carry an
+    absolute error of about |lam| eps each, so the other entries are off by
+    about |lam| eps / |D| <= 10 |lam| eps (hi - lo): 10 |lam| eps relative
+    to the integral's scale hi - lo.
+    """
+    A = np.zeros((len(lam_rows), len(lam_cols)), dtype=complex)
+    gap = lam_cols[None, :] - lam_rows[:, None]
     cuts = _cuts(partition.endpoints, loop.pieces)
+    row_phase = {t: np.exp(-1j * t * lam_rows) for t in cuts}
+    col_phase = {t: np.exp(1j * t * lam_cols) for t in cuts}
+    near_terms = []
     for lo, hi in zip(cuts, cuts[1:]):
         mid = 0.5 * (lo + hi)
         k = partition.piece_of(mid)
-        w = np.conj(coef_rows[:, k])[:, None] * coef_cols[None, :, k]
+        a = np.conj(coef_rows[:, k])
+        b = coef_cols[:, k]
+        a_hi, a_lo = a * row_phase[hi], a * row_phase[lo]
+        s = np.stack([b * col_phase[hi], b * col_phase[lo]])
         for nu, c in _terms_at(loop.pieces, mid):
-            D = nu + lam_cols[None, :] - lam_rows[:, None]
-            A += (c * w) * exp_integral(1j * D, lo, hi)
+            r = np.stack([(-1j * c * np.exp(1j * nu * hi)) * a_hi,
+                          (1j * c * np.exp(1j * nu * lo)) * a_lo], axis=1)
+            F = r @ s
+            D = gap + nu
+            near = np.flatnonzero(np.abs(D) < 0.1 / (hi - lo))
+            i, j = np.divmod(near, D.shape[1])
+            near_terms.append((near, D.flat[near], c * a[i] * b[j], lo, hi))
+            # 1/inf = 0 drops the near entries from F; a complex array times a
+            # real one is several times faster than numpy's complex F / D
+            D.flat[near] = np.inf
+            F *= np.divide(1.0, D, out=D)
+            A += F
+    near, d, weight, lo, hi = zip(*near_terms)
+    sizes = [len(n) for n in near]
+    np.add.at(A.reshape(-1), np.concatenate(near),
+              np.concatenate(weight) * exp_integral(1j * np.concatenate(d),
+                                                    np.repeat(lo, sizes), np.repeat(hi, sizes)))
     return A
 
 
@@ -403,7 +461,11 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
 # ---------------------------------------------------------------------------
 
 def _chord_margin(vL: np.ndarray, vR: np.ndarray):
-    """min |det((1-mu) vL + mu vR)| over mu in [0,1], via the exact quadratic."""
+    """min |det((1-mu) vL + mu vR)| over mu in [0,1], via the exact quadratic.
+
+    Returns (margin, scale, (a, b, c)) with det((1-mu) vL + mu vR) =
+    a mu^2 + b mu + c, so callers can evaluate the chord determinant too.
+    """
     q0 = np.linalg.det(vL)
     q1 = np.linalg.det(vR)
     qh = np.linalg.det(0.5 * (vL + vR))
@@ -419,7 +481,7 @@ def _chord_margin(vL: np.ndarray, vR: np.ndarray):
         for r in np.roots([a, b, c]):
             if abs(r.imag) < 1e-7 and -1e-9 <= r.real <= 1 + 1e-9:
                 best = min(best, float(abs((a * r.real + b) * r.real + c)))
-    return best, scale
+    return best, scale, (a, b, c)
 
 
 def _sandwich_matrix(W: np.ndarray) -> np.ndarray:
@@ -443,10 +505,21 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
         v(x) = G(x) W* diag(u(x/2), u((x+1)/2)) W G(x)^{-1},
         G(x) = diag(e^{i alpha_j x}),  alpha_j = phi_j - 2 pi [phi_j > 0],
 
-    piecewise continuous with one jump at the seam x = 0.  The index is minus
-    the winding of det v over (0,1) completed by the straight chord across the
+    piecewise continuous with one jump at the seam x = 0 (Boettcher &
+    Silbermann, Analysis of Toeplitz Operators).  The index is minus the
+    winding of det v over (0,1) completed by the straight chord across the
     jump, provided the chord determinant stays away from zero; a chord through
     zero means the compression is genuinely not Fredholm for this B.
+
+    G and the W-sandwich drop out of the determinant:
+
+        det v(x) = det(W* W) u(x/2) u((x+1)/2),
+
+    with det(W* W) = |det W|^2 > 0.  So the interior is read from the loop
+    alone on the 2 ngrid-point midpoint grid, and B enters only through that
+    positive factor and through the seam: the one-sided limits vL = v(1-) and
+    vR = v(0+) are the only 2x2 symbols formed, and the chord determinant is
+    the quadratic `_chord_margin` builds from them.
 
     Returns (index_or_None, diagnostics dict).
     """
@@ -458,17 +531,9 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
     w, W = np.linalg.eig(boundary_array(B))
     phi = np.angle(w)
     alpha = phi - TWO_PI * (phi > 0)
-    T = _sandwich_matrix(W)
 
-    def symbol_at(x):
-        U = np.stack([loop(x / 2.0), loop((x + 1.0) / 2.0)], axis=1)
-        ut = (U @ T).reshape(len(x), 2, 2)
-        g = np.exp(1j * np.outer(x, alpha))
-        return ut * g[:, :, None] / g[:, None, :]
-
-    x = np.linspace(0.0, 1.0, ngrid, endpoint=False) + 0.5 / ngrid
-    v = symbol_at(x)
-    detv = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
+    u = loop((np.arange(2 * ngrid) + 0.5) / (2 * ngrid))
+    detv = abs(np.linalg.det(W)) ** 2 * u[:ngrid] * u[ngrid:]
     if np.min(np.abs(detv)) < 1e-9:
         return None, {"reason": "interior determinant degenerate"}
     darg = np.angle(detv[1:] / detv[:-1])
@@ -476,23 +541,25 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
         raise NumericalError("symbol grid too coarse for safe unwinding")
     total = float(np.sum(darg))
 
-    vL = symbol_at(np.asarray([1.0]))[0]      # x -> 1^-  (loop periodicity)
-    vR = symbol_at(np.asarray([0.0]))[0]      # x -> 0^+
-    margin, scale = _chord_margin(vL, vR)
+    # the seam: x -> 1^- (loop periodicity) and x -> 0^+
+    x = np.array([1.0, 0.0])
+    U = loop(np.concatenate([x / 2.0, (x + 1.0) / 2.0])).reshape(2, 2).T
+    g = np.exp(1j * np.outer(x, alpha))
+    vL, vR = (U @ _sandwich_matrix(W)).reshape(2, 2, 2) * g[:, :, None] / g[:, None, :]
+    margin, scale, (a, b, c) = _chord_margin(vL, vR)
     diag = {"chord_margin": margin, "chord_scale": scale}
     if margin < 1e-8 * scale:
         diag["reason"] = "chord determinant passes through zero (not Fredholm)"
         return None, diag
 
     mu = np.linspace(0.0, 1.0, 4097)
-    M = (1 - mu)[:, None, None] * vL[None] + mu[:, None, None] * vR[None]
-    detM = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    detM = (a * mu + b) * mu + c
     dchord = np.angle(detM[1:] / detM[:-1])
     if np.max(np.abs(dchord)) > 0.5:
         raise NumericalError("chord grid too coarse for safe unwinding")
     total += float(np.sum(dchord))
     total += float(np.angle(detv[0] / detM[-1]))        # chord end -> first grid point
-    total += float(np.angle(np.linalg.det(vL) / detv[-1]))  # last grid point -> v(1-)
+    total += float(np.angle(c / detv[-1]))              # last grid point -> v(1-)
     wind = total / TWO_PI
     iw = int(np.round(wind))
     diag["winding_residue"] = abs(wind - iw)

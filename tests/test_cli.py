@@ -118,6 +118,11 @@ def test_spectrum_window_bound_names_the_limit(tmp_path):
                  "exceeds 12868", id="max-power"),
     pytest.param(("verify", "ksum"), {"suite": {"genus_bound": 65}},
                  "genus_bound must be in [0, 64]", id="genus-bound"),
+    # inside the basis window, past the loop count: 1025 and 33^2 = 1089 loops
+    pytest.param(("verify", "extension-independence"), {"suite": {"powers": [-512, 512]}},
+                 "suite has 1025 loops, above the limit of 1024", id="powers-loops"),
+    pytest.param(("verify", "addition-dirac"), {"suite": {"max_power": 16}},
+                 "suite has 1089 loops, above the limit of 1024", id="max-power-loops"),
 ])
 def test_suite_size_bounds_name_the_limit(tmp_path, argv, config, limit):
     # refused before any loop or surface is built

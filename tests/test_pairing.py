@@ -5,7 +5,9 @@ Oracles used here:
     points, no shared code with the production winding routine);
   * the exactly known kernel/cokernel of the compression for the
     anti-diagonal boundary matrix, where the eigenbasis is the classical
-    Fourier basis and the compression is a pure shift.
+    Fourier basis and the compression is a pure shift;
+  * reference copies of the entrywise compression assembly and of the
+    full 2x2-symbol winding, which the factored kernels replaced.
 """
 
 import cmath
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from extlab.analysis import Partition
+from extlab.analysis import Partition, exp_integral
 from extlab.errors import (
     BandwidthError,
     IllConditionedLoopError,
@@ -28,7 +30,10 @@ from extlab.pairing import (
     MAX_BASIS_WINDOW,
     PAD,
     UnitaryLoop,
+    _chord_margin,
+    _cuts,
     _sandwich_matrix,
+    _terms_at,
     commutator_norm_estimate,
     compression_matrix,
     derivative_sup,
@@ -40,6 +45,7 @@ from extlab.pairing import (
 )
 from extlab.vonneumann import (
     OperatorSpec,
+    boundary_array,
     build_extension,
     haar_unitary,
 )
@@ -88,6 +94,38 @@ def test_winding_is_additive_under_products():
     assert winding(uv) == winding(u) + winding(v) == brute_winding(uv)
 
 
+def _masked_evaluate(pieces, th):
+    """Reference: the evaluator with one boolean mask per piece and complex
+    exponentials, which the sliced cos + i sin evaluation replaced."""
+    out = np.zeros(th.shape, dtype=complex)
+    bounds = [p[0] for p in pieces] + [1.0]
+    idx = np.clip(np.searchsorted(bounds, th, side="right") - 1, 0, len(pieces) - 1)
+    for k, (_lo, _hi, terms) in enumerate(pieces):
+        mask = idx == k
+        for nu, c in terms:
+            out[mask] += c * np.exp(1j * nu * th[mask])
+    return out
+
+
+def test_loop_values_match_the_masked_evaluation():
+    # sorted points are split into one slice per piece, unsorted ones into an
+    # index per piece, bit for bit alike; both match the reference to a few
+    # rounding errors of the term sum (cos and sin may round apart from exp)
+    rng = np.random.default_rng(3)
+    edges = [0.0, np.nextafter(0.5, 0.0), 0.5, 0.5, np.nextafter(1.0, 0.0)]
+    th = np.sort(np.concatenate([rng.random(500), edges]))
+    perm = rng.permutation(len(th))
+    for loop in _multi_term_loops() + [UnitaryLoop.monomial(3)]:
+        vals = loop(th)
+        assert np.array_equal(vals[perm], loop(th[perm]))
+        scale = sum(abs(c) for _lo, _hi, terms in loop.pieces for _nu, c in terms)
+        assert np.max(np.abs(vals - _masked_evaluate(loop.pieces, th))) <= 8e-16 * scale
+    # theta is read modulo 1, also past [0, 1)
+    loop = _multi_term_loops()[-1]
+    assert np.max(np.abs(loop(np.array([-0.25, 1.25, 2.0, -1.0]))
+                         - loop(np.array([0.75, 0.25, 0.0, 0.0])))) < 1e-13
+
+
 def test_margin_guard_rejects_vanishing_loops():
     with pytest.raises(IllConditionedLoopError):
         UnitaryLoop.from_fourier({0: 1.0, 1: 1.0})  # |1 + e^{2 pi i t}| hits 0
@@ -119,15 +157,109 @@ def test_anti_diagonal_compression_is_a_pure_shift(n):
     assert tail == [-n] * 3
 
 
-@pytest.mark.parametrize("D", [1e-8, 1e-6, 1e-3])
-def test_compression_matrix_is_exact_near_resonance(D):
+# near the top of the default basis window (lam about 850) the factored
+# phases of `compression_matrix` carry an absolute error of about |lam| eps
+# each; four of them over |D| >= 0.1 / h make an entry with |D| h >= 0.1
+# exact to about 4 |lam| eps / |D| <= 40 |lam| eps h, 4e-12 relative at
+# h <= 1, so those cases allow 1e-11.  The cuts 0.2 and 0.55 round lam t,
+# which dyadic cuts would not; D = 0.25 takes the factored route on the
+# last piece only (|D| h = 0.11).  Entries with lam = 0 are exact to 1e-14.
+_TOP = 849.63
+
+
+@pytest.mark.parametrize("lam, D, rtol", [
+    pytest.param(0.0, 1e-8, 1e-14, id="1e-08"),
+    pytest.param(0.0, 1e-6, 1e-14, id="1e-06"),
+    pytest.param(0.0, 1e-3, 1e-14, id="0.001"),
+    pytest.param(_TOP, 1e-8, 1e-11, id="top-1e-08"),
+    pytest.param(_TOP, 1e-3, 1e-11, id="top-0.001"),
+    pytest.param(_TOP, 0.25, 1e-11, id="top-0.25"),
+])
+def test_compression_matrix_is_exact_near_resonance(lam, D, rtol):
     # unit-coefficient phases whose frequencies differ by D pair to the
     # integral of e^{i D theta} over [0, 1], which is e^{i D/2} sin(D/2)/(D/2)
-    ones = np.ones((1, 2), dtype=complex)
-    A = compression_matrix(UnitaryLoop.constant(), Partition.default(),
-                           np.array([0.0]), ones, np.array([D]), ones)
+    ones = np.ones((1, 3), dtype=complex)
+    lam_rows, lam_cols = np.array([lam]), np.array([lam + D])
+    D = lam_cols[0] - lam_rows[0]        # the difference the floats carry
+    A = compression_matrix(UnitaryLoop.constant(), Partition((0.0, 0.2, 0.55, 1.0)),
+                           lam_rows, ones, lam_cols, ones)
     exact = cmath.exp(0.5j * D) * math.sin(0.5 * D) / (0.5 * D)
-    assert abs(A[0, 0] - exact) <= 1e-14 * abs(exact)
+    assert abs(A[0, 0] - exact) <= rtol * abs(exact)
+
+
+def _assembled_compression_matrix(loop, partition, lam_rows, coef_rows, lam_cols, coef_cols):
+    """Reference: the entrywise assembly, two R x C complex exponentials
+    (inside `exp_integral`) per interval and loop term."""
+    A = np.zeros((len(lam_rows), len(lam_cols)), dtype=complex)
+    cuts = _cuts(partition.endpoints, loop.pieces)
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        k = partition.piece_of(mid)
+        w = np.conj(coef_rows[:, k])[:, None] * coef_cols[None, :, k]
+        for nu, c in _terms_at(loop.pieces, mid):
+            D = nu + lam_cols[None, :] - lam_rows[:, None]
+            A += (c * w) * exp_integral(1j * D, lo, hi)
+    return A
+
+
+def _sweep_loops():
+    """The loops of both default sweeps (z^-3..z^3 and the 25 wedge
+    pullbacks of addition-dirac), plus multi-term Fourier loops and a
+    pullback with two terms on each piece."""
+    loops = [UnitaryLoop.monomial(n) for n in range(-3, 4)]
+    loops += [pullback_loop(UnitaryLoop.wedge_pair(UnitaryLoop.monomial(n1),
+                                                   UnitaryLoop.monomial(n2)))
+              for n1 in range(-2, 3) for n2 in range(-2, 3)]
+    return loops + _multi_term_loops()
+
+
+def _multi_term_loops():
+    wedge = pullback_loop(UnitaryLoop.wedge_pair(UnitaryLoop.monomial(2), UnitaryLoop.monomial(-1)))
+    return [
+        UnitaryLoop.from_fourier({-1: 1.0, 0: 0.3, 1: 0.15}),
+        UnitaryLoop.from_fourier({2: 1.0, 3: 0.2, 0: 0.15j, -1: 0.1}),
+        UnitaryLoop.from_fourier({m + 2: jv(m, 0.5) for m in range(-10, 11)}),
+        wedge.product(UnitaryLoop.from_fourier({0: 1.0, 1: 0.2})),
+    ]
+
+
+@pytest.mark.parametrize("B", [
+    pytest.param(SWAP, id="swap"),
+    pytest.param(np.eye(2), id="identity"),
+    pytest.param(3, id="haar-3"),
+    pytest.param(13, id="haar-13"),
+    pytest.param(31, id="haar-31"),
+])
+def test_factored_compression_matches_the_assembled_one(B):
+    if isinstance(B, int):
+        B = random_boundary(B)
+    part = Partition.default()
+    basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi)
+    for loop in _sweep_loops():
+        reach = loop.frequency_reach
+        keep = basis[0] <= DEFAULT_CUTOFFS[-1] + reach + PAD + 1e-12
+        lam, coef = basis[0][keep], basis[1][keep]
+        for Lam in DEFAULT_CUTOFFS:
+            cols = lam <= Lam + 1e-9
+            rows = lam <= Lam + reach + PAD + 1e-9
+            args = (lam[rows], coef[rows], lam[cols], coef[cols])
+            ref = _assembled_compression_matrix(loop, part, *args)
+            got = compression_matrix(loop, part, *args)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_factored_compression_on_unequal_pieces():
+    # unequal intervals give each (interval, term) its own near-resonance
+    # threshold 0.1 / h
+    part = Partition((0.0, 0.2, 0.55, 1.0))
+    B = build_extension(OperatorSpec(part),
+                        haar_unitary(np.random.default_rng(8), 3)).boundary
+    lam, coef = eigen_arrays(B, part, DEFAULT_CUTOFFS[:2], 8 * math.pi)
+    for loop in _sweep_loops()[::3]:
+        args = (lam, coef, lam[lam <= DEFAULT_CUTOFFS[1]], coef[lam <= DEFAULT_CUTOFFS[1]])
+        ref = _assembled_compression_matrix(loop, part, *args)
+        got = compression_matrix(loop, part, *args)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_pair_of_constant_loop_is_zero():
@@ -213,6 +345,101 @@ def test_symbol_sandwich_matmul_matches_the_einsum():
         ref = np.einsum("jk,nk,kl->njl", W.conj().T, U, W)
         got = (U @ _sandwich_matrix(W)).reshape(N, n, n)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_chord_quadratic_is_the_chord_determinant():
+    # the symbol route evaluates the chord determinant from the coefficients
+    # `_chord_margin` returns instead of forming the 2x2 matrices
+    rng = np.random.default_rng(5)
+    mu = np.linspace(0.0, 1.0, 33)
+    for _ in range(20):
+        vL, vR = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        _margin, scale, (a, b, c) = _chord_margin(vL, vR)
+        M = (1 - mu)[:, None, None] * vL + mu[:, None, None] * vR
+        assert np.max(np.abs((a * mu + b) * mu + c - np.linalg.det(M))) <= 1e-14 * 8 * scale
+
+
+def _full_symbol_index(loop, B, partition=None, ngrid=8192):
+    """Reference: the symbol route with the whole ngrid x 2 x 2 symbol grid
+    and the chord determinant from 4097 2x2 matrices."""
+    w, W = np.linalg.eig(boundary_array(B))
+    phi = np.angle(w)
+    alpha = phi - 2 * np.pi * (phi > 0)
+    T = _sandwich_matrix(W)
+
+    def symbol_at(x):
+        U = np.stack([loop(x / 2.0), loop((x + 1.0) / 2.0)], axis=1)
+        ut = (U @ T).reshape(len(x), 2, 2)
+        g = np.exp(1j * np.outer(x, alpha))
+        return ut * g[:, :, None] / g[:, None, :]
+
+    x = np.linspace(0.0, 1.0, ngrid, endpoint=False) + 0.5 / ngrid
+    v = symbol_at(x)
+    detv = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
+    if np.min(np.abs(detv)) < 1e-9:
+        return None, {"reason": "interior determinant degenerate"}
+    darg = np.angle(detv[1:] / detv[:-1])
+    if np.max(np.abs(darg)) > 0.5:
+        raise NumericalError("symbol grid too coarse for safe unwinding")
+    total = float(np.sum(darg))
+    vL = symbol_at(np.asarray([1.0]))[0]
+    vR = symbol_at(np.asarray([0.0]))[0]
+    margin, scale, _ = _chord_margin(vL, vR)
+    diag = {"chord_margin": margin, "chord_scale": scale}
+    if margin < 1e-8 * scale:
+        diag["reason"] = "chord determinant passes through zero (not Fredholm)"
+        return None, diag
+    mu = np.linspace(0.0, 1.0, 4097)
+    M = (1 - mu)[:, None, None] * vL[None] + mu[:, None, None] * vR[None]
+    detM = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    dchord = np.angle(detM[1:] / detM[:-1])
+    if np.max(np.abs(dchord)) > 0.5:
+        raise NumericalError("chord grid too coarse for safe unwinding")
+    total += float(np.sum(dchord))
+    total += float(np.angle(detv[0] / detM[-1]))
+    total += float(np.angle(np.linalg.det(vL) / detv[-1]))
+    wind = total / (2 * np.pi)
+    iw = int(np.round(wind))
+    diag["winding_residue"] = abs(wind - iw)
+    if abs(wind - iw) > 1e-6:
+        raise NumericalError(f"symbol winding {wind!r} is not integral")
+    return -iw, diag
+
+
+def _symbol_answer(route, loop, B, ngrid):
+    """(index, reason) of a symbol route, or the NumericalError it raised."""
+    try:
+        index, diag = route(loop, B, ngrid=ngrid)
+    except NumericalError as exc:
+        return str(exc)
+    return index, diag.get("reason")
+
+
+_SPECIAL_B = {"identity": np.eye(2), "swap": SWAP,
+              "diag(1,-1)": np.diag([1.0, -1.0]).astype(complex)}
+
+
+@pytest.mark.parametrize("name", [*_SPECIAL_B, "haar-13", "haar-0..19"])
+def test_determinant_symbol_route_matches_the_full_symbol(name):
+    if name in _SPECIAL_B:
+        bs, loops = [_SPECIAL_B[name]], _sweep_loops()
+    elif name == "haar-13":
+        bs, loops = [random_boundary(13)], _sweep_loops()
+    else:
+        # 20 more Haar B against the monomials, every fifth pullback and the
+        # multi-term loops
+        bs = [random_boundary(1000 + s) for s in range(20)]
+        loops = _sweep_loops()[:7] + _sweep_loops()[7:32:5] + _multi_term_loops()
+    answers = set()
+    for B in bs:
+        for loop in loops:
+            for ngrid in (8192, 16384):
+                ref = _symbol_answer(_full_symbol_index, loop, B, ngrid)
+                assert _symbol_answer(symbol_index, loop, B, ngrid) == ref
+                answers.add(ref if isinstance(ref, str) else ref[1])
+    if name == "identity":
+        # odd-winding loops make B = I genuinely not Fredholm
+        assert "chord determinant passes through zero (not Fredholm)" in answers
 
 
 def test_pair_rejects_non_unitary_boundary():
