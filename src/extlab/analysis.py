@@ -173,29 +173,47 @@ def exp_integral(delta, a, b):
     bounds are floats or, for an array ``delta``, arrays of its shape.
     Written as exp(delta*a) * (b-a) * phi(delta*(b-a)) with
     phi(x) = (exp(x)-1)/x.  For |x| < 0.1 the difference quotient loses
-    digits to cancellation, so phi is evaluated by its Taylor series there
-    (13 terms; truncation below 1e-21).  This also covers the removable
-    singularity at delta = 0.
+    digits to cancellation, so there phi is taken in the closed form
+    phi(x) = e^{x/2} sinh(x/2)/(x/2), which has none: with m = (a+b)/2 and
+    z = delta*(b-a)/2 the integral is (b-a) e^{delta m} sinh(z)/z, a few
+    rounding errors from exact.  For |z| < 1e-4 the quotient sinh(z)/z is
+    its Taylor guard 1 + z^2/6 (the next term is below 1e-18), which also
+    covers delta = 0 and subnormal delta, where the quotient would be 0/0 or
+    overflow.
     """
-    d = np.atleast_1d(np.asarray(delta, dtype=complex))
-    h = np.broadcast_to(np.subtract(b, a), d.shape)
+    d = np.atleast_1d(np.asarray(delta, dtype=complex)).ravel()
+    # bounds stay scalars when given as scalars; arrays go flat like delta
+    a, b = (np.asarray(v, dtype=float) for v in (a, b))
+    a, b = (v.ravel() if v.ndim else v for v in (a, b))
+    h = b - a
     x = d * h
-    series = np.abs(x) < 0.1
-    ea = np.exp(d * a)
-    out = np.exp(d * b)
-    out -= ea
-    np.divide(out, d, out=out, where=~series)
-    if np.any(series):
-        # Horner in real arithmetic: numpy may fuse a complex array product
-        # (FMA), which rounds differently from the same scalar product
-        xr, xi = x.real[series], x.imag[series]
-        pr, pi = np.zeros_like(xr), np.zeros_like(xr)
-        for k in range(12, -1, -1):
-            pr, pi = pr * xr - pi * xi + 1.0 / math.factorial(k + 1), pr * xi + pi * xr
-        e = ea[series] * h[series]
-        out.real[series] = e.real * pr - e.imag * pi
-        out.imag[series] = e.real * pi + e.imag * pr
+    near = np.abs(x) < 0.1
+    far = ~near
+    out = np.empty(d.shape, dtype=complex)
+    if far.any():
+        df = d[far]
+        out[far] = (np.exp(df * _part(b, far)) - np.exp(df * _part(a, far))) / df
+    if near.any():
+        z = x[near] / 2
+        small = np.abs(z) < 1e-4
+        q = np.sinh(z) / np.where(small, 1.0, z)
+        if small.any():
+            # 1 + z^2/6, and the product below, in real arithmetic: numpy may
+            # fuse a complex array product (FMA), which rounds differently
+            # from the same scalar product
+            zr, zi = z.real[small], z.imag[small]
+            q.real[small] = 1.0 + (zr * zr - zi * zi) / 6
+            q.imag[small] = zr * zi / 3
+        e = np.exp(d[near] * ((_part(a, near) + _part(b, near)) / 2))
+        hn = _part(h, near)
+        out.real[near] = hn * (e.real * q.real - e.imag * q.imag)
+        out.imag[near] = hn * (e.real * q.imag + e.imag * q.real)
     return out.reshape(np.shape(delta)) if np.ndim(delta) else out[0]
+
+
+def _part(v, sel):
+    """The entries of a flat array at sel; a scalar stands for all of them."""
+    return v[sel] if v.ndim else v
 
 
 def inner_product(f: PiecewiseFunction, g: PiecewiseFunction) -> complex:

@@ -636,8 +636,11 @@ def _pair_task(loop_label, loop, ext_label, B, cutoffs, partition, basis=None):
 
     `basis` is a shared `eigen_arrays` result, or the NumericalError that
     building it raised, which leaves this pairing uncertified like any other.
+    A wedge loop is pulled back once here, for the winding and the pairing.
     """
-    wind = winding(pullback_loop(loop) if loop.is_wedge else loop)
+    if loop.is_wedge:
+        loop = pullback_loop(loop)
+    wind = winding(loop)
     error = basis if isinstance(basis, NumericalError) else None
     if error is None:
         try:
@@ -736,10 +739,12 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
                                               "count": suite.get("count", default_count)}},
                                   spec)
 
+    # each wedge loop is pulled back once; the label keeps the wedge text
+    loops = [(label, pullback_loop(loop) if loop.is_wedge else loop, expect)
+             for label, loop, expect in loops]
     # one eigenbasis per B, at the widest window any loop needs, shared by
     # every pairing with that B
-    reach = max((pullback_loop(loop) if loop.is_wedge else loop).frequency_reach
-                for _label, loop, _expect in loops)
+    reach = max(loop.frequency_reach for _label, loop, _expect in loops)
     bases = [_shared_basis(B, part, cutoffs, reach) for _label, _u, B in exts]
 
     tasks = []

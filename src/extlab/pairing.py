@@ -29,6 +29,7 @@ compared and any disagreement is raised, never silently resolved.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -64,7 +65,7 @@ PAD = 8 * np.pi
 MAX_BASIS_WINDOW = 4096 * np.pi
 
 MARGIN = 0.1
-_MARGIN_GRID = np.arange(4096) / 4096.0
+_MARGIN_POINTS = 4096      # the modulus check's grid k / 4096
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,7 @@ class UnitaryLoop:
         if self.pieces is None:
             raise StructuralError("a non-wedge loop needs pieces")
         object.__setattr__(self, "pieces", _normalize_pieces(self.pieces))
-        vals = np.abs(self(_MARGIN_GRID))
+        vals = np.abs(self.grid(_MARGIN_POINTS))
         if np.min(vals) <= MARGIN:
             raise IllConditionedLoopError(
                 f"loop modulus min {np.min(vals):.4f} <= margin {MARGIN}"
@@ -138,6 +139,13 @@ class UnitaryLoop:
         out = _evaluate(self.pieces, np.atleast_1d(th))
         return out[0] if th.ndim == 0 else out
 
+    def grid(self, npoints: int, offset: float = 0.0) -> np.ndarray:
+        """Values at the uniform grid (k + offset) / npoints, k < npoints
+        (see `_grid_values`)."""
+        if self.is_wedge:
+            raise StructuralError("a wedge pair has no single-circle values; pull it back")
+        return _grid_values(self.pieces, npoints, offset)
+
     def conjugate(self) -> "UnitaryLoop":
         if self.is_wedge:
             return UnitaryLoop(wedge=(self.wedge[0].conjugate(), self.wedge[1].conjugate()))
@@ -148,7 +156,12 @@ class UnitaryLoop:
         coeffs = None
         if self.coefficients is not None:
             coeffs = {-m: np.conj(c) for m, c in self.coefficients.items()}
-        return UnitaryLoop(pieces=pieces, coefficients=coeffs)
+        # |conj(u)| = |u|: the modulus check this loop passed holds for its
+        # conjugate, which is built without repeating it
+        loop = object.__new__(UnitaryLoop)
+        for name, value in (("pieces", pieces), ("coefficients", coeffs), ("wedge", None)):
+            object.__setattr__(loop, name, value)
+        return loop
 
     def product(self, other: "UnitaryLoop") -> "UnitaryLoop":
         """Pointwise product (stays exact: exponents add on a common refinement)."""
@@ -238,18 +251,75 @@ def _cuts(endpoints, pieces):
                   | {round(p[0], 15) for p in pieces} | {1.0})
 
 
+def _cis(x: np.ndarray) -> np.ndarray:
+    """e^{i x} as cos x + i sin x: numpy's complex exp takes twice as long."""
+    e = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=e.real)
+    np.sin(x, out=e.imag)
+    return e
+
+
 def _evaluate(pieces, th: np.ndarray) -> np.ndarray:
     """Values of a piece tuple at points of [0, 1], half-open [lo, hi) pieces."""
     out = np.zeros(th.shape, dtype=complex)
     for sel, (_lo, _hi, terms) in zip(_piece_selections(pieces, th), pieces):
         t = th[sel]
         for nu, c in terms:
-            # e^{i nu t} as cos + i sin: numpy's complex exp takes twice as long
-            e = np.empty(t.shape, dtype=complex)
-            np.cos(nu * t, out=e.real)
-            np.sin(nu * t, out=e.imag)
-            out[sel] += c * e
+            out[sel] += c * _cis(nu * t)
     return out
+
+
+def _grid_values(pieces, npoints: int, offset: float = 0.0) -> np.ndarray:
+    """`_evaluate` on the uniform grid theta_k = (k + offset) / npoints,
+    k < npoints, by angle addition.
+
+    With S = ceil(sqrt(npoints)) and k = q S + r (0 <= r < S),
+
+        e^{i nu theta_k} = e^{i nu q S / npoints} e^{i nu (r + offset) / npoints},
+
+    so cos and sin are taken on about 2 sqrt(npoints) angles per term instead
+    of npoints: the values form a (q, r) table whose rows inside a piece are
+    one outer product per term, written in place; the at most two rows a
+    piece shares with its neighbours are filled point by point.  Points are
+    assigned to pieces as `_piece_selections` assigns the grid
+    (`_grid_edge`).  Each factor's angle is rounded once, like the direct
+    nu theta_k, and the product adds a rounding error or two, so a value
+    differs from `_evaluate`'s by about (|nu| + 2) eps |c| per term.
+    """
+    step = math.isqrt(max(npoints - 1, 0)) + 1
+    rows = -(-npoints // step)
+    coarse = np.arange(rows) * step / npoints
+    fine = (np.arange(step) + offset) / npoints
+    table = np.zeros((rows, step), dtype=complex)
+    flat = table.reshape(-1)
+    edges = [0, *(_grid_edge(p[0], npoints, offset) for p in pieces[1:]), npoints]
+    for start, stop, (_lo, _hi, terms) in zip(edges, edges[1:], pieces):
+        if stop <= start:
+            continue
+        inner = slice(-(-start // step), stop // step)    # rows wholly in the piece
+        shared = {start // step, (stop - 1) // step} - set(range(rows)[inner])
+        for i, (nu, c) in enumerate(terms):
+            row = c * _cis(nu * coarse)
+            col = _cis(nu * fine)
+            if i == 0:
+                np.multiply.outer(row[inner], col, out=table[inner])
+            else:
+                table[inner] += np.multiply.outer(row[inner], col)
+            for q in shared:
+                a, b = max(start, q * step), min(stop, (q + 1) * step)
+                flat[a:b] += row[q] * col[a - q * step:b - q * step]
+    return flat[:npoints]
+
+
+def _grid_edge(lo: float, npoints: int, offset: float) -> int:
+    """The first k with (k + offset) / npoints >= lo, clipped to [0, npoints]:
+    where `np.searchsorted` puts lo in the grid, found without forming it."""
+    k = min(max(math.ceil(lo * npoints - offset), 0), npoints)
+    while k > 0 and (k - 1 + offset) / npoints >= lo:
+        k -= 1
+    while k < npoints and (k + offset) / npoints < lo:
+        k += 1
+    return k
 
 
 def _piece_selections(pieces, th: np.ndarray):
@@ -274,8 +344,7 @@ def winding(loop: UnitaryLoop, ngrid: int = 4096) -> int:
     """(1/2pi) x total unwrapped argument increment around the circle."""
     if loop.is_wedge:
         raise StructuralError("wedge pairs have no single winding; pull back first")
-    th = np.arange(ngrid) / ngrid
-    vals = loop(th)
+    vals = loop.grid(ngrid)
     mods = np.abs(vals)
     if np.min(mods) <= MARGIN:
         raise IllConditionedLoopError(f"modulus {np.min(mods):.4f} below margin {MARGIN}")
@@ -368,8 +437,9 @@ def compression_matrix(loop: UnitaryLoop, partition: Partition,
     reciprocal per interval and term, with no R x C exponentials.
 
     The quotient cancels digits where D is small, so the entries with
-    |D| (hi - lo) < 0.1 go through `exp_integral` instead, whose series
-    branch is the one implementation of the near-resonant integral; one call
+    |D| (hi - lo) < 0.1 go through `exp_integral` instead, whose
+    near-resonant branch (a sinh closed form) is the one implementation of
+    that integral; one call
     takes them for every interval and term.  The factored phases carry an
     absolute error of about |lam| eps each, so the other entries are off by
     about |lam| eps / |D| <= 10 |lam| eps (hi - lo): 10 |lam| eps relative
@@ -532,7 +602,7 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
     phi = np.angle(w)
     alpha = phi - TWO_PI * (phi > 0)
 
-    u = loop((np.arange(2 * ngrid) + 0.5) / (2 * ngrid))
+    u = loop.grid(2 * ngrid, 0.5)
     detv = abs(np.linalg.det(W)) ** 2 * u[:ngrid] * u[ngrid:]
     if np.min(np.abs(detv)) < 1e-9:
         return None, {"reason": "interior determinant degenerate"}
@@ -718,5 +788,4 @@ def commutator_norm_estimate(f, B, samples: int = 20, seed: int = 0,
 
 def derivative_sup(f, ngrid: int = 8192) -> float:
     """sup |f'| on a fine grid, for the commutator bound's right-hand side."""
-    th = (np.arange(ngrid) + 0.5) / ngrid
-    return float(np.max(np.abs(_evaluate(_derivative_pieces(f), th))))
+    return float(np.max(np.abs(_grid_values(_derivative_pieces(f), ngrid, 0.5))))

@@ -66,6 +66,16 @@ def characteristic_residual(B: np.ndarray, lengths, lam: float) -> float:
     return float(abs(np.linalg.det(_characteristic_matrix(B, lengths, lam))))
 
 
+def _characteristic_stack(B: np.ndarray, lengths, lams) -> np.ndarray:
+    """The (K, n, n) stack of I - B Diag(e^{i lambda l_k}), one per lambda,
+    entry for entry the matrices `_characteristic_matrix` builds one at a time
+    (B times a diagonal goes through the same matmul)."""
+    n = B.shape[0]
+    diag = np.zeros((len(lams), n, n), dtype=complex)
+    diag[:, np.arange(n), np.arange(n)] = np.exp(1j * lams[:, None] * np.asarray(lengths))
+    return np.eye(n) - B @ diag
+
+
 # ---------------------------------------------------------------------------
 # characteristic-equation route
 # ---------------------------------------------------------------------------
@@ -80,6 +90,11 @@ def eigenphases(B, partition: Partition, window, force_tracking: bool = False) -
     per 4 pi in one array pass (a cyclic shift of each sorted row, counted
     from the phase sums; see `_lifted_phases`), and each branch's crossings
     of 2 pi Z are bisected to 1e-11.
+
+    The roots are clustered within 1e-9, and the characteristic matrices of
+    all clusters are checked as one (K, n, n) stack: one singular-value call
+    gives every multiplicity, one `det` call every residual, bit for bit what
+    the one-matrix calls give.
     """
     Bm = boundary_array(B)
     lo, hi = float(window[0]), float(window[1])
@@ -96,17 +111,18 @@ def eigenphases(B, partition: Partition, window, force_tracking: bool = False) -
         roots = _tracked_roots(Bm, lengths, lo, hi)
 
     roots = np.sort(np.asarray(roots))
-    values, residuals = [], []
-    for lam, mult in _cluster(roots, 1e-9):
-        mult_sv = _nullity(np.linalg.svd(_characteristic_matrix(Bm, lengths, lam),
-                                         compute_uv=False))
-        res = characteristic_residual(Bm, lengths, lam)
-        if res > RESIDUAL_TOL:
-            raise NumericalError(f"characteristic residual {res:.2e} at lambda={lam!r}")
-        values.extend([lam] * mult_sv)
-        residuals.extend([res] * mult_sv)
-    return Spectrum(window=(lo, hi), eigenvalues=np.asarray(values),
-                    residuals=np.asarray(residuals), source="characteristic")
+    lams = np.asarray([lam for lam, _mult in _cluster(roots, 1e-9)], dtype=float)
+    stack = _characteristic_stack(Bm, lengths, lams)
+    mults = _nullity(np.linalg.svd(stack, compute_uv=False))
+    det = np.linalg.det(stack)
+    # hypot is what abs() of one complex scalar computes; np.abs on an array
+    # may round differently
+    res = np.hypot(det.real, det.imag)
+    bad = np.flatnonzero(res > RESIDUAL_TOL)
+    if bad.size:
+        raise NumericalError(f"characteristic residual {res[bad[0]]:.2e} at lambda={lams[bad[0]]!r}")
+    return Spectrum(window=(lo, hi), eigenvalues=np.repeat(lams, mults),
+                    residuals=np.repeat(res, mults), source="characteristic")
 
 
 def _closed_form_roots(Bm, ell, lo, hi):
@@ -230,11 +246,12 @@ def _cluster(sorted_vals, tol):
 
 
 def _nullity(sv):
-    """Null dimension of a characteristic matrix from its singular values."""
+    """Null dimensions of characteristic matrices from their singular values,
+    one row (descending) per matrix."""
     # threshold floored at the natural scale 1 of I - (unitary)(unitary):
     # at a full-multiplicity eigenvalue the matrix is numerically zero and a
     # purely relative cut would see rank where there is none
-    return int(np.sum(sv < 1e-8 * max(sv[0], 1.0)))
+    return np.sum(sv < 1e-8 * np.maximum(sv[:, :1], 1.0), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +266,37 @@ def eigenbasis(B, partition: Partition, window, force_tracking: bool = False):
     left knot:  a_k = c_k e^{-i lambda t_{k-1}}.  Within a degenerate cluster
     the functions are orthonormalized in L^2 (the length-weighted metric on
     coefficient vectors).
+
+    The characteristic matrices of all clusters go through one stacked SVD,
+    whose last right singular vectors are the null vectors.  A simple
+    eigenvalue's vector is scaled to unit length in that metric directly;
+    only clusters of multiplicity above 1 run `eigh` on their Gram matrix.
     """
     Bm = boundary_array(B)
     spec = eigenphases(Bm, partition, window, force_tracking=force_tracking)
     lengths = np.asarray(partition.lengths)
     tleft = np.asarray(partition.endpoints[:-1])
+    lams = np.asarray([lam for lam, _mult in spec.grouped(tol=1e-9)], dtype=float)
+    _, sv, vh = np.linalg.svd(_characteristic_stack(Bm, lengths, lams))
+    nullity = _nullity(sv)
+    if np.any(nullity == 0):
+        lam = lams[np.argmin(nullity)]
+        raise NumericalError(f"no null direction at lambda={lam!r} (residual too large)")
+    phase = np.exp(-1j * lams[:, None] * tleft)
+    # simple eigenvalues: c / ||c|| in the length-weighted metric
+    # <c, c'> = sum l_k conj(c_k) c'_k
+    c = vh[:, -1, :].conj()
+    simple = phase * (c / np.sqrt((c.real ** 2 + c.imag ** 2) @ lengths)[:, None])
     pairs = []
-    for lam, mult in spec.grouped(tol=1e-9):
-        _, sv, vh = np.linalg.svd(_characteristic_matrix(Bm, lengths, lam))
-        nullity = _nullity(sv)
-        if nullity == 0:
-            raise NumericalError(f"no null direction at lambda={lam!r} (residual too large)")
-        C = vh[len(sv) - nullity:].conj().T            # columns: trace vectors
-        # orthonormalize in the length-weighted metric <c, c'> = sum l_k conj(c_k) c'_k
-        G = C.conj().T @ (lengths[:, None] * C)
-        evals, evecs = np.linalg.eigh(G)
-        C = C @ evecs / np.sqrt(evals)
-        for idx in range(C.shape[1]):
-            a = C[:, idx] * np.exp(-1j * lam * tleft)
+    for i, lam in enumerate(lams):
+        if nullity[i] == 1:
+            coefs = simple[i:i + 1]
+        else:
+            C = vh[i, len(lengths) - nullity[i]:].conj().T     # columns: trace vectors
+            G = C.conj().T @ (lengths[:, None] * C)
+            evals, evecs = np.linalg.eigh(G)
+            coefs = (C @ evecs / np.sqrt(evals)).T * phase[i]
+        for a in coefs:
             atoms = tuple(ExponentialAtom(k, a[k], 1j * lam) for k in range(len(lengths)))
             pairs.append(EigenPair(lam, PiecewiseFunction(partition, atoms)))
     pairs.sort(key=lambda p: p.eigenvalue)

@@ -3,6 +3,7 @@ against scipy's adaptive quadrature (an independent algorithm family)."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,55 @@ def test_exp_integral_series_branch_is_continuous():
     for d in (0.9999 * cut, 1.0001 * cut):
         oracle = _quad_complex(lambda t: np.exp(complex(d) * t), a, b)
         assert abs(exp_integral(d, a, b) - oracle) < 1e-13
+
+
+def _exact_integral(delta, a, b):
+    """e^{delta a} expm1(delta (b - a)) / delta at 50 digits (b - a at 0)."""
+    with mpmath.workdps(50):
+        d, a, b = mpmath.mpc(complex(delta)), mpmath.mpf(a), mpmath.mpf(b)
+        if d == 0:
+            return b - a
+        return mpmath.exp(d * a) * mpmath.expm1(d * (b - a)) / d
+
+
+@pytest.mark.parametrize("a, b", [(0.125, 0.875), (0.5, 1.0), (0.3, 0.55)])
+@pytest.mark.parametrize("delta", [0.0, 5e-324, 1e-308, 1e-12j, 1e-5, "0.0999 cut"])
+def test_exp_integral_near_zero_against_mpmath(delta, a, b):
+    # zero, subnormal and tiny arguments take the Taylor guard; 0.0999 cut is
+    # the closed form's worst corner, just inside the series branch
+    if delta == "0.0999 cut":
+        delta = 0.0999 * 0.1 / (b - a)
+    for d in (delta, -delta, 1j * delta, -1j * delta, (0.6 + 0.8j) * delta):
+        exact = _exact_integral(d, a, b)
+        got = exp_integral(d, a, b)
+        assert abs(mpmath.mpc(got) - exact) <= 1e-15 * abs(exact)
+        assert exp_integral(np.array([d, d]), a, b)[1] == got
+
+
+def _horner_exp_integral(delta, a, b):
+    """Reference: the 13-term Horner series of phi(x) = (e^x - 1)/x on
+    |x| < 0.1, which the closed form e^{x/2} sinh(x/2)/(x/2) replaced."""
+    d = np.atleast_1d(np.asarray(delta, dtype=complex))
+    h = np.broadcast_to(np.subtract(b, a), d.shape)
+    x = d * h
+    pr, pi = np.zeros(x.shape), np.zeros(x.shape)
+    for k in range(12, -1, -1):
+        pr, pi = pr * x.real - pi * x.imag + 1.0 / math.factorial(k + 1), pr * x.imag + pi * x.real
+    return np.exp(d * a) * h * (pr + 1j * pi)
+
+
+def test_closed_form_series_matches_the_horner_series():
+    rng = np.random.default_rng(7)
+    for a, b in [(0.125, 0.875), (0.0, 0.5), (0.5, 1.0), (0.3, 0.55), (3.0, 3.01)]:
+        h = b - a
+        x = 0.1 * np.sqrt(rng.random(400)) * np.exp(2j * np.pi * rng.random(400))
+        x[:4] = [0.0, 1e-9, 1e-4j, 0.0999]
+        d = x / h
+        ref = _horner_exp_integral(d, a, b)
+        got = exp_integral(d, a, b)
+        # both round the exponent of e^{delta a} (or e^{delta (a+b)/2}) once
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - ref) <= (4 + np.abs(d) * (a + b)) * eps * np.abs(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -466,3 +466,30 @@ def test_verify_addition_dirac_small(tmp_path):
     assert rep["status"] == "pass"
     assert rep["result"]["pairings"] == 9
     assert rep["result"]["failures"] == []
+
+
+def test_a_sweep_pulls_each_wedge_loop_back_once(tmp_path, monkeypatch, capsys):
+    from extlab import cli, pairing
+
+    original = pairing.pullback_loop
+    calls = []
+
+    def pullback_loop(loop, *args, **kwargs):
+        calls.append(loop)
+        return original(loop, *args, **kwargs)
+
+    # pair() would look the function up in pairing, the sweep in cli
+    monkeypatch.setattr(pairing, "pullback_loop", pullback_loop)
+    monkeypatch.setattr(cli, "pullback_loop", pullback_loop)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": {"count": 2, "max_power": 1}}), encoding="utf-8")
+    code = cli.main(["verify", "addition-dirac", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["result"]["pairings"] == 18
+    # 9 wedge loops, 2 extensions: one pullback per loop, shared by both B
+    assert len(calls) == 9
+    assert len({id(loop) for loop in calls}) == 9
+    _header, rows = _csv_rows(tmp_path / "out" / "verify-addition-dirac.csv")
+    assert rows[0][0] == "wedge(z^-1|z^-1)"

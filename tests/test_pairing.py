@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from extlab import pairing
 from extlab.analysis import Partition, exp_integral
 from extlab.errors import (
     BandwidthError,
@@ -124,6 +125,86 @@ def test_loop_values_match_the_masked_evaluation():
     loop = _multi_term_loops()[-1]
     assert np.max(np.abs(loop(np.array([-0.25, 1.25, 2.0, -1.0]))
                          - loop(np.array([0.75, 0.25, 0.0, 0.0])))) < 1e-13
+
+
+def _cos_sin_values(pieces, th):
+    """Reference: cos + i sin at every point of a sorted grid, one slice per
+    piece, the evaluation the angle-addition grid replaced; also the slice
+    edges."""
+    out = np.zeros(th.shape, dtype=complex)
+    edges = [0, *np.searchsorted(th, [p[0] for p in pieces[1:]]), len(th)]
+    for a, b, (_lo, _hi, terms) in zip(edges, edges[1:], pieces):
+        t = th[a:b]
+        for nu, c in terms:
+            out[a:b] += c * (np.cos(nu * t) + 1j * np.sin(nu * t))
+    return out, edges
+
+
+TWO_PI = 2.0 * math.pi
+
+
+def _broken_loops():
+    """Products of loops breaking at 0.3 and at 0.55: three pieces, each
+    with several terms, and a jump at both breaks."""
+    u = UnitaryLoop(pieces=((0.0, 0.3, ((0.0, 1.0), (TWO_PI, 0.2))),
+                            (0.3, 1.0, ((2 * TWO_PI, 1j), (-TWO_PI, 0.1)))))
+    v = UnitaryLoop(pieces=((0.0, 0.55, ((-3 * TWO_PI, 1.0),)),
+                            (0.55, 1.0, ((TWO_PI, -1.0), (0.0, 0.25j)))))
+    return [u.product(v), v.product(u.conjugate()), u.product(_multi_term_loops()[-1])]
+
+
+# (points, offset): the modulus check, winding, derivative and symbol grids,
+# and sizes where 0.3 and 0.55 are grid points or rows are partial
+_GRIDS = [(4096, 0.0), (8192, 0.5), (16384, 0.5), (32768, 0.5),
+          (20, 0.0), (1000, 0.0), (4097, 0.0), (4097, 0.5), (3, 0.5), (1, 0.0)]
+
+
+def test_grid_values_match_the_cos_sin_evaluation():
+    loops = _sweep_loops() + _broken_loops()
+    assert {p[0] for p in _broken_loops()[0].pieces} == {0.0, 0.3, 0.55}
+    for npoints, offset in _GRIDS:
+        th = (np.arange(npoints) + offset) / npoints
+        for loop in loops:
+            ref, edges = _cos_sin_values(loop.pieces, th)
+            # the same piece for every point as the sorted-grid slices
+            assert [pairing._grid_edge(p[0], npoints, offset)
+                    for p in loop.pieces[1:]] == edges[1:-1]
+            scale = sum(abs(c) for _lo, _hi, terms in loop.pieces for _nu, c in terms)
+            assert np.max(np.abs(loop.grid(npoints, offset) - ref)) <= 1e-13 * scale
+
+
+def test_grid_edge_is_the_searchsorted_position():
+    for npoints, offset in _GRIDS:
+        th = (np.arange(npoints) + offset) / npoints
+        for t in [*th[::max(npoints // 7, 1)], 0.3, 0.55, 0.5, 0.0, 1.0, -0.5, 1.5]:
+            for lo in (np.nextafter(t, -1.0), t, np.nextafter(t, 2.0)):
+                assert pairing._grid_edge(lo, npoints, offset) == np.searchsorted(th, lo)
+
+
+def test_grid_users_read_the_grid():
+    # derivative_sup and the modulus check against the reference evaluation
+    for loop in _broken_loops() + [UnitaryLoop.monomial(3)]:
+        th = (np.arange(8192) + 0.5) / 8192
+        fprime = pairing._derivative_pieces(loop)
+        ref = np.max(np.abs(_cos_sin_values(fprime, th)[0]))
+        assert abs(derivative_sup(loop) - ref) <= 1e-13 * ref
+    with pytest.raises(IllConditionedLoopError, match="modulus"):
+        UnitaryLoop(pieces=((0.0, 0.3, ((0.0, 1.0),)), (0.3, 1.0, ((0.0, 0.05),))))
+
+
+def test_conjugate_keeps_the_modulus_verdict(monkeypatch):
+    loop = _broken_loops()[0]
+    calls = []
+    monkeypatch.setattr(pairing, "_grid_values",
+                        lambda *args: calls.append(args) or np.ones(args[1]))
+    conj = loop.conjugate()
+    assert calls == []
+    th = np.linspace(0.0, 1.0, 101, endpoint=False)
+    assert np.array_equal(conj(th), np.conj(loop(th)))
+    assert conj.coefficients is None and not conj.is_wedge
+    fourier = UnitaryLoop.from_fourier({2: 1.0, -1: 0.3j})
+    calls.clear()
+    assert fourier.conjugate().coefficients == {-2: 1.0, 1: -0.3j} and calls == []
 
 
 def test_margin_guard_rejects_vanishing_loops():

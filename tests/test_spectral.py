@@ -247,6 +247,94 @@ def test_eigenbasis_handles_degenerate_clusters_on_three_pieces():
     assert np.max(np.abs(G - np.eye(3))) < 1e-10
 
 
+def _roots(Bm, part, window, force_tracking):
+    lengths = np.asarray(part.lengths)
+    if np.max(np.abs(lengths - lengths[0])) < 1e-12 and not force_tracking:
+        roots = spectral._closed_form_roots(Bm, float(lengths[0]), *window)
+    else:
+        roots = spectral._tracked_roots(Bm, lengths, *window)
+    return np.sort(np.asarray(roots))
+
+
+def _per_root_spectrum(Bm, part, window, force_tracking=False):
+    """Reference: one multiplicity SVD and one residual determinant per root
+    cluster, the loop the stacked solves replaced."""
+    lengths = np.asarray(part.lengths)
+    values, residuals = [], []
+    for lam, _m in spectral._cluster(_roots(Bm, part, window, force_tracking), 1e-9):
+        sv = np.linalg.svd(spectral._characteristic_matrix(Bm, lengths, lam), compute_uv=False)
+        mult = int(np.sum(sv < 1e-8 * max(sv[0], 1.0)))
+        res = characteristic_residual(Bm, lengths, lam)
+        values.extend([lam] * mult)
+        residuals.extend([res] * mult)
+    return np.asarray(values), np.asarray(residuals)
+
+
+def _per_root_eigenbasis(Bm, part, window, force_tracking=False):
+    """Reference: one full SVD and one Gram `eigh` per cluster, the loop the
+    stacked solve replaced; (lambda, atom coefficients) per eigenfunction."""
+    spec = eigenphases(Bm, part, window, force_tracking=force_tracking)
+    lengths = np.asarray(part.lengths)
+    tleft = np.asarray(part.endpoints[:-1])
+    out = []
+    for lam, _m in spec.grouped(tol=1e-9):
+        _, sv, vh = np.linalg.svd(spectral._characteristic_matrix(Bm, lengths, lam))
+        nullity = int(np.sum(sv < 1e-8 * max(sv[0], 1.0)))
+        C = vh[len(sv) - nullity:].conj().T
+        G = C.conj().T @ (lengths[:, None] * C)
+        evals, evecs = np.linalg.eigh(G)
+        C = C @ evecs / np.sqrt(evals)
+        out.extend((lam, C[:, idx] * np.exp(-1j * lam * tleft)) for idx in range(C.shape[1]))
+    return out
+
+
+_THREE = Partition((0.0, 0.3, 0.55, 1.0))
+_STACK_CASES = {
+    "haar-equal": (PART, lambda: _haar_boundary(PART, 13), False),
+    "haar-equal-tracked": (PART, lambda: _haar_boundary(PART, 13), True),
+    "identity-equal": (PART, lambda: np.eye(2, dtype=complex), False),
+    "swap-equal": (PART, lambda: SWAP, False),
+    "swap-tracked": (PART, lambda: SWAP, True),
+    "haar-3-equal": (Partition((0.0, 1 / 3, 2 / 3, 1.0)),
+                     lambda: _haar_boundary(Partition((0.0, 1 / 3, 2 / 3, 1.0)), 4), False),
+    "identity-3-equal": (Partition((0.0, 1 / 3, 2 / 3, 1.0)),
+                         lambda: np.eye(3, dtype=complex), False),
+    "haar-unequal": (_THREE, lambda: _haar_boundary(_THREE, 3), False),
+    "identity-unequal": (_THREE, lambda: np.eye(3, dtype=complex), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_STACK_CASES))
+@pytest.mark.parametrize("window", [(-40.0, 40.0), (-1e-9, 90.0)], ids=["symmetric", "basis"])
+def test_stacked_solves_match_the_per_root_loops(case, window):
+    part, make_b, force = _STACK_CASES[case]
+    Bm = make_b()
+    spec = eigenphases(Bm, part, window, force_tracking=force)
+    values, residuals = _per_root_spectrum(Bm, part, window, force)
+    assert len(values) > 10
+    assert np.array_equal(spec.eigenvalues, values)
+    assert np.array_equal(spec.residuals, residuals)
+
+    pairs = eigenbasis(Bm, part, window, force_tracking=force)
+    ref = _per_root_eigenbasis(Bm, part, window, force)
+    assert [p.eigenvalue for p in pairs] == [lam for lam, _a in ref]
+    for p, (_lam, a) in zip(pairs, ref):
+        coef = np.zeros(part.npieces, dtype=complex)
+        for atom in p.eigenfunction.atoms:
+            coef[atom.piece] += atom.coefficient
+            assert atom.exponent == 1j * p.eigenvalue
+        assert np.max(np.abs(coef - a)) < 1e-13
+
+
+def test_multiplicities_of_the_stacked_solves():
+    # identity on two equal pieces doubles every eigenvalue 4 pi m; on three
+    # unequal pieces only lambda = 0 is triple
+    spec = eigenphases(np.eye(2), PART, (-30.0, 30.0))
+    assert [m for _lam, m in spec.grouped()] == [2] * 5
+    (lam, mult), = eigenphases(np.eye(3), _THREE, (-1.0, 1.0)).grouped()
+    assert abs(lam) < 1e-11 and mult == 3
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
