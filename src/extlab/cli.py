@@ -231,9 +231,11 @@ _ALLOWED_KEYS = {
 def _number(value, what: str, kind=float):
     """``kind(value)`` for a config entry, kind being float or int.
 
-    A value the conversion refuses, a non-finite float, or an integer past
-    the float range is invalid input.
+    A boolean, a value the conversion refuses, a non-finite float, an integer
+    past the float range, or a non-integral value where an integer is
+    required is invalid input.
     """
+    noun = "an integer" if kind is int else "a number"
     try:
         out = kind(value)
         # an integer past the float range overflows here: no size or power
@@ -242,10 +244,12 @@ def _number(value, what: str, kind=float):
     except OverflowError:
         finite = False
     except (TypeError, ValueError) as exc:
-        noun = "an integer" if kind is int else "a number"
         raise ValidationError(f"{what} must be {noun}, got {value!r}") from exc
     if not finite:
         raise ValidationError(f"{what} must be finite, got {value!r}")
+    if isinstance(value, bool) or (isinstance(value, float) and out != value):
+        # a boolean is no number, and int() truncates: 1.5 is no integer, 2.0 is
+        raise ValidationError(f"{what} must be {noun}, got {value!r}")
     return out
 
 
@@ -303,7 +307,7 @@ class ExperimentConfig:
         seed = raw.get("seed", 0)
         if args.seed is not None:
             seed = args.seed
-        if not isinstance(seed, int) or seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ValidationError("seed must be a non-negative integer")
 
         jobs = args.jobs if args.jobs else 1
@@ -420,7 +424,7 @@ class ExperimentConfig:
 
 
 def _resolve_loop(entry):
-    if isinstance(entry, int):
+    if isinstance(entry, int) and not isinstance(entry, bool):
         return f"z^{entry}", UnitaryLoop.monomial(entry)
     if not isinstance(entry, dict):
         raise ValidationError("loop spec must be an object or an integer power")

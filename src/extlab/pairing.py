@@ -404,22 +404,15 @@ def basis_window(cutoffs, reach: float) -> float:
 
 def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
     """Read-only (lam, coef) arrays of the eigenbasis of T_B on the window
-    [0, cutoffs[-1] + reach + PAD], coef[i, k] being the atom coefficient of
-    eigenfunction i on piece k.
+    [0, cutoffs[-1] + reach + PAD]: the `eigenbasis` spectrum and its
+    coefficient rows, coef[i, k] being the atom coefficient of eigenfunction
+    i on piece k.
 
     One basis serves every loop whose frequency reach is at most `reach`:
     each finite section keeps the eigenvalues inside its own window.
     """
-    hi = basis_window(cutoffs, reach)
-    pairs = eigenbasis(B, partition, (-1e-9, hi))
-    lam = np.asarray([p.eigenvalue for p in pairs], dtype=float)
-    coef = np.zeros((len(pairs), partition.npieces), dtype=complex)
-    for i, p in enumerate(pairs):
-        for a in p.eigenfunction.atoms:
-            coef[i, a.piece] += a.coefficient
-    lam.flags.writeable = False
-    coef.flags.writeable = False
-    return lam, coef
+    spec = eigenbasis(B, partition, (-1e-9, basis_window(cutoffs, reach)))
+    return spec.eigenvalues, spec.coefficients
 
 
 def compression_matrix(loop: UnitaryLoop, partition: Partition,
@@ -493,7 +486,7 @@ def _numerical_kernel(A: np.ndarray):
 def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
     """The truncation route over the cutoff schedule, on an `eigen_arrays` basis.
 
-    Returns (plateau, indices, resolved, index).  `resolved` demands both the
+    Returns (plateau, resolved, index).  `resolved` demands both the
     three-equal-indices plateau and a stable smallest retained singular value;
     a monotone singular-value decay is the signature of kernel vectors with
     slow tails, where a fixed threshold would plateau on a wrong integer.
@@ -523,7 +516,7 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
         if smins[-1] < GUARD_STEP * smins[-2] and smins[-1] < smins[-2] < smins[0]:
             guard_ok = smins[-1] > GUARD_TOTAL * smins[0]
     resolved = plateau_ok and guard_ok and smins[-1] > 0
-    return plateau, indices, resolved, (indices[-1] if indices else 0)
+    return plateau, resolved, (indices[-1] if indices else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +557,12 @@ def _sandwich_matrix(W: np.ndarray) -> np.ndarray:
     return (W.conj()[:, :, None] * W[:, None, :]).reshape(n, n * n)
 
 
+def _two_equal_pieces(partition: Partition) -> bool:
+    """Whether the partition is the one `symbol_index` is built for."""
+    lengths = partition.lengths
+    return len(lengths) == 2 and abs(lengths[0] - lengths[1]) < 1e-12
+
+
 def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
                  ngrid: int = 8192):
     """Exact Fredholm index of P M_u P via its block-Toeplitz symbol.
@@ -595,8 +594,7 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
     """
     if partition is None:
         partition = Partition.default()
-    lengths = np.asarray(partition.lengths)
-    if len(lengths) != 2 or abs(lengths[0] - lengths[1]) > 1e-12:
+    if not _two_equal_pieces(partition):
         raise StructuralError("the symbol route is built for two equal pieces")
     w, W = np.linalg.eig(boundary_array(B))
     phi = np.angle(w)
@@ -680,10 +678,9 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     if basis is None:
         basis = eigen_arrays(Bm, partition, cutoffs, loop.frequency_reach)
 
-    plateau, indices, resolved, fs_index = _finite_section(loop, partition, cutoffs, basis)
+    plateau, resolved, fs_index = _finite_section(loop, partition, cutoffs, basis)
 
-    sym_available = (partition.npieces == 2
-                     and abs(partition.lengths[0] - partition.lengths[1]) < 1e-12)
+    sym_available = _two_equal_pieces(partition)
     sym_index, sym_diag = (None, {"reason": "partition not supported"})
     if sym_available:
         sym_index, sym_diag = symbol_index(loop, Bm, partition)

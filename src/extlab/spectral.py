@@ -8,14 +8,16 @@ phases a_k e^{i lambda theta} per piece; lambda is an eigenvalue exactly when
 Two independent routes are provided: the characteristic equation (closed form
 for equal piece lengths, monotone eigenphase tracking + bisection in general)
 and a first-order upwind finite-difference discretization used as a
-cross-check oracle.
+cross-check oracle.  The eigenbasis is the characteristic spectrum plus one
+row of atom coefficients a_k per eigenfunction, read off the same stacked
+solve that certifies the spectrum.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import ExponentialAtom, Partition, PiecewiseFunction
+from .analysis import Partition
 from .errors import NumericalError, ValidationError
 from .vonneumann import Extension, boundary_array
 
@@ -30,18 +32,24 @@ class Spectrum:
     For ``source='characteristic'`` these are bounded by 1e-9; for
     ``source='finite-difference'`` they are diagnostics of the scheme's
     O(lambda^2/N) error and carry no tolerance promise.
+
+    ``coefficients`` is set by `eigenbasis` only: a (len, npieces) array
+    whose row i holds the atom coefficients a_k of eigenfunction i, which is
+    a_k e^{i lambda_i theta} on piece k.  Every array is read-only.
     """
 
     window: tuple
     eigenvalues: np.ndarray
     residuals: np.ndarray
     source: str = "characteristic"
+    coefficients: np.ndarray = None
 
     def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        rs = np.asarray(self.residuals, dtype=float)
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "residuals", rs)
+        for name, dtype in (("eigenvalues", float), ("residuals", float), ("coefficients", complex)):
+            if getattr(self, name) is not None:
+                arr = np.asarray(getattr(self, name), dtype=dtype)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -49,12 +57,6 @@ class Spectrum:
     def grouped(self, tol: float = 1e-8):
         """(value, multiplicity) pairs, clustering within tol."""
         return _cluster(self.eigenvalues, tol)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    eigenvalue: float
-    eigenfunction: PiecewiseFunction
 
 
 def _characteristic_matrix(B: np.ndarray, lengths, lam: float) -> np.ndarray:
@@ -89,12 +91,21 @@ def eigenphases(B, partition: Partition, window, force_tracking: bool = False) -
     min(l) and max(l); they are lifted to branches on a grid of 4096 points
     per 4 pi in one array pass (a cyclic shift of each sorted row, counted
     from the phase sums; see `_lifted_phases`), and each branch's crossings
-    of 2 pi Z are bisected to 1e-11.
+    of 2 pi Z are bisected to 1e-11.  `_certified_solve` certifies them.
+    """
+    return _certified_solve(B, partition, window, force_tracking)[0]
+
+
+def _certified_solve(B, partition: Partition, window, force_tracking: bool):
+    """(Spectrum, lams, mults, vh): the spectrum of the roots' clusters lams,
+    their multiplicities, and vh[i], the right singular vectors of cluster
+    i's characteristic matrix, whose last mults[i] rows span its null space.
 
     The roots are clustered within 1e-9, and the characteristic matrices of
-    all clusters are checked as one (K, n, n) stack: one singular-value call
-    gives every multiplicity, one `det` call every residual, bit for bit what
-    the one-matrix calls give.
+    all clusters are solved as one (K, n, n) stack: one full singular-value
+    decomposition gives every multiplicity and null space, one `det` call
+    every residual, bit for bit what the one-matrix calls give.  A cluster
+    without a numerical null direction has multiplicity 0.
     """
     Bm = boundary_array(B)
     lo, hi = float(window[0]), float(window[1])
@@ -113,7 +124,8 @@ def eigenphases(B, partition: Partition, window, force_tracking: bool = False) -
     roots = np.sort(np.asarray(roots))
     lams = np.asarray([lam for lam, _mult in _cluster(roots, 1e-9)], dtype=float)
     stack = _characteristic_stack(Bm, lengths, lams)
-    mults = _nullity(np.linalg.svd(stack, compute_uv=False))
+    _, sv, vh = np.linalg.svd(stack)
+    mults = _nullity(sv)
     det = np.linalg.det(stack)
     # hypot is what abs() of one complex scalar computes; np.abs on an array
     # may round differently
@@ -121,8 +133,9 @@ def eigenphases(B, partition: Partition, window, force_tracking: bool = False) -
     bad = np.flatnonzero(res > RESIDUAL_TOL)
     if bad.size:
         raise NumericalError(f"characteristic residual {res[bad[0]]:.2e} at lambda={lams[bad[0]]!r}")
-    return Spectrum(window=(lo, hi), eigenvalues=np.repeat(lams, mults),
-                    residuals=np.repeat(res, mults), source="characteristic")
+    spec = Spectrum(window=(lo, hi), eigenvalues=np.repeat(lams, mults),
+                    residuals=np.repeat(res, mults))
+    return spec, lams, mults, vh
 
 
 def _closed_form_roots(Bm, ell, lo, hi):
@@ -258,49 +271,31 @@ def _nullity(sv):
 # eigenbasis
 # ---------------------------------------------------------------------------
 
-def eigenbasis(B, partition: Partition, window, force_tracking: bool = False):
-    """EigenPairs for every eigenvalue in the window, sorted by eigenvalue.
+def eigenbasis(B, partition: Partition, window, force_tracking: bool = False) -> Spectrum:
+    """The `eigenphases` spectrum with an orthonormal eigenbasis as its
+    ``coefficients`` rows, from the same stacked solve.
 
     The characteristic null vector c is the left-trace vector; the atom
     coefficients differ from it by the phase of e^{i lambda theta} at the
-    left knot:  a_k = c_k e^{-i lambda t_{k-1}}.  Within a degenerate cluster
-    the functions are orthonormalized in L^2 (the length-weighted metric on
-    coefficient vectors).
-
-    The characteristic matrices of all clusters go through one stacked SVD,
-    whose last right singular vectors are the null vectors.  A simple
-    eigenvalue's vector is scaled to unit length in that metric directly;
-    only clusters of multiplicity above 1 run `eigh` on their Gram matrix.
+    left knot:  a_k = c_k e^{-i lambda t_{k-1}}.  A simple eigenvalue's null
+    vector, the last right singular vector, is scaled to unit L^2 norm: unit
+    length in the metric <c, c'> = sum l_k conj(c_k) c'_k.  Only clusters of
+    multiplicity above 1 run `eigh` on the Gram matrix of their null space to
+    orthonormalize it.
     """
-    Bm = boundary_array(B)
-    spec = eigenphases(Bm, partition, window, force_tracking=force_tracking)
+    spec, lams, mults, vh = _certified_solve(B, partition, window, force_tracking)
     lengths = np.asarray(partition.lengths)
-    tleft = np.asarray(partition.endpoints[:-1])
-    lams = np.asarray([lam for lam, _mult in spec.grouped(tol=1e-9)], dtype=float)
-    _, sv, vh = np.linalg.svd(_characteristic_stack(Bm, lengths, lams))
-    nullity = _nullity(sv)
-    if np.any(nullity == 0):
-        lam = lams[np.argmin(nullity)]
-        raise NumericalError(f"no null direction at lambda={lam!r} (residual too large)")
-    phase = np.exp(-1j * lams[:, None] * tleft)
-    # simple eigenvalues: c / ||c|| in the length-weighted metric
-    # <c, c'> = sum l_k conj(c_k) c'_k
+    phase = np.exp(-1j * lams[:, None] * np.asarray(partition.endpoints[:-1]))
     c = vh[:, -1, :].conj()
-    simple = phase * (c / np.sqrt((c.real ** 2 + c.imag ** 2) @ lengths)[:, None])
-    pairs = []
-    for i, lam in enumerate(lams):
-        if nullity[i] == 1:
-            coefs = simple[i:i + 1]
-        else:
-            C = vh[i, len(lengths) - nullity[i]:].conj().T     # columns: trace vectors
-            G = C.conj().T @ (lengths[:, None] * C)
-            evals, evecs = np.linalg.eigh(G)
-            coefs = (C @ evecs / np.sqrt(evals)).T * phase[i]
-        for a in coefs:
-            atoms = tuple(ExponentialAtom(k, a[k], 1j * lam) for k in range(len(lengths)))
-            pairs.append(EigenPair(lam, PiecewiseFunction(partition, atoms)))
-    pairs.sort(key=lambda p: p.eigenvalue)
-    return pairs
+    coef = np.repeat(phase * (c / np.sqrt((c.real ** 2 + c.imag ** 2) @ lengths)[:, None]),
+                     mults, axis=0)
+    starts = np.cumsum(mults) - mults
+    for i in np.flatnonzero(mults > 1):
+        C = vh[i, len(lengths) - mults[i]:].conj().T     # columns: trace vectors
+        G = C.conj().T @ (lengths[:, None] * C)
+        evals, evecs = np.linalg.eigh(G)
+        coef[starts[i]:starts[i] + mults[i]] = (C @ evecs / np.sqrt(evals)).T * phase[i]
+    return replace(spec, coefficients=coef)
 
 
 # ---------------------------------------------------------------------------

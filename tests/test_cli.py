@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 CMD = [sys.executable, "-m", "extlab"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*args, config=None, tmp_path=None, env_extra=None):
@@ -22,6 +23,8 @@ def run_cli(*args, config=None, tmp_path=None, env_extra=None):
         argv += ["--config", str(path)]
     env = dict(os.environ)
     env.pop("EXTLAB_TOL", None)
+    # the child finds the package without an install
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(argv, capture_output=True, text=True, env=env)
@@ -164,6 +167,13 @@ def test_suite_size_bounds_name_the_limit(tmp_path, argv, config, limit):
                  None, id="sweep-power-past-float-range"),
     pytest.param(("pair",), {"loop": {"monomial": 10 ** 400}}, None,
                  id="monomial-past-float-range"),
+    # int() would truncate these, and a boolean is an int to Python
+    pytest.param(("pair",), {"loop": {"monomial": 1.5}}, None, id="fractional-monomial"),
+    pytest.param(("verify", "extension-independence"), {"suite": {"powers": [-1.7, 1.7]}},
+                 None, id="fractional-sweep-powers"),
+    pytest.param(("pair",), {"loop": True}, None, id="boolean-loop"),
+    pytest.param(("deficiency",), {"seed": True}, None, id="boolean-seed"),
+    pytest.param(("spectrum",), {"window": [True, 5]}, None, id="boolean-window"),
 ] + [pytest.param(argv, {"partition": [0, "a", 1], "loop": {"monomial": 1}}, None,
                   id="string-knot-" + "-".join(argv))
      for argv in _PARTITION_COMMANDS])
@@ -173,6 +183,26 @@ def test_malformed_config_numbers_exit_2(tmp_path, argv, config, env):
     assert proc.returncode == 2, proc.stderr
     assert "error (validation)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value, kind", [(1.5, int), (-1.7, int), (True, int), (True, float),
+                                         (False, float)])
+def test_numbers_refuse_fractions_and_booleans_by_field(value, kind):
+    from extlab import cli
+    from extlab.errors import ValidationError
+
+    with pytest.raises(ValidationError, match="^the field must be"):
+        cli._number(value, "the field", kind)
+
+
+def test_integral_float_powers_are_accepted(tmp_path):
+    from extlab import cli
+
+    power = cli._number(2.0, "power", int)
+    assert power == 2 and type(power) is int
+    proc = run_cli("pair", config={"loop": {"monomial": 2.0}}, tmp_path=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert report_of(proc)["result"]["pairings"][0]["loop"] == "z^2"
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from extlab import spectral
-from extlab.analysis import Partition, boundary_values, inner_product
+from extlab.analysis import (
+    ExponentialAtom,
+    Partition,
+    PiecewiseFunction,
+    boundary_values,
+    inner_product,
+)
 from extlab.errors import ValidationError
 from extlab.spectral import (
-    EigenPair,
     Spectrum,
     characteristic_residual,
     eigenbasis,
@@ -21,6 +26,7 @@ from extlab.spectral import (
 from extlab.vonneumann import (
     BoundaryMatrix,
     OperatorSpec,
+    boundary_array,
     build_extension,
     haar_unitary,
     identity_unitary,
@@ -194,14 +200,22 @@ def test_characteristic_residual_vanishes_on_eigenvalues_only():
 # eigenfunctions
 
 
+def _eigenfunctions(spec, part):
+    """(lambda, PiecewiseFunction) per coefficient row of an `eigenbasis`
+    result: row i is the function a_k e^{i lambda_i theta} on piece k."""
+    return [(lam, PiecewiseFunction(part, tuple(ExponentialAtom(k, a[k], 1j * lam)
+                                                for k in range(part.npieces))))
+            for lam, a in zip(spec.eigenvalues, spec.coefficients)]
+
+
 def test_eigenbasis_functions_are_genuine_eigenvectors():
     rng = np.random.default_rng(12)
     ext = build_extension(OperatorSpec(PART), haar_unitary(rng))
-    pairs = eigenbasis(ext.boundary, PART, (-15.0, 15.0))
+    pairs = _eigenfunctions(eigenbasis(ext.boundary, PART, (-15.0, 15.0)), PART)
     assert pairs
     th = np.linspace(0.0, 0.999, 257)
     th = th[np.abs(th - 0.5) > 1e-3]
-    for lam, psi in [(p.eigenvalue, p.eigenfunction) for p in pairs]:
+    for lam, psi in pairs:
         # symbol action: (1/i) psi' = lam psi
         tpsi = psi.dirac_apply()
         assert np.max(np.abs(tpsi(th) - lam * psi(th))) < 1e-8
@@ -215,35 +229,30 @@ def test_eigenbasis_is_orthonormal():
     # orthogonality is forced by self-adjointness, so the whole Gram is I
     rng = np.random.default_rng(14)
     ext = build_extension(OperatorSpec(PART), haar_unitary(rng))
-    pairs = eigenbasis(ext.boundary, PART, (-15.0, 15.0))
+    pairs = _eigenfunctions(eigenbasis(ext.boundary, PART, (-15.0, 15.0)), PART)
     n = len(pairs)
     G = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            G[i, j] = inner_product(pairs[i].eigenfunction, pairs[j].eigenfunction)
+            G[i, j] = inner_product(pairs[i][1], pairs[j][1])
     assert np.max(np.abs(G - np.eye(n))) < 1e-7
 
 
 def test_identity_extension_kernel_is_locally_constant():
-    pairs = eigenbasis(np.eye(2), PART, (-1.0, 1.0))
-    assert [p.eigenvalue for p in pairs] == [0.0, 0.0]
-    for p in pairs:
-        assert all(a.exponent == 0.0 for a in p.eigenfunction.atoms)
+    pairs = _eigenfunctions(eigenbasis(np.eye(2), PART, (-1.0, 1.0)), PART)
+    assert [lam for lam, _psi in pairs] == [0.0, 0.0]
+    for _lam, psi in pairs:
+        assert all(a.exponent == 0.0 for a in psi.atoms)
     # doubled eigenvalue, orthonormal pair
-    g01 = inner_product(pairs[0].eigenfunction, pairs[1].eigenfunction)
+    g01 = inner_product(pairs[0][1], pairs[1][1])
     assert abs(g01) < 1e-10
 
 
 def test_eigenbasis_handles_degenerate_clusters_on_three_pieces():
     part = Partition((0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
-    pairs = eigenbasis(np.eye(3), part, (-1.0, 1.0))
-    assert [p.eigenvalue for p in pairs] == [0.0, 0.0, 0.0]
-    G = np.array(
-        [
-            [inner_product(p.eigenfunction, q.eigenfunction) for q in pairs]
-            for p in pairs
-        ]
-    )
+    pairs = _eigenfunctions(eigenbasis(np.eye(3), part, (-1.0, 1.0)), part)
+    assert [lam for lam, _psi in pairs] == [0.0, 0.0, 0.0]
+    G = np.array([[inner_product(p, q) for _mu, q in pairs] for _lam, p in pairs])
     assert np.max(np.abs(G - np.eye(3))) < 1e-10
 
 
@@ -288,6 +297,52 @@ def _per_root_eigenbasis(Bm, part, window, force_tracking=False):
     return out
 
 
+def _object_eigenbasis(B, partition, window, force_tracking=False):
+    """Reference: the eigenbasis as one (lambda, PiecewiseFunction) object per
+    eigenfunction, re-solving the clusters of the `eigenphases` spectrum with
+    a second stacked SVD, the route the coefficient rows replaced."""
+    Bm = boundary_array(B)
+    spec = eigenphases(Bm, partition, window, force_tracking=force_tracking)
+    lengths = np.asarray(partition.lengths)
+    tleft = np.asarray(partition.endpoints[:-1])
+    lams = np.asarray([lam for lam, _mult in spec.grouped(tol=1e-9)], dtype=float)
+    _, sv, vh = np.linalg.svd(spectral._characteristic_stack(Bm, lengths, lams))
+    nullity = spectral._nullity(sv)
+    phase = np.exp(-1j * lams[:, None] * tleft)
+    c = vh[:, -1, :].conj()
+    simple = phase * (c / np.sqrt((c.real ** 2 + c.imag ** 2) @ lengths)[:, None])
+    pairs = []
+    for i, lam in enumerate(lams):
+        if nullity[i] == 1:
+            coefs = simple[i:i + 1]
+        else:
+            C = vh[i, len(lengths) - nullity[i]:].conj().T
+            G = C.conj().T @ (lengths[:, None] * C)
+            evals, evecs = np.linalg.eigh(G)
+            coefs = (C @ evecs / np.sqrt(evals)).T * phase[i]
+        for a in coefs:
+            atoms = tuple(ExponentialAtom(k, a[k], 1j * lam) for k in range(len(lengths)))
+            pairs.append((lam, PiecewiseFunction(partition, atoms)))
+    pairs.sort(key=lambda p: p[0])
+    lam = np.asarray([lam for lam, _psi in pairs], dtype=float)
+    coef = np.zeros((len(pairs), partition.npieces), dtype=complex)
+    for i, (_lam, psi) in enumerate(pairs):
+        for atom in psi.atoms:
+            coef[i, atom.piece] += atom.coefficient
+    return lam, coef
+
+
+def _assert_object_eigenbasis(basis, B, part, window, force=False):
+    """`basis` is B's eigenbasis, bit for bit, and read-only."""
+    lam, coef = _object_eigenbasis(B, part, window, force)
+    assert len(basis) == basis.coefficients.shape[0] == basis.eigenvalues.size == lam.size
+    assert basis.coefficients.shape[1] == part.npieces
+    assert np.array_equal(basis.eigenvalues, lam)
+    assert np.array_equal(basis.coefficients, coef)
+    assert not basis.eigenvalues.flags.writeable
+    assert not basis.coefficients.flags.writeable
+
+
 _THREE = Partition((0.0, 0.3, 0.55, 1.0))
 _STACK_CASES = {
     "haar-equal": (PART, lambda: _haar_boundary(PART, 13), False),
@@ -315,15 +370,49 @@ def test_stacked_solves_match_the_per_root_loops(case, window):
     assert np.array_equal(spec.eigenvalues, values)
     assert np.array_equal(spec.residuals, residuals)
 
-    pairs = eigenbasis(Bm, part, window, force_tracking=force)
+    basis = eigenbasis(Bm, part, window, force_tracking=force)
     ref = _per_root_eigenbasis(Bm, part, window, force)
-    assert [p.eigenvalue for p in pairs] == [lam for lam, _a in ref]
-    for p, (_lam, a) in zip(pairs, ref):
+    pairs = _eigenfunctions(basis, part)
+    assert [lam for lam, _psi in pairs] == [lam for lam, _a in ref]
+    for (lam, psi), (_lam, a) in zip(pairs, ref):
         coef = np.zeros(part.npieces, dtype=complex)
-        for atom in p.eigenfunction.atoms:
+        for atom in psi.atoms:
             coef[atom.piece] += atom.coefficient
-            assert atom.exponent == 1j * p.eigenvalue
+            assert atom.exponent == 1j * lam
         assert np.max(np.abs(coef - a)) < 1e-13
+    _assert_object_eigenbasis(basis, Bm, part, window, force)
+
+
+@pytest.mark.parametrize("part", [PART, _THREE], ids=["2-pieces", "3-pieces"])
+def test_coefficient_rows_equal_the_object_eigenbasis_on_haar_samples(part):
+    for seed in range(20):
+        B = _haar_boundary(part, 100 + seed)
+        _assert_object_eigenbasis(eigenbasis(B, part, (-1e-9, 40.0)), B, part, (-1e-9, 40.0))
+
+
+def test_eigenbasis_makes_one_stacked_solve(monkeypatch):
+    calls = {"stack": 0, "svd": 0, "det": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "_characteristic_stack",
+                        counted("stack", spectral._characteristic_stack))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+    monkeypatch.setattr(spectral, "eigenphases", None)
+    basis = eigenbasis(_haar_boundary(_THREE, 3), _THREE, (-1e-9, 40.0))
+    assert len(basis) > 5
+    assert calls == {"stack": 1, "svd": 1, "det": 1}
+
+
+def test_spectra_without_a_basis_have_no_coefficients():
+    assert eigenphases(SWAP, PART, WINDOW).coefficients is None
+    ext = build_extension(OperatorSpec(PART), swap_unitary())
+    assert fd_spectrum(ext, 512, (-10.0, 10.0)).coefficients is None
 
 
 def test_multiplicities_of_the_stacked_solves():
