@@ -44,6 +44,7 @@ from .pairing import (
     DEFAULT_CUTOFFS,
     MAX_BASIS_WINDOW,
     TWO_PI,
+    SharedBasis,
     UnitaryLoop,
     basis_window,
     eigen_arrays,
@@ -635,16 +636,14 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _pair_task(loop_label, loop, ext_label, B, cutoffs, partition, basis=None):
+def _pair_task(loop_label, loop, wind, ext_label, B, cutoffs, partition, basis=None):
     """One pairing work item; returns a CSV-ready row and certification.
 
-    `basis` is a shared `eigen_arrays` result, or the NumericalError that
-    building it raised, which leaves this pairing uncertified like any other.
-    A wedge loop is pulled back once here, for the winding and the pairing.
+    `loop` is a circle loop (wedge loops come pulled back) and `wind` its
+    winding, both computed once per loop by the caller.  `basis` is a
+    `SharedBasis`, or the NumericalError that building it raised, which leaves
+    this pairing uncertified like any other.
     """
-    if loop.is_wedge:
-        loop = pullback_loop(loop)
-    wind = winding(loop)
     error = basis if isinstance(basis, NumericalError) else None
     if error is None:
         try:
@@ -693,8 +692,11 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
     cutoffs = cfg.cutoffs()
     entries = cfg.extensions(spec, default=[{"anchor": "swap"}])
 
+    if loop.is_wedge:
+        loop = pullback_loop(loop)
+    wind = winding(loop)
     tasks = [
-        (loop_label, loop, label, B, cutoffs, part) for label, _u, B in entries
+        (loop_label, loop, wind, label, B, cutoffs, part) for label, _u, B in entries
     ]
     outcomes = _run_pairings(tasks, cfg.jobs)
 
@@ -723,9 +725,10 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
 
 
 def _shared_basis(B, partition, cutoffs, reach):
-    """`eigen_arrays`, or the NumericalError it raised (each pairing reports it)."""
+    """A `SharedBasis` on `eigen_arrays`, with an empty trajectory store, or
+    the NumericalError it raised (each pairing reports it)."""
     try:
-        return eigen_arrays(B, partition, cutoffs, reach)
+        return SharedBasis(*eigen_arrays(B, partition, cutoffs, reach), {})
     except NumericalError as exc:
         return exc
 
@@ -747,15 +750,17 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
     loops = [(label, pullback_loop(loop) if loop.is_wedge else loop, expect)
              for label, loop, expect in loops]
     # one eigenbasis per B, at the widest window any loop needs, shared by
-    # every pairing with that B
+    # every pairing with that B; its store holds each loop's finite sections,
+    # which the pairing of the conjugate loop reads too
     reach = max(loop.frequency_reach for _label, loop, _expect in loops)
     bases = [_shared_basis(B, part, cutoffs, reach) for _label, _u, B in exts]
 
     tasks = []
     expected = []
     for loop_label, loop, expect in loops:
+        wind = winding(loop)
         for (ext_label, _u, B), basis in zip(exts, bases):
-            tasks.append((loop_label, loop, ext_label, B, cutoffs, part, basis))
+            tasks.append((loop_label, loop, wind, ext_label, B, cutoffs, part, basis))
             expected.append(expect)
     outcomes = _run_pairings(tasks, cfg.jobs)
 
@@ -763,12 +768,12 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
     unstable = []
     for (task, expect, outcome) in zip(tasks, expected, outcomes):
         if not outcome["stable"]:
-            unstable.append({"loop": task[0], "extension": task[2]})
+            unstable.append({"loop": task[0], "extension": task[3]})
         elif outcome["index"] != expect or outcome["index"] != -outcome["winding"]:
             failures.append(
                 {
                     "loop": task[0],
-                    "extension": task[2],
+                    "extension": task[3],
                     "index": outcome["index"],
                     "expected": expect,
                 }

@@ -30,6 +30,7 @@ compared and any disagreement is raised, never silently resolved.
 
 from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -483,8 +484,47 @@ def _numerical_kernel(A: np.ndarray):
     return nullity, float(retained[-1] / smax)
 
 
+def _kernel_trajectory(loop: UnitaryLoop, partition: Partition, cutoffs, lam, coef,
+                       reach: float):
+    """`_numerical_kernel` of A(loop) at each cutoff L: columns are the
+    eigenfunctions with eigenvalue at most L, rows those up to L + reach + PAD.
+
+    Both windows depend on the loop only through `reach`, and the conjugate
+    loop has the same reach, so a loop's trajectory is the same whether its
+    own pairing or its conjugate's asks for it.
+    """
+    out = []
+    for Lam in cutoffs:
+        cols = lam <= Lam + 1e-9
+        rows = lam <= Lam + reach + PAD + 1e-9
+        A = compression_matrix(loop, partition, lam[rows], coef[rows], lam[cols], coef[cols])
+        out.append(_numerical_kernel(A))
+    return tuple(out)
+
+
+class SharedBasis(NamedTuple):
+    """An `eigen_arrays` basis that a sweep shares between the pairings of one
+    B, with the kernel trajectories computed on it so far.
+
+    `trajectories` maps (loop pieces, cutoffs) to `_kernel_trajectory`'s
+    result.  Its values depend only on those and on the basis, so threads may
+    share the store: two that compute the same entry compute equal values.
+    """
+
+    lam: np.ndarray
+    coef: np.ndarray
+    trajectories: dict
+
+
 def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
     """The truncation route over the cutoff schedule, on an `eigen_arrays` basis.
+
+    P M_ubar P = (P M_u P)*, so the cokernel of the section A(u) is read as the
+    kernel of A(ubar), the same finite section for the conjugate loop.  That
+    makes A(ubar) of u's pairing the very matrix ubar's own pairing calls A:
+    on a `SharedBasis` each loop's trajectory is computed once and read by
+    both pairings (the windows depend only on the reach, which u and ubar
+    share).  On a plain basis both trajectories are computed here.
 
     Returns (plateau, resolved, index).  `resolved` demands both the
     three-equal-indices plateau and a stable smallest retained singular value;
@@ -496,17 +536,19 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
     # same rule the spectrum applies at a window's edge
     keep = basis[0] <= cutoffs[-1] + reach + PAD + 1e-12
     lam, coef = basis[0][keep], basis[1][keep]
-    loop_conj = loop.conjugate()
+    store = basis.trajectories if isinstance(basis, SharedBasis) else None
+
+    def trajectory(u):
+        if store is None:
+            return _kernel_trajectory(u, partition, cutoffs, lam, coef, reach)
+        key = (u.pieces, cutoffs)
+        if key not in store:
+            store[key] = _kernel_trajectory(u, partition, cutoffs, lam, coef, reach)
+        return store[key]
+
     plateau, indices, smins = [], [], []
-    for Lam in cutoffs:
-        cols = lam <= Lam + 1e-9
-        rows = lam <= Lam + reach + PAD + 1e-9
-        lam_c, coef_c = lam[cols], coef[cols]
-        lam_r, coef_r = lam[rows], coef[rows]
-        A = compression_matrix(loop, partition, lam_r, coef_r, lam_c, coef_c)
-        Ac = compression_matrix(loop_conj, partition, lam_r, coef_r, lam_c, coef_c)
-        ker, smin_u = _numerical_kernel(A)
-        coker, smin_c = _numerical_kernel(Ac)
+    for Lam, (ker, smin_u), (coker, smin_c) in zip(cutoffs, trajectory(loop),
+                                                   trajectory(loop.conjugate())):
         plateau.append((float(Lam), int(ker), int(coker)))
         indices.append(int(ker - coker))
         smins.append(min(smin_u, smin_c))
@@ -668,6 +710,15 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     reach at least the (pulled-back) loop's frequency reach; sweeps build it
     once per B and share it between loops.  Without it the pairing builds its
     own at the loop's reach.
+
+    A `SharedBasis` also shares the finite sections: the cokernel of A(u) is
+    the kernel of A(ubar), which is ubar's own A on the same windows, so the
+    pairings of u and ubar on one shared basis compress and decompose each
+    loop once (4 assemblies and 4 SVDs each instead of 8).  The sharing is
+    exact: entries are keyed by the loop's exact pieces, so a pairing reads
+    only a trajectory computed for a loop equal to the one it would compress.
+    The symbol route is never shared; each pairing runs its own two
+    `symbol_index` calls.
     """
     if loop.is_wedge:
         loop = pullback_loop(loop)

@@ -447,6 +447,69 @@ def test_a_failed_eigenbasis_leaves_only_its_pairings_uncertified(
         assert (row[-1] == "uncertified") == (row[1] == "seed5-1")
 
 
+def _count_pairing_kernels(monkeypatch):
+    """Counters of `compression_matrix` calls and of SVDs called from the
+    pairing module (the kernel SVDs; the eigenbasis SVDs run in spectral)."""
+    from extlab import pairing
+
+    counts = {"compression": 0, "svd": 0}
+    compression, svd = pairing.compression_matrix, np.linalg.svd
+
+    def counted_compression(*args, **kwargs):
+        counts["compression"] += 1
+        return compression(*args, **kwargs)
+
+    def counted_svd(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "extlab.pairing":
+            counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(pairing, "compression_matrix", counted_compression)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return counts
+
+
+@pytest.mark.parametrize("argv, cfg, calls", [
+    # z^-3..z^3 against one B: z^n and z^-n read each other's finite sections,
+    # and z^0 is its own conjugate, so 7 loops x 4 cutoffs (56 unshared)
+    pytest.param(("verify", "extension-independence"), {"suite": {"count": 1}}, 28,
+                 id="sweep"),
+    # a single pairing has no shared basis: A(u) and A(ubar) at each cutoff
+    pytest.param(("pair",), {"loop": {"monomial": 2}}, 8, id="pair"),
+])
+def test_sweeps_compress_and_decompose_each_loop_once(
+        tmp_path, monkeypatch, capsys, argv, cfg, calls):
+    from extlab import cli
+
+    counts = _count_pairing_kernels(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert counts == {"compression": calls, "svd": calls}
+
+
+def test_a_sweep_takes_each_winding_once(tmp_path, monkeypatch, capsys):
+    from extlab import cli
+
+    wound = []
+    original = cli.winding
+
+    def winding(loop, *args, **kwargs):
+        wound.append(loop)
+        return original(loop, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "winding", winding)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": {"count": 2, "extension_seed": 0,
+                                            "powers": [-2, 2]}}), encoding="utf-8")
+    assert cli.main(["verify", "extension-independence", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["result"]["pairings"] == 10
+    assert len(wound) == 5 and len({id(loop) for loop in wound}) == 5
+
+
 # ---------------------------------------------------------------------------
 # verify
 

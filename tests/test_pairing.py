@@ -12,6 +12,8 @@ Oracles used here:
 
 import cmath
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -670,3 +672,107 @@ def test_eigen_arrays_are_read_only_and_bounded():
             arr[0] = 0.0
     with pytest.raises(ValidationError):
         eigen_arrays(SWAP, Partition.default(), (MAX_BASIS_WINDOW,), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# conjugate loops and shared finite sections
+
+
+def _conjugate_suites():
+    """(loop, its conjugate as the suite builds it): z^-3..z^3 and the 25
+    pullbacks of wedge(z^a|z^b), |a|, |b| <= 2, the loops of the default
+    extension-independence and addition-dirac sweeps."""
+    def wedge(a, b):
+        return pullback_loop(UnitaryLoop.wedge_pair(UnitaryLoop.monomial(a),
+                                                    UnitaryLoop.monomial(b)))
+    ns = range(-2, 3)
+    return ([(UnitaryLoop.monomial(n), UnitaryLoop.monomial(-n)) for n in range(-3, 4)]
+            + [(wedge(a, b), wedge(-a, -b)) for a in ns for b in ns])
+
+
+_ADJOINT_BS = [
+    pytest.param(SWAP, id="swap"),
+    pytest.param(np.eye(2), id="identity"),
+    pytest.param(3, id="haar-3"),
+    pytest.param(31, id="haar-31"),
+    pytest.param(47, id="haar-47"),
+]
+
+
+@pytest.mark.parametrize("B", _ADJOINT_BS)
+def test_the_conjugate_loop_pairs_to_the_adjoint(B):
+    # P M_ubar P = (P M_u P)*: index negated, kernel and cokernel swapped
+    if isinstance(B, int):
+        B = random_boundary(B)
+    suites = _conjugate_suites()
+    # each distinct loop paired once, on its own fresh basis
+    results = {loop.pieces: pair(loop, B) for loop, _conj in suites}
+    for loop, conj in suites:
+        res, res_conj = results[loop.pieces], results[conj.pieces]
+        assert res_conj.index == -res.index
+        assert res_conj.plateau == tuple((L, coker, ker) for L, ker, coker in res.plateau)
+        assert (res_conj.stable, res_conj.method) == (res.stable, res.method)
+
+
+@pytest.mark.parametrize("B", _ADJOINT_BS[::2])
+def test_a_loops_conjugate_has_the_finite_sections_of_the_suites_conjugate(B):
+    # the store keys a trajectory by the loop's pieces; u.conjugate() and the
+    # suite's own ubar have equal pieces and must give the same trajectory
+    if isinstance(B, int):
+        B = random_boundary(B)
+    part = Partition.default()
+    lam, coef = eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi)
+    for loop, conj in _conjugate_suites():
+        assert loop.conjugate().pieces == conj.pieces
+        reach = loop.frequency_reach
+        assert pairing._kernel_trajectory(loop.conjugate(), part, DEFAULT_CUTOFFS,
+                                          lam, coef, reach) == \
+            pairing._kernel_trajectory(conj, part, DEFAULT_CUTOFFS, lam, coef, reach)
+
+
+def test_a_shared_basis_gives_the_unshared_results():
+    part = Partition.default()
+    B = random_boundary(31)
+    shared = pairing.SharedBasis(*eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi), {})
+    loops = [loop for loop, _conj in _conjugate_suites()]
+    for loop in loops:
+        assert _answer(loop, B, basis=shared) == _answer(loop, B)
+    # one trajectory per distinct loop: the wedge(z^a|z^a) pullbacks are z^2a
+    assert len(shared.trajectories) == len({loop.pieces for loop in loops}) == 29
+
+
+def test_loops_of_equal_reach_keep_their_own_finite_sections():
+    part = Partition.default()
+    B = random_boundary(3)
+    square = UnitaryLoop.monomial(2)
+    wedge = pullback_loop(UnitaryLoop.wedge_pair(UnitaryLoop.monomial(0),
+                                                 UnitaryLoop.monomial(1)))
+    assert square.frequency_reach == wedge.frequency_reach
+    shared = pairing.SharedBasis(*eigen_arrays(B, part, DEFAULT_CUTOFFS, 4 * math.pi), {})
+    for loop in (square, wedge):
+        assert _answer(loop, B, basis=shared) == _answer(loop, B)
+    assert len(shared.trajectories) == 4
+    assert (shared.trajectories[(square.pieces, DEFAULT_CUTOFFS)]
+            != shared.trajectories[(wedge.pieces, DEFAULT_CUTOFFS)])
+
+
+def test_threads_sharing_a_store_get_the_serial_results():
+    # threads may both compute an entry; either value is the serial one
+    part = Partition.default()
+    B = random_boundary(47)
+    lam, coef = eigen_arrays(B, part, FAST, 8 * math.pi)
+    loops = [loop for pair_ in _conjugate_suites() for loop in pair_]
+    serial_basis = pairing.SharedBasis(lam, coef, {})
+    serial = [_answer(loop, B, cutoffs=FAST, basis=serial_basis) for loop in loops]
+    shared = pairing.SharedBasis(lam, coef, {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(_answer, loop, B, cutoffs=FAST, basis=shared)
+                       for loop in loops]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert shared.trajectories == serial_basis.trajectories
