@@ -521,10 +521,12 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
 
     P M_ubar P = (P M_u P)*, so the cokernel of the section A(u) is read as the
     kernel of A(ubar), the same finite section for the conjugate loop.  That
-    makes A(ubar) of u's pairing the very matrix ubar's own pairing calls A:
-    on a `SharedBasis` each loop's trajectory is computed once and read by
-    both pairings (the windows depend only on the reach, which u and ubar
-    share).  On a plain basis both trajectories are computed here.
+    makes A(ubar) of u's pairing the very matrix ubar's own pairing calls A
+    (the windows depend only on the reach, which u and ubar share).  Each
+    loop's trajectory is looked up in a store keyed by its exact pieces: the
+    `SharedBasis`'s, which the pairings of u and ubar both read, or on a plain
+    basis one that lasts for this call (a loop that is its own conjugate is
+    then compressed once).
 
     Returns (plateau, resolved, index).  `resolved` demands both the
     three-equal-indices plateau and a stable smallest retained singular value;
@@ -536,11 +538,9 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
     # same rule the spectrum applies at a window's edge
     keep = basis[0] <= cutoffs[-1] + reach + PAD + 1e-12
     lam, coef = basis[0][keep], basis[1][keep]
-    store = basis.trajectories if isinstance(basis, SharedBasis) else None
+    store = basis.trajectories if isinstance(basis, SharedBasis) else {}
 
     def trajectory(u):
-        if store is None:
-            return _kernel_trajectory(u, partition, cutoffs, lam, coef, reach)
         key = (u.pieces, cutoffs)
         if key not in store:
             store[key] = _kernel_trajectory(u, partition, cutoffs, lam, coef, reach)

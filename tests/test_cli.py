@@ -474,8 +474,10 @@ def _count_pairing_kernels(monkeypatch):
     # and z^0 is its own conjugate, so 7 loops x 4 cutoffs (56 unshared)
     pytest.param(("verify", "extension-independence"), {"suite": {"count": 1}}, 28,
                  id="sweep"),
-    # a single pairing has no shared basis: A(u) and A(ubar) at each cutoff
+    # a single pairing has no shared basis: A(u) and A(ubar) at each cutoff,
+    # one matrix when the loop is its own conjugate
     pytest.param(("pair",), {"loop": {"monomial": 2}}, 8, id="pair"),
+    pytest.param(("pair",), {"loop": {"monomial": 0}}, 4, id="pair-self-conjugate"),
 ])
 def test_sweeps_compress_and_decompose_each_loop_once(
         tmp_path, monkeypatch, capsys, argv, cfg, calls):
