@@ -79,6 +79,10 @@ MAX_RANDOM_COUNT = 1000
 #: the largest `verify ksum` genus bound; the identity grid grows with its square
 MAX_GENUS_BOUND = 64
 
+#: the most pieces a partition may have: tracking a spectrum on unequal pieces
+#: costs about n^3 per evaluated grid row, and its root count grows with n
+MAX_PIECES = 64
+
 #: the most loops one `verify` sweep may build; every loop is paired with every
 #: extension, and building one takes about 2 ms and 1.4 KB
 MAX_SUITE_LOOPS = 1024
@@ -328,7 +332,11 @@ class ExperimentConfig:
     # -- domain resolution ---------------------------------------------------
 
     def operator_spec(self) -> OperatorSpec:
-        part = Partition(_numbers(self.raw.get("partition", [0.0, 0.5, 1.0]), "partition"))
+        knots = _numbers(self.raw.get("partition", [0.0, 0.5, 1.0]), "partition")
+        if len(knots) - 1 > MAX_PIECES:
+            raise ValidationError(f"partition has {len(knots) - 1} pieces, "
+                                  f"above the limit of {MAX_PIECES}")
+        part = Partition(knots)
         constraints = self.raw.get("knot_constraints")
         if constraints is not None:
             constraints = _numbers(constraints, "knot_constraints")

@@ -68,14 +68,21 @@ def characteristic_residual(B: np.ndarray, lengths, lam: float) -> float:
     return float(abs(np.linalg.det(_characteristic_matrix(B, lengths, lam))))
 
 
-def _characteristic_stack(B: np.ndarray, lengths, lams) -> np.ndarray:
-    """The (K, n, n) stack of I - B Diag(e^{i lambda l_k}), one per lambda,
-    entry for entry the matrices `_characteristic_matrix` builds one at a time
-    (B times a diagonal goes through the same matmul)."""
+def _phase_stack(B: np.ndarray, lengths, lams) -> np.ndarray:
+    """The (K, n, n) stack of B Diag(e^{i lambda l_k}), one per lambda, entry
+    for entry what `B @ np.diag(...)` builds one at a time (B times a diagonal
+    goes through the same matmul)."""
     n = B.shape[0]
     diag = np.zeros((len(lams), n, n), dtype=complex)
     diag[:, np.arange(n), np.arange(n)] = np.exp(1j * lams[:, None] * np.asarray(lengths))
-    return np.eye(n) - B @ diag
+    return B @ diag
+
+
+def _characteristic_stack(B: np.ndarray, lengths, lams) -> np.ndarray:
+    """The (K, n, n) stack of I - B Diag(e^{i lambda l_k}), one per lambda,
+    entry for entry the matrices `_characteristic_matrix` builds one at a
+    time."""
+    return np.eye(B.shape[0]) - _phase_stack(B, lengths, lams)
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +95,12 @@ def eigenphases(B, partition: Partition, window, force_tracking: bool = False) -
     Equal piece lengths l: exact closed form lambda = (2 pi m - phi_j)/l from
     the eigenphases e^{i phi_j} of B.  General lengths: the eigenphases of
     B Diag(e^{i lambda l_k}) increase strictly in lambda with speed between
-    min(l) and max(l); they are lifted to branches on a grid of 4096 points
-    per 4 pi in one array pass (a cyclic shift of each sorted row, counted
-    from the phase sums; see `_lifted_phases`), and each branch's crossings
-    of 2 pi Z are bisected to 1e-11.  `_certified_solve` certifies them.
+    min(l) and max(l).  On a grid of 4096 points per 4 pi, each row is lifted
+    to the branches from its own eigenvalues (a cyclic shift of the sorted
+    phases, counted from their sum; see `_branch_lift`), and only the rows
+    that bracket a crossing of 2 pi Z are evaluated: a binary search per
+    branch and crossing, then a bisection to 1e-11, all in step
+    (`_tracked_roots`).  `_certified_solve` certifies them.
     """
     return _certified_solve(B, partition, window, force_tracking)[0]
 
@@ -153,97 +162,110 @@ def _closed_form_roots(Bm, ell, lo, hi):
 
 
 TRACK_STEP = (4 * np.pi) / 4096   # grid pitch pinned: 4096 points per 4pi window
-TRACK_CHUNK = 4096                  # grid points per batched eigvals call
 
 
 def _tracked_roots(Bm, lengths, lo, hi):
     """Roots of the eigenphase branches of B Diag(e^{i lam l}) in [lo, hi].
 
-    Each branch is lifted on the grid (`_lifted_phases`); every crossing of a
-    multiple of 2 pi is bisected to 1e-11.
+    Branch j (`_branch_lift`) crosses every multiple of 2 pi between its
+    values at the two ends of the grid once.  For each such (branch, target)
+    pair a binary search finds the grid cell of the crossing, probing the
+    rows `np.searchsorted(branch, target)` probes on the whole lifted branch.
+    The pairs search in step, one batched `eigvals` on the distinct probed
+    rows a step, so only the rows some bracket needs are evaluated; then
+    every bracket is bisected to 1e-11 (`_bisect_branches`).
     """
     n = Bm.shape[0]
     pad = TRACK_STEP
     grid = np.arange(lo - pad, hi + pad + TRACK_STEP, TRACK_STEP)
-    lifted = _lifted_phases(Bm, lengths, grid)
-    roots = []
-    for j in range(n):
-        branch = lifted[:, j]
-        targets = np.arange(np.ceil(branch[0] / (2 * np.pi)),
-                            np.floor(branch[-1] / (2 * np.pi)) + 1)
-        for tgt in 2 * np.pi * targets:
-            k = int(np.searchsorted(branch, tgt))
-            if k == 0 or k >= len(grid):
-                continue
-            lam = _bisect_branch(Bm, lengths, grid[k - 1], grid[k],
-                                 branch[k - 1] - tgt, branch[k] - tgt)
-            if lo - 1e-12 <= lam <= hi + 1e-12:
-                roots.append(lam)
-    return roots
+    lift = _branch_lift(Bm, lengths, grid)
+    first, last = lift(np.array([0, len(grid) - 1]))
+    targets = [np.arange(np.ceil(a / (2 * np.pi)), np.floor(b / (2 * np.pi)) + 1)
+               for a, b in zip(first, last)]
+    branch = np.repeat(np.arange(n), [len(t) for t in targets])
+    target = 2 * np.pi * np.concatenate(targets)
+    # searchsorted's binary search, side 'left': the first row k with
+    # branch[k] >= target lies in [left, right); f_left and f_right keep the
+    # branch at rows left - 1 and right
+    left = np.zeros(len(target), dtype=np.int64)
+    right = np.full(len(target), len(grid))
+    f_left = np.empty(len(target))
+    f_right = np.empty(len(target))
+    while True:
+        act = np.flatnonzero(left < right)
+        if not act.size:
+            break
+        mid = left[act] + ((right[act] - left[act]) >> 1)
+        rows, inv = np.unique(mid, return_inverse=True)
+        val = lift(rows)[inv, branch[act]]
+        below = val < target[act]
+        left[act[below]] = mid[below] + 1
+        f_left[act[below]] = val[below]
+        right[act[~below]] = mid[~below]
+        f_right[act[~below]] = val[~below]
+    ok = (left > 0) & (left < len(grid))
+    roots = _bisect_branches(Bm, lengths, grid[left[ok] - 1], grid[left[ok]],
+                             f_left[ok] - target[ok], f_right[ok] - target[ok])
+    return roots[(lo - 1e-12 <= roots) & (roots <= hi + 1e-12)]
 
 
-def _lifted_phases(Bm, lengths, grid):
-    """Eigenphases of B Diag(e^{i lam l}) on the grid, lifted to continuous
-    increasing branches: column j starts at the j-th smallest phase.
+def _branch_lift(Bm, lengths, grid):
+    """The eigenphases of B Diag(e^{i lam l}) on the grid lifted to continuous
+    increasing branches, as a function of grid rows: lift(rows)[r, j] is
+    branch j at grid[rows[r]], branch j starting at the j-th smallest phase
+    at grid[0].
 
     The phases only increase in lambda (by Hellmann-Feynman at speeds in
-    [min l, max l]), so a sorted row of wrapped phases changes between grid
-    points only by the phases that crossed pi dropping from the top to the
-    bottom: a cyclic shift.  Their sum rises by exactly step * sum(l) per
-    cell, so the drop in the wrapped sum counts the crossings, and c_i, the
-    crossings up to row i, places branch j at sorted position (j + c_i) mod n
-    with (j + c_i) // n turns of 2 pi behind it.
-
-    The grid goes through eigvals TRACK_CHUNK points at a time, so beyond the
-    (grid, n) result the memory is O(TRACK_CHUNK n^2) whatever the window.
+    [min l, max l]), and det(B Diag(e^{i lam l})) = det B e^{i lam sum(l)}, so
+    the branches sum to the phase sum at grid[0] plus (lam - grid[0]) sum(l).
+    A row's sorted wrapped phases sum to that less 2 pi c, c being the number
+    of crossings of pi since grid[0]; each crossing drops the top phase to the
+    bottom, a cyclic shift, so branch j sits at sorted position (j + c) mod n
+    with (j + c) // n turns of 2 pi behind it.  Every row is lifted from its
+    own eigenvalues alone.
     """
     n = Bm.shape[0]
-    lifted = np.empty((len(grid), n))
-    shift = 0
-    for s in range(0, len(grid), TRACK_CHUNK):
-        # a chunk starts at the previous chunk's last row, whose shift is
-        # known, so the cell between the two chunks is counted too
-        start = max(s - 1, 0)
-        chunk = grid[start:s + TRACK_CHUNK]
-        phases = np.sort(np.angle(np.linalg.eigvals(_stacked(Bm, lengths, chunk))), axis=1)
-        total = phases.sum(axis=1)
-        crossings = np.rint((total[:-1] + np.diff(chunk) * np.sum(lengths) - total[1:])
+    total0 = _sorted_phases(Bm, lengths, grid[:1]).sum()
+    rate = np.sum(lengths)
+
+    def lift(rows):
+        phases = _sorted_phases(Bm, lengths, grid[rows])
+        crossings = np.rint((total0 + (grid[rows] - grid[0]) * rate - phases.sum(axis=1))
                             / (2 * np.pi)).astype(np.int64)
-        shifts = shift + np.concatenate(([0], np.cumsum(crossings)))
-        turns, pos = np.divmod(shifts[:, None] + np.arange(n), n)
-        lifted[start:start + len(chunk)] = (np.take_along_axis(phases, pos, axis=1)
-                                            + (2 * np.pi) * turns)
-        shift = shifts[-1]
-    return lifted
+        turns, pos = np.divmod(crossings[:, None] + np.arange(n), n)
+        return np.take_along_axis(phases, pos, axis=1) + (2 * np.pi) * turns
+
+    return lift
 
 
-def _stacked(Bm, lengths, grid):
-    D = np.exp(1j * np.multiply.outer(grid, lengths))       # (N, n)
-    return Bm[None, :, :] * D[:, None, :]                   # B @ diag(D) rowwise
+def _sorted_phases(Bm, lengths, lams):
+    """Eigenphases of B Diag(e^{i lam l}) in (-pi, pi], sorted, a row per lam."""
+    D = np.exp(1j * np.multiply.outer(lams, lengths))       # (N, n)
+    stack = Bm[None, :, :] * D[:, None, :]                  # B @ diag(D) rowwise
+    return np.sort(np.angle(np.linalg.eigvals(stack)), axis=1)
 
 
 def _wrap(x):
     return np.angle(np.exp(1j * np.asarray(x)))
 
 
-def _branch_offset(Bm, lengths, lam, near_zero_guess):
-    """Signed offset of the branch phase nearest the target multiple of 2pi."""
-    ph = np.angle(np.linalg.eigvals(Bm @ np.diag(np.exp(1j * lam * lengths))))
-    d = _wrap(ph)
-    return d[np.argmin(np.abs(d - _wrap(near_zero_guess)))]
-
-
-def _bisect_branch(Bm, lengths, a, b, fa, fb):
-    """Bisect the (monotone) branch offset to 1e-11."""
+def _bisect_branches(Bm, lengths, a, b, fa, fb):
+    """Bisect every bracket [a, b] of a (monotone) branch offset to 1e-11, in
+    step: each step evaluates the midpoints of the brackets still wider than
+    1e-11 in one batched `eigvals`, at most 64 steps.  The offset at a
+    midpoint is the wrapped phase nearest the bracket's mean offset."""
+    a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
     for _ in range(64):
-        if b - a < 1e-11:
+        act = np.flatnonzero(b - a >= 1e-11)
+        if not act.size:
             break
-        mid = 0.5 * (a + b)
-        fm = _branch_offset(Bm, lengths, mid, 0.5 * (fa + fb))
-        if fm <= 0:
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
+        mid = 0.5 * (a[act] + b[act])
+        d = _wrap(np.angle(np.linalg.eigvals(_phase_stack(Bm, lengths, mid))))
+        near = np.argmin(np.abs(d - _wrap(0.5 * (fa[act] + fb[act]))[:, None]), axis=1)
+        fm = d[np.arange(len(act)), near]
+        up = fm <= 0
+        a[act[up]], fa[act[up]] = mid[up], fm[up]
+        b[act[~up]], fb[act[~up]] = mid[~up], fm[~up]
     return 0.5 * (a + b)
 
 

@@ -114,6 +114,23 @@ def test_spectrum_window_bound_names_the_limit(tmp_path):
     assert "window width 13000 exceeds 12868" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [("spectrum",), ("deficiency",)], ids=["spectrum", "deficiency"])
+def test_partition_piece_bound_names_the_limit(tmp_path, argv):
+    proc = run_cli(*argv, config={"partition": [k / 65 for k in range(66)]}, tmp_path=tmp_path)
+    assert proc.returncode == 2
+    assert "partition has 65 pieces, above the limit of 64" in proc.stderr
+
+
+def test_a_partition_at_the_piece_bound_is_accepted(tmp_path):
+    # equal pieces take the closed form: swap has 32 eigenvalues in the
+    # window and the identity its 64-fold eigenvalue 0
+    proc = run_cli("spectrum", config={"partition": [k / 64 for k in range(65)],
+                                       "window": [-5, 5]}, tmp_path=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    spectra = report_of(proc)["result"]["spectra"]
+    assert [(s["label"], s["count"]) for s in spectra] == [("swap", 32), ("identity", 64)]
+
+
 @pytest.mark.parametrize("argv, config, limit", [
     pytest.param(("verify", "extension-independence"), {"suite": {"powers": [-10 ** 8, 10 ** 8]}},
                  "exceeds 12868", id="powers"),

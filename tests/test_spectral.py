@@ -106,9 +106,21 @@ def test_unequal_partition_tracked_spectrum():
     assert np.max(np.abs(np.sort(-refl.eigenvalues) - np.sort(spec.eigenvalues))) < 1e-8
 
 
+def _full_grid_lift(Bm, lengths, grid):
+    """Reference lift over the whole grid: every row's sorted phases, shifted
+    by c_i, the running sum of the crossings counted in each cell."""
+    phases = spectral._sorted_phases(Bm, lengths, grid)
+    total = phases.sum(axis=1)
+    crossings = np.rint((total[:-1] + np.diff(grid) * np.sum(lengths) - total[1:])
+                        / (2 * np.pi)).astype(np.int64)
+    shifts = np.concatenate(([0], np.cumsum(crossings)))
+    turns, pos = np.divmod(shifts[:, None] + np.arange(Bm.shape[0]), Bm.shape[0])
+    return np.take_along_axis(phases, pos, axis=1) + (2 * np.pi) * turns
+
+
 def _greedy_lift(Bm, lengths, grid):
     """Reference lift: nearest-phase greedy matching, one grid point at a time."""
-    phases = np.angle(np.linalg.eigvals(spectral._stacked(Bm, lengths, grid)))
+    phases = spectral._sorted_phases(Bm, lengths, grid)
     n = Bm.shape[0]
     lifted = np.empty_like(phases)
     lifted[0] = np.sort(phases[0])
@@ -129,10 +141,47 @@ def _greedy_lift(Bm, lengths, grid):
     return lifted
 
 
-def _greedy_roots(monkeypatch, Bm, lengths, lo, hi):
-    with monkeypatch.context() as m:
-        m.setattr(spectral, "_lifted_phases", _greedy_lift)
-        return np.sort(spectral._tracked_roots(Bm, lengths, lo, hi))
+def _branch_offset(Bm, lengths, lam, near_zero_guess):
+    """Signed offset of the branch phase nearest the target multiple of 2pi."""
+    ph = np.angle(np.linalg.eigvals(Bm @ np.diag(np.exp(1j * lam * lengths))))
+    d = spectral._wrap(ph)
+    return d[np.argmin(np.abs(d - spectral._wrap(near_zero_guess)))]
+
+
+def _bisect_branch(Bm, lengths, a, b, fa, fb):
+    """Bisect the (monotone) branch offset to 1e-11, one root at a time."""
+    for _ in range(64):
+        if b - a < 1e-11:
+            break
+        mid = 0.5 * (a + b)
+        fm = _branch_offset(Bm, lengths, mid, 0.5 * (fa + fb))
+        if fm <= 0:
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+    return 0.5 * (a + b)
+
+
+def _reference_roots(Bm, lengths, lo, hi, lift=_full_grid_lift):
+    """Reference tracking: lift the whole grid, `searchsorted` every target
+    of every branch, and bisect each root alone; sorted."""
+    step = spectral.TRACK_STEP
+    grid = np.arange(lo - step, hi + step + step, step)
+    lifted = lift(Bm, lengths, grid)
+    roots = []
+    for j in range(Bm.shape[0]):
+        branch = lifted[:, j]
+        targets = np.arange(np.ceil(branch[0] / (2 * np.pi)),
+                            np.floor(branch[-1] / (2 * np.pi)) + 1)
+        for tgt in 2 * np.pi * targets:
+            k = int(np.searchsorted(branch, tgt))
+            if k == 0 or k >= len(grid):
+                continue
+            lam = _bisect_branch(Bm, lengths, grid[k - 1], grid[k],
+                                 branch[k - 1] - tgt, branch[k] - tgt)
+            if lo - 1e-12 <= lam <= hi + 1e-12:
+                roots.append(lam)
+    return np.sort(np.asarray(roots))
 
 
 def _haar_boundary(part, seed):
@@ -140,42 +189,90 @@ def _haar_boundary(part, seed):
     return build_extension(OperatorSpec(part), haar_unitary(rng, part.npieces)).boundary.matrix
 
 
-@pytest.mark.parametrize("knots, seed", [
-    ((0.0, 0.3, 0.55, 1.0), 3),
-    ((0.0, 0.2, 0.55, 1.0), 8),
-    ((0.0, 0.1, 0.35, 0.6, 1.0), 5),
-    ((0.0, 0.25, 0.4, 0.8, 1.0), 9),
-], ids=["3-pieces-seed3", "3-pieces-seed8", "4-pieces-seed5", "4-pieces-seed9"])
-def test_cyclic_shift_lift_gives_the_greedy_roots(monkeypatch, knots, seed):
+_TRACKED_CASES = {
+    "3-pieces-seed3": ((0.0, 0.3, 0.55, 1.0), 3),
+    "3-pieces-seed8": ((0.0, 0.2, 0.55, 1.0), 8),
+    "4-pieces-seed5": ((0.0, 0.1, 0.35, 0.6, 1.0), 5),
+    "4-pieces-seed9": ((0.0, 0.25, 0.4, 0.8, 1.0), 9),
+}
+
+
+@pytest.mark.parametrize("case", list(_TRACKED_CASES))
+def test_cyclic_shift_lift_gives_the_greedy_roots(case):
+    knots, seed = _TRACKED_CASES[case]
     part = Partition(knots)
     lengths = np.asarray(part.lengths)
     B = _haar_boundary(part, seed)
     roots = np.sort(spectral._tracked_roots(B, lengths, -20.0, 20.0))
     assert len(roots) >= 5
-    assert np.array_equal(roots, _greedy_roots(monkeypatch, B, lengths, -20.0, 20.0))
+    assert np.array_equal(roots, _reference_roots(B, lengths, -20.0, 20.0, _greedy_lift))
 
 
 @pytest.mark.parametrize("B", [SWAP, np.eye(2, dtype=complex)], ids=["swap", "identity"])
-def test_cyclic_shift_lift_on_degenerate_branches(monkeypatch, B):
+def test_cyclic_shift_lift_on_degenerate_branches(B):
     # equal pieces: every phase moves at the same speed, and for the identity
     # the two branches coincide and cross pi together
     lengths = np.asarray(PART.lengths)
     roots = np.sort(spectral._tracked_roots(B, lengths, *WINDOW))
-    assert np.array_equal(roots, _greedy_roots(monkeypatch, B, lengths, *WINDOW))
+    assert np.array_equal(roots, _reference_roots(B, lengths, *WINDOW, _greedy_lift))
 
 
-def test_chunked_lift_matches_one_batch_and_the_greedy_roots(monkeypatch):
-    part = Partition((0.0, 0.3, 0.55, 1.0))
+_THREE_ANCHORS = {"identity-3": np.eye(3, dtype=complex),
+                  "swap-3": np.eye(3, dtype=complex)[::-1].copy()}
+
+
+@pytest.mark.parametrize("case, window", [
+    # the greedy test above covers these B on [-20, 20]
+    *((case, (-60.0, 60.0)) for case in _TRACKED_CASES),
+    # [0, 130] holds the identity's triple root at 40 pi
+    *((case, (0.0, 130.0)) for case in _THREE_ANCHORS),
+])
+def test_bracketed_tracking_gives_the_full_grid_roots(case, window):
+    if case in _THREE_ANCHORS:
+        part, B = Partition((0.0, 0.3, 0.55, 1.0)), _THREE_ANCHORS[case]
+    else:
+        knots, seed = _TRACKED_CASES[case]
+        part = Partition(knots)
+        B = _haar_boundary(part, seed)
     lengths = np.asarray(part.lengths)
-    B = _haar_boundary(part, 5)
-    grid = np.arange(-12.0, 12.0, spectral.TRACK_STEP)
-    monkeypatch.setattr(spectral, "TRACK_CHUNK", len(grid))
-    whole = spectral._lifted_phases(B, lengths, grid)
-    # three points a chunk: a third of the cells straddle two chunks
-    monkeypatch.setattr(spectral, "TRACK_CHUNK", 3)
-    assert np.array_equal(spectral._lifted_phases(B, lengths, grid), whole)
-    roots = np.sort(spectral._tracked_roots(B, lengths, -12.0, 12.0))
-    assert np.array_equal(roots, _greedy_roots(monkeypatch, B, lengths, -12.0, 12.0))
+    roots = np.sort(spectral._tracked_roots(B, lengths, *window))
+    assert len(roots) >= 5
+    assert np.array_equal(roots, _reference_roots(B, lengths, *window))
+    if case == "identity-3":
+        assert np.sum(np.abs(roots - 40 * np.pi) < 1e-9) == 3
+
+
+@pytest.mark.parametrize("part, B", [
+    (Partition((0.0, 0.3, 0.55, 1.0)), _haar_boundary(Partition((0.0, 0.3, 0.55, 1.0)), 5)),
+    (Partition((0.0, 0.1, 0.35, 0.6, 1.0)), _haar_boundary(Partition((0.0, 0.1, 0.35, 0.6, 1.0)), 9)),
+    (Partition((0.0, 0.3, 0.55, 1.0)), np.eye(3, dtype=complex)),
+], ids=["3-pieces-haar", "4-pieces-haar", "3-pieces-identity"])
+def test_pointwise_lift_equals_the_full_grid_lift(part, B):
+    lengths = np.asarray(part.lengths)
+    grid = np.arange(-40.0, 40.0, spectral.TRACK_STEP)
+    whole = _full_grid_lift(B, lengths, grid)
+    lift = spectral._branch_lift(B, lengths, grid)
+    assert np.array_equal(lift(np.arange(len(grid))), whole)
+    # a row's lift does not depend on the rows evaluated with it
+    rows = np.random.default_rng(0).permutation(len(grid))[:50]
+    assert np.array_equal(lift(rows), whole[rows])
+
+
+def test_tracking_evaluates_only_the_bracketing_rows(monkeypatch):
+    # the whole-grid lift passed about 39 000 matrices to eigvals here
+    matrices = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvals(a)
+
+    part = Partition((0.0, 0.3, 0.55, 1.0))
+    B = _haar_boundary(part, 3)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    roots = spectral._tracked_roots(B, np.asarray(part.lengths), -60.0, 60.0)
+    assert len(roots) >= 15
+    assert sum(matrices) < 2000
 
 
 def test_window_validation():
