@@ -44,8 +44,8 @@ from .pairing import (
     DEFAULT_CUTOFFS,
     MAX_BASIS_WINDOW,
     TWO_PI,
-    SharedBasis,
     UnitaryLoop,
+    adjoint,
     basis_window,
     eigen_arrays,
     pair,
@@ -644,42 +644,20 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _pair_task(loop_label, loop, wind, ext_label, B, cutoffs, partition, basis=None):
-    """One pairing work item; returns a CSV-ready row and certification.
+def _pair_task(loop, B, cutoffs, partition, basis=None):
+    """One pairing work item: `pair`'s result, or the NumericalError that
+    leaves this pairing uncertified.
 
-    `loop` is a circle loop (wedge loops come pulled back) and `wind` its
-    winding, both computed once per loop by the caller.  `basis` is a
-    `SharedBasis`, or the NumericalError that building it raised, which leaves
-    this pairing uncertified like any other.
+    `loop` is a circle loop (wedge loops come pulled back).  `basis` is an
+    `eigen_arrays` basis, or the NumericalError that building it raised,
+    which is this pairing's error like any other.
     """
-    error = basis if isinstance(basis, NumericalError) else None
-    if error is None:
-        try:
-            res = pair(loop, B, cutoffs=cutoffs, partition=partition, basis=basis)
-        except NumericalError as exc:
-            error = exc
-    if error is not None:
-        return {
-            "row": (loop_label, ext_label, "", str(wind), "", "uncertified"),
-            "stable": False,
-            "index": None,
-            "winding": wind,
-            "error": str(error),
-        }
-    return {
-        "row": (
-            loop_label,
-            ext_label,
-            str(res.index),
-            str(wind),
-            _plateau_str(res.plateau),
-            res.method,
-        ),
-        "stable": res.stable,
-        "index": res.index,
-        "winding": wind,
-        "error": None,
-    }
+    if isinstance(basis, NumericalError):
+        return basis
+    try:
+        return pair(loop, B, cutoffs=cutoffs, partition=partition, basis=basis)
+    except NumericalError as exc:
+        return exc
 
 
 def _run_pairings(tasks, jobs):
@@ -688,6 +666,18 @@ def _run_pairings(tasks, jobs):
         return [_pair_task(*t) for t in tasks]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(lambda t: _pair_task(*t), tasks))
+
+
+def _pair_row(loop_label, ext_label, wind, res):
+    """The CSV row of a `_pair_task` outcome."""
+    if isinstance(res, NumericalError):
+        return (loop_label, ext_label, "", str(wind), "", "uncertified")
+    return (loop_label, ext_label, str(res.index), str(wind), _plateau_str(res.plateau),
+            res.method)
+
+
+def _certified(res) -> bool:
+    return not isinstance(res, NumericalError) and res.stable
 
 
 _PAIR_CSV_HEADER = ("loop", "B-seed", "index", "winding", "plateau", "method")
@@ -703,40 +693,38 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
     if loop.is_wedge:
         loop = pullback_loop(loop)
     wind = winding(loop)
-    tasks = [
-        (loop_label, loop, wind, label, B, cutoffs, part) for label, _u, B in entries
-    ]
-    outcomes = _run_pairings(tasks, cfg.jobs)
+    outcomes = _run_pairings([(loop, B, cutoffs, part) for _label, _u, B in entries],
+                             cfg.jobs)
 
-    pairs = []
-    all_stable = True
-    for (label, _u, _B), outcome in zip(entries, outcomes):
-        all_stable = all_stable and outcome["stable"]
+    pairs, rows = [], []
+    for (label, _u, _B), res in zip(entries, outcomes):
+        error = res if isinstance(res, NumericalError) else None
+        rows.append(_pair_row(loop_label, label, wind, res))
         pairs.append(
             {
                 "loop": loop_label,
                 "extension": label,
-                "index": outcome["index"],
-                "winding": outcome["winding"],
-                "stable": outcome["stable"],
-                "error": outcome["error"],
+                "index": None if error else res.index,
+                "winding": wind,
+                "stable": _certified(res),
+                "error": str(error) if error else None,
             }
         )
+    all_stable = all(p["stable"] for p in pairs)
 
     report = _base_report(
         cfg, {"pairings": pairs}, "pass" if all_stable else "unstable"
     )
     art = Artifacts(report)
-    art.files["pair.csv"] = csv_text(_PAIR_CSV_HEADER, [o["row"] for o in outcomes])
+    art.files["pair.csv"] = csv_text(_PAIR_CSV_HEADER, rows)
     art.emit(cfg.out_dir)
     return EXIT_OK if all_stable else EXIT_NUMERICAL
 
 
-def _shared_basis(B, partition, cutoffs, reach):
-    """A `SharedBasis` on `eigen_arrays`, with an empty trajectory store, or
-    the NumericalError it raised (each pairing reports it)."""
+def _basis(B, partition, cutoffs, reach):
+    """`eigen_arrays`, or the NumericalError it raised (each pairing reports it)."""
     try:
-        return SharedBasis(*eigen_arrays(B, partition, cutoffs, reach), {})
+        return eigen_arrays(B, partition, cutoffs, reach)
     except NumericalError as exc:
         return exc
 
@@ -745,6 +733,12 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
     """Pair each (label, loop, expected index) with seeded Haar extensions.
 
     A certified pairing fails unless index == expected == -winding.
+
+    P M_ubar P = (P M_u P)*, so a loop whose conjugate (equal pieces) comes
+    earlier in the suite is not paired: its row for each B is the `adjoint`
+    of the conjugate's result, an uncertified one staying uncertified, and
+    its winding is minus the conjugate's.  Loops that are their own
+    conjugate, and loops whose conjugate is not in the suite, are paired.
     """
     suite = cfg.raw.get("suite", {})
     spec = cfg.operator_spec()
@@ -757,36 +751,48 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
     # each wedge loop is pulled back once; the label keeps the wedge text
     loops = [(label, pullback_loop(loop) if loop.is_wedge else loop, expect)
              for label, loop, expect in loops]
+    # conjugate_of[i]: the position of the paired loop that loop i is the
+    # conjugate of, or None when loop i is paired itself
+    paired, conjugate_of, windings = {}, [], []
+    for i, (_label, loop, _expect) in enumerate(loops):
+        j = paired.get(loop.conjugate().pieces)
+        conjugate_of.append(j)
+        if j is None:
+            paired.setdefault(loop.pieces, i)
+            windings.append(winding(loop))
+        else:
+            windings.append(-windings[j])
     # one eigenbasis per B, at the widest window any loop needs, shared by
-    # every pairing with that B; its store holds each loop's finite sections,
-    # which the pairing of the conjugate loop reads too
+    # every pairing with that B
     reach = max(loop.frequency_reach for _label, loop, _expect in loops)
-    bases = [_shared_basis(B, part, cutoffs, reach) for _label, _u, B in exts]
+    bases = [_basis(B, part, cutoffs, reach) for _label, _u, B in exts]
 
-    tasks = []
-    expected = []
-    for loop_label, loop, expect in loops:
-        wind = winding(loop)
-        for (ext_label, _u, B), basis in zip(exts, bases):
-            tasks.append((loop_label, loop, wind, ext_label, B, cutoffs, part, basis))
-            expected.append(expect)
-    outcomes = _run_pairings(tasks, cfg.jobs)
+    tasks = [(loop, B, cutoffs, part, basis)
+             for (_label, loop, _expect), j in zip(loops, conjugate_of) if j is None
+             for (_ext_label, _u, B), basis in zip(exts, bases)]
+    results = iter(_run_pairings(tasks, cfg.jobs))
 
-    failures = []
-    unstable = []
-    for (task, expect, outcome) in zip(tasks, expected, outcomes):
-        if not outcome["stable"]:
-            unstable.append({"loop": task[0], "extension": task[3]})
-        elif outcome["index"] != expect or outcome["index"] != -outcome["winding"]:
-            failures.append(
-                {
-                    "loop": task[0],
-                    "extension": task[3],
-                    "index": outcome["index"],
-                    "expected": expect,
-                }
-            )
-    rows = [o["row"] for o in outcomes]
+    outcomes = []       # per loop, its result with each B
+    rows, failures, unstable = [], [], []
+    for (loop_label, _loop, expect), j, wind in zip(loops, conjugate_of, windings):
+        if j is None:
+            outcomes.append([next(results) for _ext in exts])
+        else:
+            outcomes.append([res if isinstance(res, NumericalError) else adjoint(res)
+                             for res in outcomes[j]])
+        for (ext_label, _u, _B), res in zip(exts, outcomes[-1]):
+            rows.append(_pair_row(loop_label, ext_label, wind, res))
+            if not _certified(res):
+                unstable.append({"loop": loop_label, "extension": ext_label})
+            elif res.index != expect or res.index != -wind:
+                failures.append(
+                    {
+                        "loop": loop_label,
+                        "extension": ext_label,
+                        "index": res.index,
+                        "expected": expect,
+                    }
+                )
     return rows, failures, unstable, {"loops": len(loops), "extensions": len(exts)}
 
 
@@ -850,11 +856,11 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
         # the pullback doubles the frequency: wedge(z^n1|z^n2) reaches 4 pi max|n|
         basis_window(cfg.cutoffs(), 2 * TWO_PI * max_power)
         _check_suite_size((2 * max_power + 1) ** 2)
-        ns = range(-max_power, max_power + 1)
+        monomials = {n: UnitaryLoop.monomial(n) for n in range(-max_power, max_power + 1)}
         # the pullback of wedge(z^n1|z^n2) winds n1 + n2
         loops = [(f"wedge(z^{n1}|z^{n2})",
-                  UnitaryLoop.wedge_pair(UnitaryLoop.monomial(n1), UnitaryLoop.monomial(n2)),
-                  -(n1 + n2)) for n1 in ns for n2 in ns]
+                  UnitaryLoop.wedge_pair(monomials[n1], monomials[n2]),
+                  -(n1 + n2)) for n1 in monomials for n2 in monomials]
         rows, failures, unstable, info = _sweep(cfg, loops, 5)
     else:
         raise ValidationError(

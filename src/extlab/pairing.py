@@ -30,7 +30,6 @@ compared and any disagreement is raised, never silently resolved.
 
 from dataclasses import dataclass
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -490,8 +489,8 @@ def _kernel_trajectory(loop: UnitaryLoop, partition: Partition, cutoffs, lam, co
     eigenfunctions with eigenvalue at most L, rows those up to L + reach + PAD.
 
     Both windows depend on the loop only through `reach`, and the conjugate
-    loop has the same reach, so a loop's trajectory is the same whether its
-    own pairing or its conjugate's asks for it.
+    loop has the same reach, so the A(ubar) of u's pairing is the A of ubar's
+    own pairing: that is what makes the pairing of ubar u's `adjoint`.
     """
     out = []
     for Lam in cutoffs:
@@ -502,31 +501,13 @@ def _kernel_trajectory(loop: UnitaryLoop, partition: Partition, cutoffs, lam, co
     return tuple(out)
 
 
-class SharedBasis(NamedTuple):
-    """An `eigen_arrays` basis that a sweep shares between the pairings of one
-    B, with the kernel trajectories computed on it so far.
-
-    `trajectories` maps (loop pieces, cutoffs) to `_kernel_trajectory`'s
-    result.  Its values depend only on those and on the basis, so threads may
-    share the store: two that compute the same entry compute equal values.
-    """
-
-    lam: np.ndarray
-    coef: np.ndarray
-    trajectories: dict
-
-
 def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
     """The truncation route over the cutoff schedule, on an `eigen_arrays` basis.
 
     P M_ubar P = (P M_u P)*, so the cokernel of the section A(u) is read as the
-    kernel of A(ubar), the same finite section for the conjugate loop.  That
-    makes A(ubar) of u's pairing the very matrix ubar's own pairing calls A
-    (the windows depend only on the reach, which u and ubar share).  Each
-    loop's trajectory is looked up in a store keyed by its exact pieces: the
-    `SharedBasis`'s, which the pairings of u and ubar both read, or on a plain
-    basis one that lasts for this call (a loop that is its own conjugate is
-    then compressed once).
+    kernel of A(ubar), the same finite section for the conjugate loop (the
+    windows depend only on the reach, which u and ubar share).  A loop that
+    is its own conjugate (equal pieces) is compressed once.
 
     Returns (plateau, resolved, index).  `resolved` demands both the
     three-equal-indices plateau and a stable smallest retained singular value;
@@ -538,17 +519,13 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
     # same rule the spectrum applies at a window's edge
     keep = basis[0] <= cutoffs[-1] + reach + PAD + 1e-12
     lam, coef = basis[0][keep], basis[1][keep]
-    store = basis.trajectories if isinstance(basis, SharedBasis) else {}
-
-    def trajectory(u):
-        key = (u.pieces, cutoffs)
-        if key not in store:
-            store[key] = _kernel_trajectory(u, partition, cutoffs, lam, coef, reach)
-        return store[key]
+    conj = loop.conjugate()
+    kernels = _kernel_trajectory(loop, partition, cutoffs, lam, coef, reach)
+    cokernels = (kernels if conj.pieces == loop.pieces
+                 else _kernel_trajectory(conj, partition, cutoffs, lam, coef, reach))
 
     plateau, indices, smins = [], [], []
-    for Lam, (ker, smin_u), (coker, smin_c) in zip(cutoffs, trajectory(loop),
-                                                   trajectory(loop.conjugate())):
+    for Lam, (ker, smin_u), (coker, smin_c) in zip(cutoffs, kernels, cokernels):
         plateau.append((float(Lam), int(ker), int(coker)))
         indices.append(int(ker - coker))
         smins.append(min(smin_u, smin_c))
@@ -711,14 +688,11 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     once per B and share it between loops.  Without it the pairing builds its
     own at the loop's reach.
 
-    A `SharedBasis` also shares the finite sections: the cokernel of A(u) is
-    the kernel of A(ubar), which is ubar's own A on the same windows, so the
-    pairings of u and ubar on one shared basis compress and decompose each
-    loop once (4 assemblies and 4 SVDs each instead of 8).  The sharing is
-    exact: entries are keyed by the loop's exact pieces, so a pairing reads
-    only a trajectory computed for a loop equal to the one it would compress.
-    The symbol route is never shared; each pairing runs its own two
-    `symbol_index` calls.
+    Each pairing compresses and decomposes A(u) and A(ubar) at every cutoff
+    (4 assemblies and 4 SVDs each on the default schedule, one of each when u
+    is its own conjugate) and runs two `symbol_index` calls.  The pairing of
+    ubar is the `adjoint` of this result, so a sweep that holds both loops
+    pairs only one of them.
     """
     if loop.is_wedge:
         loop = pullback_loop(loop)
@@ -771,6 +745,22 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
             )
         return PairingResult(fs_index, tuple(plateau), True, "finite-section")
     return PairingResult(fs_index, tuple(plateau), False, "finite-section")
+
+
+def adjoint(result: PairingResult) -> PairingResult:
+    """The pairing of the conjugate loop ubar with the same B, read off u's.
+
+    P M_ubar P = (P M_u P)*, so ubar's index is minus u's, and at each cutoff
+    the kernel and cokernel of ubar's section are u's cokernel and kernel.
+    Every route treats the two alike: the finite section is the same pair of
+    matrices swapped, det of ubar's symbol is the conjugate of u's (the same
+    chord margin, the opposite winding), and the canonical representative
+    pairs with ubar to minus its pairing with u.  So `method` and `stable`
+    carry over, and ubar's row equals the one `pair(ubar, B)` returns.
+    """
+    return PairingResult(-result.index,
+                         tuple((L, coker, ker) for L, ker, coker in result.plateau),
+                         result.stable, result.method)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ solve that certifies the spectrum.
 """
 
 from dataclasses import dataclass, replace
+import math
 
 import numpy as np
 
@@ -173,11 +174,12 @@ def _tracked_roots(Bm, lengths, lo, hi):
     rows `np.searchsorted(branch, target)` probes on the whole lifted branch.
     The pairs search in step, one batched `eigvals` on the distinct probed
     rows a step, so only the rows some bracket needs are evaluated; then
-    every bracket is bisected to 1e-11 (`_bisect_branches`).
+    every bracket is bisected to 1e-11 (`_bisect_branches`).  The grid is
+    never formed: its rows are computed where they are read (`_ArangeRows`).
     """
     n = Bm.shape[0]
     pad = TRACK_STEP
-    grid = np.arange(lo - pad, hi + pad + TRACK_STEP, TRACK_STEP)
+    grid = _ArangeRows(lo - pad, hi + pad + TRACK_STEP, TRACK_STEP)
     lift = _branch_lift(Bm, lengths, grid)
     first, last = lift(np.array([0, len(grid) - 1]))
     targets = [np.arange(np.ceil(a / (2 * np.pi)), np.floor(b / (2 * np.pi)) + 1)
@@ -209,6 +211,26 @@ def _tracked_roots(Bm, lengths, lo, hi):
     return roots[(lo - 1e-12 <= roots) & (roots <= hi + 1e-12)]
 
 
+class _ArangeRows:
+    """The rows of np.arange(start, stop, step), computed on demand: numpy
+    fills row 1 with start + step and row k >= 2 with start + k delta, where
+    delta = (start + step) - start, and its length is ceil((stop - start) /
+    step).  Indexed by an int or an int array, bit for bit numpy's rows."""
+
+    def __init__(self, start, stop, step):
+        self.start = start
+        self.second = start + step
+        self.delta = self.second - start
+        self.size = max(math.ceil((stop - start) / step), 0)
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, rows):
+        rows = np.asarray(rows)
+        return np.where(rows == 1, self.second, self.start + rows * self.delta)
+
+
 def _branch_lift(Bm, lengths, grid):
     """The eigenphases of B Diag(e^{i lam l}) on the grid lifted to continuous
     increasing branches, as a function of grid rows: lift(rows)[r, j] is
@@ -225,7 +247,7 @@ def _branch_lift(Bm, lengths, grid):
     own eigenvalues alone.
     """
     n = Bm.shape[0]
-    total0 = _sorted_phases(Bm, lengths, grid[:1]).sum()
+    total0 = _sorted_phases(Bm, lengths, grid[[0]]).sum()
     rate = np.sum(lengths)
 
     def lift(rows):

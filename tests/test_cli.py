@@ -487,8 +487,8 @@ def _count_pairing_kernels(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, cfg, calls", [
-    # z^-3..z^3 against one B: z^n and z^-n read each other's finite sections,
-    # and z^0 is its own conjugate, so 7 loops x 4 cutoffs (56 unshared)
+    # z^-3..z^3 against one B: z^-3..z^-1 are paired, 8 matrices each, z^0 is
+    # its own conjugate (4), and z^1..z^3 are read off their conjugates
     pytest.param(("verify", "extension-independence"), {"suite": {"count": 1}}, 28,
                  id="sweep"),
     # a single pairing has no shared basis: A(u) and A(ubar) at each cutoff,
@@ -526,7 +526,41 @@ def test_a_sweep_takes_each_winding_once(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "out")]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["result"]["pairings"] == 10
-    assert len(wound) == 5 and len({id(loop) for loop in wound}) == 5
+    # z^1 and z^2 take minus the windings of z^-1 and z^-2
+    assert len(wound) == 3 and len({id(loop) for loop in wound}) == 3
+    _header, rows = _csv_rows(tmp_path / "out" / "verify-extension-independence.csv")
+    assert [int(row[3]) for row in rows] == [n for n in range(-2, 3) for _ in range(2)]
+
+
+@pytest.mark.parametrize("suite, options, paired", [
+    pytest.param("extension-independence", {}, [{-3: 1}, {-2: 1}, {-1: 1}, {0: 1}],
+                 id="monomials"),
+    # wedge(z^a|z^b) for |a|, |b| <= 1: the four loops before wedge(z^0|z^0),
+    # then that self-conjugate one; the other four are their conjugates
+    pytest.param("addition-dirac", {"max_power": 1}, 5, id="wedge"),
+])
+def test_a_sweep_pairs_each_conjugate_pair_once(tmp_path, monkeypatch, capsys,
+                                                suite, options, paired):
+    from extlab import cli
+
+    loops = []
+    original = cli.pair
+
+    def pair(loop, *args, **kwargs):
+        loops.append(loop)
+        return original(loop, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "pair", pair)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": dict(options, count=1)}), encoding="utf-8")
+    assert cli.main(["verify", suite, "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    if isinstance(paired, int):
+        assert len(loops) == paired
+    else:
+        assert [loop.coefficients for loop in loops] == paired
+    assert rep["result"]["pairings"] == rep["result"]["loops"] > len(loops)
 
 
 # ---------------------------------------------------------------------------

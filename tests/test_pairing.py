@@ -12,8 +12,6 @@ Oracles used here:
 
 import cmath
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -37,6 +35,7 @@ from extlab.pairing import (
     _cuts,
     _sandwich_matrix,
     _terms_at,
+    adjoint,
     commutator_norm_estimate,
     compression_matrix,
     derivative_sup,
@@ -675,7 +674,7 @@ def test_eigen_arrays_are_read_only_and_bounded():
 
 
 # ---------------------------------------------------------------------------
-# conjugate loops and shared finite sections
+# conjugate loops and adjoint pairings
 
 
 def _conjugate_suites():
@@ -716,8 +715,9 @@ def test_the_conjugate_loop_pairs_to_the_adjoint(B):
 
 @pytest.mark.parametrize("B", _ADJOINT_BS[::2])
 def test_a_loops_conjugate_has_the_finite_sections_of_the_suites_conjugate(B):
-    # the store keys a trajectory by the loop's pieces; u.conjugate() and the
-    # suite's own ubar have equal pieces and must give the same trajectory
+    # a sweep finds a loop's conjugate by its pieces, and `_finite_section`
+    # keys its store by them; u.conjugate() and the suite's own ubar have
+    # equal pieces and must give the same trajectory
     if isinstance(B, int):
         B = random_boundary(B)
     part = Partition.default()
@@ -730,49 +730,44 @@ def test_a_loops_conjugate_has_the_finite_sections_of_the_suites_conjugate(B):
             pairing._kernel_trajectory(conj, part, DEFAULT_CUTOFFS, lam, coef, reach)
 
 
-def test_a_shared_basis_gives_the_unshared_results():
-    part = Partition.default()
-    B = random_boundary(31)
-    shared = pairing.SharedBasis(*eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi), {})
-    loops = [loop for loop, _conj in _conjugate_suites()]
-    for loop in loops:
-        assert _answer(loop, B, basis=shared) == _answer(loop, B)
-    # one trajectory per distinct loop: the wedge(z^a|z^a) pullbacks are z^2a
-    assert len(shared.trajectories) == len({loop.pieces for loop in loops}) == 29
+def _row(res):
+    """A pairing's row fields; "uncertified" for the NumericalError it raised
+    (the message names the index each route found, which the conjugate negates)."""
+    if isinstance(res, NumericalError):
+        return "uncertified"
+    return res.plateau, res.index, res.stable, res.method
 
 
-def test_loops_of_equal_reach_keep_their_own_finite_sections():
-    part = Partition.default()
-    B = random_boundary(3)
-    square = UnitaryLoop.monomial(2)
-    wedge = pullback_loop(UnitaryLoop.wedge_pair(UnitaryLoop.monomial(0),
-                                                 UnitaryLoop.monomial(1)))
-    assert square.frequency_reach == wedge.frequency_reach
-    shared = pairing.SharedBasis(*eigen_arrays(B, part, DEFAULT_CUTOFFS, 4 * math.pi), {})
-    for loop in (square, wedge):
-        assert _answer(loop, B, basis=shared) == _answer(loop, B)
-    assert len(shared.trajectories) == 4
-    assert (shared.trajectories[(square.pieces, DEFAULT_CUTOFFS)]
-            != shared.trajectories[(wedge.pieces, DEFAULT_CUTOFFS)])
-
-
-def test_threads_sharing_a_store_get_the_serial_results():
-    # threads may both compute an entry; either value is the serial one
-    part = Partition.default()
-    B = random_boundary(47)
-    lam, coef = eigen_arrays(B, part, FAST, 8 * math.pi)
-    loops = [loop for pair_ in _conjugate_suites() for loop in pair_]
-    serial_basis = pairing.SharedBasis(lam, coef, {})
-    serial = [_answer(loop, B, cutoffs=FAST, basis=serial_basis) for loop in loops]
-    shared = pairing.SharedBasis(lam, coef, {})
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+def _paired(loop, B, **kwargs):
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(_answer, loop, B, cutoffs=FAST, basis=shared)
-                       for loop in loops]
-            threaded = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
-    assert shared.trajectories == serial_basis.trajectories
+        return pair(loop, B, **kwargs)
+    except NumericalError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("B, routes", [
+    pytest.param(31, {"finite-section", "symbol-winding"}, id="haar-31"),
+    pytest.param(np.eye(2), {"finite-section", "extension-independence"}, id="identity"),
+    pytest.param(13, {"finite-section", "symbol-winding", "uncertified"}, id="haar-13"),
+])
+def test_a_loops_adjoint_is_its_conjugates_pairing(B, routes):
+    # a sweep pairs u on the basis it shares between its loops and reads
+    # ubar's row off it; pair(ubar) on ubar's own basis must give that row.
+    # B = I takes the canonical representative for odd loops, and B13 leaves
+    # z^+-1 uncertified (the finite section reads 0 where the symbol reads -+1)
+    if isinstance(B, int):
+        B = random_boundary(B)
+    basis = eigen_arrays(B, Partition.default(), DEFAULT_CUTOFFS, 8 * math.pi)
+    seen = set()
+    for loop, conj in _conjugate_suites():
+        res = _paired(loop, B, basis=basis)
+        derived = res if isinstance(res, NumericalError) else adjoint(res)
+        assert _row(derived) == _row(_paired(conj, B))
+        seen.add(_row(derived) if isinstance(derived, NumericalError) else derived.method)
+    assert seen == routes
+
+
+def test_the_adjoint_swaps_kernel_and_cokernel():
+    res = pairing.PairingResult(-2, ((8.0, 0, 2), (16.0, 1, 3)), True, "finite-section")
+    assert _row(adjoint(res)) == (((8.0, 2, 0), (16.0, 3, 1)), 2, True, "finite-section")
+    assert _row(adjoint(adjoint(res))) == _row(res)

@@ -275,6 +275,45 @@ def test_tracking_evaluates_only_the_bracketing_rows(monkeypatch):
     assert sum(matrices) < 2000
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_the_tracking_grid_is_numpys_arange(seed):
+    # rows are computed where they are read, bit for bit np.arange's, on
+    # windows up to the widest a pairing basis may ask for
+    rng = np.random.default_rng(seed)
+    step = spectral.TRACK_STEP
+    # (stop - start) / step is a whole number on the fixed windows
+    fixed = [(0.0, 0.0), (0.0, 4 * np.pi), (step, 4 * np.pi), (-step, -step)]
+    random = []
+    for lo in rng.uniform(-4096 * np.pi, 4096 * np.pi, 60).tolist():
+        scale = float(rng.choice([1e-6, 1e-2, 1.0]))
+        random.append((lo, lo + float(rng.uniform(0.0, 4096 * np.pi)) * scale))
+    for lo, hi in fixed + random:
+        ref = np.arange(lo - step, hi + step + step, step)
+        grid = spectral._ArangeRows(lo - step, hi + step + step, step)
+        assert len(grid) == len(ref)
+        rows = np.concatenate([np.arange(min(len(ref), 8)),
+                               np.arange(max(len(ref) - 8, 0), len(ref)),
+                               rng.integers(0, len(ref), 500)])
+        assert np.array_equal(grid[rows], ref[rows])
+        assert grid[1] == ref[1] and grid[len(ref) - 1] == ref[-1]
+
+
+@pytest.mark.parametrize("npieces", [2, 3, 5, 8, 12, 16])
+def test_tracked_root_count_is_bounded_by_the_branches(npieces):
+    # each of the n branches rises and they sum to theta_0 + lam sum(l), so a
+    # window of width W holds W sum(l) / 2 pi roots up to n
+    rng = np.random.default_rng(npieces)
+    for seed in range(3):
+        cuts = np.sort(rng.uniform(0.0, 1.0, npieces - 1))
+        part = Partition((0.0, *cuts.tolist(), 1.0))
+        lengths = np.asarray(part.lengths)
+        assert np.ptp(lengths) > 1e-3
+        lo = float(rng.uniform(-200.0, 200.0))
+        hi = lo + float(rng.uniform(0.0, 200.0))
+        roots = spectral._tracked_roots(_haar_boundary(part, seed), lengths, lo, hi)
+        assert abs(len(roots) - (hi - lo) * lengths.sum() / (2 * np.pi)) <= npieces
+
+
 def test_window_validation():
     with pytest.raises(ValidationError):
         eigenphases(SWAP, PART, (3.0, -3.0))
