@@ -49,7 +49,6 @@ from .pairing import (
     basis_window,
     eigen_arrays,
     pair,
-    pullback_loop,
     winding,
 )
 from .spectral import RESIDUAL_TOL, eigenphases
@@ -393,10 +392,10 @@ class ExperimentConfig:
                 raise ValidationError(f"unknown anchor {name!r} (swap|identity)")
             return [(name, u, self._to_boundary(spec, u))]
         if "matrix" in entry:
-            u = ExtensionUnitary(_parse_complex_matrix(entry["matrix"]))
+            u = ExtensionUnitary(_parse_complex_matrix(entry["matrix"], n, "matrix"))
             return [("explicit-u", u, self._to_boundary(spec, u))]
         if "boundary" in entry:
-            B = BoundaryMatrix(_parse_complex_matrix(entry["boundary"]))
+            B = BoundaryMatrix(_parse_complex_matrix(entry["boundary"], n, "boundary"))
             return [("explicit-B", unitary_from_boundary(spec, B), B)]
         if "random" in entry:
             opts = entry["random"]
@@ -466,11 +465,15 @@ def _parse_complex(val):
     raise ValidationError(f"complex values must be numbers or [re, im]: {val!r}")
 
 
-def _parse_complex_matrix(rows):
+def _parse_complex_matrix(rows, n: int, what: str):
+    """An n x n extension matrix: n is the deficiency index."""
     if (not isinstance(rows, (list, tuple)) or not rows
             or any(not isinstance(row, (list, tuple)) or len(row) != len(rows[0])
                    for row in rows)):
         raise ValidationError("matrix must be a list of rows of equal length")
+    if (len(rows), len(rows[0])) != (n, n):
+        raise ValidationError(f"{what} is {len(rows)}x{len(rows[0])}, but the deficiency "
+                              f"index is {n}: it must be {n}x{n}")
     return np.array([[_parse_complex(v) for v in row] for row in rows], dtype=complex)
 
 
@@ -648,7 +651,7 @@ def _pair_task(loop, B, cutoffs, partition, basis=None):
     """One pairing work item: `pair`'s result, or the NumericalError that
     leaves this pairing uncertified.
 
-    `loop` is a circle loop (wedge loops come pulled back).  `basis` is an
+    `loop` is any loop, a wedge loop being its pinch pullback.  `basis` is an
     `eigen_arrays` basis, or the NumericalError that building it raised,
     which is this pairing's error like any other.
     """
@@ -690,8 +693,6 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
     cutoffs = cfg.cutoffs()
     entries = cfg.extensions(spec, default=[{"anchor": "swap"}])
 
-    if loop.is_wedge:
-        loop = pullback_loop(loop)
     wind = winding(loop)
     outcomes = _run_pairings([(loop, B, cutoffs, part) for _label, _u, B in entries],
                              cfg.jobs)
@@ -732,7 +733,9 @@ def _basis(B, partition, cutoffs, reach):
 def _sweep(cfg: ExperimentConfig, loops, default_count: int):
     """Pair each (label, loop, expected index) with seeded Haar extensions.
 
-    A certified pairing fails unless index == expected == -winding.
+    A certified pairing fails unless index == expected == -winding.  A wedge
+    loop is its pinch pullback, built once with the suite; its label keeps
+    the wedge text.
 
     P M_ubar P = (P M_u P)*, so a loop whose conjugate (equal pieces) comes
     earlier in the suite is not paired: its row for each B is the `adjoint`
@@ -748,9 +751,6 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
                                               "count": suite.get("count", default_count)}},
                                   spec)
 
-    # each wedge loop is pulled back once; the label keeps the wedge text
-    loops = [(label, pullback_loop(loop) if loop.is_wedge else loop, expect)
-             for label, loop, expect in loops]
     # conjugate_of[i]: the position of the paired loop that loop i is the
     # conjugate of, or None when loop i is paired itself
     paired, conjugate_of, windings = {}, [], []

@@ -539,7 +539,6 @@ class IdentityCheck:
 @dataclass(frozen=True)
 class KsumReport:
     checks: Tuple[IdentityCheck, ...]
-    genus_bound: int
 
     @property
     def passed(self) -> bool:
@@ -548,15 +547,6 @@ class KsumReport:
     @property
     def failures(self) -> Tuple[IdentityCheck, ...]:
         return tuple(c for c in self.checks if not c.ok)
-
-    def summary(self) -> str:
-        n_ok = sum(1 for c in self.checks if c.ok)
-        lines = [
-            f"{n_ok}/{len(self.checks)} exact integer identities verified "
-            f"(genus grid 0..{self.genus_bound})"
-        ]
-        lines.extend(c.describe() for c in self.failures)
-        return "\n".join(lines)
 
 
 def _check(name, g1, g2, lhs, rhs, expect_equal=True) -> IdentityCheck:
@@ -626,7 +616,7 @@ def verify_identities(genus_bound: int = 6) -> KsumReport:
         for g2 in range(genus_bound + 1):
             checks.extend(_pair_checks(g1, g2))
 
-    return KsumReport(tuple(checks), genus_bound)
+    return KsumReport(tuple(checks))
 
 
 def _pair_checks(g1: int, g2: int):

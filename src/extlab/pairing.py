@@ -26,6 +26,10 @@ combined, from cheapest to most general:
 
 Results report the route used; whenever routes 1 and 2 both certify they are
 compared and any disagreement is raised, never silently resolved.
+
+A pair of loops on the wedge of two circles enters as its pullback along the
+pinch S^1 -> S^1 v S^1 (``UnitaryLoop.wedge_pair``), as the addition formula
+evaluates it, so every route above sees one kind of loop.
 """
 
 from dataclasses import dataclass
@@ -67,6 +71,10 @@ MAX_BASIS_WINDOW = 4096 * np.pi
 MARGIN = 0.1
 _MARGIN_POINTS = 4096      # the modulus check's grid k / 4096
 
+#: the largest sum of coefficient moduli a loop piece may carry, so that |u|^2
+#: and the symbol determinant u(x/2) u((x+1)/2) stay finite
+MAX_COEFFICIENT_SUM = 1e150
+
 
 # ---------------------------------------------------------------------------
 # loops
@@ -74,28 +82,23 @@ _MARGIN_POINTS = 4096      # the modulus check's grid k / 4096
 
 @dataclass(frozen=True, eq=False)
 class UnitaryLoop:
-    """An invertible function on the circle, or a compatible pair on a wedge.
+    """An invertible function on the circle.
 
-    Internally a loop is a tuple of pieces ``(lo, hi, ((nu, c), ...))``, each
-    a finite sum of c e^{i nu theta} on [lo, hi).  A plain Fourier series is
-    the single piece [0, 1) with nu = 2 pi m; ``coefficients`` then exposes
-    the series.  Pullbacks of wedge pairs stay exact in this representation
-    (piecewise with nu = 4 pi m), see ``pullback_loop``.
+    A loop is a tuple of pieces ``(lo, hi, ((nu, c), ...))``, each a finite
+    sum of c e^{i nu theta} on [lo, hi).  A plain Fourier series is the
+    single piece [0, 1) with nu = 2 pi m.  A pair of loops on the wedge of
+    two circles is built as its pullback along the pinch, which stays exact
+    in this representation (piecewise with nu = 4 pi m), see ``wedge_pair``.
     """
 
-    pieces: tuple = None
-    coefficients: dict = None
-    wedge: tuple = None
+    pieces: tuple
 
     def __post_init__(self):
-        if self.wedge is not None:
-            u1, u2 = self.wedge
-            if abs(u1(0.0) - u2(0.0)) > 1e-12:
-                raise ValidationError("wedge components disagree at the base point")
-            return
-        if self.pieces is None:
-            raise StructuralError("a non-wedge loop needs pieces")
         object.__setattr__(self, "pieces", _normalize_pieces(self.pieces))
+        total = max(sum(abs(c) for _nu, c in terms) for _lo, _hi, terms in self.pieces)
+        if not total <= MAX_COEFFICIENT_SUM:
+            raise ValidationError(f"loop coefficient moduli sum to {total:.3g} on a piece; "
+                                  f"the limit is {MAX_COEFFICIENT_SUM:.0e}")
         vals = np.abs(self.grid(_MARGIN_POINTS))
         if np.min(vals) <= MARGIN:
             raise IllConditionedLoopError(
@@ -106,8 +109,7 @@ class UnitaryLoop:
 
     @classmethod
     def from_fourier(cls, coefficients: dict) -> "UnitaryLoop":
-        clean = {int(m): complex(c) for m, c in coefficients.items()}
-        return cls(pieces=((0.0, 1.0, _fourier_terms(coefficients)),), coefficients=clean)
+        return cls(pieces=((0.0, 1.0, _fourier_terms(coefficients.items())),))
 
     @classmethod
     def monomial(cls, n: int) -> "UnitaryLoop":
@@ -119,19 +121,31 @@ class UnitaryLoop:
 
     @classmethod
     def wedge_pair(cls, u1: "UnitaryLoop", u2: "UnitaryLoop") -> "UnitaryLoop":
-        if u1.wedge is not None or u2.wedge is not None:
-            raise StructuralError("wedge components must be circle loops")
-        return cls(wedge=(u1, u2))
+        """The pullback of the pair (u1, u2) on the wedge of two circles along
+        the pinch p (theta -> 2 theta on each half).
+
+        The result is exact: on [0, 1/2) it is u1(2 theta), on [1/2, 1) it is
+        u2(2 theta - 1), and both halves are finite sums of e^{4 pi i m theta}
+        (integer m makes the e^{-4 pi i m / 2} phases collapse), so each
+        frequency doubles.  When the two halves carry identical terms the
+        pieces merge into one plain Fourier series with doubled bandwidth.
+        """
+        if abs(u1(0.0) - u2(0.0)) > 1e-12:
+            raise ValidationError("wedge components disagree at the base point")
+        halves = []
+        for u in (u1, u2):
+            (_lo, _hi, terms), *rest = u.pieces
+            ms = [nu / TWO_PI for nu, _c in terms]
+            if rest or any(abs(m - round(m)) > 1e-9 for m in ms):
+                raise StructuralError("wedge components must be plain Fourier loops")
+            halves.append(_fourier_terms((2 * round(m), c) for m, (_nu, c) in zip(ms, terms)))
+        if halves[0] == halves[1]:
+            return cls(pieces=((0.0, 1.0, halves[0]),))
+        return cls(pieces=((0.0, 0.5, halves[0]), (0.5, 1.0, halves[1])))
 
     # -- basic queries ---------------------------------------------------------
 
-    @property
-    def is_wedge(self) -> bool:
-        return self.wedge is not None
-
     def __call__(self, theta):
-        if self.is_wedge:
-            raise StructuralError("a wedge pair has no single-circle values; pull it back")
         th = np.asarray(theta, dtype=float)
         if not np.all((th >= 0.0) & (th < 1.0)):
             # np.mod is the identity on [0, 1), and costs more than the check
@@ -142,41 +156,28 @@ class UnitaryLoop:
     def grid(self, npoints: int, offset: float = 0.0) -> np.ndarray:
         """Values at the uniform grid (k + offset) / npoints, k < npoints
         (see `_grid_values`)."""
-        if self.is_wedge:
-            raise StructuralError("a wedge pair has no single-circle values; pull it back")
         return _grid_values(self.pieces, npoints, offset)
 
     def conjugate(self) -> "UnitaryLoop":
-        if self.is_wedge:
-            return UnitaryLoop(wedge=(self.wedge[0].conjugate(), self.wedge[1].conjugate()))
         pieces = tuple(
             (lo, hi, tuple((-nu, np.conj(c)) for nu, c in terms))
             for lo, hi, terms in self.pieces
         )
-        coeffs = None
-        if self.coefficients is not None:
-            coeffs = {-m: np.conj(c) for m, c in self.coefficients.items()}
-        # |conj(u)| = |u|: the modulus check this loop passed holds for its
-        # conjugate, which is built without repeating it
+        # |conj(u)| = |u|: the checks this loop passed hold for its
+        # conjugate, which is built without repeating them
         loop = object.__new__(UnitaryLoop)
-        for name, value in (("pieces", pieces), ("coefficients", coeffs), ("wedge", None)):
-            object.__setattr__(loop, name, value)
+        object.__setattr__(loop, "pieces", pieces)
         return loop
 
     def product(self, other: "UnitaryLoop") -> "UnitaryLoop":
         """Pointwise product (stays exact: exponents add on a common refinement)."""
-        if self.is_wedge or other.is_wedge:
-            raise StructuralError("products of wedge pairs are not defined here")
         cuts = _cuts([p[0] for p in self.pieces], other.pieces)
         pieces = []
         for lo, hi in zip(cuts, cuts[1:]):
             mid = 0.5 * (lo + hi)
             terms = _convolve(_terms_at(self.pieces, mid), _terms_at(other.pieces, mid))
             pieces.append((lo, hi, tuple(sorted(terms.items()))))
-        coeffs = None
-        if self.coefficients is not None and other.coefficients is not None:
-            coeffs = _convolve(self.coefficients.items(), other.coefficients.items())
-        return UnitaryLoop(pieces=tuple(pieces), coefficients=coeffs)
+        return UnitaryLoop(pieces=tuple(pieces))
 
     @property
     def frequency_reach(self) -> float:
@@ -192,8 +193,6 @@ class UnitaryLoop:
         loops with mismatched halves have 1/m coefficient tails and may admit
         no acceptable finite bandwidth).
         """
-        if self.is_wedge:
-            raise StructuralError("pull a wedge pair back before re-expanding")
         ms = np.arange(-bandwidth, bandwidth + 1)
         cm = np.zeros(len(ms), dtype=complex)
         norm2 = 0.0
@@ -223,9 +222,9 @@ def _normalize_pieces(pieces):
     return pieces
 
 
-def _fourier_terms(coefficients: dict):
-    """The (nu, c) terms of a Fourier series {m: c}, with nu = 2 pi m."""
-    return tuple(sorted(((TWO_PI * m, complex(c)) for m, c in coefficients.items()),
+def _fourier_terms(coefficients):
+    """The (nu, c) terms of a Fourier series with (m, c) pairs, nu = 2 pi m."""
+    return tuple(sorted(((TWO_PI * m, complex(c)) for m, c in coefficients),
                         key=lambda t: t[0]))
 
 
@@ -342,8 +341,6 @@ def _piece_selections(pieces, th: np.ndarray):
 
 def winding(loop: UnitaryLoop, ngrid: int = 4096) -> int:
     """(1/2pi) x total unwrapped argument increment around the circle."""
-    if loop.is_wedge:
-        raise StructuralError("wedge pairs have no single winding; pull back first")
     vals = loop.grid(ngrid)
     mods = np.abs(vals)
     if np.min(mods) <= MARGIN:
@@ -356,33 +353,6 @@ def winding(loop: UnitaryLoop, ngrid: int = 4096) -> int:
     if abs(total - w) > 0.01:
         raise IllConditionedLoopError(f"winding residue {abs(total - w):.3e} too large")
     return w
-
-
-# ---------------------------------------------------------------------------
-# pullback along the pinch
-# ---------------------------------------------------------------------------
-
-def pullback_loop(wedge_loop: UnitaryLoop, pinch: str = "double-cover") -> UnitaryLoop:
-    """Compose a wedge pair with the pinch p (theta -> 2 theta on each half).
-
-    The result is exact: on [0, 1/2) it is u1(2 theta), on [1/2, 1) it is
-    u2(2 theta - 1), and both halves are finite sums of e^{4 pi i m theta}
-    (integer m makes the e^{-4 pi i m /2} phases collapse).  When the two
-    halves carry identical coefficients the pieces merge into one plain
-    Fourier series with doubled bandwidth.
-    """
-    if pinch != "double-cover":
-        raise ValidationError(f"unknown pinch map {pinch!r}")
-    if not wedge_loop.is_wedge:
-        raise StructuralError("pullback_loop expects a wedge pair")
-    u1, u2 = wedge_loop.wedge
-    if u1.coefficients is None or u2.coefficients is None:
-        raise StructuralError("wedge components must be plain Fourier loops")
-    d1 = {2 * m: c for m, c in u1.coefficients.items()}
-    d2 = {2 * m: c for m, c in u2.coefficients.items()}
-    if d1 == d2:
-        return UnitaryLoop.from_fourier(d1)
-    return UnitaryLoop(pieces=((0.0, 0.5, _fourier_terms(d1)), (0.5, 1.0, _fourier_terms(d2))))
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +651,13 @@ _CANONICAL_B = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
          basis=None) -> PairingResult:
-    """Index pairing of a loop with the extension of boundary matrix B.
+    """Index pairing of a loop with the extension of boundary matrix B; a
+    wedge pair comes as its pinch pullback (`UnitaryLoop.wedge_pair`).
 
     `basis` is an `eigen_arrays(B, partition, cutoffs, reach)` result with
-    reach at least the (pulled-back) loop's frequency reach; sweeps build it
-    once per B and share it between loops.  Without it the pairing builds its
-    own at the loop's reach.
+    reach at least the loop's frequency reach; sweeps build it once per B and
+    share it between loops.  Without it the pairing builds its own at the
+    loop's reach.
 
     Each pairing compresses and decomposes A(u) and A(ubar) at every cutoff
     (4 assemblies and 4 SVDs each on the default schedule, one of each when u
@@ -694,8 +665,6 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     ubar is the `adjoint` of this result, so a sweep that holds both loops
     pairs only one of them.
     """
-    if loop.is_wedge:
-        loop = pullback_loop(loop)
     if partition is None:
         partition = Partition.default()
     cutoffs = DEFAULT_CUTOFFS if cutoffs is None else tuple(cutoffs)
@@ -775,11 +744,9 @@ def _multiplier_pieces(f):
     explicit piece tuple.
     """
     if isinstance(f, UnitaryLoop):
-        if f.is_wedge:
-            raise StructuralError("pull the wedge function back before estimating")
         return f.pieces
     if isinstance(f, dict):
-        return ((0.0, 1.0, _fourier_terms(f)),)
+        return ((0.0, 1.0, _fourier_terms(f.items())),)
     return _normalize_pieces(f)
 
 

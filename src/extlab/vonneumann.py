@@ -262,7 +262,6 @@ class Extension:
     spec: OperatorSpec
     unitary: ExtensionUnitary
     boundary: BoundaryMatrix
-    description: str
 
     @property
     def minus_basis(self):
@@ -296,12 +295,7 @@ def build_extension(spec: OperatorSpec, u: ExtensionUnitary) -> Extension:
         raise StructuralError(
             f"unitary size {u.size} != deficiency index {spec.deficiency_index}"
         )
-    B = boundary_matrix_general(spec, u)
-    desc = (
-        "dom(T_u) = { xi + eta + u(eta) : xi in minimal domain, "
-        "eta in Ker(T*-i) }; action T(xi) + i eta - i u(eta); traces obey L = B R"
-    )
-    return Extension(spec=spec, unitary=u, boundary=B, description=desc)
+    return Extension(spec=spec, unitary=u, boundary=boundary_matrix_general(spec, u))
 
 
 def extension_from_boundary(spec: OperatorSpec, B: BoundaryMatrix) -> Extension:

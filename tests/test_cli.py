@@ -203,6 +203,34 @@ def test_malformed_config_numbers_exit_2(tmp_path, argv, config, env):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, config, size, index", [
+    pytest.param(("pair",), {"loop": 1, "extension": {"boundary": [[1]]}}, 1, 2,
+                 id="pair-boundary"),
+    pytest.param(("spectrum",), {"extension": {"boundary": [[1]]}}, 1, 2, id="spectrum-boundary"),
+    pytest.param(("spectrum",), {"extension": {"matrix": [[1]]}}, 1, 2, id="spectrum-matrix"),
+] + [pytest.param((command,), {"partition": [0, 0.3, 0.6, 1], "extension": {key: [[0, 1], [1, 0]]}},
+                  2, 3, id=f"three-pieces-{command}-{key}")
+     for command in ("spectrum", "boundary-matrix") for key in ("matrix", "boundary")])
+def test_an_extension_of_the_wrong_size_exits_2(tmp_path, argv, config, size, index):
+    proc = run_cli(*argv, config=config, tmp_path=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"is {size}x{size}, but the deficiency index is {index}" in proc.stderr
+
+
+@pytest.mark.parametrize("big, code", [(1e308, 2), (1e200, 2), (1e150, 0)])
+def test_loop_coefficients_past_the_bound_are_refused(tmp_path, big, code):
+    # past the bound |u|^2 overflows, and neither the kernel SVD nor the
+    # symbol winding can finish
+    proc = run_cli("pair", config={"loop": {"fourier": {"1": 1, "2": big}}}, tmp_path=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert "the limit is 1e+150" in proc.stderr
+    else:
+        assert report_of(proc)["result"]["pairings"][0]["index"] == -2
+
+
 @pytest.mark.parametrize("value, kind", [(1.5, int), (-1.7, int), (True, int), (True, float),
                                          (False, float)])
 def test_numbers_refuse_fractions_and_booleans_by_field(value, kind):
@@ -612,19 +640,18 @@ def test_verify_addition_dirac_small(tmp_path):
     assert rep["result"]["failures"] == []
 
 
-def test_a_sweep_pulls_each_wedge_loop_back_once(tmp_path, monkeypatch, capsys):
-    from extlab import cli, pairing
+def test_a_sweep_builds_each_wedge_loop_once(tmp_path, monkeypatch, capsys):
+    from extlab import cli
+    from extlab.pairing import UnitaryLoop
 
-    original = pairing.pullback_loop
-    calls = []
+    original = UnitaryLoop.wedge_pair
+    built = []
 
-    def pullback_loop(loop, *args, **kwargs):
-        calls.append(loop)
-        return original(loop, *args, **kwargs)
+    def wedge_pair(cls, u1, u2):
+        built.append(original(u1, u2))
+        return built[-1]
 
-    # pair() would look the function up in pairing, the sweep in cli
-    monkeypatch.setattr(pairing, "pullback_loop", pullback_loop)
-    monkeypatch.setattr(cli, "pullback_loop", pullback_loop)
+    monkeypatch.setattr(UnitaryLoop, "wedge_pair", classmethod(wedge_pair))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"suite": {"count": 2, "max_power": 1}}), encoding="utf-8")
     code = cli.main(["verify", "addition-dirac", "--config", str(config),
@@ -632,8 +659,8 @@ def test_a_sweep_pulls_each_wedge_loop_back_once(tmp_path, monkeypatch, capsys):
     assert code == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["result"]["pairings"] == 18
-    # 9 wedge loops, 2 extensions: one pullback per loop, shared by both B
-    assert len(calls) == 9
-    assert len({id(loop) for loop in calls}) == 9
+    # 9 wedge loops, 2 extensions: each loop is built once, as its pullback,
+    # and shared by both B
+    assert len(built) == 9
     _header, rows = _csv_rows(tmp_path / "out" / "verify-addition-dirac.csv")
     assert rows[0][0] == "wedge(z^-1|z^-1)"

@@ -33,6 +33,7 @@ from extlab.pairing import (
     UnitaryLoop,
     _chord_margin,
     _cuts,
+    _fourier_terms,
     _sandwich_matrix,
     _terms_at,
     adjoint,
@@ -41,7 +42,6 @@ from extlab.pairing import (
     derivative_sup,
     eigen_arrays,
     pair,
-    pullback_loop,
     symbol_index,
     winding,
 )
@@ -202,10 +202,19 @@ def test_conjugate_keeps_the_modulus_verdict(monkeypatch):
     assert calls == []
     th = np.linspace(0.0, 1.0, 101, endpoint=False)
     assert np.array_equal(conj(th), np.conj(loop(th)))
-    assert conj.coefficients is None and not conj.is_wedge
     fourier = UnitaryLoop.from_fourier({2: 1.0, -1: 0.3j})
     calls.clear()
-    assert fourier.conjugate().coefficients == {-2: 1.0, 1: -0.3j} and calls == []
+    conj = fourier.conjugate()
+    assert calls == []
+    assert np.array_equal(conj(th), np.conj(fourier(th)))
+
+
+def test_loops_past_the_coefficient_bound_are_refused():
+    bound = pairing.MAX_COEFFICIENT_SUM
+    UnitaryLoop.from_fourier({1: 1.0, 2: bound})        # 1 + bound rounds to bound
+    for coefficients in ({1: bound, 2: bound}, {0: math.nan}):
+        with pytest.raises(ValidationError, match="the limit is 1e"):
+            UnitaryLoop.from_fourier(coefficients)
 
 
 def test_margin_guard_rejects_vanishing_loops():
@@ -289,14 +298,13 @@ def _sweep_loops():
     pullbacks of addition-dirac), plus multi-term Fourier loops and a
     pullback with two terms on each piece."""
     loops = [UnitaryLoop.monomial(n) for n in range(-3, 4)]
-    loops += [pullback_loop(UnitaryLoop.wedge_pair(UnitaryLoop.monomial(n1),
-                                                   UnitaryLoop.monomial(n2)))
+    loops += [UnitaryLoop.wedge_pair(UnitaryLoop.monomial(n1), UnitaryLoop.monomial(n2))
               for n1 in range(-2, 3) for n2 in range(-2, 3)]
     return loops + _multi_term_loops()
 
 
 def _multi_term_loops():
-    wedge = pullback_loop(UnitaryLoop.wedge_pair(UnitaryLoop.monomial(2), UnitaryLoop.monomial(-1)))
+    wedge = UnitaryLoop.wedge_pair(UnitaryLoop.monomial(2), UnitaryLoop.monomial(-1))
     return [
         UnitaryLoop.from_fourier({-1: 1.0, 0: 0.3, 1: 0.15}),
         UnitaryLoop.from_fourier({2: 1.0, 3: 0.2, 0: 0.15j, -1: 0.1}),
@@ -534,8 +542,7 @@ def test_pair_rejects_non_unitary_boundary():
 
 
 def test_pullback_pieces_are_exact():
-    w = UnitaryLoop.wedge_pair(UnitaryLoop.monomial(2), UnitaryLoop.monomial(-1))
-    p = pullback_loop(w)
+    p = UnitaryLoop.wedge_pair(UnitaryLoop.monomial(2), UnitaryLoop.monomial(-1))
     (lo1, hi1, t1), (lo2, hi2, t2) = p.pieces
     assert (lo1, hi1, lo2, hi2) == (0.0, 0.5, 0.5, 1.0)
     assert t1 == ((4.0 * math.pi * 2.0, 1.0 + 0.0j),)
@@ -544,19 +551,64 @@ def test_pullback_pieces_are_exact():
     assert winding(p) == brute_winding(p) == 1
 
 
+def _reference_pullback(c1: dict, c2: dict) -> UnitaryLoop:
+    """Reference: the pinch pullback of the wedge pair of the Fourier series
+    c1 and c2, read off their integer coefficient dicts {m: c}.  Each m
+    doubles; equal halves merge into one series."""
+    d1 = {2 * m: complex(c) for m, c in c1.items()}
+    d2 = {2 * m: complex(c) for m, c in c2.items()}
+    if d1 == d2:
+        return UnitaryLoop.from_fourier(d1)
+    return UnitaryLoop(pieces=((0.0, 0.5, _fourier_terms(d1.items())),
+                               (0.5, 1.0, _fourier_terms(d2.items()))))
+
+
+_SERIES = {-1: 0.25j, 0: 1.0, 2: -0.25j}
+
+
+@pytest.mark.parametrize("c1, c2", [
+    *[pytest.param({a: 1.0}, {b: 1.0}, id=f"z^{a}|z^{b}")
+      for a in range(-3, 4) for b in range(-3, 4)],
+    pytest.param(_SERIES, _SERIES, id="series|series"),
+    pytest.param({0: 1.0, 1: 0.25}, {0: 1.25}, id="two-terms|constant"),
+])
+def test_wedge_pair_is_the_pullback_of_the_coefficients(c1, c2):
+    loop = UnitaryLoop.wedge_pair(UnitaryLoop.from_fourier(c1), UnitaryLoop.from_fourier(c2))
+    ref = _reference_pullback(c1, c2)
+    # repr tells -0.0 from 0.0: equal reprs are equal bits
+    assert repr(loop.pieces) == repr(ref.pieces)
+    assert repr(loop.conjugate().pieces) == repr(ref.conjugate().pieces)
+
+
+def test_wedge_components_must_be_fourier_series():
+    with pytest.raises(StructuralError, match="plain Fourier loops"):
+        UnitaryLoop.wedge_pair(UnitaryLoop(pieces=((0.0, 1.0, ((1.0, 1.0),)),)),
+                               UnitaryLoop.constant())
+    # a merged pullback is a Fourier series again, and a product of series too
+    z2 = UnitaryLoop.wedge_pair(UnitaryLoop.monomial(1), UnitaryLoop.monomial(1))
+    prod = UnitaryLoop.monomial(2).product(UnitaryLoop.from_fourier({0: 1.0, -3: 0.25}))
+    w = UnitaryLoop.wedge_pair(z2, prod.product(UnitaryLoop.constant(0.8)))
+    assert repr(w.pieces) == repr(_reference_pullback({2: 1.0}, {2: 0.8, -1: 0.2}).pieces)
+    # a conjugate lists its terms in reverse and negates nu = 0 to -0.0
+    u = UnitaryLoop.from_fourier(_SERIES)
+    w = UnitaryLoop.wedge_pair(u.conjugate(), u)
+    ref = _reference_pullback({-m: np.conj(complex(c)) for m, c in _SERIES.items()}, _SERIES)
+    assert repr(w.pieces) == repr(ref.pieces)
+
+
 def test_pullback_fourier_reexpansion():
     # equal components double the frequency; the re-expansion is one term
     w = UnitaryLoop.wedge_pair(UnitaryLoop.monomial(1), UnitaryLoop.monomial(1))
-    coeffs = pullback_loop(w).fourier_coefficients(bandwidth=4)
+    assert len(w.pieces) == 1
+    coeffs = w.fourier_coefficients(bandwidth=4)
     assert abs(coeffs[2] - 1.0) < 1e-12
     assert max(abs(c) for m, c in coeffs.items() if m != 2) < 1e-12
 
 
 def test_pullback_with_mismatched_halves_needs_unbounded_bandwidth():
     w = UnitaryLoop.wedge_pair(UnitaryLoop.monomial(1), UnitaryLoop.monomial(0))
-    p = pullback_loop(w)
     with pytest.raises(BandwidthError):
-        p.fourier_coefficients(bandwidth=12)
+        w.fourier_coefficients(bandwidth=12)
 
 
 @pytest.mark.parametrize("pair_n", [(1, 0), (1, 1), (-2, 1)])
@@ -682,8 +734,7 @@ def _conjugate_suites():
     pullbacks of wedge(z^a|z^b), |a|, |b| <= 2, the loops of the default
     extension-independence and addition-dirac sweeps."""
     def wedge(a, b):
-        return pullback_loop(UnitaryLoop.wedge_pair(UnitaryLoop.monomial(a),
-                                                    UnitaryLoop.monomial(b)))
+        return UnitaryLoop.wedge_pair(UnitaryLoop.monomial(a), UnitaryLoop.monomial(b))
     ns = range(-2, 3)
     return ([(UnitaryLoop.monomial(n), UnitaryLoop.monomial(-n)) for n in range(-3, 4)]
             + [(wedge(a, b), wedge(-a, -b)) for a in ns for b in ns])
