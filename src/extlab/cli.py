@@ -27,6 +27,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -81,6 +82,10 @@ MAX_GENUS_BOUND = 64
 #: the most pieces a partition may have: tracking a spectrum on unequal pieces
 #: costs about n^3 per evaluated grid row, and its root count grows with n
 MAX_PIECES = 64
+
+#: the most `--jobs` threads: the pool starts one thread per pairing up to this
+#: count, and more than a few per core only adds switching
+MAX_JOBS = 64
 
 #: the most loops one `verify` sweep may build; every loop is paired with every
 #: extension, and building one takes about 2 ms and 1.4 KB
@@ -159,12 +164,14 @@ def csv_text(header, rows) -> str:
     """CSV with a header row, LF endings; all cells must be strings already."""
     lines = [",".join(header)]
     for row in rows:
-        for cell in row:
-            if not isinstance(cell, str):
-                raise StructuralError("CSV cells must be preformatted strings")
-            if any(ch in cell for ch in ",\"\n"):
-                raise StructuralError(f"CSV cell needs quoting, refusing: {cell!r}")
-        lines.append(",".join(row))
+        if not all(map(isinstance, row, repeat(str))):
+            raise StructuralError("CSV cells must be preformatted strings")
+        line = ",".join(row)
+        # the join adds len(row) - 1 commas; any other comma is in a cell
+        if (row and line.count(",") != len(row) - 1) or '"' in line or "\n" in line:
+            bad = next(c for c in row if "," in c or '"' in c or "\n" in c)
+            raise StructuralError(f"CSV cell needs quoting, refusing: {bad!r}")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -314,9 +321,9 @@ class ExperimentConfig:
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ValidationError("seed must be a non-negative integer")
 
-        jobs = args.jobs if args.jobs else 1
-        if jobs < 1:
-            raise ValidationError("--jobs must be at least 1")
+        jobs = args.jobs
+        if not 1 <= jobs <= MAX_JOBS:
+            raise ValidationError(f"--jobs must be in [1, {MAX_JOBS}], got {jobs}")
 
         return cls(
             command=args.command,
@@ -804,8 +811,8 @@ def _ksum_rows(report):
                 check.name,
                 "" if check.g1 is None else str(check.g1),
                 "" if check.g2 is None else str(check.g2),
-                " ".join(str(v) for v in check.lhs),
-                " ".join(str(v) for v in check.rhs),
+                " ".join(map(str, check.lhs)),
+                " ".join(map(str, check.rhs)),
                 "equal" if check.expect_equal else "unequal",
                 "ok" if check.ok else "mismatch",
             )
@@ -894,41 +901,6 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="extlab",
-        description="self-adjoint extension laboratory: spectra, index pairings, "
-        "and exact K-class identities",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON experiment config")
-    common.add_argument("--out", metavar="DIR", help="directory for report artifacts")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel worker bound (deterministic merge)")
-    common.add_argument("--seed", type=int, default=None, metavar="U64",
-                        help="override the experiment seed")
-    common.add_argument("--svg", action="store_true",
-                        help="emit an SVG plot where supported")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("deficiency", parents=[common],
-                   help="defect indices and orthonormal bases")
-    sub.add_parser("boundary-matrix", parents=[common],
-                   help="closed-form vs numerical boundary matrices")
-    sub.add_parser("spectrum", parents=[common],
-                   help="eigenvalue tables and tick plots")
-    sub.add_parser("pair", parents=[common],
-                   help="index pairing of a loop with extensions")
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run a property suite")
-    p_verify.add_argument(
-        "suite", choices=("extension-independence", "addition-dirac", "ksum")
-    )
-    sub.add_parser("ksum", parents=[common],
-                   help="exact integer identity suite")
-    return parser
-
-
 _DEFAULT_TOLS = {
     "deficiency": 1e-10,
     "boundary-matrix": 1e-8,
@@ -938,10 +910,44 @@ _DEFAULT_TOLS = {
     "ksum": 1e-8,
 }
 
+_SUITES = ("extension-independence", "addition-dirac", "ksum")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # one flat parser: the command, a suite for verify only, and the flags
+    # every command takes
+    parser = argparse.ArgumentParser(
+        prog="extlab",
+        description="self-adjoint extension laboratory: spectra, index pairings, "
+        "and exact K-class identities",
+        epilog=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=tuple(_DEFAULT_TOLS))
+    parser.add_argument("suite", nargs="?", choices=_SUITES,
+                        help="the property suite of verify")
+    parser.add_argument("--config", metavar="PATH", help="JSON experiment config")
+    parser.add_argument("--out", metavar="DIR", help="directory for report artifacts")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="parallel worker bound (deterministic merge)")
+    parser.add_argument("--seed", type=int, default=None, metavar="U64",
+                        help="override the experiment seed")
+    parser.add_argument("--svg", action="store_true",
+                        help="emit an SVG plot where supported")
+    return parser
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # a flag between verify and its suite leaves the suite over (or the
+        # argument is unknown): parse again with flags and positionals
+        # intermixed, which also reports what is left as an error
+        args = parser.parse_intermixed_args(argv)
+    if (args.command == "verify") != (args.suite is not None):
+        parser.error(f"verify needs a suite ({'|'.join(_SUITES)})"
+                     if args.suite is None else f"{args.command} takes no suite")
     try:
         cfg = ExperimentConfig.from_args(args, _DEFAULT_TOLS[args.command])
         if args.command == "deficiency":

@@ -17,8 +17,10 @@ surfaces along handles has formal genus -1, and the calculus extends to
 it consistently (Euler characteristic 4, Dolbeault index 2).
 """
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from itertools import repeat
+from operator import mul
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import StructuralError, ValidationError
 
@@ -50,7 +52,7 @@ def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def _matvec(a: IntMatrix, v: Tuple[int, ...]) -> Tuple[int, ...]:
     if a and len(a[0]) != len(v):
         raise StructuralError("matrix/vector dimensions do not match")
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def _det3(m: IntMatrix) -> int:
@@ -78,14 +80,21 @@ class SurfaceSpace:
     genus: Optional[int] = None
     parts: Tuple["SurfaceSpace", ...] = ()
     genera: Tuple[int, ...] = ()
+    # homology ranks, fixed by the fields above; h1_rank is None where the
+    # calculus fixes no H1 basis
+    h0_rank: int = field(init=False, compare=False, repr=False)
+    h1_rank: Optional[int] = field(init=False, compare=False, repr=False)
+    h2_rank: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        h0, h1, h2 = 1, None, 0
         if self.kind == "surface":
             if self.genus is None or self.genus < -1:
                 raise ValidationError(
                     "surface genus must be an integer >= -1 "
                     "(genus -1 is the formal natural-sum of two spheres)"
                 )
+            h1, h2 = 2 * max(self.genus, 0), 1
         elif self.kind in ("wedge", "disjoint"):
             if len(self.parts) != 2:
                 raise ValidationError(f"{self.kind} takes exactly two operands")
@@ -94,13 +103,27 @@ class SurfaceSpace:
                     raise ValidationError(
                         f"{self.kind} operands must be circles or surfaces"
                     )
+            if self.kind == "disjoint":
+                h0 = len(self.parts)
+            h2 = sum(p.h2_rank for p in self.parts)
+            # an operand surface leaves H1 without a fixed basis
+            if all(p.kind == "circle" for p in self.parts):
+                h1 = sum(p.h1_rank for p in self.parts)
         elif self.kind == "circle_union":
             if len(self.genera) != 2 or any(g < 0 for g in self.genera):
                 raise ValidationError(
                     "circle_union takes two surface genera g1, g2 >= 0"
                 )
-        elif self.kind not in ("point", "circle"):
+            h2 = 2
+        elif self.kind == "point":
+            h1 = 0
+        elif self.kind == "circle":
+            h1 = 1
+        else:
             raise ValidationError(f"unknown space kind: {self.kind!r}")
+        object.__setattr__(self, "h0_rank", h0)
+        object.__setattr__(self, "h1_rank", h1)
+        object.__setattr__(self, "h2_rank", h2)
 
     # -- constructors
 
@@ -127,44 +150,6 @@ class SurfaceSpace:
     @staticmethod
     def disjoint(left: "SurfaceSpace", right: "SurfaceSpace") -> "SurfaceSpace":
         return SurfaceSpace("disjoint", parts=(left, right))
-
-    # -- bookkeeping
-
-    @property
-    def components(self) -> Tuple["SurfaceSpace", ...]:
-        if self.kind == "disjoint":
-            return self.parts
-        return (self,)
-
-    @property
-    def h0_rank(self) -> int:
-        return len(self.components)
-
-    @property
-    def h2_rank(self) -> int:
-        if self.kind == "surface":
-            return 1
-        if self.kind == "circle_union":
-            return 2
-        if self.kind in ("wedge", "disjoint"):
-            return sum(p.h2_rank for p in self.parts)
-        return 0
-
-    @property
-    def h1_rank(self) -> Optional[int]:
-        """Rank of H1 where the calculus fixes a basis, else None."""
-        if self.kind == "circle":
-            return 1
-        if self.kind == "point":
-            return 0
-        if self.kind == "surface":
-            return 2 * max(self.genus, 0)
-        if self.kind in ("wedge", "disjoint"):
-            ranks = [p.h1_rank for p in self.parts]
-            if all(p.kind == "circle" for p in self.parts):
-                return sum(ranks)
-            return None  # surface H1 bases are not fixed here
-        return None
 
     def describe(self) -> str:
         if self.kind == "surface":
@@ -205,7 +190,7 @@ class KClassVector:
                 f"expected {expected} coordinates on {self.space.describe()}, "
                 f"got {len(self.coordinates)}"
             )
-        if not all(isinstance(c, int) for c in self.coordinates):
+        if not all(map(isinstance, self.coordinates, repeat(int))):
             raise ValidationError("coordinates must be integers")
 
     # -- exact abelian-group arithmetic
@@ -556,6 +541,20 @@ def _check(name, g1, g2, lhs, rhs, expect_equal=True) -> IdentityCheck:
     return IdentityCheck(name, g1, g2, lhs_t, rhs_t, expect_equal, equal == expect_equal)
 
 
+class _Genus(NamedTuple):
+    """One genus's surface and distinguished classes, all on that surface."""
+
+    surface: SurfaceSpace
+    dolbeault: KClassVector
+    fundamental: KClassVector
+    unit: KClassVector
+
+
+def _genus(g: int) -> _Genus:
+    dol = chern_dolbeault(g)
+    return _Genus(dol.space, dol, fundamental_k_class(dol.space), basepoint_unit(dol.space))
+
+
 def verify_identities(genus_bound: int = 6) -> KsumReport:
     """Verify the complete suite of exact K-class identities.
 
@@ -585,10 +584,12 @@ def verify_identities(genus_bound: int = 6) -> KsumReport:
         )
     )
 
+    # every genus the grid reaches: g1 + g2 for the connected sum and
+    # g1 + g2 - 1 for the natural sum
+    genera = {g: _genus(g) for g in range(-1, 2 * genus_bound + 1)}
+
     for g in range(genus_bound + 1):
-        surf = SurfaceSpace.surface(g)
-        dol = chern_dolbeault(g)
-        iota_unit = basepoint_unit(surf)
+        surf, dol, fund, iota_unit = genera[g]
 
         # normalization: fundamental class = Dolbeault + (g-1) point units.
         checks.append(
@@ -596,7 +597,7 @@ def verify_identities(genus_bound: int = 6) -> KsumReport:
                 "fundamental-class-normalization",
                 g,
                 None,
-                fundamental_k_class(surf),
+                fund,
                 dol + (g - 1) * iota_unit,
             )
         )
@@ -614,24 +615,26 @@ def verify_identities(genus_bound: int = 6) -> KsumReport:
 
     for g1 in range(genus_bound + 1):
         for g2 in range(genus_bound + 1):
-            checks.extend(_pair_checks(g1, g2))
+            checks.extend(_pair_checks(g1, g2, genera))
 
     return KsumReport(tuple(checks))
 
 
-def _pair_checks(g1: int, g2: int):
-    """All identities attached to one ordered genus pair."""
+def _pair_checks(g1: int, g2: int, genera):
+    """All identities attached to one ordered genus pair; ``genera`` maps
+    each genus the pair reaches to its ``_Genus``."""
     checks = []
-    s1 = SurfaceSpace.surface(g1)
-    s2 = SurfaceSpace.surface(g2)
-    wedge = SurfaceSpace.wedge(s1, s2)
-    dol1, dol2 = chern_dolbeault(g1), chern_dolbeault(g2)
+    s1, dol1, fund1, iota_s1 = genera[g1]
+    s2, dol2, fund2, _ = genera[g2]
+    dol_sharp = genera[g1 + g2].dolbeault
+    fund_sharp = genera[g1 + g2].fundamental
+    dol_nat = genera[g1 + g2 - 1].dolbeault
+    fund_nat = genera[g1 + g2 - 1].fundamental
 
     j_wedge = identification_to_wedge(s1, s2)
     p_sharp = pinch_connected_sum(g1, g2)
     q = crunch(g1, g2)
-    iota_wedge = basepoint_unit(wedge)
-    iota_s1 = basepoint_unit(s1)
+    iota_wedge = basepoint_unit(j_wedge.target)
 
     # the wedge classes of the two Dolbeault operators.
     dol1_w = pushforward(j_wedge, disjoint_pair(dol1, 0 * dol2))
@@ -662,20 +665,21 @@ def _pair_checks(g1: int, g2: int):
     )
 
     # pinching the connected sum costs exactly one point unit.
+    pinched = pushforward(p_sharp, dol_sharp)
     checks.append(
         _check(
             "pinch-dolbeault-defect",
             g1,
             g2,
-            pushforward(p_sharp, chern_dolbeault(g1 + g2)),
+            pinched,
             dol1_w + dol2_w - iota_wedge,
         )
     )
 
     # composite crunch∘pinch acts by composed matrices (functoriality) ...
     qp = q.compose(p_sharp)
-    via_composite = pushforward(qp, chern_dolbeault(g1 + g2))
-    via_stages = pushforward(q, pushforward(p_sharp, chern_dolbeault(g1 + g2)))
+    via_composite = pushforward(qp, dol_sharp)
+    via_stages = pushforward(q, pinched)
     checks.append(
         _check("crunch-pinch-functoriality", g1, g2, via_composite, via_stages)
     )
@@ -726,9 +730,9 @@ def _pair_checks(g1: int, g2: int):
     )
 
     # fundamental classes are compatible for the ordinary connected sum.
-    fund1, fund2 = fundamental_k_class(s1), fundamental_k_class(s2)
-    j_fund = pushforward(j_wedge, disjoint_pair(fund1, fund2))
-    p_fund = pushforward(p_sharp, fundamental_k_class(SurfaceSpace.surface(g1 + g2)))
+    both_fund = disjoint_pair(fund1, fund2)
+    j_fund = pushforward(j_wedge, both_fund)
+    p_fund = pushforward(p_sharp, fund_sharp)
     checks.append(_check("connected-sum-fundamental-class", g1, g2, j_fund, p_fund))
 
     # identities in the union along a circle (natural sum target).
@@ -741,7 +745,7 @@ def _pair_checks(g1: int, g2: int):
             g1,
             g2,
             pushforward(j_union, disjoint_pair(dol1, dol2)),
-            pushforward(p_nat, chern_dolbeault(g1 + g2 - 1)),
+            pushforward(p_nat, dol_nat),
         )
     )
     checks.append(
@@ -749,8 +753,8 @@ def _pair_checks(g1: int, g2: int):
             "natural-sum-fundamental-class",
             g1,
             g2,
-            pushforward(j_union, disjoint_pair(fund1, fund2)),
-            pushforward(p_nat, fundamental_k_class(SurfaceSpace.surface(g1 + g2 - 1))),
+            pushforward(j_union, both_fund),
+            pushforward(p_nat, fund_nat),
         )
     )
 

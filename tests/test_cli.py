@@ -105,6 +105,64 @@ def test_unknown_verify_suite_is_rejected_by_the_parser():
     assert "invalid choice" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify"], id="verify-without-suite"),
+    pytest.param(["deficiency", "ksum"], id="suite-on-another-command"),
+    pytest.param(["ksum", "ksum"], id="suite-on-the-alias"),
+    pytest.param(["no-such-command"], id="unknown-command"),
+])
+def test_the_parser_refuses_a_misplaced_suite_or_command(argv, capsys):
+    from extlab import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage: extlab" in capsys.readouterr().err
+
+
+def test_flags_may_sit_between_verify_and_its_suite(tmp_path, capsys):
+    from extlab import cli
+
+    assert cli.main(["verify", "--out", str(tmp_path), "ksum"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["checks"] == 604
+
+
+def test_jobs_outside_the_cap_exit_2(capsys):
+    # refused while reading the flags, before any pool or thread exists; 0
+    # used to run as 1
+    from extlab import cli
+
+    for jobs in (0, -1, cli.MAX_JOBS + 1):
+        assert cli.main(["deficiency", "--jobs", str(jobs)]) == 2
+        assert f"--jobs must be in [1, {cli.MAX_JOBS}], got {jobs}" in capsys.readouterr().err
+
+
+def test_csv_text_bytes_of_a_plain_table():
+    from extlab.cli import csv_text
+
+    assert csv_text(("a", "b"), [("1", "x y"), ("", "-2.5")]) == "a,b\n1,x y\n,-2.5\n"
+    assert csv_text(("a",), []) == "a\n"
+
+
+@pytest.mark.parametrize("cell", ["1,5", 'say "hi"', "two\nlines"])
+def test_csv_text_refuses_a_cell_that_needs_quoting(cell):
+    from extlab.cli import csv_text
+    from extlab.errors import StructuralError
+
+    with pytest.raises(StructuralError) as exc:
+        csv_text(("a", "b", "c"), [("1", "2", "3"), ("ok", cell, "ok")])
+    assert str(exc.value) == f"CSV cell needs quoting, refusing: {cell!r}"
+
+
+@pytest.mark.parametrize("cell", [1.5, None, 3])
+def test_csv_text_refuses_a_cell_that_is_no_string(cell):
+    from extlab.cli import csv_text
+    from extlab.errors import StructuralError
+
+    with pytest.raises(StructuralError, match="CSV cells must be preformatted strings"):
+        csv_text(("a", "b"), [("1", "2"), ("ok", cell)])
+
+
 _PARTITION_COMMANDS = [("deficiency",), ("boundary-matrix",), ("spectrum",), ("pair",),
                        ("verify", "extension-independence"), ("verify", "addition-dirac")]
 
@@ -612,6 +670,18 @@ def test_ksum_alias_with_genus_bound(tmp_path):
     rep = report_of(proc)
     # 2 global + 2 per genus (3 values) + 12 per ordered pair (9 pairs)
     assert rep["result"]["checks"] == 2 + 6 + 108
+
+
+def test_the_ksum_alias_writes_the_verify_ksum_bytes(tmp_path):
+    verify, alias = tmp_path / "verify", tmp_path / "alias"
+    procs = [run_cli("verify", "ksum", "--out", str(verify)),
+             run_cli("ksum", "--out", str(alias))]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert (verify / "verify-ksum.csv").read_bytes() == (alias / "verify-ksum.csv").read_bytes()
+    # the reports differ only in the command they name
+    reports = [report_of(p) for p in procs]
+    assert [r.pop("command") for r in reports] == ["verify", "ksum"]
+    assert reports[0] == reports[1]
 
 
 def test_verify_extension_independence_small(tmp_path):

@@ -1,4 +1,4 @@
-"""Byte gate for the pairing sweeps and the tracked spectrum.
+"""Byte gate for the pairing sweeps, the tracked spectrum and the catalog.
 
 Runs seed-0 jobs of the benchmark workloads (``bench/jobs.py``) and compares
 the sha256 of every report and CSV with ``bench/golden.json``.  B13 of
@@ -26,6 +26,12 @@ GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
     ("sweep-monomial", "B13"),
     ("sweep-wedge", "B0"),
     ("spectrum-tracked", "B0"),
+    # the catalog's jobs are the CLI defaults of five commands
+    ("catalog", "deficiency"),
+    ("catalog", "boundary-matrix"),
+    ("catalog", "spectrum"),
+    ("catalog", "verify-ksum"),
+    ("catalog", "pair"),
 ])
 def test_seed_zero_artifacts_match_golden(tmp_path, workload, name):
     job = next(j for j in jobs.workload_jobs(workload, 0) if j.name == name)

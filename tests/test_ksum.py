@@ -65,6 +65,52 @@ def test_space_ranks():
     assert (u.h0_rank, u.h2_rank) == (1, 2)
 
 
+def _recursive_ranks(space):
+    """(h0, h1, h2) by the recursive definitions: one H0 generator per
+    component, one H2 generator per surface constituent, and an H1 basis only
+    on points, circles, surfaces and unions of circles."""
+    if space.kind == "disjoint":
+        h0 = sum(_recursive_ranks(p)[0] for p in space.parts)
+    else:
+        h0 = 1
+    if space.kind in ("wedge", "disjoint"):
+        ranks = [_recursive_ranks(p) for p in space.parts]
+        h2 = sum(r[2] for r in ranks)
+        h1 = (sum(r[1] for r in ranks)
+              if all(p.kind == "circle" for p in space.parts) else None)
+    else:
+        h1 = {"point": 0, "circle": 1, "circle_union": None}.get(space.kind)
+        if space.kind == "surface":
+            h1 = 2 * max(space.genus, 0)
+        h2 = {"surface": 1, "circle_union": 2}.get(space.kind, 0)
+    return h0, h1, h2
+
+
+_S = SurfaceSpace
+
+
+@pytest.mark.parametrize("space", [
+    _S.point(),
+    _S.circle(),
+    *[_S.surface(g) for g in range(-1, 4)],
+    _S.wedge(_S.circle(), _S.circle()),
+    _S.wedge(_S.surface(2), _S.surface(-1)),
+    _S.wedge(_S.circle(), _S.surface(1)),
+    _S.circle_union(0, 3),
+    _S.disjoint(_S.circle(), _S.circle()),
+    _S.disjoint(_S.surface(3), _S.circle()),
+], ids=lambda s: s.describe())
+def test_stored_ranks_are_the_recursive_ranks(space):
+    assert (space.h0_rank, space.h1_rank, space.h2_rank) == _recursive_ranks(space)
+
+
+def test_stored_ranks_stay_out_of_equality_and_repr():
+    a, b = SurfaceSpace.surface(2), SurfaceSpace.surface(2)
+    assert a == b and hash(a) == hash(b)
+    assert a != SurfaceSpace.surface(3)
+    assert repr(a) == "SurfaceSpace(kind='surface', genus=2, parts=(), genera=())"
+
+
 def test_formal_genus_minus_one():
     # the natural sum of two spheres pinches a genus -1 surface: chi = 4
     s = SurfaceSpace.surface(-1)
@@ -299,6 +345,21 @@ def test_identity_grid_all_pass_quickly():
     assert report.failures == ()
     assert len(report.checks) == 604
     assert dt < 1.0
+
+
+@pytest.mark.parametrize("bound", range(9))
+def test_identity_grid_size(bound):
+    # 2 circle checks, 2 per genus, 12 per ordered genus pair
+    report = verify_identities(genus_bound=bound)
+    assert len(report.checks) == 2 + 2 * (bound + 1) + 12 * (bound + 1) ** 2
+    assert report.passed
+
+
+def test_a_grid_call_keeps_no_state_for_the_next():
+    first, small, again = verify_identities(6), verify_identities(2), verify_identities(6)
+    assert first == again
+    assert small.checks == tuple(c for c in first.checks if c.g1 is None
+                                 or (c.g1 <= 2 and (c.g2 is None or c.g2 <= 2)))
 
 
 def test_identity_grid_names_cover_the_suite():
