@@ -939,12 +939,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        # a flag between verify and its suite leaves the suite over (or the
-        # argument is unknown): parse again with flags and positionals
-        # intermixed, which also reports what is left as an error
-        args = parser.parse_intermixed_args(argv)
+    args = parser.parse_intermixed_args(argv)
     if (args.command == "verify") != (args.suite is not None):
         parser.error(f"verify needs a suite ({'|'.join(_SUITES)})"
                      if args.suite is None else f"{args.command} takes no suite")

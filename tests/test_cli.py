@@ -110,6 +110,7 @@ def test_unknown_verify_suite_is_rejected_by_the_parser():
     pytest.param(["deficiency", "ksum"], id="suite-on-another-command"),
     pytest.param(["ksum", "ksum"], id="suite-on-the-alias"),
     pytest.param(["no-such-command"], id="unknown-command"),
+    pytest.param(["deficiency", "--no-such-flag"], id="unknown-flag"),
 ])
 def test_the_parser_refuses_a_misplaced_suite_or_command(argv, capsys):
     from extlab import cli
