@@ -33,6 +33,7 @@ evaluates it, so every route above sees one kind of loop.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -385,9 +386,10 @@ def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
     return spec.eigenvalues, spec.coefficients
 
 
-def compression_matrix(loop: UnitaryLoop, partition: Partition,
-                       lam_rows, coef_rows, lam_cols, coef_cols) -> np.ndarray:
-    """A[i, j] = <psi_i, u psi_j> for eigenfunction rows/columns.
+def multiplication_matrix(loop: UnitaryLoop, partition: Partition,
+                          lam_rows, coef_rows, lam_cols, coef_cols) -> np.ndarray:
+    """A[i, j] = <psi_i, u psi_j> for eigenfunction rows/columns: the one
+    assembly of the matrix of M_u between eigenfunctions.
 
     On an interval [lo, hi) of the common refinement of knots and loop
     pieces, psi_i = a_i e^{i lam_i theta} and u = sum c e^{i nu theta}, so a
@@ -402,11 +404,10 @@ def compression_matrix(loop: UnitaryLoop, partition: Partition,
     The quotient cancels digits where D is small, so the entries with
     |D| (hi - lo) < 0.1 go through `exp_integral` instead, whose
     near-resonant branch (a sinh closed form) is the one implementation of
-    that integral; one call
-    takes them for every interval and term.  The factored phases carry an
-    absolute error of about |lam| eps each, so the other entries are off by
-    about |lam| eps / |D| <= 10 |lam| eps (hi - lo): 10 |lam| eps relative
-    to the integral's scale hi - lo.
+    that integral; one call takes them for every interval and term.  The
+    factored phases carry an absolute error of about |lam| eps each, so the
+    other entries are off by about |lam| eps / |D| <= 10 |lam| eps (hi - lo):
+    10 |lam| eps relative to the integral's scale hi - lo.
     """
     A = np.zeros((len(lam_rows), len(lam_cols)), dtype=complex)
     gap = lam_cols[None, :] - lam_rows[:, None]
@@ -442,33 +443,70 @@ def compression_matrix(loop: UnitaryLoop, partition: Partition,
     return A
 
 
-def _numerical_kernel(A: np.ndarray):
-    """(nullity, smallest retained relative singular value)."""
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return min(A.shape), 0.0
-    smax = sv[0]
-    nullity = int(np.sum(sv < KERNEL_TOL * smax))
-    retained = sv[sv >= KERNEL_TOL * smax]
-    return nullity, float(retained[-1] / smax)
+@dataclass(eq=False)
+class _SectionWindow:
+    """One pairing's basis window, the eigenfunctions with eigenvalue up to
+    cutoffs[-1] + reach + PAD (lam ascending), and the matrix
+    M[i, j] = <psi_i, u psi_j> of the loop over it, rows and columns alike.
 
-
-def _kernel_trajectory(loop: UnitaryLoop, partition: Partition, cutoffs, lam, coef,
-                       reach: float):
-    """`_numerical_kernel` of A(loop) at each cutoff L: columns are the
-    eigenfunctions with eigenvalue at most L, rows those up to L + reach + PAD.
-
-    Both windows depend on the loop only through `reach`, and the conjugate
-    loop has the same reach, so the A(ubar) of u's pairing is the A of ubar's
-    own pairing: that is what makes the pairing of ubar u's `adjoint`.
+    Every finite section of the pairing is a leading block of M, so M is
+    assembled once, the first time `compression_matrix` asks for a section.
     """
-    out = []
-    for Lam in cutoffs:
-        cols = lam <= Lam + 1e-9
-        rows = lam <= Lam + reach + PAD + 1e-9
-        A = compression_matrix(loop, partition, lam[rows], coef[rows], lam[cols], coef[cols])
-        out.append(_numerical_kernel(A))
-    return tuple(out)
+
+    loop: UnitaryLoop
+    partition: Partition
+    lam: np.ndarray
+    coef: np.ndarray
+    reach: float
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return multiplication_matrix(self.loop, self.partition,
+                                     self.lam, self.coef, self.lam, self.coef)
+
+
+def compression_matrix(window: _SectionWindow, cutoff: float,
+                       conjugate: bool = False) -> np.ndarray:
+    """The finite section A(u) of P M_u P at `cutoff`, read off the pairing's
+    `_SectionWindow`: columns are the eigenfunctions with eigenvalue at most
+    the cutoff, rows those up to cutoff + reach + PAD.  With `conjugate` it is
+    A(ubar) on the same rows and columns.
+
+    With R rows and C columns, A(u) is the block M[:R, :C] of the window's
+    matrix, and <psi_i, ubar psi_j> = conj(<psi_j, u psi_i>) makes A(ubar)
+    the adjoint of the block M[:C, :R]: one assembly serves every section of
+    both loops.
+    """
+    rows = np.count_nonzero(window.lam <= cutoff + window.reach + PAD + 1e-9)
+    cols = np.count_nonzero(window.lam <= cutoff + 1e-9)
+    if conjugate:
+        return window.matrix[:cols, :rows].conj().T
+    return window.matrix[:rows, :cols]
+
+
+def _numerical_kernel(A: np.ndarray):
+    """(nullity, smallest retained singular value relative to the scale).
+
+    The threshold is KERNEL_TOL times max(sigma_max, MARGIN): a loop with
+    |u| > MARGIN has sections of norm about |u| or more, so a section whose
+    singular values are all rounding error has a kernel, not full rank.  A
+    section with nothing retained reads 0, which never resolves.
+    """
+    sv = np.linalg.svd(A, compute_uv=False)
+    scale = max(sv[0], MARGIN) if sv.size else MARGIN
+    retained = sv[sv >= KERNEL_TOL * scale]
+    return sv.size - retained.size, float(retained[-1] / scale) if retained.size else 0.0
+
+
+def _kernel_trajectory(window: _SectionWindow, cutoffs, conjugate: bool = False):
+    """`_numerical_kernel` of A(u), or with `conjugate` of A(ubar), at each
+    cutoff of the window's schedule.
+
+    Both windows of a section depend on the loop only through its reach,
+    which ubar shares, so the A(ubar) of u's pairing is the A of ubar's own
+    pairing: that is what makes the pairing of ubar u's `adjoint`.
+    """
+    return tuple(_numerical_kernel(compression_matrix(window, L, conjugate)) for L in cutoffs)
 
 
 def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
@@ -476,8 +514,10 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
 
     P M_ubar P = (P M_u P)*, so the cokernel of the section A(u) is read as the
     kernel of A(ubar), the same finite section for the conjugate loop (the
-    windows depend only on the reach, which u and ubar share).  A loop that
-    is its own conjugate (equal pieces) is compressed once.
+    windows depend only on the reach, which u and ubar share).  This call
+    makes the pairing's `_SectionWindow`, whose one matrix gives the sections
+    of u and of ubar at every cutoff, and drops it on return; a loop that is
+    its own conjugate (equal pieces) takes the sections of u only.
 
     Returns (plateau, resolved, index).  `resolved` demands both the
     three-equal-indices plateau and a stable smallest retained singular value;
@@ -488,11 +528,10 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
     # a basis built for a wider reach is cut to this loop's own window, by the
     # same rule the spectrum applies at a window's edge
     keep = basis[0] <= cutoffs[-1] + reach + PAD + 1e-12
-    lam, coef = basis[0][keep], basis[1][keep]
-    conj = loop.conjugate()
-    kernels = _kernel_trajectory(loop, partition, cutoffs, lam, coef, reach)
-    cokernels = (kernels if conj.pieces == loop.pieces
-                 else _kernel_trajectory(conj, partition, cutoffs, lam, coef, reach))
+    window = _SectionWindow(loop, partition, basis[0][keep], basis[1][keep], reach)
+    kernels = _kernel_trajectory(window, cutoffs)
+    cokernels = (kernels if loop.conjugate().pieces == loop.pieces
+                 else _kernel_trajectory(window, cutoffs, conjugate=True))
 
     plateau, indices, smins = [], [], []
     for Lam, (ker, smin_u), (coker, smin_c) in zip(cutoffs, kernels, cokernels):
@@ -659,10 +698,11 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     share it between loops.  Without it the pairing builds its own at the
     loop's reach.
 
-    Each pairing compresses and decomposes A(u) and A(ubar) at every cutoff
-    (4 assemblies and 4 SVDs each on the default schedule, one of each when u
-    is its own conjugate) and runs two `symbol_index` calls.  The pairing of
-    ubar is the `adjoint` of this result, so a sweep that holds both loops
+    Each pairing assembles one matrix over its basis window and decomposes
+    A(u) and A(ubar) at every cutoff as blocks of it (4 `compression_matrix`
+    sections and 4 SVDs each on the default schedule, only those of A(u) when
+    u is its own conjugate), and runs two `symbol_index` calls.  The pairing
+    of ubar is the `adjoint` of this result, so a sweep that holds both loops
     pairs only one of them.
     """
     if partition is None:

@@ -471,6 +471,22 @@ def test_pair_wedge_loop(tmp_path):
     assert pairing["index"] == -2 and pairing["winding"] == 2
 
 
+def test_a_section_of_rounding_error_reads_as_a_kernel(tmp_path):
+    # below 2 pi the one column is the constant eigenfunction, which zbar maps
+    # out of the rows: A(zbar) is 6 x 1 with one singular value of rounding
+    # error, a kernel that makes coker A(z) = 1 at every cutoff
+    cfg = {"loop": {"monomial": 1}, "cutoffs": [0.001, 0.002, 0.003]}
+    out = tmp_path / "out"
+    proc = run_cli("pair", "--out", str(out), config=cfg, tmp_path=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    pairing = report_of(proc)["result"]["pairings"][0]
+    assert (pairing["index"], pairing["stable"], pairing["error"]) == (-1, True, None)
+    _header, rows = _csv_rows(out / "pair.csv")
+    assert rows[0][4].count(":0/1") == 3
+    # nothing retained in A(zbar): the section does not certify, the symbol does
+    assert rows[0][5] == "symbol-winding"
+
+
 def test_pair_withholds_a_plateau_that_contradicts_the_winding(tmp_path):
     # three unequal pieces, no symbol route: a short schedule settles on
     # index 0 for z^-1, whose index is 1
@@ -553,39 +569,45 @@ def test_a_failed_eigenbasis_leaves_only_its_pairings_uncertified(
 
 
 def _count_pairing_kernels(monkeypatch):
-    """Counters of `compression_matrix` calls and of SVDs called from the
-    pairing module (the kernel SVDs; the eigenbasis SVDs run in spectral)."""
+    """Counters of `compression_matrix` calls (sections), of the assemblies
+    behind them and of SVDs called from the pairing module (the kernel SVDs;
+    the eigenbasis SVDs run in spectral)."""
     from extlab import pairing
 
-    counts = {"compression": 0, "svd": 0}
-    compression, svd = pairing.compression_matrix, np.linalg.svd
+    counts = {"compression": 0, "assembly": 0, "svd": 0}
+    compression, assembly = pairing.compression_matrix, pairing.multiplication_matrix
+    svd = np.linalg.svd
 
-    def counted_compression(*args, **kwargs):
-        counts["compression"] += 1
-        return compression(*args, **kwargs)
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
 
     def counted_svd(*args, **kwargs):
         if sys._getframe(1).f_globals.get("__name__") == "extlab.pairing":
             counts["svd"] += 1
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(pairing, "compression_matrix", counted_compression)
+    monkeypatch.setattr(pairing, "compression_matrix", counted("compression", compression))
+    monkeypatch.setattr(pairing, "multiplication_matrix", counted("assembly", assembly))
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     return counts
 
 
-@pytest.mark.parametrize("argv, cfg, calls", [
-    # z^-3..z^3 against one B: z^-3..z^-1 are paired, 8 matrices each, z^0 is
-    # its own conjugate (4), and z^1..z^3 are read off their conjugates
-    pytest.param(("verify", "extension-independence"), {"suite": {"count": 1}}, 28,
+@pytest.mark.parametrize("argv, cfg, calls, assemblies", [
+    # z^-3..z^3 against one B: z^-3..z^-1 are paired, 8 sections each, z^0 is
+    # its own conjugate (4), and z^1..z^3 are read off their conjugates; each
+    # paired loop assembles one matrix, whose blocks are all its sections
+    pytest.param(("verify", "extension-independence"), {"suite": {"count": 1}}, 28, 4,
                  id="sweep"),
     # a single pairing has no shared basis: A(u) and A(ubar) at each cutoff,
-    # one matrix when the loop is its own conjugate
-    pytest.param(("pair",), {"loop": {"monomial": 2}}, 8, id="pair"),
-    pytest.param(("pair",), {"loop": {"monomial": 0}}, 4, id="pair-self-conjugate"),
+    # only A(u) when the loop is its own conjugate
+    pytest.param(("pair",), {"loop": {"monomial": 2}}, 8, 1, id="pair"),
+    pytest.param(("pair",), {"loop": {"monomial": 0}}, 4, 1, id="pair-self-conjugate"),
 ])
 def test_sweeps_compress_and_decompose_each_loop_once(
-        tmp_path, monkeypatch, capsys, argv, cfg, calls):
+        tmp_path, monkeypatch, capsys, argv, cfg, calls, assemblies):
     from extlab import cli
 
     counts = _count_pairing_kernels(monkeypatch)
@@ -593,7 +615,7 @@ def test_sweeps_compress_and_decompose_each_loop_once(
     config.write_text(json.dumps(cfg), encoding="utf-8")
     assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    assert counts == {"compression": calls, "svd": calls}
+    assert counts == {"compression": calls, "assembly": assemblies, "svd": calls}
 
 
 def test_a_sweep_takes_each_winding_once(tmp_path, monkeypatch, capsys):

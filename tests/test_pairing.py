@@ -41,6 +41,7 @@ from extlab.pairing import (
     compression_matrix,
     derivative_sup,
     eigen_arrays,
+    multiplication_matrix,
     pair,
     symbol_index,
     winding,
@@ -249,7 +250,7 @@ def test_anti_diagonal_compression_is_a_pure_shift(n):
 
 
 # near the top of the default basis window (lam about 850) the factored
-# phases of `compression_matrix` carry an absolute error of about |lam| eps
+# phases of `multiplication_matrix` carry an absolute error of about |lam| eps
 # each; four of them over |D| >= 0.1 / h make an entry with |D| h >= 0.1
 # exact to about 4 |lam| eps / |D| <= 40 |lam| eps h, 4e-12 relative at
 # h <= 1, so those cases allow 1e-11.  The cuts 0.2 and 0.55 round lam t,
@@ -272,8 +273,8 @@ def test_compression_matrix_is_exact_near_resonance(lam, D, rtol):
     ones = np.ones((1, 3), dtype=complex)
     lam_rows, lam_cols = np.array([lam]), np.array([lam + D])
     D = lam_cols[0] - lam_rows[0]        # the difference the floats carry
-    A = compression_matrix(UnitaryLoop.constant(), Partition((0.0, 0.2, 0.55, 1.0)),
-                           lam_rows, ones, lam_cols, ones)
+    A = multiplication_matrix(UnitaryLoop.constant(), Partition((0.0, 0.2, 0.55, 1.0)),
+                              lam_rows, ones, lam_cols, ones)
     exact = cmath.exp(0.5j * D) * math.sin(0.5 * D) / (0.5 * D)
     assert abs(A[0, 0] - exact) <= rtol * abs(exact)
 
@@ -321,6 +322,9 @@ def _multi_term_loops():
     pytest.param(31, id="haar-31"),
 ])
 def test_factored_compression_matches_the_assembled_one(B):
+    # each section of u and of ubar is a block of the window's one factored
+    # matrix; both must match the entrywise assembly on the section's own rows
+    # and columns
     if isinstance(B, int):
         B = random_boundary(B)
     part = Partition.default()
@@ -329,13 +333,16 @@ def test_factored_compression_matches_the_assembled_one(B):
         reach = loop.frequency_reach
         keep = basis[0] <= DEFAULT_CUTOFFS[-1] + reach + PAD + 1e-12
         lam, coef = basis[0][keep], basis[1][keep]
+        window = pairing._SectionWindow(loop, part, lam, coef, reach)
         for Lam in DEFAULT_CUTOFFS:
             cols = lam <= Lam + 1e-9
             rows = lam <= Lam + reach + PAD + 1e-9
             args = (lam[rows], coef[rows], lam[cols], coef[cols])
-            ref = _assembled_compression_matrix(loop, part, *args)
-            got = compression_matrix(loop, part, *args)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            for u, conjugate in ((loop, False), (loop.conjugate(), True)):
+                ref = _assembled_compression_matrix(u, part, *args)
+                got = compression_matrix(window, Lam, conjugate)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_factored_compression_on_unequal_pieces():
@@ -348,8 +355,18 @@ def test_factored_compression_on_unequal_pieces():
     for loop in _sweep_loops()[::3]:
         args = (lam, coef, lam[lam <= DEFAULT_CUTOFFS[1]], coef[lam <= DEFAULT_CUTOFFS[1]])
         ref = _assembled_compression_matrix(loop, part, *args)
-        got = compression_matrix(loop, part, *args)
+        got = multiplication_matrix(loop, part, *args)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_a_section_of_rounding_error_has_a_kernel():
+    # the threshold scales with max(sigma_max, MARGIN), not with sigma_max
+    # alone: a section whose one singular value is rounding error has a
+    # kernel, and with nothing retained it reads 0, which never resolves
+    assert pairing._numerical_kernel(np.full((6, 1), 1e-16)) == (1, 0.0)
+    assert pairing._numerical_kernel(np.zeros((3, 0))) == (0, 0.0)
+    assert pairing._numerical_kernel(np.diag([2.0, 0.5, 1e-9])) == (1, 0.25)
+    assert pairing._numerical_kernel(np.diag([0.01, 1e-5])) == (0, 1e-5 / pairing.MARGIN)
 
 
 def test_pair_of_constant_loop_is_zero():
@@ -766,9 +783,9 @@ def test_the_conjugate_loop_pairs_to_the_adjoint(B):
 
 @pytest.mark.parametrize("B", _ADJOINT_BS[::2])
 def test_a_loops_conjugate_has_the_finite_sections_of_the_suites_conjugate(B):
-    # a sweep finds a loop's conjugate by its pieces, and `_finite_section`
-    # keys its store by them; u.conjugate() and the suite's own ubar have
-    # equal pieces and must give the same trajectory
+    # a sweep finds a loop's conjugate by its pieces: u.conjugate() and the
+    # suite's own ubar have equal pieces and must give the same trajectory,
+    # which is also the conjugate side of u's own window
     if isinstance(B, int):
         B = random_boundary(B)
     part = Partition.default()
@@ -776,9 +793,15 @@ def test_a_loops_conjugate_has_the_finite_sections_of_the_suites_conjugate(B):
     for loop, conj in _conjugate_suites():
         assert loop.conjugate().pieces == conj.pieces
         reach = loop.frequency_reach
-        assert pairing._kernel_trajectory(loop.conjugate(), part, DEFAULT_CUTOFFS,
-                                          lam, coef, reach) == \
-            pairing._kernel_trajectory(conj, part, DEFAULT_CUTOFFS, lam, coef, reach)
+        trajectories = [
+            pairing._kernel_trajectory(pairing._SectionWindow(u, part, lam, coef, reach),
+                                       DEFAULT_CUTOFFS)
+            for u in (loop.conjugate(), conj)]
+        assert trajectories[0] == trajectories[1]
+        adjoint_side = pairing._kernel_trajectory(
+            pairing._SectionWindow(loop, part, lam, coef, reach), DEFAULT_CUTOFFS,
+            conjugate=True)
+        assert [k for k, _smin in adjoint_side] == [k for k, _smin in trajectories[0]]
 
 
 def _row(res):
