@@ -389,7 +389,7 @@ def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
 def multiplication_matrix(loop: UnitaryLoop, partition: Partition,
                           lam_rows, coef_rows, lam_cols, coef_cols) -> np.ndarray:
     """A[i, j] = <psi_i, u psi_j> for eigenfunction rows/columns: the one
-    assembly of the matrix of M_u between eigenfunctions.
+    implementation of the matrix of M_u between eigenfunctions.
 
     On an interval [lo, hi) of the common refinement of knots and loop
     pieces, psi_i = a_i e^{i lam_i theta} and u = sum c e^{i nu theta}, so a
@@ -446,11 +446,16 @@ def multiplication_matrix(loop: UnitaryLoop, partition: Partition,
 @dataclass(eq=False)
 class _SectionWindow:
     """One pairing's basis window, the eigenfunctions with eigenvalue up to
-    cutoffs[-1] + reach + PAD (lam ascending), and the matrix
-    M[i, j] = <psi_i, u psi_j> of the loop over it, rows and columns alike.
+    cutoffs[-1] + reach + PAD (lam ascending), and the strips of the matrix
+    M[i, j] = <psi_i, u psi_j> over it that its finite sections read.
 
-    Every finite section of the pairing is a leading block of M, so M is
-    assembled once, the first time `compression_matrix` asks for a section.
+    With C eigenvalues up to the top cutoff, every section of u is a block of
+    the column strip M[:, :C] and every section of ubar the adjoint of a
+    block of the row strip M[:C, :]; the corner M[C:, C:] is never read.  Each
+    strip is assembled once, the first time `compression_matrix` asks for a
+    section that reads it: 2 N C - C^2 entries for N eigenvalues, no more than
+    the sections themselves hold, and N C for a loop that is its own
+    conjugate.
     """
 
     loop: UnitaryLoop
@@ -458,11 +463,33 @@ class _SectionWindow:
     lam: np.ndarray
     coef: np.ndarray
     reach: float
+    columns: int
+
+    @classmethod
+    def of(cls, loop: UnitaryLoop, partition: Partition, cutoffs, basis) -> "_SectionWindow":
+        """The window of `loop` on an `eigen_arrays` basis: a basis built for
+        a wider reach is cut to this loop's own window, by the same rule the
+        spectrum applies at a window's edge."""
+        reach = loop.frequency_reach
+        keep = basis[0] <= cutoffs[-1] + reach + PAD + 1e-12
+        lam = basis[0][keep]
+        return cls(loop, partition, lam, basis[1][keep], reach,
+                   int(np.count_nonzero(lam <= cutoffs[-1] + 1e-9)))
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        return multiplication_matrix(self.loop, self.partition,
-                                     self.lam, self.coef, self.lam, self.coef)
+    def column_strip(self) -> np.ndarray:
+        """M[:, :C]."""
+        c = self.columns
+        return multiplication_matrix(self.loop, self.partition, self.lam, self.coef,
+                                     self.lam[:c], self.coef[:c])
+
+    @cached_property
+    def row_strip(self) -> np.ndarray:
+        """M[:C, :]: the column strip's leading C x C block, then M[:C, C:]."""
+        c = self.columns
+        rest = multiplication_matrix(self.loop, self.partition, self.lam[:c], self.coef[:c],
+                                     self.lam[c:], self.coef[c:])
+        return np.hstack([self.column_strip[:c], rest])
 
 
 def compression_matrix(window: _SectionWindow, cutoff: float,
@@ -473,15 +500,15 @@ def compression_matrix(window: _SectionWindow, cutoff: float,
     A(ubar) on the same rows and columns.
 
     With R rows and C columns, A(u) is the block M[:R, :C] of the window's
-    matrix, and <psi_i, ubar psi_j> = conj(<psi_j, u psi_i>) makes A(ubar)
-    the adjoint of the block M[:C, :R]: one assembly serves every section of
-    both loops.
+    column strip, and <psi_i, ubar psi_j> = conj(<psi_j, u psi_i>) makes
+    A(ubar) the adjoint of the block M[:C, :R] of its row strip: two strips
+    serve every section of both loops.
     """
     rows = np.count_nonzero(window.lam <= cutoff + window.reach + PAD + 1e-9)
     cols = np.count_nonzero(window.lam <= cutoff + 1e-9)
     if conjugate:
-        return window.matrix[:cols, :rows].conj().T
-    return window.matrix[:rows, :cols]
+        return window.row_strip[:cols, :rows].conj().T
+    return window.column_strip[:rows, :cols]
 
 
 def _numerical_kernel(A: np.ndarray):
@@ -515,20 +542,17 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
     P M_ubar P = (P M_u P)*, so the cokernel of the section A(u) is read as the
     kernel of A(ubar), the same finite section for the conjugate loop (the
     windows depend only on the reach, which u and ubar share).  This call
-    makes the pairing's `_SectionWindow`, whose one matrix gives the sections
+    makes the pairing's `_SectionWindow`, whose two strips give the sections
     of u and of ubar at every cutoff, and drops it on return; a loop that is
-    its own conjugate (equal pieces) takes the sections of u only.
+    its own conjugate (equal pieces) takes the sections of u only, off the
+    column strip alone.
 
     Returns (plateau, resolved, index).  `resolved` demands both the
     three-equal-indices plateau and a stable smallest retained singular value;
     a monotone singular-value decay is the signature of kernel vectors with
     slow tails, where a fixed threshold would plateau on a wrong integer.
     """
-    reach = loop.frequency_reach
-    # a basis built for a wider reach is cut to this loop's own window, by the
-    # same rule the spectrum applies at a window's edge
-    keep = basis[0] <= cutoffs[-1] + reach + PAD + 1e-12
-    window = _SectionWindow(loop, partition, basis[0][keep], basis[1][keep], reach)
+    window = _SectionWindow.of(loop, partition, cutoffs, basis)
     kernels = _kernel_trajectory(window, cutoffs)
     cokernels = (kernels if loop.conjugate().pieces == loop.pieces
                  else _kernel_trajectory(window, cutoffs, conjugate=True))
@@ -698,12 +722,12 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     share it between loops.  Without it the pairing builds its own at the
     loop's reach.
 
-    Each pairing assembles one matrix over its basis window and decomposes
-    A(u) and A(ubar) at every cutoff as blocks of it (4 `compression_matrix`
-    sections and 4 SVDs each on the default schedule, only those of A(u) when
-    u is its own conjugate), and runs two `symbol_index` calls.  The pairing
-    of ubar is the `adjoint` of this result, so a sweep that holds both loops
-    pairs only one of them.
+    Each pairing assembles two strips of one matrix over its basis window
+    and decomposes A(u) and A(ubar) at every cutoff as blocks of them (4
+    `compression_matrix` sections and 4 SVDs each on the default schedule,
+    only those of A(u), off one strip, when u is its own conjugate), and
+    runs two `symbol_index` calls.  The pairing of ubar is the `adjoint` of
+    this result, so a sweep that holds both loops pairs only one of them.
     """
     if partition is None:
         partition = Partition.default()

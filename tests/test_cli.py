@@ -569,8 +569,8 @@ def test_a_failed_eigenbasis_leaves_only_its_pairings_uncertified(
 
 
 def _count_pairing_kernels(monkeypatch):
-    """Counters of `compression_matrix` calls (sections), of the assemblies
-    behind them and of SVDs called from the pairing module (the kernel SVDs;
+    """Counters of `compression_matrix` calls (sections), of the strip
+    assemblies behind them and of SVDs called from the pairing module (the kernel SVDs;
     the eigenbasis SVDs run in spectral)."""
     from extlab import pairing
 
@@ -598,12 +598,13 @@ def _count_pairing_kernels(monkeypatch):
 @pytest.mark.parametrize("argv, cfg, calls, assemblies", [
     # z^-3..z^3 against one B: z^-3..z^-1 are paired, 8 sections each, z^0 is
     # its own conjugate (4), and z^1..z^3 are read off their conjugates; each
-    # paired loop assembles one matrix, whose blocks are all its sections
-    pytest.param(("verify", "extension-independence"), {"suite": {"count": 1}}, 28, 4,
+    # paired loop assembles the column strip and the row strip of one matrix
+    # (z^0 the column strip only), whose blocks are all its sections
+    pytest.param(("verify", "extension-independence"), {"suite": {"count": 1}}, 28, 7,
                  id="sweep"),
     # a single pairing has no shared basis: A(u) and A(ubar) at each cutoff,
     # only A(u) when the loop is its own conjugate
-    pytest.param(("pair",), {"loop": {"monomial": 2}}, 8, 1, id="pair"),
+    pytest.param(("pair",), {"loop": {"monomial": 2}}, 8, 2, id="pair"),
     pytest.param(("pair",), {"loop": {"monomial": 0}}, 4, 1, id="pair-self-conjugate"),
 ])
 def test_sweeps_compress_and_decompose_each_loop_once(

@@ -322,8 +322,8 @@ def _multi_term_loops():
     pytest.param(31, id="haar-31"),
 ])
 def test_factored_compression_matches_the_assembled_one(B):
-    # each section of u and of ubar is a block of the window's one factored
-    # matrix; both must match the entrywise assembly on the section's own rows
+    # each section of u and of ubar is a block of one of the window's factored
+    # strips; both must match the entrywise assembly on the section's own rows
     # and columns
     if isinstance(B, int):
         B = random_boundary(B)
@@ -331,9 +331,9 @@ def test_factored_compression_matches_the_assembled_one(B):
     basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi)
     for loop in _sweep_loops():
         reach = loop.frequency_reach
-        keep = basis[0] <= DEFAULT_CUTOFFS[-1] + reach + PAD + 1e-12
-        lam, coef = basis[0][keep], basis[1][keep]
-        window = pairing._SectionWindow(loop, part, lam, coef, reach)
+        window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
+        lam, coef = window.lam, window.coef
+        assert np.array_equal(lam, basis[0][basis[0] <= DEFAULT_CUTOFFS[-1] + reach + PAD + 1e-12])
         for Lam in DEFAULT_CUTOFFS:
             cols = lam <= Lam + 1e-9
             rows = lam <= Lam + reach + PAD + 1e-9
@@ -357,6 +357,37 @@ def test_factored_compression_on_unequal_pieces():
         ref = _assembled_compression_matrix(loop, part, *args)
         got = multiplication_matrix(loop, part, *args)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_a_high_reach_window_assembles_no_more_than_its_sections(monkeypatch):
+    # z^1000 has a window of N = 1133 eigenvalues against C = 129 up to the
+    # top cutoff: the strips M[:, :C] and M[:C, C:] hold 2 N C - C^2 entries,
+    # fewer than the sections of u and ubar, where the whole N x N window
+    # matrix would hold about 4x as many
+    part = Partition.default()
+    loop = UnitaryLoop.monomial(1000)
+    basis = eigen_arrays(SWAP, part, DEFAULT_CUTOFFS, loop.frequency_reach)
+    assembled, sections = [], []
+    kernel, compression = pairing.multiplication_matrix, pairing.compression_matrix
+
+    def counted_kernel(loop, partition, lam_rows, coef_rows, lam_cols, coef_cols):
+        assembled.append(len(lam_rows) * len(lam_cols))
+        return kernel(loop, partition, lam_rows, coef_rows, lam_cols, coef_cols)
+
+    def counted_compression(*args):
+        A = compression(*args)
+        sections.append(A.size)
+        return A
+
+    monkeypatch.setattr(pairing, "multiplication_matrix", counted_kernel)
+    monkeypatch.setattr(pairing, "compression_matrix", counted_compression)
+    pairing._finite_section(loop, part, DEFAULT_CUTOFFS, basis)
+    window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
+    N, C = len(window.lam), window.columns
+    assert (N, C) == (1133, 129)
+    assert assembled == [N * C, C * (N - C)]
+    assert len(sections) == 2 * len(DEFAULT_CUTOFFS)
+    assert sum(assembled) <= sum(sections) and 4 * sum(assembled) < N * N
 
 
 def test_a_section_of_rounding_error_has_a_kernel():
@@ -789,17 +820,16 @@ def test_a_loops_conjugate_has_the_finite_sections_of_the_suites_conjugate(B):
     if isinstance(B, int):
         B = random_boundary(B)
     part = Partition.default()
-    lam, coef = eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi)
+    basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi)
     for loop, conj in _conjugate_suites():
         assert loop.conjugate().pieces == conj.pieces
-        reach = loop.frequency_reach
         trajectories = [
-            pairing._kernel_trajectory(pairing._SectionWindow(u, part, lam, coef, reach),
+            pairing._kernel_trajectory(pairing._SectionWindow.of(u, part, DEFAULT_CUTOFFS, basis),
                                        DEFAULT_CUTOFFS)
             for u in (loop.conjugate(), conj)]
         assert trajectories[0] == trajectories[1]
         adjoint_side = pairing._kernel_trajectory(
-            pairing._SectionWindow(loop, part, lam, coef, reach), DEFAULT_CUTOFFS,
+            pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis), DEFAULT_CUTOFFS,
             conjugate=True)
         assert [k for k, _smin in adjoint_side] == [k for k, _smin in trajectories[0]]
 
