@@ -17,7 +17,9 @@ combined, from cheapest to most general:
 2. ``symbol-winding``: the compression is unitarily a block Toeplitz operator
    with a 2x2 piecewise-continuous matrix symbol; its index is minus the
    winding of det(symbol) completed across the seam jump by a straight chord.
-   Exact for every Fredholm case, certified by integrality and chord margin.
+   Exact for every Fredholm case, certified by integrality and chord margin,
+   and unwound on a grid whose phase steps are proved small
+   (`unwinding_grid`).
 3. ``extension-independence``: when the compression for this particular B is
    genuinely not Fredholm (the chord determinant passes through zero, which
    happens e.g. for B = I against odd-winding loops), the pairing of the
@@ -32,6 +34,7 @@ pinch S^1 -> S^1 v S^1 (``UnitaryLoop.wedge_pair``), as the addition formula
 evaluates it, so every route above sees one kind of loop.
 """
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 import math
@@ -71,6 +74,14 @@ MAX_BASIS_WINDOW = 4096 * np.pi
 
 MARGIN = 0.1
 _MARGIN_POINTS = 4096      # the modulus check's grid k / 4096
+
+#: the fewest and the most points `unwinding_grid` may give a sampled loop
+MIN_UNWINDING_GRID = 64
+MAX_UNWINDING_GRID = 1 << 18
+
+#: the largest phase step `unwinding_grid` certifies, and `symbol_index`
+#: samples, between neighbouring grid points
+MAX_PHASE_STEP = 0.5
 
 #: the largest sum of coefficient moduli a loop piece may carry, so that |u|^2
 #: and the symbol determinant u(x/2) u((x+1)/2) stay finite
@@ -151,8 +162,8 @@ class UnitaryLoop:
         if not np.all((th >= 0.0) & (th < 1.0)):
             # np.mod is the identity on [0, 1), and costs more than the check
             th = np.mod(th, 1.0)
-        out = _evaluate(self.pieces, np.atleast_1d(th))
-        return out[0] if th.ndim == 0 else out
+        out = _evaluate(self.pieces, th.reshape(-1))
+        return out[0] if th.ndim == 0 else out.reshape(th.shape)
 
     def grid(self, npoints: int, offset: float = 0.0) -> np.ndarray:
         """Values at the uniform grid (k + offset) / npoints, k < npoints
@@ -251,6 +262,11 @@ def _cuts(endpoints, pieces):
                   | {round(p[0], 15) for p in pieces} | {1.0})
 
 
+def _value(terms, theta: float) -> complex:
+    """sum c e^{i nu theta} over one piece's terms, at one point."""
+    return sum(c * cmath.exp(1j * nu * theta) for nu, c in terms)
+
+
 def _cis(x: np.ndarray) -> np.ndarray:
     """e^{i x} as cos x + i sin x: numpy's complex exp takes twice as long."""
     e = np.empty(x.shape, dtype=complex)
@@ -340,9 +356,55 @@ def _piece_selections(pieces, th: np.ndarray):
 # winding
 # ---------------------------------------------------------------------------
 
-def winding(loop: UnitaryLoop, ngrid: int = 4096) -> int:
-    """(1/2pi) x total unwrapped argument increment around the circle."""
-    vals = loop.grid(ngrid)
+def unwinding_grid(loop: UnitaryLoop):
+    """(N, bound): the smallest power of two N >= MIN_UNWINDING_GRID on which
+    every phase step of the loop's N-point grid, and of the symbol
+    determinant u(x/2) u((x+1)/2) on `symbol_index`'s N-point grid, is
+    proved to be at most bound <= MAX_PHASE_STEP; NumericalError past
+    MAX_UNWINDING_GRID.  The one implementation of "unwrap a sampled loop
+    safely".
+
+    On a piece |u'| <= L, L the sum of |nu c| over its terms, so along an
+    arc of length d the argument of u moves by at most d L / mu, mu a lower
+    bound on |u|.  Where u jumps by j at a piece break (the wrap at 1
+    included), its argument moves by at most (pi/2) j / mu, since
+    |z2 - z1| >= 2 min|z| sin(|arg(z2/z1)|/2); J is the sum of the jumps,
+    rounding error for every loop the CLI builds.  A step of the symbol grid
+    moves each factor along an arc of 1/(2N), so det v by at most
+    (L/N + pi J) / mu, and a step of the N-point winding grid moves u by no
+    more; the two half-steps at the seam are shorter.
+
+    mu is the minimum of |u| over an M-point grid less L/(2M) + J, the most
+    |u| can fall between grid points; M doubles from MIN_UNWINDING_GRID
+    until mu is at least half that minimum.  L, J and mu all scale with the
+    coefficients, so the grid does not depend on their size.
+    """
+    pieces = loop.pieces
+    lip = max(sum(abs(c) for _nu, c in terms) for _lo, _hi, terms in _derivative_pieces(loop))
+    jump = abs(_value(pieces[-1][2], 1.0) - _value(pieces[0][2], 0.0)) + sum(
+        abs(_value(left, lo) - _value(right, lo))
+        for (_lo, _hi, left), (lo, _, right) in zip(pieces, pieces[1:]))
+    points = MIN_UNWINDING_GRID
+    while True:
+        low = float(np.min(np.abs(loop.grid(points))))
+        mu = low - lip / (2 * points) - jump
+        # a finer grid only lowers `low`, and N must reach 2 L / mu >= 2 L / low
+        if mu >= low / 2 or points >= MAX_UNWINDING_GRID or 2 * lip > MAX_UNWINDING_GRID * low:
+            break
+        points *= 2
+    room = MAX_PHASE_STEP * mu - np.pi * jump       # what is left for L / N
+    ngrid = MIN_UNWINDING_GRID
+    while room > 0 and ngrid * room < lip and ngrid <= MAX_UNWINDING_GRID:
+        ngrid *= 2
+    if not (room > 0 and ngrid <= MAX_UNWINDING_GRID):
+        raise NumericalError("symbol grid too coarse for safe unwinding")
+    return ngrid, (lip / ngrid + np.pi * jump) / mu
+
+
+def winding(loop: UnitaryLoop) -> int:
+    """(1/2pi) x total unwrapped argument increment around the circle, on
+    the loop's `unwinding_grid`."""
+    vals = loop.grid(unwinding_grid(loop)[0])
     mods = np.abs(vals)
     if np.min(mods) <= MARGIN:
         raise IllConditionedLoopError(f"modulus {np.min(mods):.4f} below margin {MARGIN}")
@@ -576,27 +638,55 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
 # ---------------------------------------------------------------------------
 
 def _chord_margin(vL: np.ndarray, vR: np.ndarray):
-    """min |det((1-mu) vL + mu vR)| over mu in [0,1], via the exact quadratic.
+    """min |det((1-mu) vL + mu vR)| over mu in [0,1], in closed form.
 
     Returns (margin, scale, (a, b, c)) with det((1-mu) vL + mu vR) =
-    a mu^2 + b mu + c, so callers can evaluate the chord determinant too.
+    q(mu) = a mu^2 + b mu + c, so callers can evaluate the chord determinant
+    too.  |q|^2 is a real quartic in mu, so its minimum on [0, 1] lies at an
+    end or at a real root of its derivative 2 Re(conj(q) q'), the cubic
+
+        2|a|^2 mu^3 + 3 Re(conj(a) b) mu^2 + (|b|^2 + 2 Re(a conj(c))) mu + Re(b conj(c)),
+
+    taken on q / scale so that nothing overflows.  Each root's real part,
+    clipped to [0, 1], is evaluated: every candidate is a value of |q| on the
+    chord, and the minimiser is among them.
     """
-    q0 = np.linalg.det(vL)
-    q1 = np.linalg.det(vR)
-    qh = np.linalg.det(0.5 * (vL + vR))
+    q0, q1, qh = (complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+                  for m in (vL, vR, 0.5 * (vL + vR)))
     # q(mu) = a mu^2 + b mu + c with c = q0, a + b + c = q1, a/4 + b/2 + c = qh
     c = q0
     a = 2.0 * q1 + 2.0 * q0 - 4.0 * qh
     b = q1 - q0 - a
     scale = max(abs(q0), abs(q1), abs(qh), 1e-300)
-    best = min(abs(q0), abs(q1))
-    mus = np.linspace(0.0, 1.0, 2001)
-    best = min(best, float(np.min(np.abs((a * mus + b) * mus + c))))
-    if abs(a) > 1e-14 * scale:
-        for r in np.roots([a, b, c]):
-            if abs(r.imag) < 1e-7 and -1e-9 <= r.real <= 1 + 1e-9:
-                best = min(best, float(abs((a * r.real + b) * r.real + c)))
-    return best, scale, (a, b, c)
+    an, bn, cn = a / scale, b / scale, c / scale
+    crit = np.roots([2.0 * abs(an) ** 2, 3.0 * (an.conjugate() * bn).real,
+                     abs(bn) ** 2 + 2.0 * (an * cn.conjugate()).real, (bn * cn.conjugate()).real])
+    mus = [0.0, 1.0, *(min(max(r.real, 0.0), 1.0) for r in crit)]
+    margin = min(abs((an * mu + bn) * mu + cn) for mu in mus) * scale
+    return margin, scale, (a, b, c)
+
+
+def _chord_turn(a, b, c) -> float:
+    """The argument change of q(mu) = a mu^2 + b mu + c from mu = 0 to 1,
+    for a q with no zero on [0, 1].
+
+    q = a (mu - r1)(mu - r2), and as mu runs over [0, 1] the argument of
+    mu - r moves by angle((1 - r) / (-r)): a straight segment that misses
+    the origin turns by less than pi.  With the stable roots r1 = h / a and
+    r2 = c / h, h = -(b + s) / 2 and s the square root of the discriminant
+    on b's side, the two turns are angle((a - h) / -h) and
+    angle((h - c) / -c), with no division by a: a linear q (a = 0) gives 0
+    and angle(q(1) / q(0)).
+    """
+    norm = max(abs(a), abs(b), abs(c))
+    a, b, c = a / norm, b / norm, c / norm
+    s = cmath.sqrt(b * b - 4.0 * a * c)
+    if (b.conjugate() * s).real < 0:
+        s = -s
+    h = -(b + s) / 2.0
+    if h == 0:          # then a = b = 0: q is the constant c
+        return 0.0
+    return cmath.phase((a - h) / -h) + cmath.phase((h - c) / -c)
 
 
 def _sandwich_matrix(W: np.ndarray) -> np.ndarray:
@@ -615,8 +705,7 @@ def _two_equal_pieces(partition: Partition) -> bool:
     return len(lengths) == 2 and abs(lengths[0] - lengths[1]) < 1e-12
 
 
-def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
-                 ngrid: int = 8192):
+def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: int):
     """Exact Fredholm index of P M_u P via its block-Toeplitz symbol.
 
     Diagonalizing B = W diag(e^{i phi_j}) W* splits T_B into eigenvalue
@@ -640,7 +729,12 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
     alone on the 2 ngrid-point midpoint grid, and B enters only through that
     positive factor and through the seam: the one-sided limits vL = v(1-) and
     vR = v(0+) are the only 2x2 symbols formed, and the chord determinant is
-    the quadratic `_chord_margin` builds from them.
+    the quadratic `_chord_margin` builds from them, whose turn `_chord_turn`
+    reads off its roots.
+
+    On the loop's `unwinding_grid` N every interior step of det v is proved
+    to be at most MAX_PHASE_STEP, so the sampled check below never fires
+    there; callers pass ngrid = N.
 
     Returns (index_or_None, diagnostics dict).
     """
@@ -657,14 +751,14 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
     if np.min(np.abs(detv)) < 1e-9:
         return None, {"reason": "interior determinant degenerate"}
     darg = np.angle(detv[1:] / detv[:-1])
-    if np.max(np.abs(darg)) > 0.5:
+    if np.max(np.abs(darg)) > MAX_PHASE_STEP:
         raise NumericalError("symbol grid too coarse for safe unwinding")
     total = float(np.sum(darg))
 
-    # the seam: x -> 1^- (loop periodicity) and x -> 0^+
-    x = np.array([1.0, 0.0])
-    U = loop(np.concatenate([x / 2.0, (x + 1.0) / 2.0])).reshape(2, 2).T
-    g = np.exp(1j * np.outer(x, alpha))
+    # the seam: x -> 1^- (loop periodicity: u(1) = u(0)) and x -> 0^+
+    u_0, u_half = (_value(_terms_at(loop.pieces, t), t) for t in (0.0, 0.5))
+    U = np.array([[u_half, u_0], [u_0, u_half]])
+    g = np.exp(1j * np.outer([1.0, 0.0], alpha))
     vL, vR = (U @ _sandwich_matrix(W)).reshape(2, 2, 2) * g[:, :, None] / g[:, None, :]
     margin, scale, (a, b, c) = _chord_margin(vL, vR)
     diag = {"chord_margin": margin, "chord_scale": scale}
@@ -672,13 +766,8 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None,
         diag["reason"] = "chord determinant passes through zero (not Fredholm)"
         return None, diag
 
-    mu = np.linspace(0.0, 1.0, 4097)
-    detM = (a * mu + b) * mu + c
-    dchord = np.angle(detM[1:] / detM[:-1])
-    if np.max(np.abs(dchord)) > 0.5:
-        raise NumericalError("chord grid too coarse for safe unwinding")
-    total += float(np.sum(dchord))
-    total += float(np.angle(detv[0] / detM[-1]))        # chord end -> first grid point
+    total += _chord_turn(a, b, c)
+    total += float(np.angle(detv[0] / (a + b + c)))     # chord end -> first grid point
     total += float(np.angle(c / detv[-1]))              # last grid point -> v(1-)
     wind = total / TWO_PI
     iw = int(np.round(wind))
@@ -726,8 +815,10 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     and decomposes A(u) and A(ubar) at every cutoff as blocks of them (4
     `compression_matrix` sections and 4 SVDs each on the default schedule,
     only those of A(u), off one strip, when u is its own conjugate), and
-    runs two `symbol_index` calls.  The pairing of ubar is the `adjoint` of
-    this result, so a sweep that holds both loops pairs only one of them.
+    runs two `symbol_index` calls: on the loop's `unwinding_grid` N, where
+    the unwinding is proved, and on 2N as a cross-check.  The pairing of
+    ubar is the `adjoint` of this result, so a sweep that holds both loops
+    pairs only one of them.
     """
     if partition is None:
         partition = Partition.default()
@@ -741,10 +832,11 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     sym_available = _two_equal_pieces(partition)
     sym_index, sym_diag = (None, {"reason": "partition not supported"})
     if sym_available:
-        sym_index, sym_diag = symbol_index(loop, Bm, partition)
+        ngrid, _bound = unwinding_grid(loop)
+        sym_index, sym_diag = symbol_index(loop, Bm, partition, ngrid=ngrid)
         if sym_index is not None:
-            # certify by grid refinement
-            check, _ = symbol_index(loop, Bm, partition, ngrid=16384)
+            # the grid is proved fine enough; twice the points must agree
+            check, _ = symbol_index(loop, Bm, partition, ngrid=2 * ngrid)
             if check != sym_index:
                 raise NumericalError("symbol winding disagreed across grid refinement")
 
@@ -761,7 +853,7 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
         # any finite-section plateau here is an artifact of slow singular-value
         # decay.  The class pairing is evaluated on the canonical
         # anti-diagonal representative, whose compression is always Fredholm.
-        canon, canon_diag = symbol_index(loop, _CANONICAL_B, partition)
+        canon, canon_diag = symbol_index(loop, _CANONICAL_B, partition, ngrid=ngrid)
         if canon is None:
             raise NumericalError(
                 f"compression not Fredholm for B and for the canonical representative: "

@@ -1,14 +1,19 @@
 """End-to-end checks of the command-line interface via subprocesses:
 exit codes, JSON/CSV/SVG artifacts, determinism, and tolerance plumbing."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -508,6 +513,53 @@ def test_pair_withholds_a_plateau_that_contradicts_the_winding(tmp_path):
     }]
     _header, rows = _csv_rows(out / "pair.csv")
     assert rows == [["z^-1", "seed8-0", "", "-1", "", "uncertified"]]
+
+
+@pytest.mark.parametrize("n", [700, 1000, 1900])
+def test_pair_certifies_a_high_reach_monomial(tmp_path, n):
+    # the symbol grid grows with the reach (16384 points at z^700, 65536 at
+    # z^1900), where a fixed 8192-point grid was too coarse to unwind
+    out = tmp_path / "out"
+    proc = run_cli("pair", "--out", str(out), config={"loop": {"monomial": n}},
+                   tmp_path=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    pairing = report_of(proc)["result"]["pairings"][0]
+    assert (pairing["index"], pairing["winding"], pairing["stable"]) == (-n, n, True)
+    _header, rows = _csv_rows(out / "pair.csv")
+    assert rows[0][5] == "symbol-winding"
+
+
+_COEFFICIENT = st.builds(lambda r, phi: [r * math.cos(phi), r * math.sin(phi)],
+                         st.floats(1e-3, 1e6), st.floats(0.0, 2 * math.pi))
+_LOOPS = st.one_of(
+    st.builds(lambda n: {"monomial": n}, st.integers(-2000, 2000)),
+    st.builds(lambda terms: {"fourier": terms},
+              st.dictionaries(st.integers(-2000, 2000).map(str), _COEFFICIENT,
+                              min_size=1, max_size=4)),
+    st.builds(lambda a, b: {"wedge": [{"monomial": a}, {"monomial": b}]},
+              st.integers(-5, 5), st.integers(-5, 5)),
+)
+_EXTENSIONS = st.one_of(st.sampled_from(["swap", "identity"]),
+                        st.builds(lambda seed: {"random": {"seed": seed, "count": 1}},
+                                  st.integers(0, 2 ** 32)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_LOOPS, st.lists(st.floats(1e-3, 256 * math.pi), min_size=1, max_size=5, unique=True),
+       _EXTENSIONS)
+def test_pair_keeps_the_exit_contract_on_any_loop(loop, cutoffs, extension):
+    # the inputs the symbol grid's sizing reads: reach, coefficient sizes and
+    # the loop's minimum modulus; any of them exits 0, 2 or 3 and never
+    # raises out of the CLI
+    from extlab import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"loop": loop, "cutoffs": sorted(cutoffs), "extension": extension}, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["pair", "--config", config])
+    assert code in (0, 2, 3)
 
 
 @pytest.mark.parametrize("argv, cfg, csv_name", [

@@ -29,9 +29,11 @@ from extlab.errors import (
 from extlab.pairing import (
     DEFAULT_CUTOFFS,
     MAX_BASIS_WINDOW,
+    MAX_PHASE_STEP,
     PAD,
     UnitaryLoop,
     _chord_margin,
+    _chord_turn,
     _cuts,
     _fourier_terms,
     _sandwich_matrix,
@@ -44,6 +46,7 @@ from extlab.pairing import (
     multiplication_matrix,
     pair,
     symbol_index,
+    unwinding_grid,
     winding,
 )
 from extlab.vonneumann import (
@@ -468,7 +471,8 @@ def test_identity_extension_even_loops_are_fredholm():
 
 
 def test_symbol_route_reports_non_fredholm_reason():
-    idx, diag = symbol_index(UnitaryLoop.monomial(1), np.eye(2))
+    loop = UnitaryLoop.monomial(1)
+    idx, diag = symbol_index(loop, np.eye(2), ngrid=unwinding_grid(loop)[0])
     assert idx is None
     assert "not Fredholm" in diag["reason"]
 
@@ -578,6 +582,117 @@ def test_determinant_symbol_route_matches_the_full_symbol(name):
     if name == "identity":
         # odd-winding loops make B = I genuinely not Fredholm
         assert "chord determinant passes through zero (not Fredholm)" in answers
+
+
+def _random_fourier_loops(count=20, seed=151):
+    """Seeded Fourier loops of 1 to 4 terms with |m| <= 8 and Gaussian
+    coefficients: the first `count` the constructor admits."""
+    rng = np.random.default_rng(seed)
+    loops = []
+    while len(loops) < count:
+        ms = rng.choice(np.arange(-8, 9), size=rng.integers(1, 5), replace=False)
+        cs = rng.normal(size=len(ms)) + 1j * rng.normal(size=len(ms))
+        try:
+            loops.append(UnitaryLoop.from_fourier(dict(zip(ms.tolist(), cs))))
+        except IllConditionedLoopError:
+            continue
+    return loops
+
+
+def _cell_turns(values):
+    """The argument change across each row of finely sampled values, as
+    the sum of its principal steps."""
+    return np.sum(np.angle(values[:, 1:] / values[:, :-1]), axis=1)
+
+
+def test_the_unwinding_grid_bounds_every_phase_step():
+    # each step of the N-point symbol grid for det v (and the seam's two half
+    # steps), and of the N-point winding grid for u, measured as 32 steps of a
+    # grid 32 times finer, evaluated directly: none exceeds the proved bound
+    fine = np.arange(33) / 32
+    for loop in _sweep_loops() + _multi_term_loops() + _random_fourier_loops():
+        ngrid, bound = unwinding_grid(loop)
+        assert ngrid >= 64 and ngrid & (ngrid - 1) == 0 and bound <= MAX_PHASE_STEP
+        xs = np.concatenate([[0.0], (np.arange(ngrid) + 0.5) / ngrid, [1.0]])
+        x = xs[:-1, None] + np.diff(xs)[:, None] * fine
+        detv_turns = _cell_turns(loop(x / 2) * loop((x + 1) / 2))
+        th = (np.arange(ngrid)[:, None] + fine) / ngrid
+        u_turns = _cell_turns(loop(th))
+        assert max(np.max(np.abs(detv_turns)), np.max(np.abs(u_turns))) <= bound + 1e-12
+
+
+def test_the_sized_symbol_route_gives_the_full_symbols_answer():
+    # the route on its proved grid against the whole-symbol reference on the
+    # fixed 8192 points it used to take
+    loops = _sweep_loops() + _multi_term_loops() + _random_fourier_loops()
+    for B in (SWAP, np.eye(2), random_boundary(13)):
+        for loop in loops:
+            ngrid, _bound = unwinding_grid(loop)
+            assert (_symbol_answer(symbol_index, loop, B, ngrid)
+                    == _symbol_answer(_full_symbol_index, loop, B, 8192))
+
+
+def test_the_unwinding_grid_does_not_depend_on_the_coefficients_size():
+    # powers of two scale every quantity the sizing reads exactly
+    for loop in _multi_term_loops() + _random_fourier_loops(5):
+        grid = unwinding_grid(loop)[0]
+        for scale in (2.0 ** 4, 2.0 ** 20, 2.0 ** 460):
+            scaled = UnitaryLoop(pieces=tuple((lo, hi, tuple((nu, scale * c) for nu, c in terms))
+                                              for lo, hi, terms in loop.pieces))
+            assert unwinding_grid(scaled)[0] == grid
+
+
+@pytest.mark.parametrize("n, ngrid", [(0, 64), (3, 64), (700, 16384), (1900, 65536)])
+def test_the_unwinding_grid_grows_with_the_reach(n, ngrid):
+    # z^n turns by 2 pi n / N a step of the N-point grid
+    loop = UnitaryLoop.monomial(n)
+    assert unwinding_grid(loop)[0] == ngrid
+    assert winding(loop) == n
+    assert symbol_index(loop, SWAP, ngrid=ngrid)[0] == -n
+
+
+def test_a_loop_past_the_largest_grid_is_declined():
+    # |u| dips to 1 where |u'| is about 6e7: no grid within
+    # MAX_UNWINDING_GRID points proves the unwinding
+    loop = UnitaryLoop.from_fourier({0: 1e7, 1: 1e7 - 1})
+    with pytest.raises(NumericalError, match="symbol grid too coarse for safe unwinding"):
+        unwinding_grid(loop)
+
+
+def test_a_jump_at_a_piece_break_counts_in_the_bound():
+    # z on [0, 1/2) and e^{i phi} z on [1/2, 1) jumps by |1 - e^{i phi}| at
+    # 1/2 and at the wrap: the bound holds across both jumps at phi = 1e-3,
+    # while at phi = 0.2 (|u| = 1 stays far from 0) the jumps alone turn the
+    # argument by more than MAX_PHASE_STEP allows
+    def turned(phi):
+        return UnitaryLoop(pieces=((0.0, 0.5, ((TWO_PI, 1.0),)),
+                                   (0.5, 1.0, ((TWO_PI, complex(math.cos(phi), math.sin(phi))),))))
+    ngrid, bound = unwinding_grid(turned(1e-3))
+    assert bound <= MAX_PHASE_STEP
+    th = (np.arange(ngrid)[:, None] + np.arange(33) / 32) / ngrid
+    assert np.max(np.abs(_cell_turns(turned(1e-3)(th)))) <= bound
+    with pytest.raises(NumericalError, match="too coarse"):
+        unwinding_grid(turned(0.2))
+
+
+def test_the_chord_turn_and_margin_match_a_dense_chord():
+    # the closed forms against 100001 points of the chord: the turn equals the
+    # sampled unwinding, and the margin is the sampled minimum within the
+    # grid's reach; a constant chord (vL = vR, a = b = 0) and a linear one
+    # (a rank-one step) are included
+    rng = np.random.default_rng(23)
+    mu = np.linspace(0.0, 1.0, 100001)
+    cases = [rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)) for _ in range(100)]
+    vL = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    cases += [np.stack([vL, vL]), np.stack([vL, vL + np.outer([1.0, 0.0], rng.normal(size=2))])]
+    for vL, vR in cases:
+        margin, scale, (a, b, c) = _chord_margin(vL, vR)
+        q = (a * mu + b) * mu + c
+        dense = np.min(np.abs(q))
+        slope = np.max(np.abs(2 * a * mu + b))
+        assert dense - slope * 1e-5 - 1e-14 * scale <= margin <= dense + 1e-14 * scale
+        if margin > 1e-3 * scale:
+            assert abs(_chord_turn(a, b, c) - np.sum(np.angle(q[1:] / q[:-1]))) <= 1e-9
 
 
 def test_pair_rejects_non_unitary_boundary():
