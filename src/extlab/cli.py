@@ -654,20 +654,27 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+def _or_error(fn, *args):
+    """fn(*args), or the NumericalError it raised (each pairing it concerns
+    reports it)."""
+    try:
+        return fn(*args)
+    except NumericalError as exc:
+        return exc
+
+
 def _pair_task(loop, B, cutoffs, partition, basis=None):
     """One pairing work item: `pair`'s result, or the NumericalError that
     leaves this pairing uncertified.
 
     `loop` is any loop, a wedge loop being its pinch pullback.  `basis` is an
-    `eigen_arrays` basis, or the NumericalError that building it raised,
-    which is this pairing's error like any other.
+    `eigen_arrays` basis, or a NumericalError raised before the pairing (in
+    building the basis, or in the loop's `winding`), which is this pairing's
+    error like any other.
     """
     if isinstance(basis, NumericalError):
         return basis
-    try:
-        return pair(loop, B, cutoffs=cutoffs, partition=partition, basis=basis)
-    except NumericalError as exc:
-        return exc
+    return _or_error(pair, loop, B, cutoffs, partition, basis)
 
 
 def _run_pairings(tasks, jobs):
@@ -679,11 +686,11 @@ def _run_pairings(tasks, jobs):
 
 
 def _pair_row(loop_label, ext_label, wind, res):
-    """The CSV row of a `_pair_task` outcome."""
+    """The CSV row of a `_pair_task` outcome; a failed winding is blank."""
+    wind = "" if isinstance(wind, NumericalError) else str(wind)
     if isinstance(res, NumericalError):
-        return (loop_label, ext_label, "", str(wind), "", "uncertified")
-    return (loop_label, ext_label, str(res.index), str(wind), _plateau_str(res.plateau),
-            res.method)
+        return (loop_label, ext_label, "", wind, "", "uncertified")
+    return (loop_label, ext_label, str(res.index), wind, _plateau_str(res.plateau), res.method)
 
 
 def _certified(res) -> bool:
@@ -700,8 +707,9 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
     cutoffs = cfg.cutoffs()
     entries = cfg.extensions(spec, default=[{"anchor": "swap"}])
 
-    wind = winding(loop)
-    outcomes = _run_pairings([(loop, B, cutoffs, part) for _label, _u, B in entries],
+    wind = _or_error(winding, loop)
+    failed = wind if isinstance(wind, NumericalError) else None
+    outcomes = _run_pairings([(loop, B, cutoffs, part, failed) for _label, _u, B in entries],
                              cfg.jobs)
 
     pairs, rows = [], []
@@ -713,7 +721,7 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
                 "loop": loop_label,
                 "extension": label,
                 "index": None if error else res.index,
-                "winding": wind,
+                "winding": None if failed else wind,
                 "stable": _certified(res),
                 "error": str(error) if error else None,
             }
@@ -729,14 +737,6 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
     return EXIT_OK if all_stable else EXIT_NUMERICAL
 
 
-def _basis(B, partition, cutoffs, reach):
-    """`eigen_arrays`, or the NumericalError it raised (each pairing reports it)."""
-    try:
-        return eigen_arrays(B, partition, cutoffs, reach)
-    except NumericalError as exc:
-        return exc
-
-
 def _sweep(cfg: ExperimentConfig, loops, default_count: int):
     """Pair each (label, loop, expected index) with seeded Haar extensions.
 
@@ -748,7 +748,8 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
     earlier in the suite is not paired: its row for each B is the `adjoint`
     of the conjugate's result, an uncertified one staying uncertified, and
     its winding is minus the conjugate's.  Loops that are their own
-    conjugate, and loops whose conjugate is not in the suite, are paired.
+    conjugate, and loops whose conjugate is not in the suite, are paired;
+    where `winding` fails, its error is each of the loop's pairings'.
     """
     suite = cfg.raw.get("suite", {})
     spec = cfg.operator_spec()
@@ -766,16 +767,17 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
         conjugate_of.append(j)
         if j is None:
             paired.setdefault(loop.pieces, i)
-            windings.append(winding(loop))
+            windings.append(_or_error(winding, loop))
         else:
-            windings.append(-windings[j])
+            wind = windings[j]
+            windings.append(wind if isinstance(wind, NumericalError) else -wind)
     # one eigenbasis per B, at the widest window any loop needs, shared by
     # every pairing with that B
     reach = max(loop.frequency_reach for _label, loop, _expect in loops)
-    bases = [_basis(B, part, cutoffs, reach) for _label, _u, B in exts]
+    bases = [_or_error(eigen_arrays, B, part, cutoffs, reach) for _label, _u, B in exts]
 
-    tasks = [(loop, B, cutoffs, part, basis)
-             for (_label, loop, _expect), j in zip(loops, conjugate_of) if j is None
+    tasks = [(loop, B, cutoffs, part, wind if isinstance(wind, NumericalError) else basis)
+             for (_label, loop, _expect), j, wind in zip(loops, conjugate_of, windings) if j is None
              for (_ext_label, _u, B), basis in zip(exts, bases)]
     results = iter(_run_pairings(tasks, cfg.jobs))
 

@@ -15,11 +15,13 @@ combined, from cheapest to most general:
    cases the true kernel vectors have slowly decaying tails and a fixed
    threshold would report a stable *wrong* answer.
 2. ``symbol-winding``: the compression is unitarily a block Toeplitz operator
-   with a 2x2 piecewise-continuous matrix symbol; its index is minus the
-   winding of det(symbol) completed across the seam jump by a straight chord.
-   Exact for every Fredholm case, certified by integrality and chord margin,
-   and unwound on a grid whose phase steps are proved small
-   (`unwinding_grid`).
+   with a 2x2 piecewise-continuous matrix symbol v that jumps once, at the
+   seam.  det v winds as the loop does, and the straight chord across the
+   seam has a determinant that runs along a segment and back, so the index
+   is minus the loop's winding, unwound once on a grid whose phase steps are
+   proved small (`unwinding_grid`).  B enters only through the seam test:
+   the segment's distance from 0, in closed form, certifies that the
+   compression is Fredholm.
 3. ``extension-independence``: when the compression for this particular B is
    genuinely not Fredholm (the chord determinant passes through zero, which
    happens e.g. for B = I against odd-winding loops), the pairing of the
@@ -358,11 +360,11 @@ def _piece_selections(pieces, th: np.ndarray):
 
 def unwinding_grid(loop: UnitaryLoop):
     """(N, bound): the smallest power of two N >= MIN_UNWINDING_GRID on which
-    every phase step of the loop's N-point grid, and of the symbol
-    determinant u(x/2) u((x+1)/2) on `symbol_index`'s N-point grid, is
-    proved to be at most bound <= MAX_PHASE_STEP; NumericalError past
-    MAX_UNWINDING_GRID.  The one implementation of "unwrap a sampled loop
-    safely".
+    every phase step of the loop's N-point grid, of the 2N-point midpoint
+    grid `symbol_index` unwinds, and of the symbol determinant
+    u(x/2) u((x+1)/2) on the N midpoints x, is proved to be at most
+    bound <= MAX_PHASE_STEP; NumericalError past MAX_UNWINDING_GRID.  The
+    one implementation of "size a grid to unwrap a sampled loop safely".
 
     On a piece |u'| <= L, L the sum of |nu c| over its terms, so along an
     arc of length d the argument of u moves by at most d L / mu, mu a lower
@@ -370,9 +372,9 @@ def unwinding_grid(loop: UnitaryLoop):
     included), its argument moves by at most (pi/2) j / mu, since
     |z2 - z1| >= 2 min|z| sin(|arg(z2/z1)|/2); J is the sum of the jumps,
     rounding error for every loop the CLI builds.  A step of the symbol grid
-    moves each factor along an arc of 1/(2N), so det v by at most
-    (L/N + pi J) / mu, and a step of the N-point winding grid moves u by no
-    more; the two half-steps at the seam are shorter.
+    moves each factor of det v along an arc of 1/(2N), so det v by at most
+    (L/N + pi J) / mu, and a step of the N-point or the 2N-point grid moves u
+    by no more; the two half-steps at the seam are shorter.
 
     mu is the minimum of |u| over an M-point grid less L/(2M) + J, the most
     |u| can fall between grid points; M doubles from MIN_UNWINDING_GRID
@@ -401,21 +403,32 @@ def unwinding_grid(loop: UnitaryLoop):
     return ngrid, (lip / ngrid + np.pi * jump) / mu
 
 
-def winding(loop: UnitaryLoop) -> int:
-    """(1/2pi) x total unwrapped argument increment around the circle, on
-    the loop's `unwinding_grid`."""
-    vals = loop.grid(unwinding_grid(loop)[0])
-    mods = np.abs(vals)
+def _unwound(values: np.ndarray) -> int:
+    """The winding number of a loop sampled at `values` in order around the
+    circle: the cyclic sum of its principal phase steps over 2 pi.  The one
+    unwinding behind `winding` and `symbol_index`.
+
+    It refuses a modulus at or below MARGIN, a step above MAX_PHASE_STEP
+    (never taken on a grid `unwinding_grid` proves) and a sum further than
+    1e-6 from an integer: the cyclic sum is a multiple of 2 pi in exact
+    arithmetic, so the residue is rounding error.
+    """
+    mods = np.abs(values)
     if np.min(mods) <= MARGIN:
         raise IllConditionedLoopError(f"modulus {np.min(mods):.4f} below margin {MARGIN}")
-    steps = np.angle(np.roll(vals, -1) / vals)
-    if np.max(np.abs(steps)) >= np.pi - 1e-9:
-        raise IllConditionedLoopError("phase step >= pi on the winding grid")
+    steps = np.angle(np.roll(values, -1) / values)
+    if np.max(np.abs(steps)) > MAX_PHASE_STEP:
+        raise NumericalError("symbol grid too coarse for safe unwinding")
     total = float(np.sum(steps)) / TWO_PI
-    w = int(np.round(total))
-    if abs(total - w) > 0.01:
-        raise IllConditionedLoopError(f"winding residue {abs(total - w):.3e} too large")
+    w = round(total)
+    if abs(total - w) > 1e-6:
+        raise NumericalError(f"winding {total!r} is not integral")
     return w
+
+
+def winding(loop: UnitaryLoop) -> int:
+    """The loop's winding number, unwound on its `unwinding_grid`."""
+    return _unwound(loop.grid(unwinding_grid(loop)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -637,66 +650,54 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
 # the exact symbol route
 # ---------------------------------------------------------------------------
 
-def _chord_margin(vL: np.ndarray, vR: np.ndarray):
-    """min |det((1-mu) vL + mu vR)| over mu in [0,1], in closed form.
+def _unitary_eigenbasis(Bm: np.ndarray):
+    """(w, W) with B = W diag(w) W* and W unitary, for a unitary B.
 
-    Returns (margin, scale, (a, b, c)) with det((1-mu) vL + mu vR) =
-    q(mu) = a mu^2 + b mu + c, so callers can evaluate the chord determinant
-    too.  |q|^2 is a real quartic in mu, so its minimum on [0, 1] lies at an
-    end or at a real root of its derivative 2 Re(conj(q) q'), the cubic
-
-        2|a|^2 mu^3 + 3 Re(conj(a) b) mu^2 + (|b|^2 + 2 Re(a conj(c))) mu + Re(b conj(c)),
-
-    taken on q / scale so that nothing overflows.  Each root's real part,
-    clipped to [0, 1], is evaluated: every candidate is a value of |q| on the
-    chord, and the minimiser is among them.
+    B is normal, so its Hermitian parts (B + B*)/2 and (B - B*)/2i share its
+    eigenvectors.  `np.linalg.eigh` of the one whose eigenvalues lie further
+    apart gives a W that is unitary to rounding however close two
+    eigenvalues of B are, where `np.linalg.eig`'s eigenvectors can be far
+    from orthogonal.  w is the diagonal of W* B W; a scalar B keeps W = I.
     """
-    q0, q1, qh = (complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-                  for m in (vL, vR, 0.5 * (vL + vR)))
-    # q(mu) = a mu^2 + b mu + c with c = q0, a + b + c = q1, a/4 + b/2 + c = qh
-    c = q0
-    a = 2.0 * q1 + 2.0 * q0 - 4.0 * qh
-    b = q1 - q0 - a
-    scale = max(abs(q0), abs(q1), abs(qh), 1e-300)
-    an, bn, cn = a / scale, b / scale, c / scale
-    crit = np.roots([2.0 * abs(an) ** 2, 3.0 * (an.conjugate() * bn).real,
-                     abs(bn) ** 2 + 2.0 * (an * cn.conjugate()).real, (bn * cn.conjugate()).real])
-    mus = [0.0, 1.0, *(min(max(r.real, 0.0), 1.0) for r in crit)]
-    margin = min(abs((an * mu + bn) * mu + cn) for mu in mus) * scale
-    return margin, scale, (a, b, c)
+    hermitian = (Bm + Bm.conj().T) / 2
+    parts = (np.linalg.eigh(hermitian), np.linalg.eigh(-1j * (Bm - hermitian)))
+    W = max(parts, key=lambda part: np.min(np.diff(part.eigenvalues))).eigenvectors
+    return np.diagonal(W.conj().T @ Bm @ W), W
 
 
-def _chord_turn(a, b, c) -> float:
-    """The argument change of q(mu) = a mu^2 + b mu + c from mu = 0 to 1,
-    for a q with no zero on [0, 1].
+def _seam_symbols(loop: UnitaryLoop, Bm: np.ndarray):
+    """(vL, vR) = (v(1-), v(0+)), the symbol's one-sided limits at the seam
+    (see `symbol_index`): vR = W* diag(u(0), u(1/2)) W, and vL is that
+    matrix with the diagonal swapped, conjugated by G(1) = diag(e^{i alpha}).
+    Both come from the same u(0) = u(1) and u(1/2)."""
+    w, W = _unitary_eigenbasis(Bm)
+    phi = np.angle(w)
+    g = np.exp(1j * (phi - TWO_PI * (phi > 0)))
+    u_0, u_half = (_value(_terms_at(loop.pieces, t), t) for t in (0.0, 0.5))
+    Wh = W.conj().T
+    vL = (Wh * [u_half, u_0]) @ W * g[:, None] / g[None, :]
+    return vL, (Wh * [u_0, u_half]) @ W
 
-    q = a (mu - r1)(mu - r2), and as mu runs over [0, 1] the argument of
-    mu - r moves by angle((1 - r) / (-r)): a straight segment that misses
-    the origin turns by less than pi.  With the stable roots r1 = h / a and
-    r2 = c / h, h = -(b + s) / 2 and s the square root of the discriminant
-    on b's side, the two turns are angle((a - h) / -h) and
-    angle((h - c) / -c), with no division by a: a linear q (a = 0) gives 0
-    and angle(q(1) / q(0)).
+
+def _seam_margin(vL: np.ndarray, vR: np.ndarray):
+    """(margin, scale): min |q| over the chord determinant
+    q(mu) = det((1 - mu) vL + mu vR), mu in [0, 1], and max |q| at
+    mu = 0, 1/2, 1.
+
+    The seam's two symbols have one determinant q0 (`_seam_symbols`), and q
+    is quadratic in mu with q(0) = q(1), so
+
+        q(mu) = q0 - a mu (1 - mu),    a = det(vR - vL):
+
+    the segment from q0 to q0 - a/4 traced out and back, which turns by 0.
+    Its point nearest 0 is q0 - a t* with t* = Re(q0 conj(a)) / |a|^2 =
+    Re(q0 / a) clipped to [0, 1/4].
     """
-    norm = max(abs(a), abs(b), abs(c))
-    a, b, c = a / norm, b / norm, c / norm
-    s = cmath.sqrt(b * b - 4.0 * a * c)
-    if (b.conjugate() * s).real < 0:
-        s = -s
-    h = -(b + s) / 2.0
-    if h == 0:          # then a = b = 0: q is the constant c
-        return 0.0
-    return cmath.phase((a - h) / -h) + cmath.phase((h - c) / -c)
-
-
-def _sandwich_matrix(W: np.ndarray) -> np.ndarray:
-    """T[k, n j + l] = conj(W[k, j]) W[k, l] for an n x n matrix W.
-
-    Row p of (U @ T).reshape(-1, n, n) is then W* diag(U[p]) W: one matmul
-    conjugates a whole grid of diagonal symbols.
-    """
-    n = W.shape[0]
-    return (W.conj()[:, :, None] * W[:, None, :]).reshape(n, n * n)
+    q0 = complex(vR[0, 0] * vR[1, 1] - vR[0, 1] * vR[1, 0])
+    d = vR - vL
+    a = complex(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
+    t = min(max((q0 / a).real, 0.0), 0.25) if a else 0.0
+    return abs(q0 - a * t), max(abs(q0), abs(q0 - a / 4), 1e-300)
 
 
 def _two_equal_pieces(partition: Partition) -> bool:
@@ -708,9 +709,10 @@ def _two_equal_pieces(partition: Partition) -> bool:
 def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: int):
     """Exact Fredholm index of P M_u P via its block-Toeplitz symbol.
 
-    Diagonalizing B = W diag(e^{i phi_j}) W* splits T_B into eigenvalue
-    ladders lambda = -2 phi_j + 4 pi m; unrolling the two half-circle pieces
-    against these ladders shows the compression is Toeplitz with 2x2 symbol
+    Diagonalizing B = W diag(e^{i phi_j}) W* (`_unitary_eigenbasis`) splits
+    T_B into eigenvalue ladders lambda = -2 phi_j + 4 pi m; unrolling the two
+    half-circle pieces against these ladders shows the compression is
+    Toeplitz with 2x2 symbol
 
         v(x) = G(x) W* diag(u(x/2), u((x+1)/2)) W G(x)^{-1},
         G(x) = diag(e^{i alpha_j x}),  alpha_j = phi_j - 2 pi [phi_j > 0],
@@ -721,20 +723,13 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: in
     jump, provided the chord determinant stays away from zero; a chord through
     zero means the compression is genuinely not Fredholm for this B.
 
-    G and the W-sandwich drop out of the determinant:
-
-        det v(x) = det(W* W) u(x/2) u((x+1)/2),
-
-    with det(W* W) = |det W|^2 > 0.  So the interior is read from the loop
-    alone on the 2 ngrid-point midpoint grid, and B enters only through that
-    positive factor and through the seam: the one-sided limits vL = v(1-) and
-    vR = v(0+) are the only 2x2 symbols formed, and the chord determinant is
-    the quadratic `_chord_margin` builds from them, whose turn `_chord_turn`
-    reads off its roots.
-
-    On the loop's `unwinding_grid` N every interior step of det v is proved
-    to be at most MAX_PHASE_STEP, so the sampled check below never fires
-    there; callers pass ngrid = N.
+    det v(x) = u(x/2) u((x+1)/2), and as x runs over (0, 1) the two factors
+    cover the two halves of the circle, so det v turns by 2 pi times the
+    loop's own winding, unwound here on the 2 ngrid midpoints
+    (k + 1/2) / (2 ngrid) the two factors sample.  The chord turns by 0
+    (`_seam_margin`), so the index is minus that winding, and B enters only
+    through the seam's margin.  On the loop's `unwinding_grid` N every step
+    is proved to be at most MAX_PHASE_STEP; callers pass ngrid = N.
 
     Returns (index_or_None, diagnostics dict).
     """
@@ -742,39 +737,13 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: in
         partition = Partition.default()
     if not _two_equal_pieces(partition):
         raise StructuralError("the symbol route is built for two equal pieces")
-    w, W = np.linalg.eig(boundary_array(B))
-    phi = np.angle(w)
-    alpha = phi - TWO_PI * (phi > 0)
-
-    u = loop.grid(2 * ngrid, 0.5)
-    detv = abs(np.linalg.det(W)) ** 2 * u[:ngrid] * u[ngrid:]
-    if np.min(np.abs(detv)) < 1e-9:
-        return None, {"reason": "interior determinant degenerate"}
-    darg = np.angle(detv[1:] / detv[:-1])
-    if np.max(np.abs(darg)) > MAX_PHASE_STEP:
-        raise NumericalError("symbol grid too coarse for safe unwinding")
-    total = float(np.sum(darg))
-
-    # the seam: x -> 1^- (loop periodicity: u(1) = u(0)) and x -> 0^+
-    u_0, u_half = (_value(_terms_at(loop.pieces, t), t) for t in (0.0, 0.5))
-    U = np.array([[u_half, u_0], [u_0, u_half]])
-    g = np.exp(1j * np.outer([1.0, 0.0], alpha))
-    vL, vR = (U @ _sandwich_matrix(W)).reshape(2, 2, 2) * g[:, :, None] / g[:, None, :]
-    margin, scale, (a, b, c) = _chord_margin(vL, vR)
+    index = -_unwound(loop.grid(2 * ngrid, 0.5))
+    margin, scale = _seam_margin(*_seam_symbols(loop, boundary_array(B)))
     diag = {"chord_margin": margin, "chord_scale": scale}
     if margin < 1e-8 * scale:
         diag["reason"] = "chord determinant passes through zero (not Fredholm)"
         return None, diag
-
-    total += _chord_turn(a, b, c)
-    total += float(np.angle(detv[0] / (a + b + c)))     # chord end -> first grid point
-    total += float(np.angle(c / detv[-1]))              # last grid point -> v(1-)
-    wind = total / TWO_PI
-    iw = int(np.round(wind))
-    diag["winding_residue"] = abs(wind - iw)
-    if abs(wind - iw) > 1e-6:
-        raise NumericalError(f"symbol winding {wind!r} is not integral")
-    return -iw, diag
+    return index, diag
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def _certified_solve(B, partition: Partition, window, force_tracking: bool):
     res = np.hypot(det.real, det.imag)
     bad = np.flatnonzero(res > RESIDUAL_TOL)
     if bad.size:
-        raise NumericalError(f"characteristic residual {res[bad[0]]:.2e} at lambda={lams[bad[0]]!r}")
+        raise NumericalError(f"characteristic residual {res[bad[0]]:.2e} at lambda={float(lams[bad[0]])!r}")
     spec = Spectrum(window=(lo, hi), eigenvalues=np.repeat(lams, mults),
                     residuals=np.repeat(res, mults))
     return spec, lams, mults, vh

@@ -529,6 +529,28 @@ def test_pair_certifies_a_high_reach_monomial(tmp_path, n):
     assert rows[0][5] == "symbol-winding"
 
 
+def test_a_loop_past_the_largest_grid_reports_its_pairings(tmp_path):
+    # no grid within 2^18 points proves this loop's unwinding, so `winding`
+    # raises: the error is the pairing's, in a printed report with no winding
+    loop = {"fourier": {"-746": [11.37, 4.22], "-627": [-0.072, 0.044],
+                        "-1038": [0.474, -5.05], "-1890": [-4.01, -14.33]}}
+    out = tmp_path / "out"
+    proc = run_cli("pair", "--out", str(out), config={"loop": loop, "extension": "swap"},
+                   tmp_path=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    label = "fourier[-1890;-1038;-746;-627]"
+    assert report_of(proc)["result"]["pairings"] == [{
+        "loop": label,
+        "extension": "swap",
+        "index": None,
+        "winding": None,
+        "stable": False,
+        "error": "symbol grid too coarse for safe unwinding",
+    }]
+    _header, rows = _csv_rows(out / "pair.csv")
+    assert rows == [[label, "swap", "", "", "", "uncertified"]]
+
+
 _COEFFICIENT = st.builds(lambda r, phi: [r * math.cos(phi), r * math.sin(phi)],
                          st.floats(1e-3, 1e6), st.floats(0.0, 2 * math.pi))
 _LOOPS = st.one_of(
@@ -693,6 +715,38 @@ def test_a_sweep_takes_each_winding_once(tmp_path, monkeypatch, capsys):
     assert len(wound) == 3 and len({id(loop) for loop in wound}) == 3
     _header, rows = _csv_rows(tmp_path / "out" / "verify-extension-independence.csv")
     assert [int(row[3]) for row in rows] == [n for n in range(-2, 3) for _ in range(2)]
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_a_failed_winding_leaves_only_its_loops_pairings_uncertified(
+        tmp_path, monkeypatch, capsys, jobs):
+    from extlab import cli
+    from extlab.errors import NumericalError
+    from extlab.pairing import UnitaryLoop
+
+    original = cli.winding
+
+    def winding(loop):
+        if loop.pieces == UnitaryLoop.monomial(-2).pieces:
+            raise NumericalError("symbol grid too coarse for safe unwinding")
+        return original(loop)
+
+    monkeypatch.setattr(cli, "winding", winding)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": {"count": 2, "extension_seed": 0,
+                                            "powers": [-2, 2]}}), encoding="utf-8")
+    assert cli.main(["verify", "extension-independence", "--config", str(config),
+                     "--jobs", jobs, "--out", str(tmp_path / "out")]) == 3
+    rep = json.loads(capsys.readouterr().out)
+    # z^2 is read off z^-2, so it shares the error
+    assert rep["result"]["unstable"] == [{"loop": loop, "extension": ext}
+                                         for loop in ("z^-2", "z^2")
+                                         for ext in ("seed0-0", "seed0-1")]
+    assert rep["result"]["failures"] == []
+    _header, rows = _csv_rows(tmp_path / "out" / "verify-extension-independence.csv")
+    assert [row[2:4] for row in rows] == [
+        ["", ""], ["", ""], ["1", "-1"], ["1", "-1"], ["0", "0"], ["0", "0"],
+        ["-1", "1"], ["-1", "1"], ["", ""], ["", ""]]
 
 
 @pytest.mark.parametrize("suite, options, paired", [

@@ -29,15 +29,17 @@ from extlab.errors import (
 from extlab.pairing import (
     DEFAULT_CUTOFFS,
     MAX_BASIS_WINDOW,
+    MARGIN,
     MAX_PHASE_STEP,
     PAD,
     UnitaryLoop,
-    _chord_margin,
-    _chord_turn,
     _cuts,
     _fourier_terms,
-    _sandwich_matrix,
+    _seam_margin,
+    _seam_symbols,
     _terms_at,
+    _unitary_eigenbasis,
+    _unwound,
     adjoint,
     commutator_norm_estimate,
     compression_matrix,
@@ -477,46 +479,37 @@ def test_symbol_route_reports_non_fredholm_reason():
     assert "not Fredholm" in diag["reason"]
 
 
-def test_symbol_sandwich_matmul_matches_the_einsum():
-    # reference: the einsum the matmul replaced; the summation order differs,
-    # so the two agree to a relative 1e-14 rather than bit for bit
-    rng = np.random.default_rng(17)
-    for n, N in ((2, 1), (2, 1000), (3, 257)):
-        W = haar_unitary(rng, n).matrix
-        U = np.exp(2j * np.pi * rng.random((N, n)))
-        ref = np.einsum("jk,nk,kl->njl", W.conj().T, U, W)
-        got = (U @ _sandwich_matrix(W)).reshape(N, n, n)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-def test_chord_quadratic_is_the_chord_determinant():
-    # the symbol route evaluates the chord determinant from the coefficients
-    # `_chord_margin` returns instead of forming the 2x2 matrices
-    rng = np.random.default_rng(5)
-    mu = np.linspace(0.0, 1.0, 33)
-    for _ in range(20):
-        vL, vR = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        _margin, scale, (a, b, c) = _chord_margin(vL, vR)
-        M = (1 - mu)[:, None, None] * vL + mu[:, None, None] * vR
-        assert np.max(np.abs((a * mu + b) * mu + c - np.linalg.det(M))) <= 1e-14 * 8 * scale
-
-
-def _full_symbol_index(loop, B, partition=None, ngrid=8192):
-    """Reference: the symbol route with the whole ngrid x 2 x 2 symbol grid
-    and the chord determinant from 4097 2x2 matrices."""
+def _reference_seam(loop, B):
+    """(vL, vR) as the whole-symbol reference forms them: W from
+    `np.linalg.eig`, the sandwich as an einsum."""
     w, W = np.linalg.eig(boundary_array(B))
     phi = np.angle(w)
     alpha = phi - 2 * np.pi * (phi > 0)
-    T = _sandwich_matrix(W)
+    return tuple(_reference_symbol(loop, W, alpha, np.asarray([x]))[0] for x in (1.0, 0.0))
 
-    def symbol_at(x):
-        U = np.stack([loop(x / 2.0), loop((x + 1.0) / 2.0)], axis=1)
-        ut = (U @ T).reshape(len(x), 2, 2)
-        g = np.exp(1j * np.outer(x, alpha))
-        return ut * g[:, :, None] / g[:, None, :]
 
+def _reference_symbol(loop, W, alpha, x):
+    """v(x) = G(x) W* diag(u(x/2), u((x+1)/2)) W G(x)^{-1} at the points x."""
+    U = np.stack([loop(x / 2.0), loop((x + 1.0) / 2.0)], axis=1)
+    g = np.exp(1j * np.outer(x, alpha))
+    return np.einsum("kj,nk,kl->njl", W.conj(), U, W) * g[:, :, None] / g[:, None, :]
+
+
+def _chord_determinant(vL, vR, mu):
+    """det((1 - mu) vL + mu vR) at the points mu, one 2x2 matrix each."""
+    M = (1 - mu)[:, None, None] * vL[None] + mu[:, None, None] * vR[None]
+    return M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+
+
+def _full_symbol_index(loop, B, partition=None, ngrid=8192):
+    """Reference: the symbol route with the whole ngrid x 2 x 2 symbol grid,
+    and the chord determinant on 4097 points, its minimum refined by
+    zooming three times into the cells around the smallest sample."""
+    w, W = np.linalg.eig(boundary_array(B))
+    phi = np.angle(w)
+    alpha = phi - 2 * np.pi * (phi > 0)
     x = np.linspace(0.0, 1.0, ngrid, endpoint=False) + 0.5 / ngrid
-    v = symbol_at(x)
+    v = _reference_symbol(loop, W, alpha, x)
     detv = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
     if np.min(np.abs(detv)) < 1e-9:
         return None, {"reason": "interior determinant degenerate"}
@@ -524,25 +517,27 @@ def _full_symbol_index(loop, B, partition=None, ngrid=8192):
     if np.max(np.abs(darg)) > 0.5:
         raise NumericalError("symbol grid too coarse for safe unwinding")
     total = float(np.sum(darg))
-    vL = symbol_at(np.asarray([1.0]))[0]
-    vR = symbol_at(np.asarray([0.0]))[0]
-    margin, scale, _ = _chord_margin(vL, vR)
+    vL, vR = _reference_seam(loop, B)
+    mu = np.linspace(0.0, 1.0, 4097)
+    detM = _chord_determinant(vL, vR, mu)
+    scale = max(abs(detM[0]), abs(detM[2048]), abs(detM[-1]), 1e-300)
+    margin, zoom = np.min(np.abs(detM)), mu
+    for _ in range(3):
+        k = int(np.argmin(np.abs(_chord_determinant(vL, vR, zoom))))
+        zoom = np.linspace(zoom[max(k - 1, 0)], zoom[min(k + 1, len(zoom) - 1)], 1025)
+        margin = min(margin, np.min(np.abs(_chord_determinant(vL, vR, zoom))))
     diag = {"chord_margin": margin, "chord_scale": scale}
     if margin < 1e-8 * scale:
         diag["reason"] = "chord determinant passes through zero (not Fredholm)"
         return None, diag
-    mu = np.linspace(0.0, 1.0, 4097)
-    M = (1 - mu)[:, None, None] * vL[None] + mu[:, None, None] * vR[None]
-    detM = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     dchord = np.angle(detM[1:] / detM[:-1])
     if np.max(np.abs(dchord)) > 0.5:
         raise NumericalError("chord grid too coarse for safe unwinding")
     total += float(np.sum(dchord))
     total += float(np.angle(detv[0] / detM[-1]))
-    total += float(np.angle(np.linalg.det(vL) / detv[-1]))
+    total += float(np.angle(detM[0] / detv[-1]))
     wind = total / (2 * np.pi)
     iw = int(np.round(wind))
-    diag["winding_residue"] = abs(wind - iw)
     if abs(wind - iw) > 1e-6:
         raise NumericalError(f"symbol winding {wind!r} is not integral")
     return -iw, diag
@@ -675,24 +670,61 @@ def test_a_jump_at_a_piece_break_counts_in_the_bound():
         unwinding_grid(turned(0.2))
 
 
-def test_the_chord_turn_and_margin_match_a_dense_chord():
-    # the closed forms against 100001 points of the chord: the turn equals the
-    # sampled unwinding, and the margin is the sampled minimum within the
-    # grid's reach; a constant chord (vL = vR, a = b = 0) and a linear one
-    # (a rank-one step) are included
-    rng = np.random.default_rng(23)
+def test_the_unwinding_refuses_small_moduli_and_large_steps():
+    # the cyclic sum of steps on a fine enough grid; z on 8 points steps by
+    # pi/4 > MAX_PHASE_STEP, and a sample at MARGIN is refused
+    th = np.arange(64) / 64
+    assert _unwound(np.exp(6j * np.pi * th)) == 3
+    assert _unwound(0.2 * np.exp(-4j * np.pi * th)) == -2
+    with pytest.raises(NumericalError, match="too coarse"):
+        _unwound(np.exp(2j * np.pi * np.arange(8) / 8))
+    dipped = np.exp(2j * np.pi * th)
+    dipped[5] *= MARGIN
+    with pytest.raises(IllConditionedLoopError, match="below margin"):
+        _unwound(dipped)
+
+
+def test_the_seam_chord_is_a_segment_out_and_back():
+    # the two seam symbols have one determinant, to rounding; against 100001
+    # points of the chord determinant the closed-form margin is the sampled
+    # minimum within the grid's reach, the chord turns by 0 wherever it stays
+    # clear of 0, and the reference's symbols give the same chord
     mu = np.linspace(0.0, 1.0, 100001)
-    cases = [rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)) for _ in range(100)]
-    vL = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    cases += [np.stack([vL, vL]), np.stack([vL, vL + np.outer([1.0, 0.0], rng.normal(size=2))])]
-    for vL, vR in cases:
-        margin, scale, (a, b, c) = _chord_margin(vL, vR)
-        q = (a * mu + b) * mu + c
-        dense = np.min(np.abs(q))
-        slope = np.max(np.abs(2 * a * mu + b))
-        assert dense - slope * 1e-5 - 1e-14 * scale <= margin <= dense + 1e-14 * scale
-        if margin > 1e-3 * scale:
-            assert abs(_chord_turn(a, b, c) - np.sum(np.angle(q[1:] / q[:-1]))) <= 1e-9
+    loops = _sweep_loops() + _random_fourier_loops()
+    for B in (SWAP, np.eye(2), *(random_boundary(s) for s in (3, 13, 31))):
+        for loop in loops:
+            vL, vR = _seam_symbols(loop, boundary_array(B))
+            margin, scale = _seam_margin(vL, vR)
+            q = _chord_determinant(vL, vR, mu)
+            assert abs(q[0] - q[-1]) <= 1e-14 * scale
+            reference = _chord_determinant(*_reference_seam(loop, B), mu[::1000])
+            assert np.max(np.abs(q[::1000] - reference)) <= 1e-13 * scale
+            dense = np.min(np.abs(q))
+            slope = np.max(np.abs(q[1:] - q[:-1]))
+            assert dense - slope - 1e-14 * scale <= margin <= dense + 1e-14 * scale
+            if margin > 1e-3 * scale:
+                assert abs(np.sum(np.angle(q[1:] / q[:-1]))) <= 1e-9
+
+
+def test_a_nearly_scalar_boundary_gets_a_unitary_eigenbasis():
+    # B = Q diag(e^{i phi}, e^{i (phi + eps)}) Q* with eps <= 1e-9: W stays
+    # unitary to rounding, diagonalises B to within eps, and the symbol route
+    # answers as for e^{i phi} I; a scalar B keeps W = I
+    rng = np.random.default_rng(41)
+    loops = [UnitaryLoop.monomial(n) for n in range(-3, 4)] + _multi_term_loops()
+    for k in range(200):
+        Q = haar_unitary(rng).matrix
+        phi, eps = rng.uniform(-np.pi, np.pi), (0.0, 1e-15, 1e-12, 1e-9)[k % 4]
+        B = Q @ np.diag(np.exp(1j * np.array([phi, phi + eps]))) @ Q.conj().T
+        w, W = _unitary_eigenbasis(B)
+        assert np.max(np.abs(W.conj().T @ W - np.eye(2))) <= 1e-12
+        assert np.max(np.abs(W * w @ W.conj().T - B)) <= 1e-9 + 1e-14
+        scalar = np.exp(1j * phi) * np.eye(2)
+        assert np.array_equal(_unitary_eigenbasis(scalar)[1], np.eye(2))
+        for loop in loops:
+            ngrid = unwinding_grid(loop)[0]
+            assert (_symbol_answer(symbol_index, loop, B, ngrid)
+                    == _symbol_answer(symbol_index, loop, scalar, ngrid))
 
 
 def test_pair_rejects_non_unitary_boundary():

@@ -14,7 +14,7 @@ from extlab.analysis import (
     boundary_values,
     inner_product,
 )
-from extlab.errors import ValidationError
+from extlab.errors import NumericalError, ValidationError
 from extlab.spectral import (
     Spectrum,
     characteristic_residual,
@@ -44,6 +44,16 @@ def test_swap_spectrum_is_two_pi_lattice():
     assert len(spec) == 9
     assert np.max(np.abs(spec.eigenvalues - expect)) < 1e-10
     assert np.max(spec.residuals) < 1e-9
+
+
+def test_a_refused_root_prints_lambda_as_a_plain_float(monkeypatch):
+    # with no residual allowed every root is refused; numpy 2 would render a
+    # bare numpy scalar as np.float64(...) in the message
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
+    B = _haar_boundary(PART, 3)
+    with pytest.raises(NumericalError, match="at lambda=") as info:
+        eigenphases(B, PART, WINDOW)
+    assert "np.float64(" not in str(info.value)
 
 
 def test_identity_spectrum_is_four_pi_lattice_doubled():
