@@ -408,16 +408,13 @@ def _unwound(values: np.ndarray) -> int:
     circle: the cyclic sum of its principal phase steps over 2 pi.  The one
     unwinding behind `winding` and `symbol_index`.
 
-    It refuses a modulus at or below MARGIN, a step above MAX_PHASE_STEP
-    (never taken on a grid `unwinding_grid` proves) and a sum further than
+    It refuses a step above MAX_PHASE_STEP (never taken on a grid
+    `unwinding_grid` proves, where |u| >= mu > 0) and a sum further than
     1e-6 from an integer: the cyclic sum is a multiple of 2 pi in exact
     arithmetic, so the residue is rounding error.
     """
-    mods = np.abs(values)
-    if np.min(mods) <= MARGIN:
-        raise IllConditionedLoopError(f"modulus {np.min(mods):.4f} below margin {MARGIN}")
     steps = np.angle(np.roll(values, -1) / values)
-    if np.max(np.abs(steps)) > MAX_PHASE_STEP:
+    if not np.max(np.abs(steps)) <= MAX_PHASE_STEP:
         raise NumericalError("symbol grid too coarse for safe unwinding")
     total = float(np.sum(steps)) / TWO_PI
     w = round(total)
@@ -427,8 +424,13 @@ def _unwound(values: np.ndarray) -> int:
 
 
 def winding(loop: UnitaryLoop) -> int:
-    """The loop's winding number, unwound on its `unwinding_grid`."""
-    return _unwound(loop.grid(unwinding_grid(loop)[0]))
+    """The loop's winding number, unwound on its `unwinding_grid`, where
+    every sample must also keep its modulus above MARGIN."""
+    values = loop.grid(unwinding_grid(loop)[0])
+    low = np.min(np.abs(values))
+    if low <= MARGIN:
+        raise IllConditionedLoopError(f"modulus {low:.4f} below margin {MARGIN}")
+    return _unwound(values)
 
 
 # ---------------------------------------------------------------------------
@@ -661,18 +663,17 @@ def _unitary_eigenbasis(Bm: np.ndarray):
     """
     hermitian = (Bm + Bm.conj().T) / 2
     parts = (np.linalg.eigh(hermitian), np.linalg.eigh(-1j * (Bm - hermitian)))
-    W = max(parts, key=lambda part: np.min(np.diff(part.eigenvalues))).eigenvectors
+    W = max(parts, key=lambda part: np.min(np.diff(part[0])))[1]
     return np.diagonal(W.conj().T @ Bm @ W), W
 
 
 def _seam_symbols(loop: UnitaryLoop, Bm: np.ndarray):
     """(vL, vR) = (v(1-), v(0+)), the symbol's one-sided limits at the seam
     (see `symbol_index`): vR = W* diag(u(0), u(1/2)) W, and vL is that
-    matrix with the diagonal swapped, conjugated by G(1) = diag(e^{i alpha}).
-    Both come from the same u(0) = u(1) and u(1/2)."""
+    matrix with the diagonal swapped, conjugated by G(1) = diag(e^{i alpha})
+    = diag(w / |w|).  Both come from the same u(0) = u(1) and u(1/2)."""
     w, W = _unitary_eigenbasis(Bm)
-    phi = np.angle(w)
-    g = np.exp(1j * (phi - TWO_PI * (phi > 0)))
+    g = w / np.abs(w)
     u_0, u_half = (_value(_terms_at(loop.pieces, t), t) for t in (0.0, 0.5))
     Wh = W.conj().T
     vL = (Wh * [u_half, u_0]) @ W * g[:, None] / g[None, :]

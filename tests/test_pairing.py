@@ -670,18 +670,35 @@ def test_a_jump_at_a_piece_break_counts_in_the_bound():
         unwinding_grid(turned(0.2))
 
 
-def test_the_unwinding_refuses_small_moduli_and_large_steps():
+def test_the_unwinding_refuses_large_steps():
     # the cyclic sum of steps on a fine enough grid; z on 8 points steps by
-    # pi/4 > MAX_PHASE_STEP, and a sample at MARGIN is refused
+    # pi/4 > MAX_PHASE_STEP, and a zero sample leaves no step to read
     th = np.arange(64) / 64
     assert _unwound(np.exp(6j * np.pi * th)) == 3
-    assert _unwound(0.2 * np.exp(-4j * np.pi * th)) == -2
+    assert _unwound(0.02 * np.exp(-4j * np.pi * th)) == -2
     with pytest.raises(NumericalError, match="too coarse"):
         _unwound(np.exp(2j * np.pi * np.arange(8) / 8))
-    dipped = np.exp(2j * np.pi * th)
-    dipped[5] *= MARGIN
+    holed = np.exp(2j * np.pi * th)
+    holed[5] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="too coarse"):
+        _unwound(holed)
+
+
+def test_a_dip_below_the_margin_between_the_checked_points_still_pairs():
+    # z (1 + 0.905 e^{i psi} z^64) has |u| = 0.095 at t = (1 + 128 j) / 8192,
+    # between the constructor's points k / 4096, where |u| > 0.1.  Its
+    # symbol grids sample the dip: `winding` refuses it as below MARGIN, but
+    # the symbol route needs only the |u| >= mu > 0 its grid is proved on
+    psi = math.pi - TWO_PI * 64 / 8192
+    loop = UnitaryLoop.from_fourier({1: 1.0, 65: 0.905 * cmath.exp(1j * psi)})
+    assert np.min(np.abs(loop.grid(4096))) > MARGIN
+    ngrid, _bound = unwinding_grid(loop)
+    assert np.min(np.abs(loop.grid(4 * ngrid, 0.5))) < MARGIN
     with pytest.raises(IllConditionedLoopError, match="below margin"):
-        _unwound(dipped)
+        winding(loop)
+    result = pair(loop, SWAP)
+    assert (result.index, result.stable, result.method) == (-1, True, "symbol-winding")
 
 
 def test_the_seam_chord_is_a_segment_out_and_back():
