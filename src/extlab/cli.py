@@ -806,20 +806,18 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
 
 
 def _ksum_rows(report):
-    rows = []
-    for check in report.checks:
-        rows.append(
-            (
-                check.name,
-                "" if check.g1 is None else str(check.g1),
-                "" if check.g2 is None else str(check.g2),
-                " ".join(map(str, check.lhs)),
-                " ".join(map(str, check.rhs)),
-                "equal" if check.expect_equal else "unequal",
-                "ok" if check.ok else "mismatch",
-            )
+    return [
+        (
+            name,
+            "" if g1 is None else str(g1),
+            "" if g2 is None else str(g2),
+            " ".join(map(str, lhs)),
+            " ".join(map(str, rhs)),
+            "equal" if expect_equal else "unequal",
+            "ok" if ok else "mismatch",
         )
-    return rows
+        for name, g1, g2, lhs, rhs, expect_equal, ok in report.checks
+    ]
 
 
 _KSUM_CSV_HEADER = ("identity", "g1", "g2", "lhs", "rhs", "expected", "status")

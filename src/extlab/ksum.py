@@ -18,8 +18,8 @@ it consistently (Euler characteristic 4, Dolbeault index 2).
 """
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import mul
+from itertools import chain, repeat
+from operator import add, mul, sub
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import StructuralError, ValidationError
@@ -31,28 +31,23 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 
 
 def _identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
 
 
 def _zeros(rows: int, cols: int) -> IntMatrix:
-    return tuple((0,) * cols for _ in range(rows))
+    return ((0,) * cols,) * rows
 
 
 def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a and b and len(a[0]) != len(b):
         raise StructuralError("matrix dimensions do not compose")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols))
-        for row in a
-    )
+    columns = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in a])
 
 
 def _matvec(a: IntMatrix, v: Tuple[int, ...]) -> Tuple[int, ...]:
-    if a and len(a[0]) != len(v):
-        raise StructuralError("matrix/vector dimensions do not match")
-    return tuple(sum(map(mul, row, v)) for row in a)
+    # unchecked: a map's shapes are checked when it is built
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def _det3(m: IntMatrix) -> int:
@@ -89,7 +84,7 @@ class SurfaceSpace:
     def __post_init__(self):
         h0, h1, h2 = 1, None, 0
         if self.kind == "surface":
-            if self.genus is None or self.genus < -1:
+            if not isinstance(self.genus, int) or self.genus < -1:
                 raise ValidationError(
                     "surface genus must be an integer >= -1 "
                     "(genus -1 is the formal natural-sum of two spheres)"
@@ -110,7 +105,9 @@ class SurfaceSpace:
             if all(p.kind == "circle" for p in self.parts):
                 h1 = sum(p.h1_rank for p in self.parts)
         elif self.kind == "circle_union":
-            if len(self.genera) != 2 or any(g < 0 for g in self.genera):
+            if len(self.genera) != 2 or not all(
+                isinstance(g, int) and g >= 0 for g in self.genera
+            ):
                 raise ValidationError(
                     "circle_union takes two surface genera g1, g2 >= 0"
                 )
@@ -125,31 +122,37 @@ class SurfaceSpace:
         object.__setattr__(self, "h1_rank", h1)
         object.__setattr__(self, "h2_rank", h2)
 
-    # -- constructors
+    # -- constructors: each returns the interned space of its fields; a
+    # genus that only equals an int (True, 2.0) is never looked up, since it
+    # would find the int's space
 
     @staticmethod
     def point() -> "SurfaceSpace":
-        return SurfaceSpace("point")
+        return _interned("point")
 
     @staticmethod
     def circle() -> "SurfaceSpace":
-        return SurfaceSpace("circle")
+        return _interned("circle")
 
     @staticmethod
     def surface(genus: int) -> "SurfaceSpace":
-        return SurfaceSpace("surface", genus=genus)
+        if type(genus) is not int:
+            return SurfaceSpace("surface", genus=genus)
+        return _interned("surface", genus)
 
     @staticmethod
     def wedge(left: "SurfaceSpace", right: "SurfaceSpace") -> "SurfaceSpace":
-        return SurfaceSpace("wedge", parts=(left, right))
+        return _interned("wedge", parts=(left, right))
 
     @staticmethod
     def circle_union(g1: int, g2: int) -> "SurfaceSpace":
-        return SurfaceSpace("circle_union", genera=(g1, g2))
+        if type(g1) is not int or type(g2) is not int:
+            return SurfaceSpace("circle_union", genera=(g1, g2))
+        return _interned("circle_union", genera=(g1, g2))
 
     @staticmethod
     def disjoint(left: "SurfaceSpace", right: "SurfaceSpace") -> "SurfaceSpace":
-        return SurfaceSpace("disjoint", parts=(left, right))
+        return _interned("disjoint", parts=(left, right))
 
     def describe(self) -> str:
         if self.kind == "surface":
@@ -162,13 +165,40 @@ class SurfaceSpace:
         return self.kind
 
 
+#: spaces built by the ``SurfaceSpace`` constructors, keyed by their fields;
+#: emptied when full, so equal spaces are usually, not always, one object
+_SPACES: dict = {}
+_MAX_SPACES = 4096
+
+
+def _interned(kind: str, genus=None, parts=(), genera=()) -> SurfaceSpace:
+    key = (kind, genus, parts, genera)
+    space = _SPACES.get(key)
+    if space is None:
+        space = SurfaceSpace(kind, genus, parts, genera)
+        if len(_SPACES) >= _MAX_SPACES:
+            _SPACES.clear()
+        _SPACES[key] = space
+    return space
+
+
+def _same_space(a: SurfaceSpace, b: SurfaceSpace) -> bool:
+    return a is b or a == b
+
+
 # ---------------------------------------------------------------------------
 # classes
 
 
 @dataclass(frozen=True)
 class KClassVector:
-    """An even (H0 ⊕ H2) or odd (H1) integer coordinate vector on a space."""
+    """An even (H0 ⊕ H2) or odd (H1) integer coordinate vector on a space.
+
+    A class built here is checked: parity, length against the space's ranks
+    and integer coordinates.  The calculus derives classes from checked
+    ones (sums, integer multiples, pushforwards, even disjoint pairs) and
+    builds those unchecked, see ``_derived``.
+    """
 
     space: SurfaceSpace
     parity: str
@@ -193,27 +223,28 @@ class KClassVector:
         if not all(map(isinstance, self.coordinates, repeat(int))):
             raise ValidationError("coordinates must be integers")
 
-    # -- exact abelian-group arithmetic
+    # -- exact abelian-group arithmetic: valid classes give valid classes,
+    # which are built without re-validation
 
     def _check_compatible(self, other: "KClassVector"):
-        if self.space != other.space or self.parity != other.parity:
+        if not _same_space(self.space, other.space) or self.parity != other.parity:
             raise StructuralError("classes live on different spaces or parities")
 
     def __add__(self, other: "KClassVector") -> "KClassVector":
         self._check_compatible(other)
-        coords = tuple(a + b for a, b in zip(self.coordinates, other.coordinates))
-        return KClassVector(self.space, self.parity, coords)
+        coords = tuple(map(add, self.coordinates, other.coordinates))
+        return _derived(self.space, self.parity, coords)
 
     def __sub__(self, other: "KClassVector") -> "KClassVector":
         self._check_compatible(other)
-        coords = tuple(a - b for a, b in zip(self.coordinates, other.coordinates))
-        return KClassVector(self.space, self.parity, coords)
+        coords = tuple(map(sub, self.coordinates, other.coordinates))
+        return _derived(self.space, self.parity, coords)
 
     def __rmul__(self, scalar: int) -> "KClassVector":
         if not isinstance(scalar, int):
             raise ValidationError("K-class scalars must be integers")
-        return KClassVector(
-            self.space, self.parity, tuple(scalar * c for c in self.coordinates)
+        return _derived(
+            self.space, self.parity, tuple([scalar * c for c in self.coordinates])
         )
 
     def __neg__(self) -> "KClassVector":
@@ -230,6 +261,15 @@ class KClassVector:
         if self.parity != "even":
             raise ValidationError("odd classes have no H2 part")
         return self.coordinates[self.space.h0_rank :]
+
+
+def _derived(space: SurfaceSpace, parity: str, coordinates: Tuple[int, ...]) -> KClassVector:
+    """A class the calculus computed from valid classes and maps, whose
+    parity, length and integer coordinates hold by construction: built
+    without ``KClassVector``'s checks."""
+    x = object.__new__(KClassVector)
+    x.__dict__.update(space=space, parity=parity, coordinates=coordinates)
+    return x
 
 
 def even_class(space: SurfaceSpace, h0, h2=()) -> KClassVector:
@@ -307,7 +347,10 @@ class CanonicalMap:
     """A canonical continuous map carried as one integer matrix per degree.
 
     Matrices act on coordinate columns: target = matrix · source.  The H1
-    matrix is only present where both sides carry a fixed odd basis.
+    matrix is only present where both sides carry a fixed odd basis.  A map
+    is checked once, when built: its kind, integer entries and each matrix's
+    shape against both spaces' ranks; so its pushforward of a valid class is
+    valid.
     """
 
     kind: str
@@ -320,18 +363,25 @@ class CanonicalMap:
     def __post_init__(self):
         if self.kind not in _MAP_KINDS:
             raise ValidationError(f"unknown map kind: {self.kind!r}")
-        if len(self.h0) != self.target.h0_rank or (
-            self.h0 and len(self.h0[0]) != self.source.h0_rank
-        ):
-            raise StructuralError("H0 matrix shape does not match spaces")
-        if len(self.h2) != self.target.h2_rank or (
-            self.h2 and len(self.h2[0]) != self.source.h2_rank
-        ):
-            raise StructuralError("H2 matrix shape does not match spaces")
+        source, target = self.source, self.target
+        _check_shape("H0", self.h0, target.h0_rank, source.h0_rank)
+        _check_shape("H2", self.h2, target.h2_rank, source.h2_rank)
+        matrices = (self.h0, self.h2)
+        if self.h1 is not None:
+            if source.h1_rank is None or target.h1_rank is None:
+                raise StructuralError(
+                    f"H1 matrix given, but no odd generator basis is fixed on "
+                    f"{(source if source.h1_rank is None else target).describe()}"
+                )
+            _check_shape("H1", self.h1, target.h1_rank, source.h1_rank)
+            matrices += (self.h1,)
+        entries = chain.from_iterable(chain.from_iterable(matrices))
+        if not all(map(isinstance, entries, repeat(int))):
+            raise ValidationError("map matrix entries must be integers")
 
     def compose(self, inner: "CanonicalMap") -> "CanonicalMap":
         """The composite self ∘ inner, with matrices multiplied per degree."""
-        if inner.target != self.source:
+        if not _same_space(inner.target, self.source):
             raise StructuralError("maps do not compose: middle spaces differ")
         h1 = None
         if self.h1 is not None and inner.h1 is not None:
@@ -346,34 +396,29 @@ class CanonicalMap:
         )
 
 
+def _check_shape(degree: str, matrix: IntMatrix, rows: int, cols: int):
+    if len(matrix) != rows or not all([len(row) == cols for row in matrix]):
+        raise StructuralError(f"{degree} matrix shape does not match spaces")
+
+
 def pushforward(mapping: CanonicalMap, x: KClassVector) -> KClassVector:
     """Apply a canonical map's induced integer matrices to a K-class."""
-    if x.space != mapping.source:
+    if not _same_space(x.space, mapping.source):
         raise StructuralError(
             f"class lives on {x.space.describe()}, "
             f"map starts at {mapping.source.describe()}"
         )
     if x.parity == "even":
-        coords = _matvec(mapping.h0, x.h0_part) + _matvec(mapping.h2, x.h2_part)
-        return KClassVector(mapping.target, "even", coords)
+        # equal spaces have equal ranks, so x's split is the source's
+        h0, coords = x.space.h0_rank, x.coordinates
+        coords = _matvec(mapping.h0, coords[:h0]) + _matvec(mapping.h2, coords[h0:])
+        return _derived(mapping.target, "even", coords)
     if mapping.h1 is None:
         raise StructuralError(
             f"map {mapping.kind} carries no odd matrix between "
             f"{mapping.source.describe()} and {mapping.target.describe()}"
         )
-    return KClassVector(mapping.target, "odd", _matvec(mapping.h1, x.coordinates))
-
-
-def identity_map(space: SurfaceSpace) -> CanonicalMap:
-    h1 = _identity(space.h1_rank) if space.h1_rank is not None else None
-    return CanonicalMap(
-        "identity",
-        space,
-        space,
-        _identity(space.h0_rank),
-        _identity(space.h2_rank),
-        h1,
-    )
+    return _derived(mapping.target, "odd", _matvec(mapping.h1, x.coordinates))
 
 
 def identification_to_wedge(left: SurfaceSpace, right: SurfaceSpace) -> CanonicalMap:
@@ -465,7 +510,7 @@ def constant_map(space: SurfaceSpace) -> CanonicalMap:
 
 def basepoint_inclusion(space: SurfaceSpace) -> CanonicalMap:
     """Include the base point (in the first component) into the space."""
-    h0 = tuple((1,) if i == 0 else (0,) for i in range(space.h0_rank))
+    h0 = ((1,),) + ((0,),) * (space.h0_rank - 1)
     h1 = None
     if space.h1_rank is not None:
         h1 = _zeros(space.h1_rank, 0)
@@ -485,10 +530,11 @@ def disjoint_pair(x: KClassVector, y: KClassVector) -> KClassVector:
         raise StructuralError("disjoint pair requires equal parities")
     space = SurfaceSpace.disjoint(x.space, y.space)
     if x.parity == "even":
-        coords = x.h0_part + y.h0_part + x.h2_part + y.h2_part
-    else:
-        coords = x.coordinates + y.coordinates
-    return KClassVector(space, x.parity, coords)
+        # each operand is a circle or a surface: one H0 coordinate, then H2
+        xs, ys = x.coordinates, y.coordinates
+        return _derived(space, "even", xs[:1] + ys[:1] + xs[1:] + ys[1:])
+    # an odd basis is fixed only when both operands are circles
+    return KClassVector(space, "odd", x.coordinates + y.coordinates)
 
 
 def basepoint_unit(space: SurfaceSpace) -> KClassVector:
@@ -500,8 +546,7 @@ def basepoint_unit(space: SurfaceSpace) -> KClassVector:
 # identity verification
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """One verified integer identity (or asserted inequality)."""
 
     name: str

@@ -802,6 +802,74 @@ def test_ksum_alias_with_genus_bound(tmp_path):
     assert rep["result"]["checks"] == 2 + 6 + 108
 
 
+def _verify_ksum_in_process(tmp_path, capsys, cfg=None):
+    """(exit code, report, CSV header and rows) of `verify ksum` run through
+    `cli.main`."""
+    from extlab import cli
+
+    argv = ["verify", "ksum", "--out", str(tmp_path / "out")]
+    if cfg is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        argv += ["--config", str(config)]
+    code = cli.main(argv)
+    report = json.loads(capsys.readouterr().out)
+    return (code, report, *_csv_rows(tmp_path / "out" / "verify-ksum.csv"))
+
+
+# sha256 of report.json and verify-ksum.csv, recorded before the identity grid
+# stopped re-validating derived classes; bench/golden.json covers bound 6 only
+_KSUM_DIGESTS = {
+    0: ("10cdf43f49f9c2fd639ecae3d5359e9e78f0491133a3d879c09e0726a924b534",
+        "986f2d070e77a4216cf9aae1488375f7baac0d616cef7ed33d69c0f05fda4360"),
+    1: ("858e640601af1d212dad6da7a1adf89ae7aa28c04b3f570f8acdb2a80116fe27",
+        "13e625b61bb3b0c4cd53da6272a3121c29486bb7f3eeff9648af9826ba48937e"),
+    12: ("b8d304e2611afaea02c20a6af919083ed9d25eb7d29889aa0ad18b01a1ee08fe",
+         "ccb165f9454972b8f448f32bfeb0b6a1e331d9d12b66effea627760fbafdf246"),
+    64: ("c88471287a2ca34d8cfffa3cf93ddf4ffb3f69701a723a45115742a4b43689c1",
+         "55d7548816096e6e9f839784c74a94d44943da75be2a80d198b9b9e8a70c665b"),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(_KSUM_DIGESTS))
+def test_verify_ksum_bytes_beyond_the_golden_bound(tmp_path, capsys, bound):
+    import hashlib
+
+    code, *_ = _verify_ksum_in_process(tmp_path, capsys, {"suite": {"genus_bound": bound}})
+    assert code == 0
+    out = tmp_path / "out"
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("report.json", "verify-ksum.csv"))
+    assert got == _KSUM_DIGESTS[bound]
+
+
+def test_a_broken_crunch_fails_only_the_identities_that_read_it(tmp_path, monkeypatch, capsys):
+    from extlab import ksum
+
+    def crunch(g1, g2):
+        # keeps the right factor's fundamental class instead of the left's
+        source = ksum.SurfaceSpace.wedge(ksum.SurfaceSpace.surface(g1),
+                                         ksum.SurfaceSpace.surface(g2))
+        return ksum.CanonicalMap("q_crunch", source, ksum.SurfaceSpace.surface(g1),
+                                 ((1,),), ((0, 1),))
+
+    monkeypatch.setattr(ksum, "crunch", crunch)
+    code, report, header, body = _verify_ksum_in_process(tmp_path, capsys)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["result"]["checks"] == 604
+    failed = {line.split()[1] for line in report["result"]["failures"]}
+    # the crunched pinch still sends both wedge fundamental classes' sum to
+    # the one surface class, so only the two single-factor crunches fail;
+    # crunch-pinch-functoriality holds for any linear q
+    assert failed == {"crunch-left-dolbeault", "crunch-right-dolbeault"}
+    assert header[-1] == "status" and len(body) == 604
+    mismatched = [row for row in body if row[-1] == "mismatch"]
+    assert len(mismatched) == len(report["result"]["failures"]) == 2 * 7 * 7
+    assert {row[0] for row in mismatched} == failed
+    assert all(row[-1] == "ok" for row in body if row[0] not in failed)
+
+
 def test_the_ksum_alias_writes_the_verify_ksum_bytes(tmp_path):
     verify, alias = tmp_path / "verify", tmp_path / "alias"
     procs = [run_cli("verify", "ksum", "--out", str(verify)),

@@ -9,6 +9,8 @@ values.
 
 import time
 
+from hypothesis import given
+from hypothesis import strategies as st
 import pytest
 
 from extlab.errors import StructuralError, ValidationError
@@ -28,7 +30,6 @@ from extlab.ksum import (
     fundamental_k_class,
     identification_to_union,
     identification_to_wedge,
-    identity_map,
     odd_class,
     pinch_circle_sum,
     pinch_connected_sum,
@@ -190,6 +191,16 @@ def test_class_validation():
 # pushforwards, one hand-computed example per map
 
 
+def identity_map(space):
+    """The identity of ``space``: identity matrices in every degree with a
+    fixed basis."""
+    def eye(n):
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    h1 = eye(space.h1_rank) if space.h1_rank is not None else None
+    return CanonicalMap("identity", space, space, eye(space.h0_rank), eye(space.h2_rank), h1)
+
+
 def test_identity_map_fixes_classes():
     s = SurfaceSpace.surface(2)
     x = even_class(s, (3,), (-1,))
@@ -331,6 +342,113 @@ def test_canonical_map_shape_validation():
             ((1,),),
             ((1, 1),),  # wrong H2 shape
         )
+
+
+# ---------------------------------------------------------------------------
+# derived classes are not re-validated, so each check must hold where its
+# input enters: a map's entries and shapes when it is built, an odd disjoint
+# pair on its space
+
+
+def test_a_map_with_a_float_entry_pushes_nothing_forward():
+    s = SurfaceSpace.surface(1)
+    with pytest.raises(ValidationError):
+        pushforward(CanonicalMap("identity", s, s, ((1.5,),), ((1,),)), fundamental_k_class(s))
+
+
+def test_an_h1_matrix_of_the_wrong_shape_is_refused():
+    ci = SurfaceSpace.circle()
+    with pytest.raises(StructuralError):
+        # two rows where the circle has one H1 generator
+        pushforward(CanonicalMap("identity", ci, ci, ((1,),), (), ((1,), (1,))),
+                    dirac_circle_class())
+    with pytest.raises(StructuralError):
+        CanonicalMap("identity", ci, ci, ((1,),), (), ((1, 1),))  # two columns
+
+
+def test_an_h1_matrix_needs_odd_bases_on_both_sides():
+    s = SurfaceSpace.surface(1)
+    w = SurfaceSpace.wedge(s, s)
+    with pytest.raises(StructuralError):
+        CanonicalMap("q_crunch", w, s, ((1,),), ((1, 0),), ((1, 0, 0, 0),) * 2)
+
+
+def test_an_odd_disjoint_pair_needs_two_circles():
+    x = odd_class(SurfaceSpace.surface(2), (1, 0, 0, 1))
+    with pytest.raises(ValidationError):
+        disjoint_pair(x, x)
+
+
+def test_non_integral_genera_are_refused():
+    with pytest.raises(ValidationError):
+        SurfaceSpace.surface(1.0)
+    with pytest.raises(ValidationError):
+        SurfaceSpace.circle_union(1, 2.0)
+
+
+def test_equal_spaces_built_by_the_constructors_are_one_object():
+    s = SurfaceSpace.surface(3)
+    assert SurfaceSpace.surface(3) is s
+    assert SurfaceSpace.wedge(s, SurfaceSpace.circle()) is SurfaceSpace.wedge(
+        SurfaceSpace.surface(3), SurfaceSpace.circle())
+    # a space built field by field is equal, not necessarily the same object
+    other = SurfaceSpace("surface", genus=3)
+    assert other == s
+    assert pushforward(constant_map(other), chern_dolbeault(3)) == (-2) * unit_point_class()
+
+
+_GENERA = st.integers(min_value=0, max_value=12)
+_INTS = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+
+
+def _canonical_maps(g1, g2):
+    """Every canonical map the genus pair builds, with the parity it acts on."""
+    s1, s2 = SurfaceSpace.surface(g1), SurfaceSpace.surface(g2)
+    maps = [
+        identification_to_wedge(s1, s2),
+        identification_to_union(g1, g2),
+        pinch_connected_sum(g1, g2),
+        pinch_natural_sum(g1, g2),
+        crunch(g1, g2),
+        crunch(g1, g2).compose(pinch_connected_sum(g1, g2)),
+        constant_map(s1),
+        basepoint_inclusion(s2),
+    ]
+    ci = SurfaceSpace.circle()
+    return [(m, "even") for m in maps] + [
+        (identification_to_wedge(ci, ci), "odd"),
+        (pinch_circle_sum(), "odd"),
+        (pinch_circle_sum(), "even"),
+    ]
+
+
+def _random_class(space, parity, draw):
+    n = space.h0_rank + space.h2_rank if parity == "even" else space.h1_rank
+    return KClassVector(space, parity, tuple(draw(_INTS) for _ in range(n)))
+
+
+def _revalidated(x):
+    """``x`` rebuilt through every check of the public constructor."""
+    return KClassVector(x.space, x.parity, x.coordinates)
+
+
+@given(_GENERA, _GENERA, st.data())
+def test_pushforwards_are_additive_and_derive_valid_classes(g1, g2, data):
+    for mapping, parity in _canonical_maps(g1, g2):
+        x = _random_class(mapping.source, parity, data.draw)
+        y = _random_class(mapping.source, parity, data.draw)
+        k = data.draw(_INTS)
+        fx, fy = pushforward(mapping, x), pushforward(mapping, y)
+        assert pushforward(mapping, x + y) == fx + fy
+        assert pushforward(mapping, x - k * y) == fx - k * fy
+        for derived in (fx, fy, fx + fy, fx - fy, k * fx, -fy):
+            assert derived.space == mapping.target
+            assert _revalidated(derived) == derived
+    x = _random_class(SurfaceSpace.surface(g1), "even", data.draw)
+    y = _random_class(SurfaceSpace.surface(g2), "even", data.draw)
+    pair = disjoint_pair(x, y)
+    assert _revalidated(pair) == pair
+    assert pair.coordinates == x.h0_part + y.h0_part + x.h2_part + y.h2_part
 
 
 # ---------------------------------------------------------------------------
