@@ -166,7 +166,8 @@ class SurfaceSpace:
 
 
 #: spaces built by the ``SurfaceSpace`` constructors, keyed by their fields;
-#: emptied when full, so equal spaces are usually, not always, one object
+#: emptied when full, so equal spaces are usually, not always, one object (two
+#: threads that miss at once also leave two); space checks fall back to ``==``
 _SPACES: dict = {}
 _MAX_SPACES = 4096
 
