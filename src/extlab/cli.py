@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -161,13 +162,34 @@ def _write_text(path: str, text: str):
 
 
 def csv_text(header, rows) -> str:
-    """CSV with a header row, LF endings; all cells must be strings already."""
-    lines = [",".join(header)]
+    """CSV with a header row, LF endings; all cells must be strings already.
+
+    The whole text is checked at once: the joins add len(row) - 1 commas per
+    non-empty row and one newline per line, so any other comma or newline,
+    and any quote, is in a cell; a cell that is no string fails the join.
+    Only when that check fails are the rows read one by one, to name the
+    first bad cell.
+    """
+    head = ",".join(header)
+    rows = list(rows)
+    try:
+        text = "\n".join([head, *map(",".join, rows)]) + "\n"
+    except TypeError:
+        return _csv_text_by_row(head, rows)
+    if ('"' in text
+            or text.count(",") != head.count(",") + sum(map(len, rows)) - sum(map(bool, rows))
+            or text.count("\n") != head.count("\n") + len(rows) + 1):
+        return _csv_text_by_row(head, rows)
+    return text
+
+
+def _csv_text_by_row(head, rows) -> str:
+    # refuses the first bad row's first bad cell; a header is not checked
+    lines = [head]
     for row in rows:
         if not all(map(isinstance, row, repeat(str))):
             raise StructuralError("CSV cells must be preformatted strings")
         line = ",".join(row)
-        # the join adds len(row) - 1 commas; any other comma is in a cell
         if (row and line.count(",") != len(row) - 1) or '"' in line or "\n" in line:
             bad = next(c for c in row if "," in c or '"' in c or "\n" in c)
             raise StructuralError(f"CSV cell needs quoting, refusing: {bad!r}")
@@ -937,12 +959,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser every `main` call in this process shares, built at the first
+#: call; see `_parser`
+_PARSER = None
+#: `parse_intermixed_args` switches the positional actions off and back on
+#: while it parses, so two threads may not parse with the one parser at once
+_PARSE_LOCK = threading.Lock()
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The kept parser; call with `_PARSE_LOCK` held.
+
+    Its usage is set once to the text `parse_intermixed_args` would format
+    for itself on every call, so help, usage and error bytes stay those of
+    a parser built per call.
+    """
+    global _PARSER
+    if _PARSER is None:
+        parser = _build_parser()
+        parser.usage = parser.format_usage()[len("usage: "):]
+        _PARSER = parser
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_intermixed_args(argv)
-    if (args.command == "verify") != (args.suite is not None):
-        parser.error(f"verify needs a suite ({'|'.join(_SUITES)})"
-                     if args.suite is None else f"{args.command} takes no suite")
+    with _PARSE_LOCK:
+        parser = _parser()
+        args = parser.parse_intermixed_args(argv)
+        if (args.command == "verify") != (args.suite is not None):
+            parser.error(f"verify needs a suite ({'|'.join(_SUITES)})"
+                         if args.suite is None else f"{args.command} takes no suite")
     try:
         cfg = ExperimentConfig.from_args(args, _DEFAULT_TOLS[args.command])
         if args.command == "deficiency":

@@ -223,6 +223,9 @@ class KClassVector:
             )
         if not all(map(isinstance, self.coordinates, repeat(int))):
             raise ValidationError("coordinates must be integers")
+        # a list would leave the class unhashable, and its sums with tuples
+        # would fail; a tuple comes back as itself
+        object.__setattr__(self, "coordinates", tuple(self.coordinates))
 
     # -- exact abelian-group arithmetic: valid classes give valid classes,
     # which are built without re-validation
@@ -349,9 +352,10 @@ class CanonicalMap:
 
     Matrices act on coordinate columns: target = matrix · source.  The H1
     matrix is only present where both sides carry a fixed odd basis.  A map
-    is checked once, when built: its kind, integer entries and each matrix's
+    built here is checked once: its kind, integer entries and each matrix's
     shape against both spaces' ranks; so its pushforward of a valid class is
-    valid.
+    valid.  The module's own constructors and ``compose`` check the shapes
+    only, see ``_own_map``.
     """
 
     kind: str
@@ -364,18 +368,8 @@ class CanonicalMap:
     def __post_init__(self):
         if self.kind not in _MAP_KINDS:
             raise ValidationError(f"unknown map kind: {self.kind!r}")
-        source, target = self.source, self.target
-        _check_shape("H0", self.h0, target.h0_rank, source.h0_rank)
-        _check_shape("H2", self.h2, target.h2_rank, source.h2_rank)
-        matrices = (self.h0, self.h2)
-        if self.h1 is not None:
-            if source.h1_rank is None or target.h1_rank is None:
-                raise StructuralError(
-                    f"H1 matrix given, but no odd generator basis is fixed on "
-                    f"{(source if source.h1_rank is None else target).describe()}"
-                )
-            _check_shape("H1", self.h1, target.h1_rank, source.h1_rank)
-            matrices += (self.h1,)
+        _check_shapes(self.source, self.target, self.h0, self.h2, self.h1)
+        matrices = (self.h0, self.h2) if self.h1 is None else (self.h0, self.h2, self.h1)
         entries = chain.from_iterable(chain.from_iterable(matrices))
         if not all(map(isinstance, entries, repeat(int))):
             raise ValidationError("map matrix entries must be integers")
@@ -387,7 +381,7 @@ class CanonicalMap:
         h1 = None
         if self.h1 is not None and inner.h1 is not None:
             h1 = _matmul(self.h1, inner.h1)
-        return CanonicalMap(
+        return _own_map(
             "composite",
             inner.source,
             self.target,
@@ -397,9 +391,34 @@ class CanonicalMap:
         )
 
 
+def _check_shapes(source: SurfaceSpace, target: SurfaceSpace, h0, h2, h1):
+    """Each matrix's shape against both spaces' ranks; an H1 matrix needs an
+    odd basis fixed on both sides."""
+    _check_shape("H0", h0, target.h0_rank, source.h0_rank)
+    _check_shape("H2", h2, target.h2_rank, source.h2_rank)
+    if h1 is not None:
+        if source.h1_rank is None or target.h1_rank is None:
+            raise StructuralError(
+                f"H1 matrix given, but no odd generator basis is fixed on "
+                f"{(source if source.h1_rank is None else target).describe()}"
+            )
+        _check_shape("H1", h1, target.h1_rank, source.h1_rank)
+
+
 def _check_shape(degree: str, matrix: IntMatrix, rows: int, cols: int):
     if len(matrix) != rows or not all([len(row) == cols for row in matrix]):
         raise StructuralError(f"{degree} matrix shape does not match spaces")
+
+
+def _own_map(kind: str, source: SurfaceSpace, target: SurfaceSpace,
+             h0: IntMatrix, h2: IntMatrix, h1: Optional[IntMatrix] = None) -> CanonicalMap:
+    """A map this module builds from a kind in ``_MAP_KINDS`` and integer
+    literals, ``_identity``, ``_zeros`` or ``_matmul`` of checked maps: its
+    shapes are checked, its kind and integer entries hold by construction."""
+    _check_shapes(source, target, h0, h2, h1)
+    m = object.__new__(CanonicalMap)
+    m.__dict__.update(kind=kind, source=source, target=target, h0=h0, h2=h2, h1=h1)
+    return m
 
 
 def pushforward(mapping: CanonicalMap, x: KClassVector) -> KClassVector:
@@ -433,7 +452,7 @@ def identification_to_wedge(left: SurfaceSpace, right: SurfaceSpace) -> Canonica
     h1 = None
     if source.h1_rank is not None and target.h1_rank is not None:
         h1 = _identity(source.h1_rank)
-    return CanonicalMap(
+    return _own_map(
         "j_disjoint_to_wedge", source, target, ((1, 1),), _identity(source.h2_rank), h1
     )
 
@@ -442,7 +461,7 @@ def identification_to_union(g1: int, g2: int) -> CanonicalMap:
     """Include both surfaces: disjoint(Σ_g1, Σ_g2) → their union along a circle."""
     source = SurfaceSpace.disjoint(SurfaceSpace.surface(g1), SurfaceSpace.surface(g2))
     target = SurfaceSpace.circle_union(g1, g2)
-    return CanonicalMap(
+    return _own_map(
         "j_disjoint_to_union", source, target, ((1, 1),), _identity(2)
     )
 
@@ -456,7 +475,7 @@ def pinch_connected_sum(g1: int, g2: int) -> CanonicalMap:
     """
     source = SurfaceSpace.surface(g1 + g2)
     target = SurfaceSpace.wedge(SurfaceSpace.surface(g1), SurfaceSpace.surface(g2))
-    return CanonicalMap(
+    return _own_map(
         "p_pinch_connected_sum", source, target, ((1,),), ((1,), (1,))
     )
 
@@ -467,7 +486,7 @@ def pinch_circle_sum() -> CanonicalMap:
     generator maps diagonally."""
     source = SurfaceSpace.circle()
     target = SurfaceSpace.wedge(SurfaceSpace.circle(), SurfaceSpace.circle())
-    return CanonicalMap(
+    return _own_map(
         "p_pinch_connected_sum", source, target, ((1,),), _zeros(0, 0), ((1,), (1,))
     )
 
@@ -481,7 +500,7 @@ def pinch_natural_sum(g1: int, g2: int) -> CanonicalMap:
     """
     source = SurfaceSpace.surface(g1 + g2 - 1)
     target = SurfaceSpace.circle_union(g1, g2)
-    return CanonicalMap(
+    return _own_map(
         "p_pinch_natural_sum", source, target, ((1,),), ((1,), (1,))
     )
 
@@ -491,7 +510,7 @@ def crunch(g1: int, g2: int) -> CanonicalMap:
     wedge(surface(g1), surface(g2)) → surface(g1)."""
     source = SurfaceSpace.wedge(SurfaceSpace.surface(g1), SurfaceSpace.surface(g2))
     target = SurfaceSpace.surface(g1)
-    return CanonicalMap("q_crunch", source, target, ((1,),), ((1, 0),))
+    return _own_map("q_crunch", source, target, ((1,),), ((1, 0),))
 
 
 def constant_map(space: SurfaceSpace) -> CanonicalMap:
@@ -499,7 +518,7 @@ def constant_map(space: SurfaceSpace) -> CanonicalMap:
     h1 = None
     if space.h1_rank is not None:
         h1 = _zeros(0, space.h1_rank)
-    return CanonicalMap(
+    return _own_map(
         "q0_constant",
         space,
         SurfaceSpace.point(),
@@ -515,7 +534,7 @@ def basepoint_inclusion(space: SurfaceSpace) -> CanonicalMap:
     h1 = None
     if space.h1_rank is not None:
         h1 = _zeros(space.h1_rank, 0)
-    return CanonicalMap(
+    return _own_map(
         "iota_basepoint",
         SurfaceSpace.point(),
         space,

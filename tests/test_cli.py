@@ -169,6 +169,194 @@ def test_csv_text_refuses_a_cell_that_is_no_string(cell):
         csv_text(("a", "b"), [("1", "2"), ("ok", cell)])
 
 
+# each outcome recorded on the code before csv_text checked a whole text at
+# once, which read the rows one by one: the same exception and message, or
+# the same text
+@pytest.mark.parametrize("rows, outcome", [
+    pytest.param([("ok", "1,5")], "CSV cell needs quoting, refusing: '1,5'", id="comma"),
+    pytest.param([("ok", 'say "hi"')], "CSV cell needs quoting, refusing: 'say \"hi\"'",
+                 id="quote"),
+    pytest.param([("ok", "two\nlines")], "CSV cell needs quoting, refusing: 'two\\nlines'",
+                 id="newline"),
+    pytest.param([("ok", 3)], "CSV cells must be preformatted strings", id="int"),
+    pytest.param([("ok", None)], "CSV cells must be preformatted strings", id="none"),
+    pytest.param([("1", "2"), ()], ("ok", "a,b\n1,2\n\n"), id="empty-tuple-row"),
+    pytest.param([[], ("1", "2")], ("ok", "a,b\n\n1,2\n"), id="empty-list-row"),
+    pytest.param([["1", "2"], ("3", "4")], ("ok", "a,b\n1,2\n3,4\n"), id="list-row"),
+    # the first bad cell of the first bad row is named, and a row's types are
+    # checked before its cells' characters
+    pytest.param([("a,b", 'c"d')], "CSV cell needs quoting, refusing: 'a,b'",
+                 id="first-of-two-bad-cells"),
+    pytest.param([("1", "2"), ("3", "x,y")], "CSV cell needs quoting, refusing: 'x,y'",
+                 id="bad-cell-in-a-later-row"),
+    pytest.param([("a,b",), (3,)], "CSV cell needs quoting, refusing: 'a,b'",
+                 id="bad-cell-before-a-bad-type"),
+    pytest.param([("a,b", 3)], "CSV cells must be preformatted strings",
+                 id="bad-type-in-a-row-with-a-bad-cell"),
+    pytest.param([("", "")], ("ok", "a,b\n,\n"), id="empty-cells"),
+])
+def test_csv_text_refuses_what_the_row_by_row_check_refused(rows, outcome):
+    from extlab.cli import csv_text
+    from extlab.errors import StructuralError
+
+    if isinstance(outcome, tuple):
+        assert csv_text(("a", "b"), rows) == outcome[1]
+    else:
+        with pytest.raises(StructuralError) as exc:
+            csv_text(("a", "b"), rows)
+        assert str(exc.value) == outcome
+
+
+# ---------------------------------------------------------------------------
+# the parser kept between in-process calls
+
+# (exit code, sha256 of stdout, sha256 of stderr) of each argv, recorded with a
+# parser built per call, before the parser was kept; every one ends in argparse
+# (help or a usage error), whose wording differs between Python releases, so
+# the digests hold on the release they were recorded on
+_PARSER_PINS_PYTHON = (3, 11)
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+_PARSER_PINS = {
+    ("--help",): (0, "f56ead89eec3a007d97e0c623403ebc7bca3f04d63a0a1cc812f97905153d919",
+                  _EMPTY),
+    ("verify",): (2, _EMPTY,
+                  "546e6b50ee1e000ccfa771a05564187785209a3a66043e0856aa9db0f499604f"),
+    ("deficiency", "ksum"): (2, _EMPTY,
+                             "45d75417c3968df91e8454dcda3339dc9badd41a65807b0f29434bc1eb74042a"),
+    ("nosuch",): (2, _EMPTY,
+                  "8001e82d49539788e54b73b35ca2d9dd6d92bc27c4b78d7a8798ce4b0a5ede87"),
+    ("verify", "ksum", "--jobs", "x"): (
+        2, _EMPTY, "9ac0e174164cd7bdf01150d5ba20a63c7a8f2c5920a63c93e7655a6a593a1202"),
+}
+
+
+def _sha256(text):
+    import hashlib
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _argparse_outcome(parse, argv):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must end in
+    ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def _parse_with_a_new_parser(argv):
+    # what main did before the parser was kept
+    from extlab import cli
+
+    parser = cli._build_parser()
+    args = parser.parse_intermixed_args(argv)
+    if (args.command == "verify") != (args.suite is not None):
+        parser.error(f"verify needs a suite ({'|'.join(cli._SUITES)})"
+                     if args.suite is None else f"{args.command} takes no suite")
+
+
+@pytest.mark.parametrize("argv", sorted(_PARSER_PINS), ids=" ".join)
+def test_the_kept_parser_prints_the_bytes_of_a_new_one(argv):
+    from extlab import cli
+
+    # twice: the first call may build the kept parser, the second reuses it
+    got = [_argparse_outcome(cli.main, list(argv)) for _ in range(2)]
+    proc = run_cli(*argv)
+    got.append((proc.returncode, proc.stdout, proc.stderr))
+    assert got == [_argparse_outcome(_parse_with_a_new_parser, list(argv))] * 3
+    if sys.version_info[:2] == _PARSER_PINS_PYTHON:
+        code, out, err = got[0]
+        assert (code, _sha256(out), _sha256(err)) == _PARSER_PINS[argv]
+
+
+# sha256 of the stdout report and verify-ksum.csv of the default `verify ksum`,
+# recorded with a parser built per call
+_VERIFY_KSUM_DIGESTS = (
+    "a0063cb25a6b703c11ada6f3a13a4e2839f38b2ac6fff3e9ff38d6db9525ed18",
+    "0518741f49bb69eb936ff915ac45c90f96b43f7bfe7495e216e2254fa254b46f",
+)
+
+
+def test_a_call_after_a_usage_error_and_a_refused_config_gives_the_same_bytes(tmp_path,
+                                                                             capsys):
+    from extlab import cli
+
+    with pytest.raises(SystemExit):
+        cli.main(["nosuch"])
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "ksum", "--jobs", "x"])
+    assert cli.main(["deficiency", "--jobs", "0"]) == 2
+    capsys.readouterr()
+    assert cli.main(["verify", "ksum", "--out", str(tmp_path)]) == 0
+    got = (_sha256(capsys.readouterr().out),
+           _sha256((tmp_path / "verify-ksum.csv").read_text(encoding="utf-8")))
+    assert got == _VERIFY_KSUM_DIGESTS
+
+
+def test_main_parses_with_the_lock_held(monkeypatch, capsys):
+    from extlab import cli
+
+    with cli._PARSE_LOCK:
+        parser = cli._parser()
+    held = []
+    parse = parser.parse_intermixed_args
+
+    def parse_intermixed_args(argv):
+        held.append(cli._PARSE_LOCK.locked())
+        return parse(argv)
+
+    monkeypatch.setattr(parser, "parse_intermixed_args", parse_intermixed_args)
+    assert cli.main(["deficiency"]) == 0
+    assert held == [True]
+    assert not cli._PARSE_LOCK.locked()
+
+
+def test_threads_calling_main_get_the_bytes_of_sequential_calls(tmp_path, capsys):
+    import threading
+
+    from extlab import cli
+
+    calls = [("deficiency",), ("pair",)] * 5
+    pair_cfg = tmp_path / "pair.json"
+    pair_cfg.write_text(json.dumps({"loop": {"monomial": 2}}), encoding="utf-8")
+
+    def run(tag, codes):
+        for i, argv in enumerate(calls):
+            extra = ["--config", str(pair_cfg)] if argv == ("pair",) else []
+            codes.append(cli.main([*argv, *extra, "--out", str(tmp_path / tag / str(i))]))
+
+    def artifacts(tag):
+        root = tmp_path / tag
+        return [sorted((p.name, p.read_bytes()) for p in (root / str(i)).iterdir())
+                for i in range(len(calls))]
+
+    sequential = []
+    run("seq", sequential)
+    # switch threads as often as the interpreter allows, so two parses
+    # overlap unless main keeps them apart; three rounds, since an overlap
+    # is likely, not certain
+    tags = [f"{round_}{side}" for round_ in range(3) for side in "ab"]
+    codes = {tag: [] for tag in tags}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for pair in zip(tags[::2], tags[1::2]):
+            threads = [threading.Thread(target=run, args=(tag, codes[tag])) for tag in pair]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert sequential == [0] * len(calls)
+    assert codes == dict.fromkeys(tags, sequential)
+    expected = artifacts("seq")
+    assert all(artifacts(tag) == expected for tag in tags)
+
+
 _PARTITION_COMMANDS = [("deficiency",), ("boundary-matrix",), ("spectrum",), ("pair",),
                        ("verify", "extension-independence"), ("verify", "addition-dirac")]
 

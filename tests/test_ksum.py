@@ -160,6 +160,18 @@ def test_fundamental_class_needs_a_fundamental_cycle():
         fundamental_k_class(SurfaceSpace.wedge(SurfaceSpace.surface(1), SurfaceSpace.surface(1)))
 
 
+def test_a_class_built_from_a_list_is_its_tuple_twin():
+    s = SurfaceSpace.surface(1)
+    listed, twin = KClassVector(s, "even", [1, 2]), KClassVector(s, "even", (1, 2))
+    assert listed.coordinates == (1, 2) and type(listed.coordinates) is tuple
+    assert listed == twin and hash(listed) == hash(twin)
+    assert len({listed, twin}) == 1
+    assert disjoint_pair(listed, twin).coordinates == (1, 1, 2, 2)
+    assert disjoint_pair(twin, listed) == disjoint_pair(listed, twin)
+    ci = SurfaceSpace.circle()
+    assert disjoint_pair(KClassVector(ci, "odd", [3]), odd_class(ci, (4,))).coordinates == (3, 4)
+
+
 def test_class_arithmetic():
     a = chern_dolbeault(2)
     assert (a + a).coordinates == (-2, 2)
@@ -449,6 +461,37 @@ def test_pushforwards_are_additive_and_derive_valid_classes(g1, g2, data):
     pair = disjoint_pair(x, y)
     assert _revalidated(pair) == pair
     assert pair.coordinates == x.h0_part + y.h0_part + x.h2_part + y.h2_part
+
+
+def _constructor_maps(g1, g2):
+    """Every map the module's constructors and ``compose`` build for a genus
+    pair, circles included."""
+    return [m for m, parity in _canonical_maps(g1, g2) if parity == "even"] + [
+        identification_to_wedge(SurfaceSpace.circle(), SurfaceSpace.circle()),
+        pinch_circle_sum(),
+        constant_map(SurfaceSpace.circle()),
+        basepoint_inclusion(SurfaceSpace.circle()),
+    ]
+
+
+@given(st.integers(min_value=0, max_value=64), st.integers(min_value=0, max_value=64))
+def test_constructor_maps_pass_every_check_of_the_public_constructor(g1, g2):
+    # the constructors check shapes only; kinds and integer entries hold by
+    # construction, so a rebuild through every check succeeds
+    for mapping in _constructor_maps(g1, g2):
+        rebuilt = CanonicalMap(mapping.kind, mapping.source, mapping.target,
+                               mapping.h0, mapping.h2, mapping.h1)
+        assert rebuilt == mapping
+
+
+def test_the_public_map_constructor_keeps_every_check():
+    s = SurfaceSpace.surface(1)
+    with pytest.raises(ValidationError, match="unknown map kind"):
+        CanonicalMap("sideways", s, s, ((1,),), ((1,),))
+    with pytest.raises(ValidationError, match="entries must be integers"):
+        CanonicalMap("identity", s, s, ((1,),), ((1.0,),))
+    with pytest.raises(StructuralError, match="H0 matrix shape"):
+        CanonicalMap("identity", s, s, ((1, 0),), ((1,),))
 
 
 # ---------------------------------------------------------------------------
