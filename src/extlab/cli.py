@@ -51,6 +51,8 @@ from .pairing import (
     basis_window,
     eigen_arrays,
     pair,
+    seam_basis,
+    unwinding_grid,
     winding,
 )
 from .spectral import RESIDUAL_TOL, eigenphases
@@ -676,27 +678,35 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _or_error(fn, *args):
-    """fn(*args), or the NumericalError it raised (each pairing it concerns
-    reports it)."""
+def _or_error(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the NumericalError it raised (each pairing it
+    concerns reports it)."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except NumericalError as exc:
         return exc
 
 
-def _pair_task(loop, B, cutoffs, partition, basis=None):
+def _loop_side(loop):
+    """(winding, N): the loop's `unwinding_grid` N, computed once for its
+    `winding` and every pairing of the loop, and the winding on it."""
+    ngrid = unwinding_grid(loop)[0]
+    return winding(loop, ngrid), ngrid
+
+
+def _pair_task(loop, B, cutoffs, partition, basis=None, seam=None, ngrid=None):
     """One pairing work item: `pair`'s result, or the NumericalError that
     leaves this pairing uncertified.
 
     `loop` is any loop, a wedge loop being its pinch pullback.  `basis` is an
     `eigen_arrays` basis, or a NumericalError raised before the pairing (in
-    building the basis, or in the loop's `winding`), which is this pairing's
-    error like any other.
+    building the basis, or in the loop's `_loop_side`), which is this
+    pairing's error like any other.  `seam` (B's `seam_basis`) and `ngrid`
+    (the loop's N) are passed to `pair`, which builds what is not given.
     """
     if isinstance(basis, NumericalError):
         return basis
-    return _or_error(pair, loop, B, cutoffs, partition, basis)
+    return _or_error(pair, loop, B, cutoffs, partition, basis, seam=seam, ngrid=ngrid)
 
 
 def _run_pairings(tasks, jobs):
@@ -729,10 +739,11 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
     cutoffs = cfg.cutoffs()
     entries = cfg.extensions(spec, default=[{"anchor": "swap"}])
 
-    wind = _or_error(winding, loop)
-    failed = wind if isinstance(wind, NumericalError) else None
-    outcomes = _run_pairings([(loop, B, cutoffs, part, failed) for _label, _u, B in entries],
-                             cfg.jobs)
+    side = _or_error(_loop_side, loop)
+    failed = side if isinstance(side, NumericalError) else None
+    wind, ngrid = (failed, None) if failed else side
+    outcomes = _run_pairings([(loop, B, cutoffs, part, failed, None, ngrid)
+                              for _label, _u, B in entries], cfg.jobs)
 
     pairs, rows = [], []
     for (label, _u, _B), res in zip(entries, outcomes):
@@ -771,7 +782,9 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
     of the conjugate's result, an uncertified one staying uncertified, and
     its winding is minus the conjugate's.  Loops that are their own
     conjugate, and loops whose conjugate is not in the suite, are paired;
-    where `winding` fails, its error is each of the loop's pairings'.
+    where `_loop_side` fails, its error is each of the loop's pairings'.
+    A paired loop's `unwinding_grid` runs once, in `_loop_side`, and each B's
+    seam basis is built once, beside its eigenbasis.
     """
     suite = cfg.raw.get("suite", {})
     spec = cfg.operator_spec()
@@ -782,25 +795,33 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
                                   spec)
 
     # conjugate_of[i]: the position of the paired loop that loop i is the
-    # conjugate of, or None when loop i is paired itself
-    paired, conjugate_of, windings = {}, [], []
+    # conjugate of, or None when loop i is paired itself; grids[i]: loop i's
+    # `unwinding_grid` N, None when it is not paired or its `_loop_side` failed
+    paired, conjugate_of, windings, grids = {}, [], [], []
     for i, (_label, loop, _expect) in enumerate(loops):
         j = paired.get(loop.conjugate().pieces)
         conjugate_of.append(j)
         if j is None:
             paired.setdefault(loop.pieces, i)
-            windings.append(_or_error(winding, loop))
+            side = _or_error(_loop_side, loop)
+            failed = isinstance(side, NumericalError)
+            windings.append(side if failed else side[0])
+            grids.append(None if failed else side[1])
         else:
             wind = windings[j]
             windings.append(wind if isinstance(wind, NumericalError) else -wind)
-    # one eigenbasis per B, at the widest window any loop needs, shared by
-    # every pairing with that B
+            grids.append(None)
+    # one eigenbasis and one seam basis per B, the eigenbasis at the widest
+    # window any loop needs, shared by every pairing with that B
     reach = max(loop.frequency_reach for _label, loop, _expect in loops)
     bases = [_or_error(eigen_arrays, B, part, cutoffs, reach) for _label, _u, B in exts]
+    seams = [seam_basis(B, part) for _label, _u, B in exts]
 
-    tasks = [(loop, B, cutoffs, part, wind if isinstance(wind, NumericalError) else basis)
-             for (_label, loop, _expect), j, wind in zip(loops, conjugate_of, windings) if j is None
-             for (_ext_label, _u, B), basis in zip(exts, bases)]
+    tasks = [(loop, B, cutoffs, part, wind if isinstance(wind, NumericalError) else basis,
+              seam, ngrid)
+             for (_label, loop, _expect), j, wind, ngrid
+             in zip(loops, conjugate_of, windings, grids) if j is None
+             for (_ext_label, _u, B), basis, seam in zip(exts, bases, seams)]
     results = iter(_run_pairings(tasks, cfg.jobs))
 
     outcomes = []       # per loop, its result with each B

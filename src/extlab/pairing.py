@@ -143,8 +143,14 @@ class UnitaryLoop:
         (integer m makes the e^{-4 pi i m / 2} phases collapse), so each
         frequency doubles.  When the two halves carry identical terms the
         pieces merge into one plain Fourier series with doubled bandwidth.
+
+        The pullback is built without the constructor's checks, which hold by
+        those of u1 and u2: each half carries its component's coefficients,
+        so its coefficient sum, and the modulus check's points k / 4096 read
+        u1 or u2 at k / 2048, points of the grid each component passed.
         """
-        if abs(u1(0.0) - u2(0.0)) > 1e-12:
+        # u(0) on the first piece, as `__call__` takes it, without its arrays
+        if abs(_value(u1.pieces[0][2], 0.0) - _value(u2.pieces[0][2], 0.0)) > 1e-12:
             raise ValidationError("wedge components disagree at the base point")
         halves = []
         for u in (u1, u2):
@@ -154,8 +160,15 @@ class UnitaryLoop:
                 raise StructuralError("wedge components must be plain Fourier loops")
             halves.append(_fourier_terms((2 * round(m), c) for m, (_nu, c) in zip(ms, terms)))
         if halves[0] == halves[1]:
-            return cls(pieces=((0.0, 1.0, halves[0]),))
-        return cls(pieces=((0.0, 0.5, halves[0]), (0.5, 1.0, halves[1])))
+            return cls._unchecked(((0.0, 1.0, halves[0]),))
+        return cls._unchecked(((0.0, 0.5, halves[0]), (0.5, 1.0, halves[1])))
+
+    @classmethod
+    def _unchecked(cls, pieces) -> "UnitaryLoop":
+        """A loop of normalized pieces whose checks are known to hold."""
+        loop = object.__new__(cls)
+        object.__setattr__(loop, "pieces", pieces)
+        return loop
 
     # -- basic queries ---------------------------------------------------------
 
@@ -179,9 +192,7 @@ class UnitaryLoop:
         )
         # |conj(u)| = |u|: the checks this loop passed hold for its
         # conjugate, which is built without repeating them
-        loop = object.__new__(UnitaryLoop)
-        object.__setattr__(loop, "pieces", pieces)
-        return loop
+        return self._unchecked(pieces)
 
     def product(self, other: "UnitaryLoop") -> "UnitaryLoop":
         """Pointwise product (stays exact: exponents add on a common refinement)."""
@@ -413,7 +424,7 @@ def _unwound(values: np.ndarray) -> int:
     1e-6 from an integer: the cyclic sum is a multiple of 2 pi in exact
     arithmetic, so the residue is rounding error.
     """
-    steps = np.angle(np.roll(values, -1) / values)
+    steps = np.angle(np.concatenate((values[1:], values[:1])) / values)
     if not np.max(np.abs(steps)) <= MAX_PHASE_STEP:
         raise NumericalError("symbol grid too coarse for safe unwinding")
     total = float(np.sum(steps)) / TWO_PI
@@ -423,10 +434,11 @@ def _unwound(values: np.ndarray) -> int:
     return w
 
 
-def winding(loop: UnitaryLoop) -> int:
-    """The loop's winding number, unwound on its `unwinding_grid`, where
-    every sample must also keep its modulus above MARGIN."""
-    values = loop.grid(unwinding_grid(loop)[0])
+def winding(loop: UnitaryLoop, ngrid: int = None) -> int:
+    """The loop's winding number, unwound on its `unwinding_grid` N (ngrid,
+    when the caller has it), where every sample must also keep its modulus
+    above MARGIN."""
+    values = loop.grid(unwinding_grid(loop)[0] if ngrid is None else ngrid)
     low = np.min(np.abs(values))
     if low <= MARGIN:
         raise IllConditionedLoopError(f"modulus {low:.4f} below margin {MARGIN}")
@@ -475,43 +487,50 @@ def multiplication_matrix(loop: UnitaryLoop, partition: Partition,
     e^{i nu t} e^{-i lam_i t} e^{i lam_j t}, so that integral times the
     coefficients is (r(hi) s(hi)^T - r(lo) s(lo)^T) / D with the row vector
     r(t) = -i c e^{i nu t} conj(a) e^{-i lam_rows t} and the column vector
-    s(t) = b e^{i lam_cols t}: one (R x 2)(2 x C) product and one real
-    reciprocal per interval and term, with no R x C exponentials.
+    s(t) = b e^{i lam_cols t}, with no R x C exponentials.  D depends on the
+    term only through nu, so the (interval, term) contributions are grouped
+    by nu and interval length: each group's numerators stack into one
+    (R x 2k)(2k x C) product over its k members, divided by one real
+    reciprocal of D.  A monomial on the default knots is one group.
 
     The quotient cancels digits where D is small, so the entries with
     |D| (hi - lo) < 0.1 go through `exp_integral` instead, whose
     near-resonant branch (a sinh closed form) is the one implementation of
     that integral; one call takes them for every interval and term.  The
-    factored phases carry an absolute error of about |lam| eps each, so the
-    other entries are off by about |lam| eps / |D| <= 10 |lam| eps (hi - lo):
-    10 |lam| eps relative to the integral's scale hi - lo.
+    length in a group's key keeps that threshold, and so the branch each
+    entry takes, the one of its own interval.  The factored phases carry an
+    absolute error of about |lam| eps each, so the other entries are off by
+    about |lam| eps / |D| <= 10 |lam| eps (hi - lo): 10 |lam| eps relative
+    to the integral's scale hi - lo.
     """
-    A = np.zeros((len(lam_rows), len(lam_cols)), dtype=complex)
-    gap = lam_cols[None, :] - lam_rows[:, None]
     cuts = _cuts(partition.endpoints, loop.pieces)
     row_phase = {t: np.exp(-1j * t * lam_rows) for t in cuts}
     col_phase = {t: np.exp(1j * t * lam_cols) for t in cuts}
-    near_terms = []
+    groups = {}         # (nu, hi - lo) -> its members' factors
     for lo, hi in zip(cuts, cuts[1:]):
         mid = 0.5 * (lo + hi)
         k = partition.piece_of(mid)
         a = np.conj(coef_rows[:, k])
         b = coef_cols[:, k]
         a_hi, a_lo = a * row_phase[hi], a * row_phase[lo]
-        s = np.stack([b * col_phase[hi], b * col_phase[lo]])
+        s = (b * col_phase[hi], b * col_phase[lo])
         for nu, c in _terms_at(loop.pieces, mid):
-            r = np.stack([(-1j * c * np.exp(1j * nu * hi)) * a_hi,
-                          (1j * c * np.exp(1j * nu * lo)) * a_lo], axis=1)
-            F = r @ s
-            D = gap + nu
-            near = np.flatnonzero(np.abs(D) < 0.1 / (hi - lo))
-            i, j = np.divmod(near, D.shape[1])
-            near_terms.append((near, D.flat[near], c * a[i] * b[j], lo, hi))
-            # 1/inf = 0 drops the near entries from F; a complex array times a
-            # real one is several times faster than numpy's complex F / D
-            D.flat[near] = np.inf
-            F *= np.divide(1.0, D, out=D)
-            A += F
+            r = ((-1j * c * np.exp(1j * nu * hi)) * a_hi, (1j * c * np.exp(1j * nu * lo)) * a_lo)
+            groups.setdefault((nu, hi - lo), []).append((r, s, c * a, b, lo, hi))
+    A, gap, near_terms = None, lam_cols[None, :] - lam_rows[:, None], []
+    for (nu, length), members in groups.items():
+        F = (np.stack([v for r, *_ in members for v in r], axis=1)
+             @ np.stack([v for _r, s, *_ in members for v in s]))
+        D = gap + nu
+        near = np.flatnonzero(np.abs(D) < 0.1 / length)
+        i, j = np.divmod(near, D.shape[1])
+        d = D.flat[near]
+        near_terms += [(near, d, ca[i] * b[j], lo, hi) for _r, _s, ca, b, lo, hi in members]
+        # 1/inf = 0 drops the near entries from F; a complex array times a
+        # real one is several times faster than numpy's complex F / D
+        D.flat[near] = np.inf
+        F *= np.divide(1.0, D, out=D)
+        A = F if A is None else np.add(A, F, out=A)
     near, d, weight, lo, hi = zip(*near_terms)
     sizes = [len(n) for n in near]
     np.add.at(A.reshape(-1), np.concatenate(near),
@@ -667,13 +686,26 @@ def _unitary_eigenbasis(Bm: np.ndarray):
     return np.diagonal(W.conj().T @ Bm @ W), W
 
 
-def _seam_symbols(loop: UnitaryLoop, Bm: np.ndarray):
+def seam_basis(B, partition: Partition = None):
+    """The seam test's B side (W, g): B = W diag(w) W* with W unitary
+    (`_unitary_eigenbasis`) and g = w / |w|, or None on a partition that is
+    not two equal pieces, where `symbol_index` does not apply.
+
+    It depends on B alone, so a sweep builds it once per B, beside that B's
+    `eigen_arrays` basis, and a lone `pair` once for its symbol calls."""
+    if not _two_equal_pieces(Partition.default() if partition is None else partition):
+        return None
+    w, W = _unitary_eigenbasis(boundary_array(B))
+    return W, w / np.abs(w)
+
+
+def _seam_symbols(loop: UnitaryLoop, seam):
     """(vL, vR) = (v(1-), v(0+)), the symbol's one-sided limits at the seam
-    (see `symbol_index`): vR = W* diag(u(0), u(1/2)) W, and vL is that
-    matrix with the diagonal swapped, conjugated by G(1) = diag(e^{i alpha})
-    = diag(w / |w|).  Both come from the same u(0) = u(1) and u(1/2)."""
-    w, W = _unitary_eigenbasis(Bm)
-    g = w / np.abs(w)
+    (see `symbol_index`), on a `seam_basis` (W, g): vR = W* diag(u(0), u(1/2)) W,
+    and vL is that matrix with the diagonal swapped, conjugated by
+    G(1) = diag(e^{i alpha}) = diag(g).  Both come from the same u(0) = u(1)
+    and u(1/2)."""
+    W, g = seam
     u_0, u_half = (_value(_terms_at(loop.pieces, t), t) for t in (0.0, 0.5))
     Wh = W.conj().T
     vL = (Wh * [u_half, u_0]) @ W * g[:, None] / g[None, :]
@@ -707,7 +739,8 @@ def _two_equal_pieces(partition: Partition) -> bool:
     return len(lengths) == 2 and abs(lengths[0] - lengths[1]) < 1e-12
 
 
-def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: int):
+def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: int,
+                 seam=None):
     """Exact Fredholm index of P M_u P via its block-Toeplitz symbol.
 
     Diagonalizing B = W diag(e^{i phi_j}) W* (`_unitary_eigenbasis`) splits
@@ -731,6 +764,7 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: in
     (`_seam_margin`), so the index is minus that winding, and B enters only
     through the seam's margin.  On the loop's `unwinding_grid` N every step
     is proved to be at most MAX_PHASE_STEP; callers pass ngrid = N.
+    `seam` is B's `seam_basis`, built here when not given.
 
     Returns (index_or_None, diagnostics dict).
     """
@@ -739,7 +773,9 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: in
     if not _two_equal_pieces(partition):
         raise StructuralError("the symbol route is built for two equal pieces")
     index = -_unwound(loop.grid(2 * ngrid, 0.5))
-    margin, scale = _seam_margin(*_seam_symbols(loop, boundary_array(B)))
+    if seam is None:
+        seam = seam_basis(B, partition)
+    margin, scale = _seam_margin(*_seam_symbols(loop, seam))
     diag = {"chord_margin": margin, "chord_scale": scale}
     if margin < 1e-8 * scale:
         diag["reason"] = "chord determinant passes through zero (not Fredholm)"
@@ -772,14 +808,16 @@ _CANONICAL_B = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
-         basis=None) -> PairingResult:
+         basis=None, *, seam=None, ngrid: int = None) -> PairingResult:
     """Index pairing of a loop with the extension of boundary matrix B; a
     wedge pair comes as its pinch pullback (`UnitaryLoop.wedge_pair`).
 
     `basis` is an `eigen_arrays(B, partition, cutoffs, reach)` result with
     reach at least the loop's frequency reach; sweeps build it once per B and
     share it between loops.  Without it the pairing builds its own at the
-    loop's reach.
+    loop's reach.  Likewise `seam` is B's `seam_basis`, and `ngrid` the
+    loop's `unwinding_grid` N, which a sweep computes once per loop; the
+    pairing builds each at most once when not given.
 
     Each pairing assembles two strips of one matrix over its basis window
     and decomposes A(u) and A(ubar) at every cutoff as blocks of them (4
@@ -802,11 +840,14 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     sym_available = _two_equal_pieces(partition)
     sym_index, sym_diag = (None, {"reason": "partition not supported"})
     if sym_available:
-        ngrid, _bound = unwinding_grid(loop)
-        sym_index, sym_diag = symbol_index(loop, Bm, partition, ngrid=ngrid)
+        if ngrid is None:
+            ngrid = unwinding_grid(loop)[0]
+        if seam is None:
+            seam = seam_basis(Bm, partition)
+        sym_index, sym_diag = symbol_index(loop, Bm, partition, ngrid=ngrid, seam=seam)
         if sym_index is not None:
             # the grid is proved fine enough; twice the points must agree
-            check, _ = symbol_index(loop, Bm, partition, ngrid=2 * ngrid)
+            check, _ = symbol_index(loop, Bm, partition, ngrid=2 * ngrid, seam=seam)
             if check != sym_index:
                 raise NumericalError("symbol winding disagreed across grid refinement")
 
@@ -833,7 +874,7 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     if resolved:
         # symbol route unavailable (general partition): the guarded plateau
         # stands only where it agrees with the index theorem, index = -winding
-        wind = winding(loop)
+        wind = winding(loop, ngrid)
         if fs_index != -wind:
             raise NumericalError(
                 f"finite-section index {fs_index} disagrees with -winding {-wind}"

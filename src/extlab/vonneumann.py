@@ -85,12 +85,20 @@ class DeficiencySpace:
 
 
 def deficiency_normalizer(sign: str, a: float, b: float) -> float:
-    """Unit-norm coefficient for e^{-theta} (sign '-') or e^{+theta} on [a, b]."""
+    """Unit-norm coefficient for e^{-theta} (sign '-') or e^{+theta} on [a, b].
+
+    A piece so short that the two exponentials round to one float has no
+    normalizable deficiency vector: that partition is invalid input."""
     if sign == "-":
-        return math.sqrt(2.0 / (math.exp(-2.0 * a) - math.exp(-2.0 * b)))
-    if sign == "+":
-        return math.sqrt(2.0 / (math.exp(2.0 * b) - math.exp(2.0 * a)))
-    raise ValidationError(f"sign must be '+' or '-', got {sign!r}")
+        mass = math.exp(-2.0 * a) - math.exp(-2.0 * b)
+    elif sign == "+":
+        mass = math.exp(2.0 * b) - math.exp(2.0 * a)
+    else:
+        raise ValidationError(f"sign must be '+' or '-', got {sign!r}")
+    if not mass > 0.0:
+        raise ValidationError(f"piece [{a!r}, {b!r}] is too short to normalize its "
+                              "deficiency vectors")
+    return math.sqrt(2.0 / mass)
 
 
 def compute_deficiency(spec: OperatorSpec, sign: str) -> DeficiencySpace:

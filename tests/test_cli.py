@@ -90,6 +90,18 @@ def test_malformed_partition_is_a_validation_error(tmp_path):
     assert "error (validation)" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [("deficiency",), ("boundary-matrix",), ("spectrum",),
+                                  ("pair",)])
+def test_a_piece_too_short_to_normalize_exits_2(tmp_path, argv):
+    # found by the exit-contract property test: e^{2 theta} takes one float
+    # value on a piece this short, and the normalizer divided by zero
+    # (ZeroDivisionError out of `cli.main`)
+    config = {"partition": [0.0, 3.9596822655897583e-166, 1.0], "loop": 1}
+    proc = run_cli(*argv, config=config, tmp_path=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "too short to normalize" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unknown_config_key(tmp_path):
     proc = run_cli("deficiency", config={"partitions": [0, 1]}, tmp_path=tmp_path)
     assert proc.returncode == 2
@@ -772,6 +784,81 @@ def test_pair_keeps_the_exit_contract_on_any_loop(loop, cutoffs, extension):
     assert code in (0, 2, 3)
 
 
+#: above this many pieces `boundary-matrix` runs without its numeric route,
+#: which builds each domain vector atom by atom and takes seconds at 32 pieces
+_NUMERIC_PIECES = 8
+
+_MATRIX_ENTRY = st.one_of(
+    # a filled square or an identity of any size: against the deficiency
+    # index that is the wrong size, not unitary, or a valid extension
+    st.builds(lambda key, n, value: {key: [[value] * n] * n},
+              st.sampled_from(["matrix", "boundary"]), st.integers(0, 4),
+              st.one_of(st.floats(-2.0, 2.0), st.just([0.0, 1.0]))),
+    st.builds(lambda key, n: {key: np.eye(n).tolist()},
+              st.sampled_from(["matrix", "boundary"]), st.integers(1, 4)),
+    st.sampled_from(["nosuch", {"random": {"count": 0}}]),
+)
+_VALID_ENTRY = st.one_of(
+    st.sampled_from(["swap", "identity"]),
+    st.builds(lambda seed, count: {"random": {"seed": seed, "count": count}},
+              st.integers(0, 2 ** 32), st.integers(1, 2)),
+)
+
+
+@st.composite
+def _operator_configs(draw):
+    """(command, config) for `deficiency` or `boundary-matrix`: partitions of
+    up to 32 pieces, some with knots 1e-15..1e-6 apart or far below that,
+    a quarter of them unsorted or repeated; released knots or stray
+    constraints; explicit extension matrices of any size; windows, which
+    neither command reads."""
+    interior = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                             max_size=29))
+    offsets = draw(st.lists(st.floats(1e-15, 1e-6), max_size=2))
+    interior += [interior[i % len(interior)] + d for i, d in enumerate(offsets) if interior]
+    knots = [0.0, *(interior if draw(st.integers(0, 3)) == 0 else sorted(set(interior))), 1.0]
+    entries = draw(st.lists(_VALID_ENTRY, min_size=1, max_size=2))
+    if draw(st.integers(0, 2)) == 0:
+        entries.insert(draw(st.integers(0, len(entries))), draw(_MATRIX_ENTRY))
+    config = {"partition": knots, "extensions": entries}
+    constraints = draw(st.sampled_from(["all", "released", "stray"]))
+    if constraints == "released":
+        released = draw(st.lists(st.booleans(), min_size=len(knots), max_size=len(knots)))
+        config["knot_constraints"] = [0.0, *(t for t, free in zip(knots[1:-1], released)
+                                             if not free), 1.0]
+    elif constraints == "stray":
+        config["knot_constraints"] = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    if draw(st.booleans()):
+        config["window"] = draw(st.lists(st.floats(-1e3, 1e3), max_size=3))
+    command = draw(st.sampled_from(["deficiency", "boundary-matrix"]))
+    if command == "boundary-matrix":
+        numeric = len(knots) - 1 <= _NUMERIC_PIECES and draw(st.booleans())
+        config["suite"] = {"numeric": numeric}
+    return command, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operator_configs())
+def test_deficiency_and_boundary_matrix_keep_the_exit_contract(command_config):
+    # no input escapes `cli.main`; it exits 0, 2 or 3, never 1 (these
+    # commands check no property), and prints a report for 0 and 3
+    from extlab import cli
+
+    command, config = command_config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", path])
+    assert code in (0, 2, 3)
+    if code != 2:
+        report = json.loads(stdout.getvalue())
+        assert report["command"] == command
+        assert report["status"] == ("pass" if code == 0 else "unstable")
+
+
 @pytest.mark.parametrize("argv, cfg, csv_name", [
     pytest.param(("pair",), {"loop": {"monomial": -1},
                              "extensions": [{"anchor": "swap"},
@@ -881,6 +968,68 @@ def test_sweeps_compress_and_decompose_each_loop_once(
     assert counts == {"compression": calls, "assembly": assemblies, "svd": calls}
 
 
+def _count_pairing_stages(monkeypatch):
+    """Call lists of the stages a pairing shares: the seam's B side (its
+    `_unitary_eigenbasis`), the loop's `unwinding_grid`, wherever it is
+    called from, and `symbol_index`.  Lists, so threads may append."""
+    from extlab import cli, pairing
+
+    calls = {"seam": [], "grid": [], "symbol": []}
+    seam, grid, symbol = (pairing._unitary_eigenbasis, pairing.unwinding_grid,
+                          pairing.symbol_index)
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            calls[key].append(args[0])
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(pairing, "_unitary_eigenbasis", counted("seam", seam))
+    monkeypatch.setattr(pairing, "unwinding_grid", counted("grid", grid))
+    monkeypatch.setattr(cli, "unwinding_grid", pairing.unwinding_grid)
+    monkeypatch.setattr(pairing, "symbol_index", counted("symbol", symbol))
+    return calls
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+@pytest.mark.parametrize("argv, cfg, extensions, paired", [
+    # z^-3..z^0 are paired with each of 3 B; z^1..z^3 are read off them
+    pytest.param(("verify", "extension-independence"), {"suite": {"count": 3}}, 3, 4,
+                 id="monomials"),
+    # 5 of the 9 wedge pullbacks of max_power 1 are paired with each of 2 B
+    pytest.param(("verify", "addition-dirac"), {"suite": {"count": 2, "max_power": 1}}, 2, 5,
+                 id="wedge"),
+    # one loop against 3 B: each lone pairing builds its own seam basis
+    pytest.param(("pair",), {"loop": {"monomial": -1},
+                             "extensions": [{"anchor": "swap"},
+                                            {"random": {"count": 2, "seed": 9}}]}, 3, 1,
+                 id="pair"),
+])
+def test_a_report_builds_each_shared_stage_once(tmp_path, monkeypatch, capsys,
+                                                argv, cfg, extensions, paired, jobs):
+    from extlab import cli
+
+    calls = _count_pairing_stages(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    # the pool's threads share each B's seam basis and each loop's N:
+    # switch between them often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert cli.main([*argv, "--jobs", jobs, "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    # the seam's B side once per B, the unwinding grid once per paired loop,
+    # and still two symbol calls (at N and 2N) per pairing
+    assert len(calls["seam"]) == extensions
+    assert len(calls["grid"]) == len({id(loop) for loop in calls["grid"]}) == paired
+    assert len(calls["symbol"]) == 2 * paired * extensions
+    assert {id(loop) for loop in calls["symbol"]} == {id(loop) for loop in calls["grid"]}
+
+
 def test_a_sweep_takes_each_winding_once(tmp_path, monkeypatch, capsys):
     from extlab import cli
 
@@ -914,10 +1063,10 @@ def test_a_failed_winding_leaves_only_its_loops_pairings_uncertified(
 
     original = cli.winding
 
-    def winding(loop):
+    def winding(loop, *args):
         if loop.pieces == UnitaryLoop.monomial(-2).pieces:
             raise NumericalError("symbol grid too coarse for safe unwinding")
-        return original(loop)
+        return original(loop, *args)
 
     monkeypatch.setattr(cli, "winding", winding)
     config = tmp_path / "config.json"

@@ -47,6 +47,7 @@ from extlab.pairing import (
     eigen_arrays,
     multiplication_matrix,
     pair,
+    seam_basis,
     symbol_index,
     unwinding_grid,
     winding,
@@ -362,6 +363,110 @@ def test_factored_compression_on_unequal_pieces():
         ref = _assembled_compression_matrix(loop, part, *args)
         got = multiplication_matrix(loop, part, *args)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _per_interval_multiplication_matrix(loop, partition, lam_rows, coef_rows, lam_cols,
+                                        coef_cols):
+    """Reference: the factored assembly one (interval, term) at a time, each
+    with its own (R x 2)(2 x C) product, D and real reciprocal, the near
+    entries of all of them through one `exp_integral` call (the assembly
+    `multiplication_matrix` used before it grouped the pairs)."""
+    A = np.zeros((len(lam_rows), len(lam_cols)), dtype=complex)
+    gap = lam_cols[None, :] - lam_rows[:, None]
+    cuts = _cuts(partition.endpoints, loop.pieces)
+    row_phase = {t: np.exp(-1j * t * lam_rows) for t in cuts}
+    col_phase = {t: np.exp(1j * t * lam_cols) for t in cuts}
+    near_terms = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        k = partition.piece_of(mid)
+        a = np.conj(coef_rows[:, k])
+        b = coef_cols[:, k]
+        a_hi, a_lo = a * row_phase[hi], a * row_phase[lo]
+        s = np.stack([b * col_phase[hi], b * col_phase[lo]])
+        for nu, c in _terms_at(loop.pieces, mid):
+            r = np.stack([(-1j * c * np.exp(1j * nu * hi)) * a_hi,
+                          (1j * c * np.exp(1j * nu * lo)) * a_lo], axis=1)
+            F = r @ s
+            D = gap + nu
+            near = np.flatnonzero(np.abs(D) < 0.1 / (hi - lo))
+            i, j = np.divmod(near, D.shape[1])
+            near_terms.append((near, D.flat[near], c * a[i] * b[j], lo, hi))
+            D.flat[near] = np.inf
+            F *= np.divide(1.0, D, out=D)
+            A += F
+    near, d, weight, lo, hi = zip(*near_terms)
+    sizes = [len(n) for n in near]
+    np.add.at(A.reshape(-1), np.concatenate(near),
+              np.concatenate(weight) * exp_integral(1j * np.concatenate(d),
+                                                    np.repeat(lo, sizes), np.repeat(hi, sizes)))
+    return A
+
+
+def _groups(loop, partition):
+    """The distinct (nu, interval length) of a loop's (interval, term) pairs."""
+    cuts = _cuts(partition.endpoints, loop.pieces)
+    return {(nu, hi - lo) for lo, hi in zip(cuts, cuts[1:])
+            for nu, _c in _terms_at(loop.pieces, 0.5 * (lo + hi))}
+
+
+def _near_entries(loop, partition, lam_rows, lam_cols):
+    """Sorted (D, lo, hi) of the entries each (interval, term) sends to
+    `exp_integral`: those with |D| (hi - lo) < 0.1."""
+    gap = lam_cols[None, :] - lam_rows[:, None]
+    cuts = _cuts(partition.endpoints, loop.pieces)
+    return sorted((float(d), lo, hi) for lo, hi in zip(cuts, cuts[1:])
+                  for nu, _c in _terms_at(loop.pieces, 0.5 * (lo + hi))
+                  for d in (gap + nu)[np.abs(gap + nu) < 0.1 / (hi - lo)])
+
+
+_UNEQUAL = Partition((0.0, 0.2, 0.55, 1.0))
+
+
+@pytest.mark.parametrize("case", ["monomials", "pullbacks", "fourier-unequal",
+                                  "several-terms", "several-terms-unequal"])
+def test_grouped_assembly_matches_the_per_interval_one(monkeypatch, case):
+    # one product and one reciprocal per (nu, interval length) give every
+    # entry of the per-interval assembly to 1e-13 of the largest, on the
+    # column and row strips a section window assembles (the row strip's
+    # block past the top cutoff can be rounding error alone, so both are
+    # measured against the larger); each entry takes the branch it takes
+    # per interval, the near-resonant ones going to `exp_integral`
+    sent = []
+
+    def recorded(delta, lo, hi):
+        sent.append(sorted(zip(np.imag(delta).tolist(), lo.tolist(), hi.tolist())))
+        return exp_integral(delta, lo, hi)
+
+    monkeypatch.setattr(pairing, "exp_integral", recorded)
+    part = _UNEQUAL if case.endswith("unequal") else Partition.default()
+    if case == "monomials":
+        loops = [UnitaryLoop.monomial(n) for n in range(-3, 4)]
+    elif case == "pullbacks":
+        loops = _sweep_loops()[7:32]
+    elif case == "fourier-unequal":
+        # the three intervals share nu but not length: three groups
+        loops = [UnitaryLoop.from_fourier({1: 1.0}), UnitaryLoop.from_fourier({-2: 1.0})]
+    else:
+        loops = _multi_term_loops()
+    if part.npieces == 2:
+        B = random_boundary(13)
+    else:
+        B = build_extension(OperatorSpec(part), haar_unitary(np.random.default_rng(8), 3)).boundary
+    lam, coef = eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi)
+    for loop in loops:
+        if case == "fourier-unequal":
+            assert len(_groups(loop, part)) == 3
+        elif case == "monomials":
+            assert len(_groups(loop, part)) == 1
+        c = int(np.count_nonzero(lam <= DEFAULT_CUTOFFS[-1] + 1e-9))
+        strips = ((lam, coef, lam[:c], coef[:c]), (lam[:c], coef[:c], lam[c:], coef[c:]))
+        refs = [_per_interval_multiplication_matrix(loop, part, *args) for args in strips]
+        scale = max(np.max(np.abs(ref)) for ref in refs)
+        for args, ref in zip(strips, refs):
+            got = multiplication_matrix(loop, part, *args)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+            assert sent.pop() == _near_entries(loop, part, args[0], args[2])
 
 
 def test_a_high_reach_window_assembles_no_more_than_its_sections(monkeypatch):
@@ -710,7 +815,7 @@ def test_the_seam_chord_is_a_segment_out_and_back():
     loops = _sweep_loops() + _random_fourier_loops()
     for B in (SWAP, np.eye(2), *(random_boundary(s) for s in (3, 13, 31))):
         for loop in loops:
-            vL, vR = _seam_symbols(loop, boundary_array(B))
+            vL, vR = _seam_symbols(loop, seam_basis(B))
             margin, scale = _seam_margin(vL, vR)
             q = _chord_determinant(vL, vR, mu)
             assert abs(q[0] - q[-1]) <= 1e-14 * scale
@@ -790,6 +895,30 @@ def test_wedge_pair_is_the_pullback_of_the_coefficients(c1, c2):
     # repr tells -0.0 from 0.0: equal reprs are equal bits
     assert repr(loop.pieces) == repr(ref.pieces)
     assert repr(loop.conjugate().pieces) == repr(ref.conjugate().pieces)
+
+
+@pytest.mark.parametrize("c1, c2", [
+    *[pytest.param({a: 1.0}, {b: 1.0}, id=f"z^{a}|z^{b}") for a in (-2, 0, 3) for b in (-1, 0, 2)],
+    pytest.param({0: 1.0, 1: 0.25}, {0: 1.0, -2: 0.25}, id="two-terms|two-terms"),
+    pytest.param({1: 0.5, 3: 2.0}, {-1: 1.0, 0: 1.5}, id="two-terms|two-terms-offset"),
+    pytest.param({-1: 0.25j, 2: 1.0}, {-1: 0.25j, 2: 1.0}, id="equal-two-terms"),
+])
+def test_the_unchecked_pullback_is_the_checked_one(monkeypatch, c1, c2):
+    # wedge_pair skips the constructor's checks, which its components
+    # passed: the pullback equals the loop the constructor builds from the
+    # same pieces, and is built without sampling the loop
+    u1, u2 = UnitaryLoop.from_fourier(c1), UnitaryLoop.from_fourier(c2)
+    grids = []
+    original = pairing._grid_values
+    monkeypatch.setattr(pairing, "_grid_values",
+                        lambda *args: grids.append(args) or original(*args))
+    loop = UnitaryLoop.wedge_pair(u1, u2)
+    assert grids == []
+    checked = UnitaryLoop(pieces=loop.pieces)
+    assert len(grids) == 1
+    assert repr(loop.pieces) == repr(checked.pieces)
+    th = np.linspace(0.0, 1.0, 4096, endpoint=False)
+    assert np.array_equal(loop(th), checked(th))
 
 
 def test_wedge_components_must_be_fourier_series():

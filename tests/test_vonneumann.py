@@ -120,6 +120,16 @@ def test_deficiency_rejects_bad_sign():
         deficiency_normalizer("z", 0.0, 1.0)
 
 
+@pytest.mark.parametrize("sign", "+-")
+def test_a_piece_below_float_resolution_has_no_normalizer(sign):
+    # e^{+-2 theta} rounds to one value at both ends: no unit vector exists
+    # in floating point, which is invalid input, not a division by zero
+    for a, b in ((0.0, 4e-166), (0.5, 0.5 + 1e-17), (1.0 - 5e-17, 1.0)):
+        with pytest.raises(ValidationError, match="too short to normalize"):
+            deficiency_normalizer(sign, a, b)
+    assert deficiency_normalizer(sign, 0.5, 0.5 + 1e-9) > 1e4
+
+
 def test_operator_spec_validation():
     with pytest.raises(ValidationError):
         OperatorSpec(Partition((0.0, 0.5, 1.0)), knot_constraints=(0.0, 0.3, 1.0))
