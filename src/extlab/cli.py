@@ -37,6 +37,7 @@ from . import ksum as ksum_calculus
 from .analysis import Partition
 from .errors import (
     ExtlabError,
+    IllConditionedLoopError,
     NumericalError,
     PropertyFailure,
     StructuralError,
@@ -455,11 +456,15 @@ class ExperimentConfig:
         return boundary_matrix_general(spec, u)
 
     def loop(self):
-        """Resolve the loop spec to (label, UnitaryLoop)."""
+        """Resolve the loop spec to (label, UnitaryLoop); a loop whose
+        modulus the constructor refuses is invalid input."""
         entry = self.raw.get("loop")
         if entry is None:
             raise ValidationError("a loop spec is required")
-        return _resolve_loop(entry)
+        try:
+            return _resolve_loop(entry)
+        except IllConditionedLoopError as exc:
+            raise ValidationError(str(exc)) from exc
 
 
 def _resolve_loop(entry):
@@ -694,31 +699,68 @@ def _loop_side(loop):
     return winding(loop, ngrid), ngrid
 
 
-def _pair_task(loop, B, cutoffs, partition, basis=None, seam=None, ngrid=None):
-    """One pairing work item: `pair`'s result, or the NumericalError that
-    leaves this pairing uncertified.
+def _pairings(loops, boundaries, partition, cutoffs, jobs):
+    """(windings, outcomes): each loop's winding, and per loop its `pair`
+    result with each boundary matrix in order; a NumericalError stands in
+    for any value that failed, a loop's error before a B's.  A wedge loop is
+    its pinch pullback.
 
-    `loop` is any loop, a wedge loop being its pinch pullback.  `basis` is an
-    `eigen_arrays` basis, or a NumericalError raised before the pairing (in
-    building the basis, or in the loop's `_loop_side`), which is this
-    pairing's error like any other.  `seam` (B's `seam_basis`) and `ngrid`
-    (the loop's N) are passed to `pair`, which builds what is not given.
+    Before any loop work each B gets its eigenbasis, at the widest reach of
+    the loops, so a window past MAX_BASIS_WINDOW is refused (exit 2) first,
+    and its seam basis; then each paired loop gets its `_loop_side`.  All
+    pairings share these, also between the pool's `jobs` threads.
+
+    P M_ubar P = (P M_u P)*, so a loop whose conjugate (equal pieces) comes
+    earlier is not paired: its result with each B is the `adjoint` of the
+    conjugate's, an error staying an error, and its winding is minus the
+    conjugate's.
     """
-    if isinstance(basis, NumericalError):
-        return basis
-    return _or_error(pair, loop, B, cutoffs, partition, basis, seam=seam, ngrid=ngrid)
+    reach = max(loop.frequency_reach for loop in loops)
+    bases = [_or_error(eigen_arrays, B, partition, cutoffs, reach) for B in boundaries]
+    seams = [seam_basis(B, partition) for B in boundaries]
 
+    # conjugate_of[i]: the position of the paired loop that loop i is the
+    # conjugate of, or None when loop i is paired itself
+    paired, conjugate_of, sides = {}, [], []
+    for i, loop in enumerate(loops):
+        j = paired.get(loop.conjugate().pieces)
+        conjugate_of.append(j)
+        if j is None:
+            paired.setdefault(loop.pieces, i)
+        sides.append(_or_error(_loop_side, loop) if j is None else None)
 
-def _run_pairings(tasks, jobs):
-    """Run `_pair_task` argument tuples, preserving order."""
+    def run(task):
+        loop, side, B, basis, seam = task
+        for failed in (side, basis):
+            if isinstance(failed, NumericalError):
+                return failed
+        return _or_error(pair, loop, B, cutoffs, partition, basis, seam=seam, ngrid=side[1])
+
+    tasks = [(loop, side, B, basis, seam)
+             for loop, side, j in zip(loops, sides, conjugate_of) if j is None
+             for B, basis, seam in zip(boundaries, bases, seams)]
     if jobs <= 1:
-        return [_pair_task(*t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda t: _pair_task(*t), tasks))
+        results = map(run, tasks)
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run, tasks))
+    results = iter(results)
+
+    windings, outcomes = [], []
+    for side, j in zip(sides, conjugate_of):
+        if j is None:
+            windings.append(side if isinstance(side, NumericalError) else side[0])
+            outcomes.append([next(results) for _B in boundaries])
+        else:
+            wind = windings[j]
+            windings.append(wind if isinstance(wind, NumericalError) else -wind)
+            outcomes.append([res if isinstance(res, NumericalError) else adjoint(res)
+                             for res in outcomes[j]])
+    return windings, outcomes
 
 
 def _pair_row(loop_label, ext_label, wind, res):
-    """The CSV row of a `_pair_task` outcome; a failed winding is blank."""
+    """The CSV row of a `_pairings` outcome; a failed winding is blank."""
     wind = "" if isinstance(wind, NumericalError) else str(wind)
     if isinstance(res, NumericalError):
         return (loop_label, ext_label, "", wind, "", "uncertified")
@@ -734,16 +776,12 @@ _PAIR_CSV_HEADER = ("loop", "B-seed", "index", "winding", "plateau", "method")
 
 def cmd_pair(cfg: ExperimentConfig) -> int:
     spec = cfg.operator_spec()
-    part = spec.effective_partition
     loop_label, loop = cfg.loop()
     cutoffs = cfg.cutoffs()
     entries = cfg.extensions(spec, default=[{"anchor": "swap"}])
-
-    side = _or_error(_loop_side, loop)
-    failed = side if isinstance(side, NumericalError) else None
-    wind, ngrid = (failed, None) if failed else side
-    outcomes = _run_pairings([(loop, B, cutoffs, part, failed, None, ngrid)
-                              for _label, _u, B in entries], cfg.jobs)
+    (wind,), (outcomes,) = _pairings([loop], [B for _label, _u, B in entries],
+                                     spec.effective_partition, cutoffs, cfg.jobs)
+    failed = isinstance(wind, NumericalError)
 
     pairs, rows = [], []
     for (label, _u, _B), res in zip(entries, outcomes):
@@ -771,68 +809,26 @@ def cmd_pair(cfg: ExperimentConfig) -> int:
 
 
 def _sweep(cfg: ExperimentConfig, loops, default_count: int):
-    """Pair each (label, loop, expected index) with seeded Haar extensions.
+    """Pair each (label, loop, expected index) with seeded Haar extensions
+    (`_pairings`).
 
     A certified pairing fails unless index == expected == -winding.  A wedge
     loop is its pinch pullback, built once with the suite; its label keeps
     the wedge text.
-
-    P M_ubar P = (P M_u P)*, so a loop whose conjugate (equal pieces) comes
-    earlier in the suite is not paired: its row for each B is the `adjoint`
-    of the conjugate's result, an uncertified one staying uncertified, and
-    its winding is minus the conjugate's.  Loops that are their own
-    conjugate, and loops whose conjugate is not in the suite, are paired;
-    where `_loop_side` fails, its error is each of the loop's pairings'.
-    A paired loop's `unwinding_grid` runs once, in `_loop_side`, and each B's
-    seam basis is built once, beside its eigenbasis.
     """
     suite = cfg.raw.get("suite", {})
     spec = cfg.operator_spec()
-    part = spec.effective_partition
     cutoffs = cfg.cutoffs()
     exts = cfg._resolve_extension({"random": {"seed": suite.get("extension_seed", cfg.seed),
                                               "count": suite.get("count", default_count)}},
                                   spec)
+    windings, outcomes = _pairings([loop for _label, loop, _expect in loops],
+                                   [B for _label, _u, B in exts],
+                                   spec.effective_partition, cutoffs, cfg.jobs)
 
-    # conjugate_of[i]: the position of the paired loop that loop i is the
-    # conjugate of, or None when loop i is paired itself; grids[i]: loop i's
-    # `unwinding_grid` N, None when it is not paired or its `_loop_side` failed
-    paired, conjugate_of, windings, grids = {}, [], [], []
-    for i, (_label, loop, _expect) in enumerate(loops):
-        j = paired.get(loop.conjugate().pieces)
-        conjugate_of.append(j)
-        if j is None:
-            paired.setdefault(loop.pieces, i)
-            side = _or_error(_loop_side, loop)
-            failed = isinstance(side, NumericalError)
-            windings.append(side if failed else side[0])
-            grids.append(None if failed else side[1])
-        else:
-            wind = windings[j]
-            windings.append(wind if isinstance(wind, NumericalError) else -wind)
-            grids.append(None)
-    # one eigenbasis and one seam basis per B, the eigenbasis at the widest
-    # window any loop needs, shared by every pairing with that B
-    reach = max(loop.frequency_reach for _label, loop, _expect in loops)
-    bases = [_or_error(eigen_arrays, B, part, cutoffs, reach) for _label, _u, B in exts]
-    seams = [seam_basis(B, part) for _label, _u, B in exts]
-
-    tasks = [(loop, B, cutoffs, part, wind if isinstance(wind, NumericalError) else basis,
-              seam, ngrid)
-             for (_label, loop, _expect), j, wind, ngrid
-             in zip(loops, conjugate_of, windings, grids) if j is None
-             for (_ext_label, _u, B), basis, seam in zip(exts, bases, seams)]
-    results = iter(_run_pairings(tasks, cfg.jobs))
-
-    outcomes = []       # per loop, its result with each B
     rows, failures, unstable = [], [], []
-    for (loop_label, _loop, expect), j, wind in zip(loops, conjugate_of, windings):
-        if j is None:
-            outcomes.append([next(results) for _ext in exts])
-        else:
-            outcomes.append([res if isinstance(res, NumericalError) else adjoint(res)
-                             for res in outcomes[j]])
-        for (ext_label, _u, _B), res in zip(exts, outcomes[-1]):
+    for (loop_label, _loop, expect), wind, results in zip(loops, windings, outcomes):
+        for (ext_label, _u, _B), res in zip(exts, results):
             rows.append(_pair_row(loop_label, ext_label, wind, res))
             if not _certified(res):
                 unstable.append({"loop": loop_label, "extension": ext_label})

@@ -664,7 +664,7 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
         if smins[-1] < GUARD_STEP * smins[-2] and smins[-1] < smins[-2] < smins[0]:
             guard_ok = smins[-1] > GUARD_TOTAL * smins[0]
     resolved = plateau_ok and guard_ok and smins[-1] > 0
-    return plateau, resolved, (indices[-1] if indices else 0)
+    return tuple(plateau), resolved, (indices[-1] if indices else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +691,8 @@ def seam_basis(B, partition: Partition = None):
     (`_unitary_eigenbasis`) and g = w / |w|, or None on a partition that is
     not two equal pieces, where `symbol_index` does not apply.
 
-    It depends on B alone, so a sweep builds it once per B, beside that B's
-    `eigen_arrays` basis, and a lone `pair` once for its symbol calls."""
+    It depends on B alone, so the CLI builds it once per B, beside that B's
+    `eigen_arrays` basis, for every pairing with B."""
     if not _two_equal_pieces(Partition.default() if partition is None else partition):
         return None
     w, W = _unitary_eigenbasis(boundary_array(B))
@@ -813,10 +813,10 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     wedge pair comes as its pinch pullback (`UnitaryLoop.wedge_pair`).
 
     `basis` is an `eigen_arrays(B, partition, cutoffs, reach)` result with
-    reach at least the loop's frequency reach; sweeps build it once per B and
-    share it between loops.  Without it the pairing builds its own at the
-    loop's reach.  Likewise `seam` is B's `seam_basis`, and `ngrid` the
-    loop's `unwinding_grid` N, which a sweep computes once per loop; the
+    reach at least the loop's frequency reach; the CLI builds it once per B
+    and shares it between loops.  Without it the pairing builds its own at
+    the loop's reach.  Likewise `seam` is B's `seam_basis`, and `ngrid` the
+    loop's `unwinding_grid` N, which the CLI computes once per loop; the
     pairing builds each at most once when not given.
 
     Each pairing assembles two strips of one matrix over its basis window
@@ -837,29 +837,23 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
 
     plateau, resolved, fs_index = _finite_section(loop, partition, cutoffs, basis)
 
-    sym_available = _two_equal_pieces(partition)
-    sym_index, sym_diag = (None, {"reason": "partition not supported"})
-    if sym_available:
-        if ngrid is None:
-            ngrid = unwinding_grid(loop)[0]
-        if seam is None:
-            seam = seam_basis(Bm, partition)
-        sym_index, sym_diag = symbol_index(loop, Bm, partition, ngrid=ngrid, seam=seam)
-        if sym_index is not None:
-            # the grid is proved fine enough; twice the points must agree
-            check, _ = symbol_index(loop, Bm, partition, ngrid=2 * ngrid, seam=seam)
-            if check != sym_index:
-                raise NumericalError("symbol winding disagreed across grid refinement")
+    if not _two_equal_pieces(partition):
+        # no symbol route: the guarded plateau stands only where it agrees
+        # with the index theorem, index = -winding
+        if resolved:
+            wind = winding(loop, ngrid)
+            if fs_index != -wind:
+                raise NumericalError(
+                    f"finite-section index {fs_index} disagrees with -winding {-wind}"
+                )
+        return PairingResult(fs_index, plateau, resolved, "finite-section")
 
-    if sym_index is not None:
-        # both routes certain: they must agree, and the cheaper one gets credit
-        if resolved and fs_index != sym_index:
-            raise NumericalError(
-                f"route disagreement: finite-section {fs_index} vs symbol {sym_index}"
-            )
-        method = "finite-section" if resolved else "symbol-winding"
-        return PairingResult(sym_index, tuple(plateau), True, method)
-    if sym_available and "not Fredholm" in sym_diag.get("reason", ""):
+    if ngrid is None:
+        ngrid = unwinding_grid(loop)[0]
+    if seam is None:
+        seam = seam_basis(Bm, partition)
+    sym_index, _diag = symbol_index(loop, Bm, partition, ngrid=ngrid, seam=seam)
+    if sym_index is None:
         # the compression for this B has no index at all (exact chord zero);
         # any finite-section plateau here is an artifact of slow singular-value
         # decay.  The class pairing is evaluated on the canonical
@@ -868,19 +862,20 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
         if canon is None:
             raise NumericalError(
                 f"compression not Fredholm for B and for the canonical representative: "
-                f"{canon_diag.get('reason')}"
+                f"{canon_diag['reason']}"
             )
-        return PairingResult(canon, tuple(plateau), True, "extension-independence")
-    if resolved:
-        # symbol route unavailable (general partition): the guarded plateau
-        # stands only where it agrees with the index theorem, index = -winding
-        wind = winding(loop, ngrid)
-        if fs_index != -wind:
-            raise NumericalError(
-                f"finite-section index {fs_index} disagrees with -winding {-wind}"
-            )
-        return PairingResult(fs_index, tuple(plateau), True, "finite-section")
-    return PairingResult(fs_index, tuple(plateau), False, "finite-section")
+        return PairingResult(canon, plateau, True, "extension-independence")
+    # the grid is proved fine enough; twice the points must agree
+    check, _diag = symbol_index(loop, Bm, partition, ngrid=2 * ngrid, seam=seam)
+    if check != sym_index:
+        raise NumericalError("symbol winding disagreed across grid refinement")
+    # both routes certain: they must agree, and the cheaper one gets credit
+    if resolved and fs_index != sym_index:
+        raise NumericalError(
+            f"route disagreement: finite-section {fs_index} vs symbol {sym_index}"
+        )
+    method = "finite-section" if resolved else "symbol-winding"
+    return PairingResult(sym_index, plateau, True, method)
 
 
 def adjoint(result: PairingResult) -> PairingResult:

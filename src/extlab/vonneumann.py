@@ -282,19 +282,26 @@ class Extension:
     def domain_vector(self, xi: PiecewiseFunction, eta: np.ndarray) -> PiecewiseFunction:
         """xi + eta + u(eta) as an honest function (xi from the minimal domain,
         eta coordinates w.r.t. the minus-deficiency basis)."""
-        f = xi
         ueta = self.unitary.matrix @ np.asarray(eta, dtype=complex)
-        for j, (em, ep) in enumerate(zip(self.minus_basis, self.plus_basis)):
-            f = f + complex(eta[j]) * em + complex(ueta[j]) * ep
-        return f
+        return self._plus_deficiency(xi, [complex(c) for c in eta],
+                                     [complex(c) for c in ueta])
 
     def apply_decomposed(self, xi: PiecewiseFunction, eta: np.ndarray) -> PiecewiseFunction:
         """T_u(xi + eta + u(eta)) = T(xi) + i eta - i u(eta)."""
-        out = xi.dirac_apply()
         ueta = self.unitary.matrix @ np.asarray(eta, dtype=complex)
-        for j, (em, ep) in enumerate(zip(self.minus_basis, self.plus_basis)):
-            out = out + (1j * complex(eta[j])) * em + (-1j * complex(ueta[j])) * ep
-        return out
+        return self._plus_deficiency(xi.dirac_apply(), [1j * complex(c) for c in eta],
+                                     [-1j * complex(c) for c in ueta])
+
+    def _plus_deficiency(self, f: PiecewiseFunction, minus, plus) -> PiecewiseFunction:
+        """f + sum_j minus[j] e-_j + plus[j] e+_j, merged by one `collect`:
+        each e-_j and e+_j is one atom, on piece j at exponent -1 or +1, so
+        no two of them share a (piece, exponent) key."""
+        if f.partition.endpoints != self.spec.effective_partition.endpoints:
+            raise StructuralError("functions live on different partitions")
+        atoms = list(f.atoms)
+        for cm, cp, em, ep in zip(minus, plus, self.minus_basis, self.plus_basis):
+            atoms += (cm * em).atoms + (cp * ep).atoms
+        return PiecewiseFunction(f.partition, tuple(atoms)).collect()
 
 
 def build_extension(spec: OperatorSpec, u: ExtensionUnitary) -> Extension:

@@ -454,6 +454,13 @@ def test_suite_size_bounds_name_the_limit(tmp_path, argv, config, limit):
     pytest.param(("verify", "extension-independence"), {"suite": {"powers": [-1.7, 1.7]}},
                  None, id="fractional-sweep-powers"),
     pytest.param(("pair",), {"loop": True}, None, id="boolean-loop"),
+    # loops the constructor refuses: |u| <= MARGIN at a point k / 4096
+    pytest.param(("pair",), {"loop": {"fourier": {"0": 0.0625}}}, None, id="loop-below-margin"),
+    pytest.param(("pair",), {"loop": {"fourier": {"0": 1.0, "1": 0.95}}}, None,
+                 id="loop-dipping-below-margin"),
+    pytest.param(("pair",), {"loop": {"wedge": [{"fourier": {"0": 1.0, "1": 0.95}},
+                                                {"monomial": 0}]}}, None,
+                 id="wedge-component-below-margin"),
     pytest.param(("deficiency",), {"seed": True}, None, id="boolean-seed"),
     pytest.param(("spectrum",), {"window": [True, 5]}, None, id="boolean-window"),
 ] + [pytest.param(argv, {"partition": [0, "a", 1], "loop": {"monomial": 1}}, None,
@@ -463,6 +470,7 @@ def test_malformed_config_numbers_exit_2(tmp_path, argv, config, env):
     # json.dumps writes math.nan and math.inf as the literals NaN and Infinity
     proc = run_cli(*argv, config=config, tmp_path=tmp_path, env_extra=env)
     assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
     assert "error (validation)" in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -751,6 +759,29 @@ def test_a_loop_past_the_largest_grid_reports_its_pairings(tmp_path):
     assert rows == [[label, "swap", "", "", "", "uncertified"]]
 
 
+@pytest.mark.parametrize("loop, message", [
+    pytest.param({"fourier": {"0": 1.0, "2000": 0.895}}, "eigenbasis window 13395.8 exceeds 12868",
+                 id="two-term"),
+    pytest.param({"monomial": 1917}, "eigenbasis window 12874.2 exceeds 12868", id="monomial"),
+])
+def test_pair_refuses_a_too_wide_window_before_unwinding(tmp_path, monkeypatch, capsys,
+                                                         loop, message):
+    # each B's eigenbasis, and so the window check, comes before any loop
+    # work: the two-term loop's grid would fail (exit 3) if it were sized first
+    from extlab import cli, pairing
+
+    def unwinding_grid(loop):
+        raise AssertionError("the loop was unwound before the window check")
+
+    monkeypatch.setattr(pairing, "unwinding_grid", unwinding_grid)
+    monkeypatch.setattr(cli, "unwinding_grid", unwinding_grid)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"loop": loop}), encoding="utf-8")
+    assert cli.main(["pair", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error (validation): {message}" in err
+
+
 _COEFFICIENT = st.builds(lambda r, phi: [r * math.cos(phi), r * math.sin(phi)],
                          st.floats(1e-3, 1e6), st.floats(0.0, 2 * math.pi))
 _LOOPS = st.one_of(
@@ -771,22 +802,28 @@ _EXTENSIONS = st.one_of(st.sampled_from(["swap", "identity"]),
        _EXTENSIONS)
 def test_pair_keeps_the_exit_contract_on_any_loop(loop, cutoffs, extension):
     # the inputs the symbol grid's sizing reads: reach, coefficient sizes and
-    # the loop's minimum modulus; any of them exits 0, 2 or 3 and never
-    # raises out of the CLI
+    # the loop's minimum modulus; any of them exits 0, 2 or 3, never raises
+    # out of the CLI, and prints a report for 0 and 3
     from extlab import cli
 
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.json")
         with open(config, "w", encoding="utf-8") as fh:
             json.dump({"loop": loop, "cutoffs": sorted(cutoffs), "extension": extension}, fh)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["pair", "--config", config])
     assert code in (0, 2, 3)
+    if code != 2:
+        report = json.loads(stdout.getvalue())
+        assert report["command"] == "pair"
+        assert report["status"] == ("pass" if code == 0 else "unstable")
 
 
-#: above this many pieces `boundary-matrix` runs without its numeric route,
-#: which builds each domain vector atom by atom and takes seconds at 32 pieces
-_NUMERIC_PIECES = 8
+#: above this many pieces `boundary-matrix` runs without its numeric route;
+#: `_operator_configs` draws at most 32 pieces, so the route is fuzzed on
+#: every partition (under 0.5 s an extension at 32 pieces)
+_NUMERIC_PIECES = 32
 
 _MATRIX_ENTRY = st.one_of(
     # a filled square or an identity of any size: against the deficiency
@@ -999,7 +1036,7 @@ def _count_pairing_stages(monkeypatch):
     # 5 of the 9 wedge pullbacks of max_power 1 are paired with each of 2 B
     pytest.param(("verify", "addition-dirac"), {"suite": {"count": 2, "max_power": 1}}, 2, 5,
                  id="wedge"),
-    # one loop against 3 B: each lone pairing builds its own seam basis
+    # one loop against 3 B: `pair` takes the sweeps' driver, one seam basis a B
     pytest.param(("pair",), {"loop": {"monomial": -1},
                              "extensions": [{"anchor": "swap"},
                                             {"random": {"count": 2, "seed": 9}}]}, 3, 1,
