@@ -16,6 +16,7 @@ map is built from per-piece trace matrices (see ``_trace_matrices``).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from .analysis import (
     ExponentialAtom,
     Partition,
     PiecewiseFunction,
-    boundary_values,
     inner_product,
 )
 from .errors import NumericalError, SingularParameterizationError, StructuralError, ValidationError
@@ -271,11 +271,11 @@ class Extension:
     unitary: ExtensionUnitary
     boundary: BoundaryMatrix
 
-    @property
+    @cached_property
     def minus_basis(self):
         return compute_deficiency(self.spec, "-").basis
 
-    @property
+    @cached_property
     def plus_basis(self):
         return compute_deficiency(self.spec, "+").basis
 
@@ -321,27 +321,89 @@ def extension_from_boundary(spec: OperatorSpec, B: BoundaryMatrix) -> Extension:
 # sampling and the numeric boundary-matrix oracle
 # ---------------------------------------------------------------------------
 
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) in real arithmetic, rounded as CPython and numpy
+    round a product of two complex scalars: numpy may fuse a complex array
+    product (FMA), which rounds differently."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _complex(re, im) -> np.ndarray:
+    """The complex array with parts `re` and `im`, each kept bit for bit."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
+
+
+def _minimal_domain_draws(part: Partition, rng: np.random.Generator, count: int,
+                          atoms_per_piece: int = 3, eta: int = 0):
+    """Exponents and coefficients of `count` minimal-domain samples on `part`.
+
+    Sample s draws, per piece, `atoms_per_piece` = m exponents
+    uniform(-2, 2) + i uniform(-8, 8) and m - 2 complex normal weights, then
+    `eta` complex normal coordinates.  The piece's 2 x m endpoint system
+    (rows e^{mu a}, e^{mu b}) has an (m - 2)-dimensional null space for
+    generic draws; the coefficients are the weights on its right singular
+    vectors.  Returns (mus, coeffs, etas) shaped (count, npieces, m) twice
+    and (count, eta).
+
+    The draws are read in the order of one uniform(-2, 2, m),
+    uniform(-8, 8, m), normal(m - 2), normal(m - 2) call each per piece and
+    normal(eta) twice per sample, two calls a piece: uniform(lo, hi) is
+    lo + (hi - lo) x on the stream's doubles x, and a power-of-two
+    (hi - lo) makes the product exact, so the values are bit for bit those
+    of the separate calls.  One stacked SVD serves every piece of every
+    sample, and one stacked matmul forms every null combination: numpy runs
+    each (m, m - 2) @ (m - 2, 1) product through the inner loop a lone
+    `null @ weights` takes, so both give each piece's own result.
+    """
+    npieces, m = part.npieces, atoms_per_piece
+    nnull = max(m - 2, 0)
+    uniform = np.empty((count, npieces, 2 * m))
+    normal = np.empty((count, npieces, 2 * nnull))
+    normal_eta = np.empty((count, 2 * eta))
+    for s in range(count):
+        for k in range(npieces):
+            rng.random(out=uniform[s, k])
+            rng.standard_normal(out=normal[s, k])
+        rng.standard_normal(out=normal_eta[s])
+    mus = (-2.0 + 4.0 * uniform[..., :m]) + 1j * (-8.0 + 16.0 * uniform[..., m:])
+    weights = normal[..., :nnull] + 1j * normal[..., nnull:]
+    ends = np.asarray(part.endpoints)[:, None]
+    rows = np.stack([np.exp(mus * ends[:-1]), np.exp(mus * ends[1:])], axis=-2)
+    _, _, vh = np.linalg.svd(rows)
+    null = vh[..., 2:, :].conj().swapaxes(-1, -2)      # columns spanning each null space
+    coeffs = np.matmul(null, weights[..., None])[..., 0]
+    return mus, coeffs, normal_eta[:, :eta] + 1j * normal_eta[:, eta:]
+
+
 def minimal_domain_sample(spec: OperatorSpec, rng: np.random.Generator,
                           atoms_per_piece: int = 3) -> PiecewiseFunction:
     """Random smooth vector with vanishing traces at every constrained knot.
 
-    Per piece, draws `atoms_per_piece` random exponents and solves the 2 x m
-    endpoint system for a null combination; generic draws give a one- (or
-    higher-) dimensional null space to sample from.
+    Per piece, `atoms_per_piece` random exponents and a random combination
+    from the null space of their 2 x m endpoint system: a one-sample call of
+    `_minimal_domain_draws`, the one sampler of the numeric route too.
     """
     part = spec.effective_partition
-    out_atoms = []
-    for k in range(part.npieces):
-        a, b = part.piece_bounds(k)
-        mus = rng.uniform(-2.0, 2.0, atoms_per_piece) + 1j * rng.uniform(-8.0, 8.0, atoms_per_piece)
-        rows = np.vstack([np.exp(mus * a), np.exp(mus * b)])
-        _, _, vh = np.linalg.svd(rows)
-        null = vh[2:].conj().T          # columns spanning the null space
-        weights = rng.normal(size=null.shape[1]) + 1j * rng.normal(size=null.shape[1])
-        coeffs = null @ weights
-        for c, mu in zip(coeffs, mus):
-            out_atoms.append(ExponentialAtom(k, c, mu))
-    return PiecewiseFunction(part, tuple(out_atoms))
+    mus, coeffs, _ = _minimal_domain_draws(part, rng, 1, atoms_per_piece)
+    return PiecewiseFunction(part, tuple(
+        ExponentialAtom(k, c, mu)
+        for k in range(part.npieces) for c, mu in zip(coeffs[0, k], mus[0, k])))
+
+
+def _traces(mus, coeffs, t) -> np.ndarray:
+    """sum_j coeffs[..., j] e^{mus[..., j] t}, one knot t per piece, summed
+    along the last axis in its order; each product is taken as
+    `boundary_values` takes it on the scalars of one atom."""
+    er, ei = _cmul(mus.real, mus.imag, t[:, None], 0.0)
+    e = np.exp(_complex(er, ei))
+    terms = _complex(*_cmul(coeffs.real, coeffs.imag, e.real, e.imag))
+    total = np.zeros(terms.shape[:-1], dtype=complex)
+    for j in range(terms.shape[-1]):
+        total += terms[..., j]
+    return total
 
 
 def boundary_matrix_numeric(ext: Extension, rng=None, nsamples: int = None,
@@ -350,23 +412,42 @@ def boundary_matrix_numeric(ext: Extension, rng=None, nsamples: int = None,
 
     Draws domain vectors xi + eta + u(eta), reads their one-sided traces, and
     solves the stacked relation L = B R.  Entirely independent of the
-    closed-form route: only boundary_values and numpy lstsq are involved.
+    closed-form route and of `_trace_matrices`: the traces are summed from
+    the vectors' atoms, and only numpy lstsq solves for B.
+
+    Each attempt works on arrays.  `_minimal_domain_draws` draws every xi
+    and eta of the attempt; each piece then carries xi's atoms and the
+    deficiency atoms eta_j e-_j and (u eta)_j e+_j (exponents -1 and +1),
+    sorted as `PiecewiseFunction.collect` sorts them, by (Re mu, Im mu), and
+    summed in that order.  The drawn exponents are almost surely distinct
+    and none is +-1, so `collect` merges nothing, and a zero coefficient
+    adds an exact +-0 to a sum started at +0, as dropping it would.  So B
+    has the bits of `boundary_values(ext.domain_vector(xi, eta))` on
+    `minimal_domain_sample` draws from the same generator.
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    part = ext.spec.effective_partition
     n = ext.spec.deficiency_index
     k = nsamples if nsamples is not None else 2 * n + 3
+    ends = part.endpoints
+    # the coefficients of e-_j and e+_j, columns 0 and 1 of row j
+    norms = np.array([[deficiency_normalizer(sign, a, b) for sign in "-+"]
+                      for a, b in zip(ends, ends[1:])])
+    ends = np.asarray(ends)
     for _ in range(max_retries):
-        Ls, Rs = [], []
-        for _s in range(k):
-            xi = minimal_domain_sample(ext.spec, rng)
-            eta = rng.normal(size=n) + 1j * rng.normal(size=n)
-            f = ext.domain_vector(xi, eta)
-            L, R = boundary_values(f)
-            Ls.append(L)
-            Rs.append(R)
-        Lmat = np.column_stack(Ls)
-        Rmat = np.column_stack(Rs)
+        mus, coeffs, etas = _minimal_domain_draws(part, rng, k, eta=n)
+        deficiency = np.stack([etas, np.stack([ext.unitary.matrix @ eta for eta in etas])],
+                              axis=-1)
+        mus = np.concatenate([mus, np.broadcast_to([-1.0 + 0j, 1.0 + 0j], deficiency.shape)],
+                             axis=-1)
+        coeffs = np.concatenate(
+            [coeffs, _complex(*_cmul(deficiency.real, deficiency.imag, norms, 0.0))], axis=-1)
+        order = np.lexsort((mus.imag, mus.real), axis=-1)
+        mus = np.take_along_axis(mus, order, -1)
+        coeffs = np.take_along_axis(coeffs, order, -1)
+        Lmat = np.ascontiguousarray(_traces(mus, coeffs, ends[:-1]).T)
+        Rmat = np.ascontiguousarray(_traces(mus, coeffs, ends[1:]).T)
         sv = np.linalg.svd(Rmat, compute_uv=False)
         if sv[-1] < 1e-8 * sv[0]:
             continue                     # rank-deficient draw; retry fresh

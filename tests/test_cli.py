@@ -625,6 +625,21 @@ def test_boundary_matrix_includes_numeric_route_by_default(tmp_path):
     assert entry["deviation_numeric"] < 1e-8
 
 
+def test_boundary_matrix_numeric_route_on_64_unequal_pieces(tmp_path):
+    # the most pieces a config may ask for: 64 unequal pieces (knots drawn
+    # with rng seed 102) and 3 random extensions, each recovered by the
+    # sampled least squares within the report's tolerance
+    knots = np.sort(np.random.default_rng(102).uniform(0.0, 1.0, 63))
+    cfg = {"partition": [0.0, *knots.tolist(), 1.0],
+           "extensions": [{"random": {"seed": 102, "count": 3}}]}
+    proc = run_cli("boundary-matrix", config=cfg, tmp_path=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rep = report_of(proc)
+    entries = rep["result"]["matrices"]
+    assert [e["label"] for e in entries] == ["seed102-0", "seed102-1", "seed102-2"]
+    assert all(e["deviation_numeric"] < rep["tolerance"] for e in entries)
+
+
 def test_boundary_matrix_explicit_boundary_roundtrip(tmp_path):
     cfg = {
         "extension": {"boundary": [[0, 1], [1, 0]]},
@@ -821,9 +836,9 @@ def test_pair_keeps_the_exit_contract_on_any_loop(loop, cutoffs, extension):
 
 
 #: above this many pieces `boundary-matrix` runs without its numeric route;
-#: `_operator_configs` draws at most 32 pieces, so the route is fuzzed on
-#: every partition (under 0.5 s an extension at 32 pieces)
-_NUMERIC_PIECES = 32
+#: `_operator_configs` draws at most `cli.MAX_PIECES` = 64 pieces, so the
+#: route is fuzzed at every admitted size (about 0.1 s an extension at 64)
+_NUMERIC_PIECES = 64
 
 _MATRIX_ENTRY = st.one_of(
     # a filled square or an identity of any size: against the deficiency
@@ -845,12 +860,14 @@ _VALID_ENTRY = st.one_of(
 @st.composite
 def _operator_configs(draw):
     """(command, config) for `deficiency` or `boundary-matrix`: partitions of
-    up to 32 pieces, some with knots 1e-15..1e-6 apart or far below that,
+    up to 64 pieces, some with knots 1e-15..1e-6 apart or far below that,
     a quarter of them unsorted or repeated; released knots or stray
     constraints; explicit extension matrices of any size; windows, which
     neither command reads."""
+    # the size drawn first: a plain list strategy rarely draws long lists
+    size = draw(st.integers(0, 61))
     interior = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                             max_size=29))
+                             min_size=size, max_size=size))
     offsets = draw(st.lists(st.floats(1e-15, 1e-6), max_size=2))
     interior += [interior[i % len(interior)] + d for i, d in enumerate(offsets) if interior]
     knots = [0.0, *(interior if draw(st.integers(0, 3)) == 0 else sorted(set(interior))), 1.0]

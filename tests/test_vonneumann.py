@@ -239,6 +239,97 @@ def test_numeric_trace_recovery_agrees():
         assert np.max(np.abs(Bn.matrix - ext.boundary.matrix)) < 1e-8
 
 
+def _object_boundary_matrix(ext, rng, max_retries=5):
+    """B the object way: each sample a `minimal_domain_sample`, a
+    `domain_vector` and its `boundary_values`, then the least squares of
+    `boundary_matrix_numeric`, retries included."""
+    n = ext.spec.deficiency_index
+    for _ in range(max_retries):
+        Ls, Rs = [], []
+        for _s in range(2 * n + 3):
+            xi = minimal_domain_sample(ext.spec, rng)
+            eta = rng.normal(size=n) + 1j * rng.normal(size=n)
+            L, R = boundary_values(ext.domain_vector(xi, eta))
+            Ls.append(L)
+            Rs.append(R)
+        Lmat = np.column_stack(Ls)
+        Rmat = np.column_stack(Rs)
+        sv = np.linalg.svd(Rmat, compute_uv=False)
+        if sv[-1] < 1e-8 * sv[0]:
+            continue
+        B, *_ = np.linalg.lstsq(Rmat.conj().T, Lmat.conj().T, rcond=None)
+        B = B.conj().T
+        residual = np.max(np.abs(B @ Rmat - Lmat)) / max(np.max(np.abs(Lmat)), 1e-30)
+        if residual < 1e-7:
+            return B
+    raise AssertionError("the object route recovered no boundary matrix")
+
+
+def _unequal_spec(npieces, seed, released=False):
+    rng = np.random.default_rng(seed)
+    knots = (0.0, *np.sort(rng.uniform(0.0, 1.0, npieces - 1)).tolist(), 1.0)
+    # releasing every other interior knot merges pairs of pieces
+    constraints = (0.0, *knots[2:-1:2], 1.0) if released else None
+    return OperatorSpec(Partition(knots), constraints)
+
+
+@pytest.mark.parametrize("npieces, seeds", [
+    pytest.param(n, seeds, id=f"{n}-pieces")
+    for n, seeds in ((2, (0, 1, 2)), (3, (0, 1, 2)), (8, (0, 1, 2)), (32, (3, 4)), (64, (5,)))
+])
+@pytest.mark.parametrize("released", [False, True], ids=["all-knots", "released"])
+def test_numeric_boundary_matrix_has_the_object_routes_bits(npieces, seeds, released):
+    # the array route sums each piece's atoms in `collect`'s order and takes
+    # every product as the scalar path does, so B (and the 12-digit
+    # `deviation_numeric` of `boundary-matrix`) keeps every bit
+    spec = _unequal_spec(npieces, 100 + npieces, released)
+    for seed in seeds:
+        ext = build_extension(spec, haar_unitary(np.random.default_rng(seed),
+                                                 spec.deficiency_index))
+        array = boundary_matrix_numeric(ext, rng=np.random.default_rng(seed)).matrix
+        objects = _object_boundary_matrix(ext, np.random.default_rng(seed))
+        assert array.tobytes() == objects.tobytes()
+
+
+@pytest.mark.parametrize("npieces", [1, 2, 5])
+def test_minimal_domain_sample_draws_in_the_per_piece_order(npieces):
+    # per piece: uniform(-2, 2, m), uniform(-8, 8, m), one 2 x m SVD and
+    # normal(m - 2) twice; the stacked sampler reads the same stream and
+    # gives the same atoms, bit for bit
+    spec = _unequal_spec(npieces, npieces)
+    part = spec.effective_partition
+    mine, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        atoms = []
+        for k in range(part.npieces):
+            a, b = part.piece_bounds(k)
+            mus = theirs.uniform(-2.0, 2.0, 3) + 1j * theirs.uniform(-8.0, 8.0, 3)
+            _, _, vh = np.linalg.svd(np.vstack([np.exp(mus * a), np.exp(mus * b)]))
+            null = vh[2:].conj().T
+            weights = theirs.normal(size=1) + 1j * theirs.normal(size=1)
+            atoms += [(k, complex(c), complex(mu)) for c, mu in zip(null @ weights, mus)]
+        xi = minimal_domain_sample(spec, mine)
+        assert [(a.piece, a.coefficient, a.exponent) for a in xi.atoms] == atoms
+
+
+def test_an_extension_builds_its_deficiency_bases_once(monkeypatch):
+    import extlab.vonneumann as vonneumann
+
+    calls = []
+    original = vonneumann.compute_deficiency
+    monkeypatch.setattr(vonneumann, "compute_deficiency",
+                        lambda spec, sign: calls.append(sign) or original(spec, sign))
+    spec = default_spec()
+    ext = build_extension(spec, haar_unitary(np.random.default_rng(4)))
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        xi = minimal_domain_sample(spec, rng)
+        eta = rng.normal(size=2) + 1j * rng.normal(size=2)
+        ext.domain_vector(xi, eta)
+        ext.apply_decomposed(xi, eta)
+    assert sorted(calls) == ["+", "-"]
+
+
 def test_closed_form_denominator_bounded_below_for_unitaries():
     # |det(I + sqrt(e) u)| >= (sqrt(e)-1)^2 when u is unitary, so the
     # singularity guard can never fire on valid input
