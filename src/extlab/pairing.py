@@ -31,13 +31,34 @@ combined, from cheapest to most general:
 Results report the route used; whenever routes 1 and 2 both certify they are
 compared and any disagreement is raised, never silently resolved.
 
+The finite sections are decomposed in real arithmetic wherever a diagonal
+gauge certifies them real.  On two equal pieces with midpoints m_k, put the
+phase of eigenfunction lam's atom vector at the midpoints,
+alpha_k(lam) = a_k(lam) e^{i lam m_k}.  That vector is an eigenvector of one
+fixed 2x2 unitary built from B, and two orthonormal vectors w_1, w_2 of C^2
+have w_12 / w_11 = -(w_22 / w_21) times a positive number, so
+arg(alpha_2 / alpha_1) is one angle mod pi over all eigenfunctions.  An
+interval's integral of e^{i D theta} is e^{i D m} times a real number, so a
+loop with one term c_k e^{i nu_k theta} on each piece, of one phase e^{i kappa}
+mod pi at the midpoints, has <psi_i, u psi_j> = e^{i kappa} conj(g_i) g_j times
+a real number, g = alpha_1 / |alpha_1|.  So S = e^{-i kappa} diag(g) A diag(conj g)
+is real: monomials and wedge pullbacks on the default knots are such loops.
+`_SectionWindow` gauges each strip once and keeps its real part only when
+||Im S||_F is at most the strip's `gauge_bound`, the assembly error
+`multiplication_matrix` documents; by Weyl's inequality each singular value
+of Re S is then within ||Im S||_F of A's.  A strip that fails the check
+(several terms on a piece, other partitions, a repeated eigenvalue whose
+basis mixes the ladders) is decomposed complex, and so is a whole pairing
+one of whose kernel counts or guard comparisons lies within that distance,
+plus rounding, of its threshold: every reading is the complex one.
+
 A pair of loops on the wedge of two circles enters as its pullback along the
 pinch S^1 -> S^1 v S^1 (``UnitaryLoop.wedge_pair``), as the addition formula
 evaluates it, so every route above sees one kind of loop.
 """
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 import math
 
@@ -109,7 +130,7 @@ class UnitaryLoop:
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", _normalize_pieces(self.pieces))
-        total = max(sum(abs(c) for _nu, c in terms) for _lo, _hi, terms in self.pieces)
+        total = _coefficient_sum(self.pieces)
         if not total <= MAX_COEFFICIENT_SUM:
             raise ValidationError(f"loop coefficient moduli sum to {total:.3g} on a piece; "
                                   f"the limit is {MAX_COEFFICIENT_SUM:.0e}")
@@ -245,6 +266,12 @@ def _normalize_pieces(pieces):
     if abs(pieces[0][0]) > 1e-12 or abs(pieces[-1][1] - 1.0) > 1e-12:
         raise ValidationError("loop pieces must cover [0, 1]")
     return pieces
+
+
+def _coefficient_sum(pieces) -> float:
+    """The largest sum of coefficient moduli over the pieces: a bound on the
+    modulus of the function they make up."""
+    return max(sum(abs(c) for _nu, c in terms) for _lo, _hi, terms in pieces)
 
 
 def _fourier_terms(coefficients):
@@ -393,7 +420,7 @@ def unwinding_grid(loop: UnitaryLoop):
     coefficients, so the grid does not depend on their size.
     """
     pieces = loop.pieces
-    lip = max(sum(abs(c) for _nu, c in terms) for _lo, _hi, terms in _derivative_pieces(loop))
+    lip = _coefficient_sum(_derivative_pieces(loop))
     jump = abs(_value(pieces[-1][2], 1.0) - _value(pieces[0][2], 0.0)) + sum(
         abs(_value(left, lo) - _value(right, lo))
         for (_lo, _hi, left), (lo, _, right) in zip(pieces, pieces[1:]))
@@ -542,16 +569,16 @@ def multiplication_matrix(loop: UnitaryLoop, partition: Partition,
 @dataclass(eq=False)
 class _SectionWindow:
     """One pairing's basis window, the eigenfunctions with eigenvalue up to
-    cutoffs[-1] + reach + PAD (lam ascending), and the strips of the matrix
-    M[i, j] = <psi_i, u psi_j> over it that its finite sections read.
+    top = cutoffs[-1] + reach + PAD (lam ascending), and the strips of the
+    matrix M[i, j] = <psi_i, u psi_j> over it that its finite sections read.
 
     With C eigenvalues up to the top cutoff, every section of u is a block of
     the column strip M[:, :C] and every section of ubar the adjoint of a
     block of the row strip M[:C, :]; the corner M[C:, C:] is never read.  Each
-    strip is assembled once, the first time `compression_matrix` asks for a
-    section that reads it: 2 N C - C^2 entries for N eigenvalues, no more than
-    the sections themselves hold, and N C for a loop that is its own
-    conjugate.
+    strip is assembled once, the first time it is gauged (`real_strip`) or
+    `compression_matrix` asks for a section that reads it: 2 N C - C^2
+    entries for N eigenvalues, no more than the sections themselves hold, and
+    N C for a loop that is its own conjugate.
     """
 
     loop: UnitaryLoop
@@ -560,6 +587,9 @@ class _SectionWindow:
     coef: np.ndarray
     reach: float
     columns: int
+    top: float
+    #: `real_strip`'s results, by side, once each is asked for
+    _real: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, loop: UnitaryLoop, partition: Partition, cutoffs, basis) -> "_SectionWindow":
@@ -567,10 +597,11 @@ class _SectionWindow:
         a wider reach is cut to this loop's own window, by the same rule the
         spectrum applies at a window's edge."""
         reach = loop.frequency_reach
-        keep = basis[0] <= cutoffs[-1] + reach + PAD + 1e-12
+        top = cutoffs[-1] + reach + PAD
+        keep = basis[0] <= top + 1e-12
         lam = basis[0][keep]
         return cls(loop, partition, lam, basis[1][keep], reach,
-                   int(np.count_nonzero(lam <= cutoffs[-1] + 1e-9)))
+                   int(np.count_nonzero(lam <= cutoffs[-1] + 1e-9)), top)
 
     @cached_property
     def column_strip(self) -> np.ndarray:
@@ -587,9 +618,99 @@ class _SectionWindow:
                                      self.lam[c:], self.coef[c:])
         return np.hstack([self.column_strip[:c], rest])
 
+    @cached_property
+    def gauge(self):
+        """`_section_gauge` of the window's loop and eigenfunctions."""
+        return _section_gauge(self.loop, self.partition, self.lam, self.coef)
+
+    @cached_property
+    def gauge_bound(self) -> float:
+        """The most ||Im S||_F a gauged strip S may keep and be read as real.
+
+        `multiplication_matrix` assembles an entry to about 10 |lam| eps
+        relative to the integral's scale, and orthonormal eigenfunctions make
+        that scale at most the loop's coefficient sum (Cauchy-Schwarz over
+        the pieces), so a strip of N C entries is off by at most this bound in
+        Frobenius norm; the gauge's own phases are off by |lam| eps.  A
+        larger imaginary part is not rounding error: the gauge does not
+        make that strip real.
+        """
+        return (10 * np.finfo(float).eps * self.top * _coefficient_sum(self.loop.pieces)
+                * math.sqrt(len(self.lam) * self.columns))
+
+    def real_strip(self, conjugate: bool = False):
+        """(Re S, margin) of the gauged row strip (`conjugate`) or column
+        strip, or None when the window has no gauge or ||Im S||_F exceeds
+        `gauge_bound`.
+
+        The margin bounds how far a singular value of a block of Re S, as
+        computed, may lie from the complex SVD's of the same section:
+        ||Im S||_F (Weyl), plus 4 N eps |u| for the rounding of the gauge
+        and of the two SVDs (each exact for a matrix within about
+        max(R, C) eps ||A|| of its own, and ||A|| <= |u| <= the loop's
+        coefficient sum).
+        """
+        strips = self._real
+        if conjugate not in strips:
+            strips[conjugate] = None
+            if self.gauge is not None:
+                g, phase = self.gauge
+                c = self.columns
+                strip, rows, cols = ((self.row_strip, g[:c], g) if conjugate
+                                     else (self.column_strip, g, g[:c]))
+                gauged = _gauged_strip(strip, rows, cols, phase, self.gauge_bound)
+                if gauged is not None:
+                    rounding = (4 * len(self.lam) * np.finfo(float).eps
+                                * _coefficient_sum(self.loop.pieces))
+                    strips[conjugate] = (gauged[0], gauged[1] + rounding)
+        return strips[conjugate]
+
+
+def _section_gauge(loop: UnitaryLoop, partition: Partition, lam: np.ndarray, coef: np.ndarray):
+    """(g, phase): g = alpha / |alpha| for alpha = a_1(lam) e^{i lam m_1}, each
+    eigenfunction's first atom coefficient at its piece's midpoint m_1, and
+    phase = e^{-i kappa}, the unit conjugate of c e^{i nu m_1} for the loop's
+    largest term on that piece.  None when some alpha or that term is 0,
+    where the gauge is undefined.
+
+    For a loop with one term on each of two equal pieces this makes
+    e^{-i kappa} diag(g) M diag(conj g) real (see the module docstring); for
+    any other loop or partition the gauge is only a candidate, which
+    `_gauged_strip` checks.
+    """
+    lo, hi = partition.piece_bounds(0)
+    mid = 0.5 * (lo + hi)
+    alpha = coef[:, 0] * _cis(lam * mid)
+    size = np.abs(alpha)
+    nu, c = max(_terms_at(loop.pieces, mid), key=lambda term: abs(term[1]))
+    kappa = c * cmath.exp(1j * nu * mid)
+    if not (np.all(size > 0) and kappa):
+        return None
+    return alpha / size, kappa.conjugate() / abs(kappa)
+
+
+def _gauged_strip(strip: np.ndarray, g_rows: np.ndarray, g_cols: np.ndarray, phase: complex,
+                 bound: float):
+    """(Re S, ||Im S||_F) for S = phase diag(g_rows) strip diag(conj g_cols),
+    Re S contiguous, or None when ||Im S||_F exceeds `bound` (or is not a
+    number).
+
+    S has the singular values of the strip (unit diagonal factors), and by
+    Weyl's inequality Re S = S - i Im S has each of them within ||Im S||_2
+    <= ||Im S||_F: the certificate that lets a real SVD stand for the
+    complex one.
+    """
+    S = strip * (phase * g_rows)[:, None]
+    S *= g_cols.conj()
+    imag = S.imag
+    slack = math.sqrt(np.einsum("ij,ij->", imag, imag))
+    if not slack <= bound:
+        return None
+    return np.ascontiguousarray(S.real), slack
+
 
 def compression_matrix(window: _SectionWindow, cutoff: float,
-                       conjugate: bool = False) -> np.ndarray:
+                       conjugate: bool = False, real: bool = False) -> np.ndarray:
     """The finite section A(u) of P M_u P at `cutoff`, read off the pairing's
     `_SectionWindow`: columns are the eigenfunctions with eigenvalue at most
     the cutoff, rows those up to cutoff + reach + PAD.  With `conjugate` it is
@@ -599,37 +720,89 @@ def compression_matrix(window: _SectionWindow, cutoff: float,
     column strip, and <psi_i, ubar psi_j> = conj(<psi_j, u psi_i>) makes
     A(ubar) the adjoint of the block M[:C, :R] of its row strip: two strips
     serve every section of both loops.
+
+    With `real` it is the same block of the window's certified `real_strip`
+    instead, which has the section's singular values to within the strip's
+    ||Im S||_F: for A(ubar) the transpose of the gauged row-strip block, a
+    view (the gauge is diagonal, so it commutes with taking the block, and a
+    real block's adjoint is its transpose).
     """
     rows = np.count_nonzero(window.lam <= cutoff + window.reach + PAD + 1e-9)
     cols = np.count_nonzero(window.lam <= cutoff + 1e-9)
+    if real:
+        strip = window.real_strip(conjugate)[0]
+        return strip[:cols, :rows].T if conjugate else strip[:rows, :cols]
     if conjugate:
         return window.row_strip[:cols, :rows].conj().T
     return window.column_strip[:rows, :cols]
 
 
-def _numerical_kernel(A: np.ndarray):
+def _numerical_kernel(A: np.ndarray, margin: float = 0.0):
     """(nullity, smallest retained singular value relative to the scale).
 
     The threshold is KERNEL_TOL times max(sigma_max, MARGIN): a loop with
     |u| > MARGIN has sections of norm about |u| or more, so a section whose
     singular values are all rounding error has a kernel, not full rank.  A
     section with nothing retained reads 0, which never resolves.
+
+    `margin` is how far A's singular values may lie from those of the
+    section A stands for (a gauged real section: its strip's
+    `_SectionWindow.real_strip` margin).  The reading is None when a
+    singular value lies within it of the threshold, where the two could
+    count differently; with margin 0 it never is.
     """
     sv = np.linalg.svd(A, compute_uv=False)
     scale = max(sv[0], MARGIN) if sv.size else MARGIN
-    retained = sv[sv >= KERNEL_TOL * scale]
+    threshold = KERNEL_TOL * scale
+    if np.any(np.abs(sv - threshold) < margin):
+        return None
+    retained = sv[sv >= threshold]
     return sv.size - retained.size, float(retained[-1] / scale) if retained.size else 0.0
 
 
-def _kernel_trajectory(window: _SectionWindow, cutoffs, conjugate: bool = False):
+def _kernel_trajectory(window: _SectionWindow, cutoffs, conjugate: bool = False,
+                       real: bool = False):
     """`_numerical_kernel` of A(u), or with `conjugate` of A(ubar), at each
-    cutoff of the window's schedule.
+    cutoff of the window's schedule; with `real` of the sections of the
+    certified `real_strip`, None as soon as one reading is too close to its
+    threshold to stand for the complex one.
 
     Both windows of a section depend on the loop only through its reach,
     which ubar shares, so the A(ubar) of u's pairing is the A of ubar's own
     pairing: that is what makes the pairing of ubar u's `adjoint`.
     """
-    return tuple(_numerical_kernel(compression_matrix(window, L, conjugate)) for L in cutoffs)
+    margin = window.real_strip(conjugate)[1] if real else 0.0
+    readings = []
+    for L in cutoffs:
+        reading = _numerical_kernel(compression_matrix(window, L, conjugate, real), margin)
+        if reading is None:
+            return None
+        readings.append(reading)
+    return tuple(readings)
+
+
+def _guard(smins, err: float = 0.0):
+    """Whether the smallest retained singular values `smins` pass the
+    stability guard: the last step may not fall by GUARD_STEP unless the
+    whole schedule falls by less than GUARD_TOTAL.
+
+    `err` bounds how far each compared difference may be off (0 for exact
+    readings); the verdict is None when a comparison the guard makes is
+    closer than that to flipping.
+    """
+    close = False
+
+    def less(a, b):
+        nonlocal close
+        close = close or abs(a - b) < err
+        return a < b
+
+    ok = True
+    if len(smins) >= 2 and smins[0] > 0:
+        if (less(smins[-1], GUARD_STEP * smins[-2]) and less(smins[-1], smins[-2])
+                and less(smins[-2], smins[0])):
+            ok = less(GUARD_TOTAL * smins[0], smins[-1])
+    return None if close else ok
 
 
 def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
@@ -643,26 +816,50 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
     its own conjugate (equal pieces) takes the sections of u only, off the
     column strip alone.
 
+    Each side whose strip the gauge certifies is decomposed in real
+    arithmetic (`_SectionWindow.real_strip`); when a reading or a guard
+    comparison of those is too close to call, the whole pairing is read again
+    from the complex sections, so the verdict is always the complex one.
+
     Returns (plateau, resolved, index).  `resolved` demands both the
     three-equal-indices plateau and a stable smallest retained singular value;
     a monotone singular-value decay is the signature of kernel vectors with
     slow tails, where a fixed threshold would plateau on a wrong integer.
     """
     window = _SectionWindow.of(loop, partition, cutoffs, basis)
-    kernels = _kernel_trajectory(window, cutoffs)
-    cokernels = (kernels if loop.conjugate().pieces == loop.pieces
-                 else _kernel_trajectory(window, cutoffs, conjugate=True))
+    sides = (False,) if loop.conjugate().pieces == loop.pieces else (False, True)
+    return (_section_verdict(window, cutoffs, sides, real=True)
+            or _section_verdict(window, cutoffs, sides, real=False))
+
+
+def _section_verdict(window: _SectionWindow, cutoffs, sides, real: bool):
+    """`_finite_section`'s verdict from the kernel trajectories of `sides`
+    (False for A(u), True for A(ubar)), each read from its real strip when
+    `real` and the strip certifies; None when a real reading is too close to
+    call."""
+    trajectories, err = [], 0.0
+    for conjugate in sides:
+        strip = window.real_strip(conjugate) if real else None
+        trajectory = _kernel_trajectory(window, cutoffs, conjugate, strip is not None)
+        if trajectory is None:
+            return None
+        trajectories.append(trajectory)
+        if strip is not None:
+            # a relative reading sigma / max(sigma_max, MARGIN) moves by at
+            # most 2 delta / MARGIN when its singular values move by delta,
+            # the strip's margin, and a compared difference by twice that
+            err = max(err, 4 * strip[1] / MARGIN)
+    kernels, cokernels = trajectories[0], trajectories[-1]
 
     plateau, indices, smins = [], [], []
     for Lam, (ker, smin_u), (coker, smin_c) in zip(cutoffs, kernels, cokernels):
         plateau.append((float(Lam), int(ker), int(coker)))
         indices.append(int(ker - coker))
         smins.append(min(smin_u, smin_c))
+    guard_ok = _guard(smins, err)
+    if guard_ok is None:
+        return None
     plateau_ok = len(indices) >= 3 and len(set(indices[-3:])) == 1
-    guard_ok = True
-    if len(smins) >= 2 and smins[0] > 0:
-        if smins[-1] < GUARD_STEP * smins[-2] and smins[-1] < smins[-2] < smins[0]:
-            guard_ok = smins[-1] > GUARD_TOTAL * smins[0]
     resolved = plateau_ok and guard_ok and smins[-1] > 0
     return tuple(plateau), resolved, (indices[-1] if indices else 0)
 
@@ -822,7 +1019,13 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     Each pairing assembles two strips of one matrix over its basis window
     and decomposes A(u) and A(ubar) at every cutoff as blocks of them (4
     `compression_matrix` sections and 4 SVDs each on the default schedule,
-    only those of A(u), off one strip, when u is its own conjugate), and
+    only those of A(u), off one strip, when u is its own conjugate).  The
+    SVDs are real where a diagonal gauge certifies a strip real, which it
+    does for every monomial and wedge pullback on two equal pieces, and
+    complex on a strip it does not (several terms on a piece, other
+    partitions, a repeated eigenvalue); a pairing with a real reading too
+    close to its threshold to call is read again from the complex sections,
+    so the result is the complex route's (see the module docstring).  It
     runs two `symbol_index` calls: on the loop's `unwinding_grid` N, where
     the unwinding is proved, and on 2N as a cross-check.  The pairing of
     ubar is the `adjoint` of this result, so a sweep that holds both loops

@@ -7,11 +7,14 @@ Oracles used here:
     anti-diagonal boundary matrix, where the eigenbasis is the classical
     Fourier basis and the compression is a pure shift;
   * reference copies of the entrywise compression assembly and of the
-    full 2x2-symbol winding, which the factored kernels replaced.
+    full 2x2-symbol winding, which the factored kernels replaced;
+  * the complex SVD of each finite section, which the SVD of its gauged real
+    section stands for.
 """
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -508,6 +511,163 @@ def test_a_section_of_rounding_error_has_a_kernel():
     assert pairing._numerical_kernel(np.zeros((3, 0))) == (0, 0.0)
     assert pairing._numerical_kernel(np.diag([2.0, 0.5, 1e-9])) == (1, 0.25)
     assert pairing._numerical_kernel(np.diag([0.01, 1e-5])) == (0, 1e-5 / pairing.MARGIN)
+
+
+# ---------------------------------------------------------------------------
+# real sections under the midpoint gauge
+
+
+def _sweep_windows(B):
+    """The `_SectionWindow` of every loop of both default sweeps against B, on
+    the basis its sweep shares: reach 6 pi for z^-3..z^3, 8 pi for the 25
+    wedge(z^a|z^b) pullbacks."""
+    part = Partition.default()
+    loops = [loop for loop, _conj in _conjugate_suites()]
+    monomials, wedges = loops[:7], loops[7:]
+    windows = []
+    for group, reach in ((monomials, 6 * math.pi), (wedges, 8 * math.pi)):
+        basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, reach)
+        windows += [pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
+                    for loop in group]
+    return windows
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_gauge_makes_every_sweep_section_real_with_the_complex_readings(seed):
+    # every section of both default sweeps, A(u) and A(ubar) at each default
+    # cutoff: the gauged strip certifies, and each real section has the
+    # complex section's kernel count, read with the strip's margin, and each
+    # singular value within that margin of the complex one.  No strip falls
+    # back to complex sections: 0 of the 64 strips (256 sections) a seed
+    B = random_boundary(seed)
+    fallbacks = 0
+    for window in _sweep_windows(B):
+        for conjugate in (False, True):
+            strip = window.real_strip(conjugate)
+            if strip is None:
+                fallbacks += 1
+                continue
+            margin = strip[1]
+            assert margin < 1e-11
+            for Lam in DEFAULT_CUTOFFS:
+                A = compression_matrix(window, Lam, conjugate)
+                S = compression_matrix(window, Lam, conjugate, real=True)
+                assert S.dtype == np.float64 and S.shape == A.shape
+                gap = np.linalg.svd(A, compute_uv=False) - np.linalg.svd(S, compute_uv=False)
+                assert np.max(np.abs(gap)) <= margin
+                reading = pairing._numerical_kernel(S, margin)
+                assert reading is not None
+                assert reading[0] == pairing._numerical_kernel(A)[0]
+    assert fallbacks == 0
+
+
+def test_the_gauge_certificate_refuses_what_the_gauge_does_not_make_real():
+    # z^-1 against Haar B: a dense section, not a partial permutation, whose
+    # entries carry every phase e^{i (lam_j - lam_i) m_1}
+    part = Partition.default()
+    loop = UnitaryLoop.monomial(-1)
+    basis = eigen_arrays(random_boundary(3), part, DEFAULT_CUTOFFS, loop.frequency_reach)
+    window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
+    g, phase = window.gauge
+    c, bound = window.columns, window.gauge_bound
+    sides = ((window.column_strip, slice(None), slice(None, c)),
+             (window.row_strip, slice(None, c), slice(None)))
+    for strip, rows, cols in sides:
+        assert pairing._gauged_strip(strip, g[rows], g[cols], phase, bound) is not None
+        # a random complex matrix of the strip's shape and Frobenius norm
+        rng = np.random.default_rng(0)
+        noise = rng.standard_normal(strip.shape) + 1j * rng.standard_normal(strip.shape)
+        noise *= np.linalg.norm(strip) / np.linalg.norm(noise)
+        assert pairing._gauged_strip(noise, g[rows], g[cols], phase, bound) is None
+        # the phase of the first atom coefficient without e^{i lam m_1}, the
+        # eigenfunction's phase at the piece's midpoint
+        a = window.coef[:, 0]
+        bare = a / np.abs(a)
+        assert pairing._gauged_strip(strip, bare[rows], bare[cols], phase, bound) is None
+        # and with the loop's phase e^{-i kappa} off by pi/4
+        assert pairing._gauged_strip(strip, g[rows], g[cols], phase * 1j ** 0.5, bound) is None
+
+
+def _three_piece_boundary():
+    return build_extension(OperatorSpec(Partition((0.0, 0.3, 0.55, 1.0))),
+                           haar_unitary(np.random.default_rng(8), 3)).boundary
+
+
+@pytest.mark.parametrize("loop, endpoints, make_B, certified", [
+    # two terms on a piece: e^{-i pi/2} and 0.3 e^{i pi} at m_1 = 1/4 differ
+    # in phase mod pi
+    pytest.param({"-1": 1.0, "2": 0.3}, (0.0, 0.5, 1.0), lambda: random_boundary(3), False,
+                 id="two-term"),
+    pytest.param({"-1": 1.0, "2": 0.3}, (0.0, 0.5, 1.0), lambda: SWAP, False,
+                 id="two-term-swap"),
+    pytest.param({"2": 1.0}, (0.0, 0.3, 0.55, 1.0), _three_piece_boundary, False,
+                 id="unequal-pieces"),
+    pytest.param({"-1": 1.0}, (0.0, 0.3, 0.55, 1.0), _three_piece_boundary, False,
+                 id="unequal-pieces-odd"),
+    # B = I: every eigenvalue is double, and its basis mixes the ladders
+    pytest.param({"2": 1.0}, (0.0, 0.5, 1.0), lambda: np.eye(2), False,
+                 id="repeated-eigenvalues"),
+    pytest.param({"-2": 1.0}, (0.0, 0.5, 1.0), lambda: random_boundary(3), True,
+                 id="monomial"),
+    pytest.param({"1": 1.0}, (0.0, 0.5, 1.0), lambda: SWAP, True, id="monomial-swap"),
+])
+def test_a_pairing_reads_as_the_complex_route(monkeypatch, loop, endpoints, make_B, certified):
+    # the gauge certifies the monomials and refuses the rest, and either way
+    # the pairing equals the one read from complex sections only
+    part, B = Partition(endpoints), make_B()
+    loop = UnitaryLoop.from_fourier({int(m): c for m, c in loop.items()})
+    basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, loop.frequency_reach)
+    window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
+    assert [window.real_strip(conj) is not None for conj in (False, True)] == [certified] * 2
+
+    def fields(res):
+        return res.index, res.plateau, res.stable, res.method
+
+    got = pair(loop, B, partition=part)
+    monkeypatch.setattr(pairing._SectionWindow, "real_strip", lambda self, conjugate=False: None)
+    assert fields(got) == fields(pair(loop, B, partition=part))
+
+
+def test_a_reading_too_close_to_call_is_refused():
+    # a singular value within the margin of the threshold 1e-7 sigma_max, or
+    # a guard comparison within its error of flipping, has no verdict; with
+    # no margin (complex sections) every reading stands
+    near = np.diag([1.0, 1e-7 + 1e-12])
+    assert pairing._numerical_kernel(near, 1e-11) is None
+    assert pairing._numerical_kernel(near, 1e-13) == pairing._numerical_kernel(near)
+    assert pairing._numerical_kernel(near) == (0, 1e-7 + 1e-12)
+    # 0.45 + 1e-12 against GUARD_STEP * 0.5 = 0.45: the step test is close
+    assert pairing._guard((1.0, 0.5, 0.45 + 1e-12)) is True
+    assert pairing._guard((1.0, 0.5, 0.45 + 1e-12), 1e-9) is None
+    assert pairing._guard((1.0, 0.5, 0.2), 1e-9) is False
+    assert pairing._guard((1.0, 0.95, 0.8), 1e-9) is True      # above GUARD_TOTAL * 1.0
+    assert pairing._guard((1.0, 1.0, 1.0)) is True
+
+
+def test_a_pairing_too_close_to_call_is_read_again_from_complex_sections(monkeypatch):
+    # a guard that cannot call the real readings sends the pairing to the
+    # complex sections: 8 more SVDs, and the complex route's result
+    loop, B = UnitaryLoop.monomial(-2), random_boundary(3)
+    want = pair(loop, B)
+    guard, errs, svds = pairing._guard, [], []
+    svd = np.linalg.svd
+
+    def unsure(smins, err=0.0):
+        errs.append(err)
+        return None if err else guard(smins)
+
+    def counted_svd(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "extlab.pairing":
+            svds.append(args[0].dtype)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(pairing, "_guard", unsure)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    got = pair(loop, B)
+    assert len(errs) == 2 and errs[0] > 0 and errs[1] == 0
+    assert [str(d) for d in svds] == ["float64"] * 8 + ["complex128"] * 8
+    assert (got.index, got.plateau, got.stable, got.method) == (
+        want.index, want.plateau, want.stable, want.method)
 
 
 def test_pair_of_constant_loop_is_zero():
