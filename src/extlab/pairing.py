@@ -43,14 +43,26 @@ loop with one term c_k e^{i nu_k theta} on each piece, of one phase e^{i kappa}
 mod pi at the midpoints, has <psi_i, u psi_j> = e^{i kappa} conj(g_i) g_j times
 a real number, g = alpha_1 / |alpha_1|.  So S = e^{-i kappa} diag(g) A diag(conj g)
 is real: monomials and wedge pullbacks on the default knots are such loops.
-`_SectionWindow` gauges each strip once and keeps its real part only when
-||Im S||_F is at most the strip's `gauge_bound`, the assembly error
-`multiplication_matrix` documents; by Weyl's inequality each singular value
-of Re S is then within ||Im S||_F of A's.  A strip that fails the check
-(several terms on a piece, other partitions, a repeated eigenvalue whose
-basis mixes the ladders) is decomposed complex, and so is a whole pairing
-one of whose kernel counts or guard comparisons lies within that distance,
-plus rounding, of its threshold: every reading is the complex one.
+
+On k equal pieces the gauged matrix is block Toeplitz (Boettcher &
+Silbermann, Analysis of Toeplitz Operators): the spectrum is k ladders
+lam = (2 pi m - phi_j) / l, one per eigenphase of B, each eigenfunction of
+ladder j has B's j-th eigenvector for its atom vector at the knots, and so
+S[i, j] depends only on the ladders of i and j and the rung difference
+m_j - m_i.  When the phi_j are distinct, `eigen_arrays` labels the basis
+once (`_ladder_count`), and `_SectionWindow` gauges one table of M's rows
+against each ladder's first and last eigenfunction and gathers both strips
+from it; elsewhere (unequal pieces, where two pieces still make monomials
+real, a repeated eigenphase such as B = I) it gauges the assembled strips.
+Either way it keeps a strip's real part only when ||Im S||_F is at most its
+`gauge_bound`, the assembly error `multiplication_matrix` documents, which a
+gathered entry carries from its table representative; by Weyl's inequality
+each singular value of Re S is then within ||Im S||_F of A's.  A strip that
+fails the check (several terms on a piece, other partitions, a repeated
+eigenvalue whose basis mixes the ladders) is assembled and decomposed
+complex, and so is a whole pairing one of whose kernel counts or guard
+comparisons lies within that distance, plus rounding, of its threshold:
+every reading is the complex one.
 
 A pair of loops on the wedge of two circles enters as its pullback along the
 pinch S^1 -> S^1 v S^1 (``UnitaryLoop.wedge_pair``), as the addition formula
@@ -490,16 +502,43 @@ def basis_window(cutoffs, reach: float) -> float:
 
 
 def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
-    """Read-only (lam, coef) arrays of the eigenbasis of T_B on the window
-    [0, cutoffs[-1] + reach + PAD]: the `eigenbasis` spectrum and its
-    coefficient rows, coef[i, k] being the atom coefficient of eigenfunction
-    i on piece k.
+    """(lam, coef, ladders) of the eigenbasis of T_B on the window
+    [0, cutoffs[-1] + reach + PAD]: the read-only `eigenbasis` spectrum and
+    its coefficient rows, coef[i, k] being the atom coefficient of
+    eigenfunction i on piece k, and `_ladder_count` of the spectrum, which
+    labels eigenvalue i as rung i // k of ladder i % k (k = ladders).
 
     One basis serves every loop whose frequency reach is at most `reach`:
     each finite section keeps the eigenvalues inside its own window.
     """
     spec = eigenbasis(B, partition, (-1e-9, basis_window(cutoffs, reach)))
-    return spec.eigenvalues, spec.coefficients
+    return spec.eigenvalues, spec.coefficients, _ladder_count(spec.eigenvalues, partition)
+
+
+def _ladder_count(lam: np.ndarray, partition: Partition) -> int:
+    """k when the partition is k equal pieces of length l and the ascending
+    spectrum lam cycles through k ladders of distinct residue, else 0.
+
+    On equal pieces the spectrum is the k ladders (2 pi m - phi_j) / l, one
+    per eigenphase e^{i phi_j} of B, and every eigenfunction of ladder j has
+    B's j-th eigenvector for its atom vector at the knots.  When the phi_j
+    are distinct, lam_{i+k} = lam_i + 2 pi / l for every i, and eigenvalue i
+    lies on ladder i % k at rung i // k: that is checked here, once per
+    basis.  The atom vectors are null vectors computed to eps / gap, gap
+    being the least eigenphase gap, and pieces of lengths l + delta_k move
+    them by about lam |delta| / gap along a ladder; both must stay inside
+    the 10 lam eps that `multiplication_matrix` allows an entry.  A
+    repeated residue (B = I) has double eigenvalues, whose basis mixes the
+    ladders, and gap 0.
+    """
+    lengths = np.asarray(partition.lengths)
+    k, ell, eps = len(lengths), lengths[0], np.finfo(float).eps
+    if len(lam) <= k:
+        return 0
+    gap = np.min(np.diff(lam)) * ell
+    drift = lam[-1] * np.max(np.abs(lengths - ell)) + eps
+    period = np.abs(lam[k:] - lam[:-k] - TWO_PI / ell) <= 1e-9
+    return k if np.all(period) and drift <= 10 * eps * lam[-1] * gap else 0
 
 
 def multiplication_matrix(loop: UnitaryLoop, partition: Partition,
@@ -574,11 +613,16 @@ class _SectionWindow:
 
     With C eigenvalues up to the top cutoff, every section of u is a block of
     the column strip M[:, :C] and every section of ubar the adjoint of a
-    block of the row strip M[:C, :]; the corner M[C:, C:] is never read.  Each
-    strip is assembled once, the first time it is gauged (`real_strip`) or
-    `compression_matrix` asks for a section that reads it: 2 N C - C^2
-    entries for N eigenvalues, no more than the sections themselves hold, and
-    N C for a loop that is its own conjugate.
+    block of the row strip M[:C, :]; the corner M[C:, C:] is never read.  A
+    complex strip is assembled once, the first time `compression_matrix`
+    asks for a section that reads it, or `real_strip` gauges it: 2 N C - C^2
+    entries for N eigenvalues, no more than the sections themselves hold,
+    and N C for a loop that is its own conjugate.
+
+    On a ladder basis (`_ladder_count` k, every ladder in the window and
+    C > 0) `real_strip` assembles no strip: it gathers both from the gauged
+    `table` of M's N rows against each ladder's first and last
+    eigenfunction, N 2k entries (see the module docstring).
     """
 
     loop: UnitaryLoop
@@ -588,6 +632,8 @@ class _SectionWindow:
     reach: float
     columns: int
     top: float
+    #: the window's `_ladder_count`, 0 when the window lacks a ladder or a column
+    ladders: int
     #: `real_strip`'s results, by side, once each is asked for
     _real: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -600,8 +646,9 @@ class _SectionWindow:
         top = cutoffs[-1] + reach + PAD
         keep = basis[0] <= top + 1e-12
         lam = basis[0][keep]
-        return cls(loop, partition, lam, basis[1][keep], reach,
-                   int(np.count_nonzero(lam <= cutoffs[-1] + 1e-9)), top)
+        columns = int(np.count_nonzero(lam <= cutoffs[-1] + 1e-9))
+        ladders = basis[2] if len(lam) >= basis[2] and columns else 0
+        return cls(loop, partition, lam, basis[1][keep], reach, columns, top, ladders)
 
     @cached_property
     def column_strip(self) -> np.ndarray:
@@ -624,6 +671,40 @@ class _SectionWindow:
         return _section_gauge(self.loop, self.partition, self.lam, self.coef)
 
     @cached_property
+    def table(self):
+        """The gauged S[:, ends] of a ladder window, ends being its first k
+        and its last k eigenfunctions (each ladder's first and last rung),
+        or None off a ladder window or without a gauge."""
+        k, n = self.ladders, len(self.lam)
+        if not k or self.gauge is None:
+            return None
+        ends = np.r_[:k, n - k:n]
+        g, phase = self.gauge
+        return _gauged(multiplication_matrix(self.loop, self.partition, self.lam, self.coef,
+                                             self.lam[ends], self.coef[ends]), g, g[ends], phase)
+
+    def _gathered(self, part: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        """S[:rows, :cols] read off `part`, the real or imaginary `table`.
+
+        Column j is rung p of ladder f = j % k.  Its entry in row i is the
+        table's against ladder f's first eigenfunction, in row i - k p, when
+        i >= k p, and else the one against its last, l, in row i + l - j: the
+        ladders of a window differ by at most one rung, so that row exists.
+        With w the last one's column over the first one's, column j is the
+        slice w[l - f - k p:][:rows]: ladder f's columns are one strided view
+        of w, stepping back k a column.
+        """
+        k, n = self.ladders, len(self.lam)
+        out = np.empty((rows, cols))
+        for f in range(min(k, cols)):
+            shift = k * ((n - 1 - f) // k)          # l - f
+            w = np.concatenate((part[:shift, shift + f + 2 * k - n], part[:, f]))
+            out[:, f::k] = np.ndarray((rows, len(range(f, cols, k))), buffer=w,
+                                      offset=shift * w.itemsize,
+                                      strides=(w.itemsize, -k * w.itemsize))
+        return out
+
+    @cached_property
     def gauge_bound(self) -> float:
         """The most ||Im S||_F a gauged strip S may keep and be read as real.
 
@@ -632,8 +713,9 @@ class _SectionWindow:
         that scale at most the loop's coefficient sum (Cauchy-Schwarz over
         the pieces), so a strip of N C entries is off by at most this bound in
         Frobenius norm; the gauge's own phases are off by |lam| eps.  A
-        larger imaginary part is not rounding error: the gauge does not
-        make that strip real.
+        gathered entry is its table representative's, which lies in the same
+        window and carries the same error bound.  A larger imaginary part is
+        not rounding error: the gauge does not make that strip real.
         """
         return (10 * np.finfo(float).eps * self.top * _coefficient_sum(self.loop.pieces)
                 * math.sqrt(len(self.lam) * self.columns))
@@ -641,7 +723,8 @@ class _SectionWindow:
     def real_strip(self, conjugate: bool = False):
         """(Re S, margin) of the gauged row strip (`conjugate`) or column
         strip, or None when the window has no gauge or ||Im S||_F exceeds
-        `gauge_bound`.
+        `gauge_bound`.  A ladder window gathers S from its `table`; any
+        other gauges the assembled strip.
 
         The margin bounds how far a singular value of a block of Re S, as
         computed, may lie from the complex SVD's of the same section:
@@ -653,16 +736,22 @@ class _SectionWindow:
         strips = self._real
         if conjugate not in strips:
             strips[conjugate] = None
-            if self.gauge is not None:
+            c, bound = self.columns, self.gauge_bound
+            if self.table is not None:
+                shape = (c, len(self.lam)) if conjugate else (len(self.lam), c)
+                gauged = _certified(*(self._gathered(part, *shape)
+                                      for part in (self.table.real, self.table.imag)), bound)
+            elif self.gauge is not None:
                 g, phase = self.gauge
-                c = self.columns
                 strip, rows, cols = ((self.row_strip, g[:c], g) if conjugate
                                      else (self.column_strip, g, g[:c]))
-                gauged = _gauged_strip(strip, rows, cols, phase, self.gauge_bound)
-                if gauged is not None:
-                    rounding = (4 * len(self.lam) * np.finfo(float).eps
-                                * _coefficient_sum(self.loop.pieces))
-                    strips[conjugate] = (gauged[0], gauged[1] + rounding)
+                gauged = _gauged_strip(strip, rows, cols, phase, bound)
+            else:
+                gauged = None
+            if gauged is not None:
+                rounding = (4 * len(self.lam) * np.finfo(float).eps
+                            * _coefficient_sum(self.loop.pieces))
+                strips[conjugate] = (gauged[0], gauged[1] + rounding)
         return strips[conjugate]
 
 
@@ -676,7 +765,7 @@ def _section_gauge(loop: UnitaryLoop, partition: Partition, lam: np.ndarray, coe
     For a loop with one term on each of two equal pieces this makes
     e^{-i kappa} diag(g) M diag(conj g) real (see the module docstring); for
     any other loop or partition the gauge is only a candidate, which
-    `_gauged_strip` checks.
+    `_certified` checks.
     """
     lo, hi = partition.piece_bounds(0)
     mid = 0.5 * (lo + hi)
@@ -689,24 +778,34 @@ def _section_gauge(loop: UnitaryLoop, partition: Partition, lam: np.ndarray, coe
     return alpha / size, kappa.conjugate() / abs(kappa)
 
 
-def _gauged_strip(strip: np.ndarray, g_rows: np.ndarray, g_cols: np.ndarray, phase: complex,
-                 bound: float):
-    """(Re S, ||Im S||_F) for S = phase diag(g_rows) strip diag(conj g_cols),
-    Re S contiguous, or None when ||Im S||_F exceeds `bound` (or is not a
-    number).
-
-    S has the singular values of the strip (unit diagonal factors), and by
-    Weyl's inequality Re S = S - i Im S has each of them within ||Im S||_2
-    <= ||Im S||_F: the certificate that lets a real SVD stand for the
-    complex one.
-    """
-    S = strip * (phase * g_rows)[:, None]
+def _gauged(M: np.ndarray, g_rows: np.ndarray, g_cols: np.ndarray, phase: complex) -> np.ndarray:
+    """phase diag(g_rows) M diag(conj g_cols): the one place the gauge is
+    applied, to a window's `table` or to an assembled strip."""
+    S = M * (phase * g_rows)[:, None]
     S *= g_cols.conj()
-    imag = S.imag
+    return S
+
+
+def _gauged_strip(strip: np.ndarray, g_rows: np.ndarray, g_cols: np.ndarray, phase: complex,
+                  bound: float):
+    """`_certified` of the `_gauged` strip."""
+    S = _gauged(strip, g_rows, g_cols, phase)
+    return _certified(S.real, S.imag, bound)
+
+
+def _certified(real: np.ndarray, imag: np.ndarray, bound: float):
+    """(Re S, ||Im S||_F) for S = real + i imag, Re S contiguous, or None
+    when ||Im S||_F exceeds `bound` (or is not a number).
+
+    A gauged S has the singular values of its strip (unit diagonal
+    factors), and by Weyl's inequality Re S = S - i Im S has each of them
+    within ||Im S||_2 <= ||Im S||_F: the certificate that lets a real SVD
+    stand for the complex one.
+    """
     slack = math.sqrt(np.einsum("ij,ij->", imag, imag))
     if not slack <= bound:
         return None
-    return np.ascontiguousarray(S.real), slack
+    return np.ascontiguousarray(real), slack
 
 
 def compression_matrix(window: _SectionWindow, cutoff: float,
@@ -1016,20 +1115,22 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     loop's `unwinding_grid` N, which the CLI computes once per loop; the
     pairing builds each at most once when not given.
 
-    Each pairing assembles two strips of one matrix over its basis window
-    and decomposes A(u) and A(ubar) at every cutoff as blocks of them (4
-    `compression_matrix` sections and 4 SVDs each on the default schedule,
-    only those of A(u), off one strip, when u is its own conjugate).  The
-    SVDs are real where a diagonal gauge certifies a strip real, which it
-    does for every monomial and wedge pullback on two equal pieces, and
-    complex on a strip it does not (several terms on a piece, other
-    partitions, a repeated eigenvalue); a pairing with a real reading too
-    close to its threshold to call is read again from the complex sections,
-    so the result is the complex route's (see the module docstring).  It
-    runs two `symbol_index` calls: on the loop's `unwinding_grid` N, where
-    the unwinding is proved, and on 2N as a cross-check.  The pairing of
-    ubar is the `adjoint` of this result, so a sweep that holds both loops
-    pairs only one of them.
+    Each pairing decomposes A(u) and A(ubar) at every cutoff as blocks of
+    two strips of one matrix over its basis window (4 `compression_matrix`
+    sections and 4 SVDs each on the default schedule, only those of A(u),
+    off one strip, when u is its own conjugate).  The SVDs are real where a
+    diagonal gauge certifies a strip real, which it does for every monomial
+    and wedge pullback on two equal pieces, and complex on a strip it does
+    not (several terms on a piece, other partitions, a repeated
+    eigenvalue).  On equal pieces with distinct ladders the real strips are
+    gathered from one table of N 2k entries, N the window's eigenvalues and
+    k the pieces; every other strip is assembled.  A pairing with a real
+    reading too close to its threshold to call is read again from the
+    complex sections, so the result is the complex route's (see the module
+    docstring).  It runs two `symbol_index` calls: on the loop's
+    `unwinding_grid` N, where the unwinding is proved, and on 2N as a
+    cross-check.  The pairing of ubar is the `adjoint` of this result, so a
+    sweep that holds both loops pairs only one of them.
     """
     if partition is None:
         partition = Partition.default()

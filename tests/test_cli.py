@@ -1000,14 +1000,15 @@ def _count_pairing_kernels(monkeypatch):
 
 @pytest.mark.parametrize("argv, cfg, calls, assemblies", [
     # z^-3..z^3 against one B: z^-3..z^-1 are paired, 8 sections each, z^0 is
-    # its own conjugate (4), and z^1..z^3 are read off their conjugates; each
-    # paired loop assembles the column strip and the row strip of one matrix
-    # (z^0 the column strip only), whose blocks are all its sections
-    pytest.param(("verify", "extension-independence"), {"suite": {"count": 1}}, 28, 7,
+    # its own conjugate (4), and z^1..z^3 are read off their conjugates; on
+    # the default knots each paired loop assembles one table, its window's
+    # rows against each ladder's first and last eigenfunction, and gathers
+    # the real strips whose blocks are all its sections
+    pytest.param(("verify", "extension-independence"), {"suite": {"count": 1}}, 28, 4,
                  id="sweep"),
     # a single pairing has no shared basis: A(u) and A(ubar) at each cutoff,
     # only A(u) when the loop is its own conjugate
-    pytest.param(("pair",), {"loop": {"monomial": 2}}, 8, 2, id="pair"),
+    pytest.param(("pair",), {"loop": {"monomial": 2}}, 8, 1, id="pair"),
     pytest.param(("pair",), {"loop": {"monomial": 0}}, 4, 1, id="pair-self-conjugate"),
 ])
 def test_sweeps_compress_and_decompose_each_loop_once(
@@ -1082,6 +1083,43 @@ def test_a_report_builds_each_shared_stage_once(tmp_path, monkeypatch, capsys,
     assert len(calls["grid"]) == len({id(loop) for loop in calls["grid"]}) == paired
     assert len(calls["symbol"]) == 2 * paired * extensions
     assert {id(loop) for loop in calls["symbol"]} == {id(loop) for loop in calls["grid"]}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 19])
+@pytest.mark.parametrize("suite", ["extension-independence", "addition-dirac"])
+def test_a_sweep_reads_the_same_bytes_with_or_without_the_table(tmp_path, monkeypatch, capsys,
+                                                                suite, seed):
+    # one B: stdout and every artifact (report.json and the sweep's CSV) are
+    # the same with the ladder table, without it (every real strip gauged
+    # from its assembled strip), and with three CLI threads; the ladders are
+    # labelled once per basis, on the main thread, before the pool starts
+    import threading
+
+    from extlab import cli, pairing
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": {"count": 1, "extension_seed": seed}}),
+                      encoding="utf-8")
+    labelled, ladder_count = [], pairing._ladder_count
+
+    def counted(*args):
+        labelled.append(threading.current_thread() is threading.main_thread())
+        return ladder_count(*args)
+
+    monkeypatch.setattr(pairing, "_ladder_count", counted)
+
+    def run(name, jobs="1"):
+        out = tmp_path / name
+        code = cli.main(["verify", suite, "--jobs", jobs, "--config", str(config),
+                         "--out", str(out)])
+        return code, capsys.readouterr().out, {f.name: f.read_bytes() for f in out.iterdir()}
+
+    table = run("table")
+    threads = run("threads", "3")
+    assert labelled == [True, True]
+    monkeypatch.setattr(pairing._SectionWindow, "table", None)
+    assert table == run("no-table") == threads
+    assert sorted(table[2]) == ["report.json", f"verify-{suite}.csv"]
 
 
 def test_a_sweep_takes_each_winding_once(tmp_path, monkeypatch, capsys):

@@ -16,6 +16,8 @@ import cmath
 import math
 import sys
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 from scipy.special import jv
@@ -360,7 +362,7 @@ def test_factored_compression_on_unequal_pieces():
     part = Partition((0.0, 0.2, 0.55, 1.0))
     B = build_extension(OperatorSpec(part),
                         haar_unitary(np.random.default_rng(8), 3)).boundary
-    lam, coef = eigen_arrays(B, part, DEFAULT_CUTOFFS[:2], 8 * math.pi)
+    lam, coef, _ladders = eigen_arrays(B, part, DEFAULT_CUTOFFS[:2], 8 * math.pi)
     for loop in _sweep_loops()[::3]:
         args = (lam, coef, lam[lam <= DEFAULT_CUTOFFS[1]], coef[lam <= DEFAULT_CUTOFFS[1]])
         ref = _assembled_compression_matrix(loop, part, *args)
@@ -456,7 +458,7 @@ def test_grouped_assembly_matches_the_per_interval_one(monkeypatch, case):
         B = random_boundary(13)
     else:
         B = build_extension(OperatorSpec(part), haar_unitary(np.random.default_rng(8), 3)).boundary
-    lam, coef = eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi)
+    lam, coef, _ladders = eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi)
     for loop in loops:
         if case == "fourier-unequal":
             assert len(_groups(loop, part)) == 3
@@ -474,9 +476,11 @@ def test_grouped_assembly_matches_the_per_interval_one(monkeypatch, case):
 
 def test_a_high_reach_window_assembles_no_more_than_its_sections(monkeypatch):
     # z^1000 has a window of N = 1133 eigenvalues against C = 129 up to the
-    # top cutoff: the strips M[:, :C] and M[:C, C:] hold 2 N C - C^2 entries,
-    # fewer than the sections of u and ubar, where the whole N x N window
-    # matrix would hold about 4x as many
+    # top cutoff.  SWAP's two ladders make it a ladder window: the pairing
+    # assembles only the table of its N rows against each ladder's first and
+    # last eigenfunction, N 4 entries, and gathers both real strips from it;
+    # the strips M[:, :C] and M[:C, C:] would hold 2 N C - C^2, and the
+    # whole N x N window matrix about 4x as many
     part = Partition.default()
     loop = UnitaryLoop.monomial(1000)
     basis = eigen_arrays(SWAP, part, DEFAULT_CUTOFFS, loop.frequency_reach)
@@ -498,7 +502,8 @@ def test_a_high_reach_window_assembles_no_more_than_its_sections(monkeypatch):
     window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
     N, C = len(window.lam), window.columns
     assert (N, C) == (1133, 129)
-    assert assembled == [N * C, C * (N - C)]
+    # one table and no strip: a strip would be an assembly of N C or C (N - C)
+    assert assembled == [N * 4] == [4532]
     assert len(sections) == 2 * len(DEFAULT_CUTOFFS)
     assert sum(assembled) <= sum(sections) and 4 * sum(assembled) < N * N
 
@@ -668,6 +673,166 @@ def test_a_pairing_too_close_to_call_is_read_again_from_complex_sections(monkeyp
     assert [str(d) for d in svds] == ["float64"] * 8 + ["complex128"] * 8
     assert (got.index, got.plateau, got.stable, got.method) == (
         want.index, want.plateau, want.stable, want.method)
+
+
+# ---------------------------------------------------------------------------
+# real strips gathered from a ladder table
+
+
+def _equal_pieces(k):
+    return Partition(tuple(np.linspace(0.0, 1.0, k + 1)))
+
+
+def _haar_boundary(part, seed):
+    return build_extension(OperatorSpec(part),
+                           haar_unitary(np.random.default_rng(seed), part.npieces)).boundary
+
+
+_BROKEN_AT_03 = UnitaryLoop(((0.0, 0.3, ((2 * math.pi, 1.0),)),
+                             (0.3, 1.0, ((2 * math.pi, -1.0),))))
+
+
+def _gathered_against_assembled(window, exact=False):
+    """For both strips of a ladder window: the gathered Re S and ||Im S||_F
+    against the `_gauged` assembled strip.  Each of the two carries up to
+    the assembly error `multiplication_matrix` documents, 10 |lam| eps |u|
+    an entry.  With `exact` (knots and loop breaks at binary fractions, so
+    every phase e^{i lam t} of the assembly is exact to a rounding, and
+    eigenphases well apart) they agree to 1e-13 max|S|."""
+    g, phase = window.gauge
+    c = window.columns
+    for conjugate, ref in ((False, pairing._gauged(window.column_strip, g, g[:c], phase)),
+                           (True, pairing._gauged(window.row_strip, g[:c], g, phase))):
+        tol = (1e-13 * np.max(np.abs(ref)) if exact else
+               10 * np.finfo(float).eps * window.top * pairing._coefficient_sum(window.loop.pieces))
+        re = window._gathered(window.table.real, *ref.shape)
+        im = window._gathered(window.table.imag, *ref.shape)
+        assert np.max(np.abs(re - ref.real)) <= tol and np.max(np.abs(im - ref.imag)) <= tol
+        assert abs(np.linalg.norm(im) - np.linalg.norm(ref.imag)) <= tol
+        strip = window.real_strip(conjugate)
+        if strip is not None:
+            # every section at every cutoff is a block of the gathered strip
+            assert np.array_equal(strip[0], re)
+            for Lam in DEFAULT_CUTOFFS:
+                A = compression_matrix(window, Lam, conjugate)
+                S = compression_matrix(window, Lam, conjugate, real=True)
+                block = ref.T if conjugate else ref
+                assert np.max(np.abs(S - block[:A.shape[0], :A.shape[1]].real)) <= tol
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_table_gathers_the_gauged_assembled_strips(k):
+    # k equal pieces against Haar B seeds 0-19 (and SWAP on two pieces),
+    # every loop of `_sweep_loops` and a loop broken at 0.3: each basis is a
+    # ladder basis, each window builds its table, and both gathered strips,
+    # and ||Im S||_F, are the gauged assembled ones
+    part = _equal_pieces(k)
+    boundaries = [_haar_boundary(part, seed) for seed in range(20)] + ([SWAP] if k == 2 else [])
+    loops = _sweep_loops() + [_BROKEN_AT_03]
+    reach = max(loop.frequency_reach for loop in loops)
+    for B in boundaries:
+        basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, reach)
+        assert basis[2] == k
+        for loop in loops:
+            window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
+            assert window.ladders == k and window.table.shape == (len(window.lam), 2 * k)
+            _gathered_against_assembled(window, exact=k < 3 and loop is not _BROKEN_AT_03)
+
+
+def _six_cycle():
+    # eigenvalues the sixth roots of unity: distinct residues, and 0 in the
+    # spectrum, so a window up to about 8 pi holds 5 of the 6 ladders
+    return np.roll(np.eye(6), 1, axis=0).astype(complex)
+
+
+_MONOMIALS = (0, -1, 2)
+
+
+@pytest.mark.parametrize("endpoints, make_B, cutoffs, reach, monomials", [
+    pytest.param((0.0, 0.3, 0.55, 1.0), _three_piece_boundary, DEFAULT_CUTOFFS, None, _MONOMIALS,
+                 id="unequal-pieces"),
+    pytest.param((0.0, 0.5, 1.0), lambda: np.eye(2), DEFAULT_CUTOFFS, None, _MONOMIALS,
+                 id="identity"),
+    pytest.param((0.0, 0.5, 1.0), lambda: np.diag([1.0, cmath.exp(1e-9j)]), DEFAULT_CUTOFFS,
+                 None, _MONOMIALS, id="near-repeated-residue"),
+    pytest.param((0.0, 0.5, 1.0), lambda: random_boundary(3), (0.001, 0.002, 0.003), None,
+                 _MONOMIALS, id="no-column"),
+    # z^0's window [0, 8 pi] holds 5 of the 6 ladders of a basis built for a
+    # reach of 12 pi
+    pytest.param(tuple(np.linspace(0.0, 1.0, 7)), _six_cycle, (0.001, 0.002, 0.003),
+                 12 * math.pi, (0,), id="window-without-a-ladder"),
+])
+def test_a_window_off_the_ladders_builds_no_table(monkeypatch, endpoints, make_B, cutoffs,
+                                                  reach, monomials):
+    # and its pairing is the complex route's: no real strip is gathered
+    part, B = Partition(endpoints), make_B()
+    for loop in map(UnitaryLoop.monomial, monomials):
+        basis = eigen_arrays(B, part, cutoffs, loop.frequency_reach if reach is None else reach)
+        window = pairing._SectionWindow.of(loop, part, cutoffs, basis)
+        assert window.ladders == 0 and window.table is None
+        if reach is not None:
+            assert basis[2] == part.npieces      # the basis has every ladder, the window not
+
+        def fields(res):
+            return res.index, res.plateau, res.stable, res.method
+
+        got = pair(loop, B, cutoffs, part)
+        with monkeypatch.context() as patch:
+            patch.setattr(pairing._SectionWindow, "real_strip",
+                          lambda self, conjugate=False: None)
+            assert fields(got) == fields(pair(loop, B, cutoffs, part))
+
+
+@pytest.mark.parametrize("k, built", [(3, False), (4, True)])
+def test_close_residues_build_a_table_only_on_exact_lengths(k, built):
+    # eigenphases 0.005 apart: on thirds, whose lengths differ in the last
+    # bit, the atom vectors drift along a ladder by about lam |delta| / gap,
+    # as much as the assembly error; quarters are exact, and gather
+    part = _equal_pieces(k)
+    W = haar_unitary(np.random.default_rng(4), k).matrix
+    B = (W * np.exp(1j * np.array([0.3, 0.305, 2.0, 4.0][:k]))) @ W.conj().T
+    loop = UnitaryLoop.monomial(1)
+    basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, loop.frequency_reach)
+    window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
+    assert (window.table is not None) == built
+    if built:
+        _gathered_against_assembled(window)
+
+
+_TABLE_LOOPS = st.one_of(
+    st.integers(-3, 3).map(UnitaryLoop.monomial),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda ab: UnitaryLoop.wedge_pair(UnitaryLoop.monomial(ab[0]),
+                                          UnitaryLoop.monomial(ab[1]))),
+    st.tuples(st.integers(-3, 3), st.integers(1, 3), st.complex_numbers(max_magnitude=0.6)).map(
+        lambda t: UnitaryLoop.from_fourier({t[0]: 1.0, t[0] + t[1]: t[2]})),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.booleans(), _TABLE_LOOPS)
+def test_the_table_is_built_exactly_on_distinct_residues(k, seed, repeat, loop):
+    # a Haar B, or one with its first eigenphase repeated: the table is built
+    # exactly when B's eigenphases are distinct, and then gathers the
+    # assembled strips
+    part = _equal_pieces(k)
+    B = boundary_array(_haar_boundary(part, seed))
+    w, W = np.linalg.eig(B)
+    repeat = repeat and k > 1
+    if repeat:
+        w[1] = w[0]
+        W, _r = np.linalg.qr(W)
+        B = (W * w) @ W.conj().T
+    else:
+        # well apart, so that distinct is unambiguous: B's eigenphases have
+        # gaps of 0.1 or more
+        phases = np.sort(np.angle(w))
+        assume(np.min(np.diff(np.append(phases, phases[0] + 2 * math.pi))) >= 0.1)
+    basis = eigen_arrays(B, part, FAST, loop.frequency_reach)
+    window = pairing._SectionWindow.of(loop, part, FAST, basis)
+    assert (window.table is not None) == (not repeat)
+    if window.table is not None:
+        _gathered_against_assembled(window)
 
 
 def test_pair_of_constant_loop_is_zero():
@@ -1205,8 +1370,8 @@ def test_eigen_arrays_on_unequal_pieces_at_the_default_schedule():
     B = build_extension(OperatorSpec(part),
                         haar_unitary(np.random.default_rng(8), 3)).boundary
     reach = 2 * math.pi
-    lam, coef = eigen_arrays(B, part, DEFAULT_CUTOFFS, reach)
-    assert coef.shape == (len(lam), 3)
+    lam, coef, ladders = eigen_arrays(B, part, DEFAULT_CUTOFFS, reach)
+    assert coef.shape == (len(lam), 3) and ladders == 0
     assert np.all(np.diff(lam) >= 0) and lam[0] >= -1e-9
     assert not lam.flags.writeable and not coef.flags.writeable
     # det(I - B Diag(e^{i lam l})) winds once per 2 pi of lambda (sum l = 1),
@@ -1216,8 +1381,8 @@ def test_eigen_arrays_on_unequal_pieces_at_the_default_schedule():
 
 
 def test_eigen_arrays_are_read_only_and_bounded():
-    lam, coef = eigen_arrays(SWAP, Partition.default(), FAST, 2 * math.pi)
-    assert lam.shape == (coef.shape[0],) and coef.shape[1] == 2
+    lam, coef, ladders = eigen_arrays(SWAP, Partition.default(), FAST, 2 * math.pi)
+    assert lam.shape == (coef.shape[0],) and coef.shape[1] == 2 and ladders == 2
     for arr in (lam, coef):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
