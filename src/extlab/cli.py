@@ -263,6 +263,9 @@ _ALLOWED_KEYS = {
     "suite",
 }
 
+#: the `suite` options the commands read
+_SUITE_KEYS = {"numeric", "extension_seed", "count", "powers", "max_power", "genus_bound"}
+
 
 def _number(value, what: str, kind=float):
     """``kind(value)`` for a config entry, kind being float or int.
@@ -328,8 +331,16 @@ class ExperimentConfig:
         unknown = set(raw) - _ALLOWED_KEYS
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        if not isinstance(raw.get("suite", {}), dict):
+        suite = raw.get("suite", {})
+        if not isinstance(suite, dict):
             raise ValidationError("suite must be an object")
+        unknown = set(suite) - _SUITE_KEYS
+        if unknown:
+            raise ValidationError(f"unknown suite keys: {sorted(unknown)}")
+        for what, value in (("svg", raw.get("svg", False)),
+                            ("suite numeric", suite.get("numeric", True))):
+            if not isinstance(value, bool):
+                raise ValidationError(f"{what} must be true or false, got {value!r}")
 
         tol = default_tol
         env_tol = os.environ.get("EXTLAB_TOL")
@@ -595,7 +606,7 @@ def cmd_deficiency(cfg: ExperimentConfig) -> int:
 
 def cmd_boundary_matrix(cfg: ExperimentConfig) -> int:
     spec = cfg.operator_spec()
-    run_numeric = bool(cfg.raw.get("suite", {}).get("numeric", True))
+    run_numeric = cfg.raw.get("suite", {}).get("numeric", True)
     entries = cfg.extensions(spec, default=[{"anchor": "swap"}])
 
     rows = []

@@ -52,17 +52,15 @@ S[i, j] depends only on the ladders of i and j and the rung difference
 m_j - m_i.  When the phi_j are distinct, `eigen_arrays` labels the basis
 once (`_ladder_count`), and `_SectionWindow` gauges one table of M's rows
 against each ladder's first and last eigenfunction and gathers both strips
-from it; elsewhere (unequal pieces, where two pieces still make monomials
-real, a repeated eigenphase such as B = I) it gauges the assembled strips.
-Either way it keeps a strip's real part only when ||Im S||_F is at most its
+from it.  It keeps a strip's real part only when ||Im S||_F is at most its
 `gauge_bound`, the assembly error `multiplication_matrix` documents, which a
 gathered entry carries from its table representative; by Weyl's inequality
-each singular value of Re S is then within ||Im S||_F of A's.  A strip that
-fails the check (several terms on a piece, other partitions, a repeated
-eigenvalue whose basis mixes the ladders) is assembled and decomposed
-complex, and so is a whole pairing one of whose kernel counts or guard
-comparisons lies within that distance, plus rounding, of its threshold:
-every reading is the complex one.
+each singular value of Re S is then within ||Im S||_F of A's.  Every other
+strip is assembled and decomposed complex: off the ladders (unequal pieces,
+a repeated eigenphase such as B = I, whose basis mixes the ladders) and
+where the check fails (several terms on a piece).  So is a whole pairing
+one of whose kernel counts or guard comparisons lies within that distance,
+plus rounding, of its threshold: every reading is the complex one.
 
 A pair of loops on the wedge of two circles enters as its pullback along the
 pinch S^1 -> S^1 v S^1 (``UnitaryLoop.wedge_pair``), as the addition formula
@@ -70,7 +68,7 @@ evaluates it, so every route above sees one kind of loop.
 """
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import math
 
@@ -615,14 +613,15 @@ class _SectionWindow:
     the column strip M[:, :C] and every section of ubar the adjoint of a
     block of the row strip M[:C, :]; the corner M[C:, C:] is never read.  A
     complex strip is assembled once, the first time `compression_matrix`
-    asks for a section that reads it, or `real_strip` gauges it: 2 N C - C^2
-    entries for N eigenvalues, no more than the sections themselves hold,
-    and N C for a loop that is its own conjugate.
+    asks for a section that reads it: 2 N C - C^2 entries for N eigenvalues,
+    no more than the sections themselves hold, and N C for a loop that is
+    its own conjugate.
 
     On a ladder basis (`_ladder_count` k, every ladder in the window and
     C > 0) `real_strip` assembles no strip: it gathers both from the gauged
     `table` of M's N rows against each ladder's first and last
-    eigenfunction, N 2k entries (see the module docstring).
+    eigenfunction, N 2k entries (see the module docstring).  A window
+    without a table has no real strip.
     """
 
     loop: UnitaryLoop
@@ -634,8 +633,6 @@ class _SectionWindow:
     top: float
     #: the window's `_ladder_count`, 0 when the window lacks a ladder or a column
     ladders: int
-    #: `real_strip`'s results, by side, once each is asked for
-    _real: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, loop: UnitaryLoop, partition: Partition, cutoffs, basis) -> "_SectionWindow":
@@ -722,9 +719,8 @@ class _SectionWindow:
 
     def real_strip(self, conjugate: bool = False):
         """(Re S, margin) of the gauged row strip (`conjugate`) or column
-        strip, or None when the window has no gauge or ||Im S||_F exceeds
-        `gauge_bound`.  A ladder window gathers S from its `table`; any
-        other gauges the assembled strip.
+        strip, gathered from the window's `table`, or None when the window
+        has no table or ||Im S||_F exceeds `gauge_bound`.
 
         The margin bounds how far a singular value of a block of Re S, as
         computed, may lie from the complex SVD's of the same section:
@@ -733,26 +729,16 @@ class _SectionWindow:
         max(R, C) eps ||A|| of its own, and ||A|| <= |u| <= the loop's
         coefficient sum).
         """
-        strips = self._real
-        if conjugate not in strips:
-            strips[conjugate] = None
-            c, bound = self.columns, self.gauge_bound
-            if self.table is not None:
-                shape = (c, len(self.lam)) if conjugate else (len(self.lam), c)
-                gauged = _certified(*(self._gathered(part, *shape)
-                                      for part in (self.table.real, self.table.imag)), bound)
-            elif self.gauge is not None:
-                g, phase = self.gauge
-                strip, rows, cols = ((self.row_strip, g[:c], g) if conjugate
-                                     else (self.column_strip, g, g[:c]))
-                gauged = _gauged_strip(strip, rows, cols, phase, bound)
-            else:
-                gauged = None
-            if gauged is not None:
-                rounding = (4 * len(self.lam) * np.finfo(float).eps
-                            * _coefficient_sum(self.loop.pieces))
-                strips[conjugate] = (gauged[0], gauged[1] + rounding)
-        return strips[conjugate]
+        if self.table is None:
+            return None
+        n, c = len(self.lam), self.columns
+        shape = (c, n) if conjugate else (n, c)
+        gauged = _certified(*(self._gathered(part, *shape)
+                              for part in (self.table.real, self.table.imag)), self.gauge_bound)
+        if gauged is None:
+            return None
+        rounding = 4 * n * np.finfo(float).eps * _coefficient_sum(self.loop.pieces)
+        return gauged[0], gauged[1] + rounding
 
 
 def _section_gauge(loop: UnitaryLoop, partition: Partition, lam: np.ndarray, coef: np.ndarray):
@@ -763,9 +749,10 @@ def _section_gauge(loop: UnitaryLoop, partition: Partition, lam: np.ndarray, coe
     where the gauge is undefined.
 
     For a loop with one term on each of two equal pieces this makes
-    e^{-i kappa} diag(g) M diag(conj g) real (see the module docstring); for
-    any other loop or partition the gauge is only a candidate, which
-    `_certified` checks.
+    e^{-i kappa} diag(g) M diag(conj g) real (see the module docstring).
+    It is taken only for a ladder window's `_SectionWindow.table`; for any
+    other loop there the gauge is only a candidate, which `_certified`
+    checks.
     """
     lo, hi = partition.piece_bounds(0)
     mid = 0.5 * (lo + hi)
@@ -780,17 +767,10 @@ def _section_gauge(loop: UnitaryLoop, partition: Partition, lam: np.ndarray, coe
 
 def _gauged(M: np.ndarray, g_rows: np.ndarray, g_cols: np.ndarray, phase: complex) -> np.ndarray:
     """phase diag(g_rows) M diag(conj g_cols): the one place the gauge is
-    applied, to a window's `table` or to an assembled strip."""
+    applied, to a window's `table`."""
     S = M * (phase * g_rows)[:, None]
     S *= g_cols.conj()
     return S
-
-
-def _gauged_strip(strip: np.ndarray, g_rows: np.ndarray, g_cols: np.ndarray, phase: complex,
-                  bound: float):
-    """`_certified` of the `_gauged` strip."""
-    S = _gauged(strip, g_rows, g_cols, phase)
-    return _certified(S.real, S.imag, bound)
 
 
 def _certified(real: np.ndarray, imag: np.ndarray, bound: float):
@@ -809,7 +789,7 @@ def _certified(real: np.ndarray, imag: np.ndarray, bound: float):
 
 
 def compression_matrix(window: _SectionWindow, cutoff: float,
-                       conjugate: bool = False, real: bool = False) -> np.ndarray:
+                       conjugate: bool = False, real: np.ndarray = None) -> np.ndarray:
     """The finite section A(u) of P M_u P at `cutoff`, read off the pairing's
     `_SectionWindow`: columns are the eigenfunctions with eigenvalue at most
     the cutoff, rows those up to cutoff + reach + PAD.  With `conjugate` it is
@@ -820,7 +800,8 @@ def compression_matrix(window: _SectionWindow, cutoff: float,
     A(ubar) the adjoint of the block M[:C, :R] of its row strip: two strips
     serve every section of both loops.
 
-    With `real` it is the same block of the window's certified `real_strip`
+    `real`, when given, is Re S of this side's certified
+    `_SectionWindow.real_strip`, and the section is the same block of it
     instead, which has the section's singular values to within the strip's
     ||Im S||_F: for A(ubar) the transpose of the gauged row-strip block, a
     view (the gauge is diagonal, so it commutes with taking the block, and a
@@ -828,9 +809,8 @@ def compression_matrix(window: _SectionWindow, cutoff: float,
     """
     rows = np.count_nonzero(window.lam <= cutoff + window.reach + PAD + 1e-9)
     cols = np.count_nonzero(window.lam <= cutoff + 1e-9)
-    if real:
-        strip = window.real_strip(conjugate)[0]
-        return strip[:cols, :rows].T if conjugate else strip[:rows, :cols]
+    if real is not None:
+        return real[:cols, :rows].T if conjugate else real[:rows, :cols]
     if conjugate:
         return window.row_strip[:cols, :rows].conj().T
     return window.column_strip[:rows, :cols]
@@ -860,17 +840,18 @@ def _numerical_kernel(A: np.ndarray, margin: float = 0.0):
 
 
 def _kernel_trajectory(window: _SectionWindow, cutoffs, conjugate: bool = False,
-                       real: bool = False):
+                       strip=None):
     """`_numerical_kernel` of A(u), or with `conjugate` of A(ubar), at each
-    cutoff of the window's schedule; with `real` of the sections of the
-    certified `real_strip`, None as soon as one reading is too close to its
-    threshold to stand for the complex one.
+    cutoff of the window's schedule.  With `strip`, that side's certified
+    `real_strip` (Re S, margin), the sections are blocks of Re S, and the
+    trajectory is None as soon as one reading is too close to its threshold
+    to stand for the complex one.
 
     Both windows of a section depend on the loop only through its reach,
     which ubar shares, so the A(ubar) of u's pairing is the A of ubar's own
     pairing: that is what makes the pairing of ubar u's `adjoint`.
     """
-    margin = window.real_strip(conjugate)[1] if real else 0.0
+    real, margin = (None, 0.0) if strip is None else strip
     readings = []
     for L in cutoffs:
         reading = _numerical_kernel(compression_matrix(window, L, conjugate, real), margin)
@@ -915,7 +896,7 @@ def _finite_section(loop: UnitaryLoop, partition: Partition, cutoffs, basis):
     its own conjugate (equal pieces) takes the sections of u only, off the
     column strip alone.
 
-    Each side whose strip the gauge certifies is decomposed in real
+    Each side whose gathered strip certifies is decomposed in real
     arithmetic (`_SectionWindow.real_strip`); when a reading or a guard
     comparison of those is too close to call, the whole pairing is read again
     from the complex sections, so the verdict is always the complex one.
@@ -939,7 +920,7 @@ def _section_verdict(window: _SectionWindow, cutoffs, sides, real: bool):
     trajectories, err = [], 0.0
     for conjugate in sides:
         strip = window.real_strip(conjugate) if real else None
-        trajectory = _kernel_trajectory(window, cutoffs, conjugate, strip is not None)
+        trajectory = _kernel_trajectory(window, cutoffs, conjugate, strip)
         if trajectory is None:
             return None
         trajectories.append(trajectory)
@@ -1118,19 +1099,19 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     Each pairing decomposes A(u) and A(ubar) at every cutoff as blocks of
     two strips of one matrix over its basis window (4 `compression_matrix`
     sections and 4 SVDs each on the default schedule, only those of A(u),
-    off one strip, when u is its own conjugate).  The SVDs are real where a
-    diagonal gauge certifies a strip real, which it does for every monomial
-    and wedge pullback on two equal pieces, and complex on a strip it does
-    not (several terms on a piece, other partitions, a repeated
-    eigenvalue).  On equal pieces with distinct ladders the real strips are
-    gathered from one table of N 2k entries, N the window's eigenvalues and
-    k the pieces; every other strip is assembled.  A pairing with a real
-    reading too close to its threshold to call is read again from the
-    complex sections, so the result is the complex route's (see the module
-    docstring).  It runs two `symbol_index` calls: on the loop's
-    `unwinding_grid` N, where the unwinding is proved, and on 2N as a
-    cross-check.  The pairing of ubar is the `adjoint` of this result, so a
-    sweep that holds both loops pairs only one of them.
+    off one strip, when u is its own conjugate).  On equal pieces with
+    distinct ladders both strips are gathered from one gauged table of N 2k
+    entries, N the window's eigenvalues and k the pieces, and their SVDs are
+    real where the gauge certifies a strip real, which it does for every
+    monomial and wedge pullback on two equal pieces.  Every other strip is
+    assembled and decomposed complex: off the ladders (other partitions, a
+    repeated eigenvalue) and where the gauge fails (several terms on a
+    piece).  A pairing with a real reading too close to its threshold to
+    call is read again from the complex sections, so the result is the
+    complex route's (see the module docstring).  It runs two `symbol_index`
+    calls: on the loop's `unwinding_grid` N, where the unwinding is proved,
+    and on 2N as a cross-check.  The pairing of ubar is the `adjoint` of
+    this result, so a sweep that holds both loops pairs only one of them.
     """
     if partition is None:
         partition = Partition.default()

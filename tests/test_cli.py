@@ -463,6 +463,12 @@ def test_suite_size_bounds_name_the_limit(tmp_path, argv, config, limit):
                  id="wedge-component-below-margin"),
     pytest.param(("deficiency",), {"seed": True}, None, id="boolean-seed"),
     pytest.param(("spectrum",), {"window": [True, 5]}, None, id="boolean-window"),
+    # flags must be JSON booleans, and suite options ones a command reads
+    pytest.param(("boundary-matrix",), {"suite": {"numeric": "false"}}, None,
+                 id="string-numeric-flag"),
+    pytest.param(("spectrum",), {"svg": "no"}, None, id="string-svg-flag"),
+    pytest.param(("verify", "extension-independence"), {"suite": {"power": [-1, 1], "count": 1}},
+                 None, id="unknown-suite-key"),
 ] + [pytest.param(argv, {"partition": [0, "a", 1], "loop": {"monomial": 1}}, None,
                   id="string-knot-" + "-".join(argv))
      for argv in _PARTITION_COMMANDS])

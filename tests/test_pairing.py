@@ -540,13 +540,15 @@ def _sweep_windows(B):
 @pytest.mark.parametrize("seed", range(20))
 def test_the_gauge_makes_every_sweep_section_real_with_the_complex_readings(seed):
     # every section of both default sweeps, A(u) and A(ubar) at each default
-    # cutoff: the gauged strip certifies, and each real section has the
-    # complex section's kernel count, read with the strip's margin, and each
-    # singular value within that margin of the complex one.  No strip falls
+    # cutoff: every window has its ladder table, the gathered strip
+    # certifies, and each real section has the complex section's kernel
+    # count, read with the strip's margin, and each singular value within
+    # that margin of the complex one.  No strip falls
     # back to complex sections: 0 of the 64 strips (256 sections) a seed
     B = random_boundary(seed)
     fallbacks = 0
     for window in _sweep_windows(B):
+        assert window.table is not None
         for conjugate in (False, True):
             strip = window.real_strip(conjugate)
             if strip is None:
@@ -556,7 +558,7 @@ def test_the_gauge_makes_every_sweep_section_real_with_the_complex_readings(seed
             assert margin < 1e-11
             for Lam in DEFAULT_CUTOFFS:
                 A = compression_matrix(window, Lam, conjugate)
-                S = compression_matrix(window, Lam, conjugate, real=True)
+                S = compression_matrix(window, Lam, conjugate, strip[0])
                 assert S.dtype == np.float64 and S.shape == A.shape
                 gap = np.linalg.svd(A, compute_uv=False) - np.linalg.svd(S, compute_uv=False)
                 assert np.max(np.abs(gap)) <= margin
@@ -575,27 +577,43 @@ def test_the_gauge_certificate_refuses_what_the_gauge_does_not_make_real():
     window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
     g, phase = window.gauge
     c, bound = window.columns, window.gauge_bound
+
+    def certified(strip, g_rows, g_cols, phase):
+        S = pairing._gauged(strip, g_rows, g_cols, phase)
+        return pairing._certified(S.real, S.imag, bound)
+
     sides = ((window.column_strip, slice(None), slice(None, c)),
              (window.row_strip, slice(None, c), slice(None)))
     for strip, rows, cols in sides:
-        assert pairing._gauged_strip(strip, g[rows], g[cols], phase, bound) is not None
+        assert certified(strip, g[rows], g[cols], phase) is not None
         # a random complex matrix of the strip's shape and Frobenius norm
         rng = np.random.default_rng(0)
         noise = rng.standard_normal(strip.shape) + 1j * rng.standard_normal(strip.shape)
         noise *= np.linalg.norm(strip) / np.linalg.norm(noise)
-        assert pairing._gauged_strip(noise, g[rows], g[cols], phase, bound) is None
+        assert certified(noise, g[rows], g[cols], phase) is None
         # the phase of the first atom coefficient without e^{i lam m_1}, the
         # eigenfunction's phase at the piece's midpoint
         a = window.coef[:, 0]
         bare = a / np.abs(a)
-        assert pairing._gauged_strip(strip, bare[rows], bare[cols], phase, bound) is None
+        assert certified(strip, bare[rows], bare[cols], phase) is None
         # and with the loop's phase e^{-i kappa} off by pi/4
-        assert pairing._gauged_strip(strip, g[rows], g[cols], phase * 1j ** 0.5, bound) is None
+        assert certified(strip, g[rows], g[cols], phase * 1j ** 0.5) is None
 
 
 def _three_piece_boundary():
     return build_extension(OperatorSpec(Partition((0.0, 0.3, 0.55, 1.0))),
                            haar_unitary(np.random.default_rng(8), 3)).boundary
+
+
+def _two_unequal_pieces_boundary():
+    return build_extension(OperatorSpec(Partition((0.0, 0.4, 1.0))),
+                           haar_unitary(np.random.default_rng(3))).boundary
+
+
+def _close_residue_boundary():
+    # eigenphases 1e-5 apart: too close for a ladder table on two pieces
+    W = haar_unitary(np.random.default_rng(4), 2).matrix
+    return (W * np.exp(1j * np.array([0.3, 0.3 + 1e-5]))) @ W.conj().T
 
 
 @pytest.mark.parametrize("loop, endpoints, make_B, certified", [
@@ -615,10 +633,17 @@ def _three_piece_boundary():
     pytest.param({"-2": 1.0}, (0.0, 0.5, 1.0), lambda: random_boundary(3), True,
                  id="monomial"),
     pytest.param({"1": 1.0}, (0.0, 0.5, 1.0), lambda: SWAP, True, id="monomial-swap"),
+    # no table: two unequal pieces, and eigenphases too close to label the
+    # ladders, so even a monomial takes complex sections
+    pytest.param({"1": 1.0}, (0.0, 0.4, 1.0), _two_unequal_pieces_boundary, False,
+                 id="two-unequal-pieces"),
+    pytest.param({"1": 1.0}, (0.0, 0.5, 1.0), _close_residue_boundary, False,
+                 id="close-residues"),
 ])
 def test_a_pairing_reads_as_the_complex_route(monkeypatch, loop, endpoints, make_B, certified):
-    # the gauge certifies the monomials and refuses the rest, and either way
-    # the pairing equals the one read from complex sections only
+    # a window's table certifies the monomials on equal pieces and refuses
+    # the rest, each pairing's SVDs are all real or all complex as it does,
+    # and either way the pairing equals the one read from complex sections
     part, B = Partition(endpoints), make_B()
     loop = UnitaryLoop.from_fourier({int(m): c for m, c in loop.items()})
     basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, loop.frequency_reach)
@@ -628,7 +653,17 @@ def test_a_pairing_reads_as_the_complex_route(monkeypatch, loop, endpoints, make
     def fields(res):
         return res.index, res.plateau, res.stable, res.method
 
-    got = pair(loop, B, partition=part)
+    svd, dtypes = np.linalg.svd, []
+
+    def counted_svd(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "extlab.pairing":
+            dtypes.append(str(args[0].dtype))
+        return svd(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted_svd)
+        got = pair(loop, B, partition=part)
+    assert dtypes and set(dtypes) == {"float64" if certified else "complex128"}
     monkeypatch.setattr(pairing._SectionWindow, "real_strip", lambda self, conjugate=False: None)
     assert fields(got) == fields(pair(loop, B, partition=part))
 
@@ -715,7 +750,7 @@ def _gathered_against_assembled(window, exact=False):
             assert np.array_equal(strip[0], re)
             for Lam in DEFAULT_CUTOFFS:
                 A = compression_matrix(window, Lam, conjugate)
-                S = compression_matrix(window, Lam, conjugate, real=True)
+                S = compression_matrix(window, Lam, conjugate, strip[0])
                 block = ref.T if conjugate else ref
                 assert np.max(np.abs(S - block[:A.shape[0], :A.shape[1]].real)) <= tol
 
