@@ -263,8 +263,14 @@ _ALLOWED_KEYS = {
     "suite",
 }
 
-#: the `suite` options the commands read
-_SUITE_KEYS = {"numeric", "extension_seed", "count", "powers", "max_power", "genus_bound"}
+#: the `suite` options each command reads, by command or verify suite; any
+#: other command reads none
+_SUITE_KEYS = {
+    "boundary-matrix": {"numeric"},
+    "extension-independence": {"extension_seed", "count", "powers"},
+    "addition-dirac": {"extension_seed", "count", "max_power"},
+    "ksum": {"genus_bound"},
+}
 
 
 def _number(value, what: str, kind=float):
@@ -334,9 +340,11 @@ class ExperimentConfig:
         suite = raw.get("suite", {})
         if not isinstance(suite, dict):
             raise ValidationError("suite must be an object")
-        unknown = set(suite) - _SUITE_KEYS
+        command = args.suite or args.command
+        unknown = set(suite) - _SUITE_KEYS.get(command, set())
         if unknown:
-            raise ValidationError(f"unknown suite keys: {sorted(unknown)}")
+            name = args.command if args.suite is None else f"{args.command} {args.suite}"
+            raise ValidationError(f"suite keys {sorted(unknown)} are not read by {name}")
         for what, value in (("svg", raw.get("svg", False)),
                             ("suite numeric", suite.get("numeric", True))):
             if not isinstance(value, bool):
@@ -704,10 +712,12 @@ def _or_error(fn, *args, **kwargs):
 
 
 def _loop_side(loop):
-    """(winding, N): the loop's `unwinding_grid` N, computed once for its
-    `winding` and every pairing of the loop, and the winding on it."""
-    ngrid = unwinding_grid(loop)[0]
-    return winding(loop, ngrid), ngrid
+    """(winding, samples): the loop's values at k / (8N), N its
+    `unwinding_grid` N, taken once for its `winding` (every eighth) and both
+    `symbol_index` calls of every pairing of the loop (see `pair`), and the
+    winding on them."""
+    samples = loop.grid(8 * unwinding_grid(loop)[0])
+    return winding(loop, samples[::8]), samples
 
 
 def _pairings(loops, boundaries, partition, cutoffs, jobs):
@@ -718,8 +728,9 @@ def _pairings(loops, boundaries, partition, cutoffs, jobs):
 
     Before any loop work each B gets its eigenbasis, at the widest reach of
     the loops, so a window past MAX_BASIS_WINDOW is refused (exit 2) first,
-    and its seam basis; then each paired loop gets its `_loop_side`.  All
-    pairings share these, also between the pool's `jobs` threads.
+    with its gauge vector, and its seam basis; then each paired loop gets
+    its `_loop_side`, its one sampling, before its pairings.  All pairings
+    share these, also between the pool's `jobs` threads.
 
     P M_ubar P = (P M_u P)*, so a loop whose conjugate (equal pieces) comes
     earlier is not paired: its result with each B is the `adjoint` of the
@@ -732,36 +743,45 @@ def _pairings(loops, boundaries, partition, cutoffs, jobs):
 
     # conjugate_of[i]: the position of the paired loop that loop i is the
     # conjugate of, or None when loop i is paired itself
-    paired, conjugate_of, sides = {}, [], []
+    paired, conjugate_of = {}, []
     for i, loop in enumerate(loops):
         j = paired.get(loop.conjugate().pieces)
         conjugate_of.append(j)
         if j is None:
             paired.setdefault(loop.pieces, i)
-        sides.append(_or_error(_loop_side, loop) if j is None else None)
 
     def run(task):
         loop, side, B, basis, seam = task
         for failed in (side, basis):
             if isinstance(failed, NumericalError):
                 return failed
-        return _or_error(pair, loop, B, cutoffs, partition, basis, seam=seam, ngrid=side[1])
+        return _or_error(pair, loop, B, cutoffs, partition, basis, seam=seam, samples=side[1])
 
-    tasks = [(loop, side, B, basis, seam)
-             for loop, side, j in zip(loops, sides, conjugate_of) if j is None
-             for B, basis, seam in zip(boundaries, bases, seams)]
+    # each paired loop's side is taken as its pairings are queued, on this
+    # thread, and only its winding is kept: a sequential run holds one
+    # loop's samples at a time
+    sides = {}
+
+    def tasks():
+        for i, (loop, j) in enumerate(zip(loops, conjugate_of)):
+            if j is None:
+                side = _or_error(_loop_side, loop)
+                sides[i] = side if isinstance(side, NumericalError) else side[0]
+                for B, basis, seam in zip(boundaries, bases, seams):
+                    yield loop, side, B, basis, seam
+
     if jobs <= 1:
-        results = map(run, tasks)
+        results = map(run, tasks())
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, tasks))
+            results = list(pool.map(run, tasks()))
     results = iter(results)
 
     windings, outcomes = [], []
-    for side, j in zip(sides, conjugate_of):
+    for i, j in enumerate(conjugate_of):
         if j is None:
-            windings.append(side if isinstance(side, NumericalError) else side[0])
             outcomes.append([next(results) for _B in boundaries])
+            windings.append(sides[i])
         else:
             wind = windings[j]
             windings.append(wind if isinstance(wind, NumericalError) else -wind)

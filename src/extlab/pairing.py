@@ -50,17 +50,19 @@ lam = (2 pi m - phi_j) / l, one per eigenphase of B, each eigenfunction of
 ladder j has B's j-th eigenvector for its atom vector at the knots, and so
 S[i, j] depends only on the ladders of i and j and the rung difference
 m_j - m_i.  When the phi_j are distinct, `eigen_arrays` labels the basis
-once (`_ladder_count`), and `_SectionWindow` gauges one table of M's rows
-against each ladder's first and last eigenfunction and gathers both strips
-from it.  It keeps a strip's real part only when ||Im S||_F is at most its
-`gauge_bound`, the assembly error `multiplication_matrix` documents, which a
-gathered entry carries from its table representative; by Weyl's inequality
-each singular value of Re S is then within ||Im S||_F of A's.  Every other
-strip is assembled and decomposed complex: off the ladders (unequal pieces,
-a repeated eigenphase such as B = I, whose basis mixes the ladders) and
-where the check fails (several terms on a piece).  So is a whole pairing
-one of whose kernel counts or guard comparisons lies within that distance,
-plus rounding, of its threshold: every reading is the complex one.
+once (`_ladder_count`) and takes g once (`_basis_gauge`), and
+`_SectionWindow` gauges one table of M's rows against each ladder's first
+and last eigenfunction and gathers both real strips from it.  It keeps a
+strip's real part only when ||Im S||_F, bounded off the table without
+gathering Im S, is at most its `gauge_bound`, the assembly error
+`multiplication_matrix` documents, which a gathered entry carries from its
+table representative; by Weyl's inequality each singular value of Re S is
+then within ||Im S||_F of A's.  Every other strip is assembled and
+decomposed complex: off the ladders (unequal pieces, a repeated eigenphase
+such as B = I, whose basis mixes the ladders) and where the check fails
+(several terms on a piece).  So is a whole pairing one of whose kernel
+counts or guard comparisons lies within that distance, plus rounding, of
+its threshold: every reading is the complex one.
 
 A pair of loops on the wedge of two circles enters as its pullback along the
 pinch S^1 -> S^1 v S^1 (``UnitaryLoop.wedge_pair``), as the addition formula
@@ -74,7 +76,7 @@ import math
 
 import numpy as np
 
-from .analysis import ExponentialAtom, Partition, PiecewiseFunction, exp_integral, inner_product, multiply
+from .analysis import Partition, exp_integral
 from .errors import (
     BandwidthError,
     IllConditionedLoopError,
@@ -83,7 +85,7 @@ from .errors import (
     ValidationError,
 )
 from .spectral import eigenbasis
-from .vonneumann import OperatorSpec, boundary_array, minimal_domain_sample
+from .vonneumann import boundary_array
 
 TWO_PI = 2.0 * np.pi
 
@@ -106,7 +108,7 @@ PAD = 8 * np.pi
 MAX_BASIS_WINDOW = 4096 * np.pi
 
 MARGIN = 0.1
-_MARGIN_POINTS = 4096      # the modulus check's grid k / 4096
+_MARGIN_POINTS = 4096      # the modulus check's grid k / 4096 (several terms on a piece)
 
 #: the fewest and the most points `unwinding_grid` may give a sampled loop
 MIN_UNWINDING_GRID = 64
@@ -119,6 +121,8 @@ MAX_PHASE_STEP = 0.5
 #: the largest sum of coefficient moduli a loop piece may carry, so that |u|^2
 #: and the symbol determinant u(x/2) u((x+1)/2) stay finite
 MAX_COEFFICIENT_SUM = 1e150
+
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +148,13 @@ class UnitaryLoop:
         if not total <= MAX_COEFFICIENT_SUM:
             raise ValidationError(f"loop coefficient moduli sum to {total:.3g} on a piece; "
                                   f"the limit is {MAX_COEFFICIENT_SUM:.0e}")
-        vals = np.abs(self.grid(_MARGIN_POINTS))
-        if np.min(vals) <= MARGIN:
-            raise IllConditionedLoopError(
-                f"loop modulus min {np.min(vals):.4f} <= margin {MARGIN}"
-            )
+        if all(len(terms) == 1 for _lo, _hi, terms in self.pieces):
+            # |c e^{i nu theta}| = |c|: the modulus of each piece, exactly
+            low = min(abs(terms[0][1]) for _lo, _hi, terms in self.pieces)
+        else:
+            low = np.min(np.abs(self.grid(_MARGIN_POINTS)))
+        if low <= MARGIN:
+            raise IllConditionedLoopError(f"loop modulus min {low:.4f} <= margin {MARGIN}")
 
     # -- constructors --------------------------------------------------------
 
@@ -177,8 +183,10 @@ class UnitaryLoop:
 
         The pullback is built without the constructor's checks, which hold by
         those of u1 and u2: each half carries its component's coefficients,
-        so its coefficient sum, and the modulus check's points k / 4096 read
-        u1 or u2 at k / 2048, points of the grid each component passed.
+        so its coefficient sum and, when each half has one term, its modulus
+        |c|; otherwise the modulus check's points k / 4096 read u1 or u2 at
+        k / 2048, points of the grid a component with several terms passed
+        (a one-term component passed |c| > MARGIN, its modulus everywhere).
         """
         # u(0) on the first piece, as `__call__` takes it, without its arrays
         if abs(_value(u1.pieces[0][2], 0.0) - _value(u2.pieces[0][2], 0.0)) > 1e-12:
@@ -471,11 +479,13 @@ def _unwound(values: np.ndarray) -> int:
     return w
 
 
-def winding(loop: UnitaryLoop, ngrid: int = None) -> int:
-    """The loop's winding number, unwound on its `unwinding_grid` N (ngrid,
-    when the caller has it), where every sample must also keep its modulus
-    above MARGIN."""
-    values = loop.grid(unwinding_grid(loop)[0] if ngrid is None else ngrid)
+def winding(loop: UnitaryLoop, values: np.ndarray = None) -> int:
+    """The loop's winding number, unwound on its `unwinding_grid` N, where
+    every sample must also keep its modulus above MARGIN.  `values` are the
+    loop's samples at k / N when the caller has them (every eighth of the
+    samples `pair` takes)."""
+    if values is None:
+        values = loop.grid(unwinding_grid(loop)[0])
     low = np.min(np.abs(values))
     if low <= MARGIN:
         raise IllConditionedLoopError(f"modulus {low:.4f} below margin {MARGIN}")
@@ -499,18 +509,29 @@ def basis_window(cutoffs, reach: float) -> float:
     return hi
 
 
+class _Basis(tuple):
+    """An `eigen_arrays` result: the tuple (lam, coef, ladders), carrying the
+    basis's `gauge` vector beside it (None off a ladder basis)."""
+
+    gauge: np.ndarray
+
+
 def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
     """(lam, coef, ladders) of the eigenbasis of T_B on the window
     [0, cutoffs[-1] + reach + PAD]: the read-only `eigenbasis` spectrum and
     its coefficient rows, coef[i, k] being the atom coefficient of
     eigenfunction i on piece k, and `_ladder_count` of the spectrum, which
-    labels eigenvalue i as rung i // k of ladder i % k (k = ladders).
+    labels eigenvalue i as rung i // k of ladder i % k (k = ladders).  On a
+    ladder basis its `gauge` is `_basis_gauge`, which depends on B alone.
 
     One basis serves every loop whose frequency reach is at most `reach`:
     each finite section keeps the eigenvalues inside its own window.
     """
     spec = eigenbasis(B, partition, (-1e-9, basis_window(cutoffs, reach)))
-    return spec.eigenvalues, spec.coefficients, _ladder_count(spec.eigenvalues, partition)
+    lam, coef = spec.eigenvalues, spec.coefficients
+    basis = _Basis((lam, coef, _ladder_count(lam, partition)))
+    basis.gauge = _basis_gauge(partition, lam, coef) if basis[2] else None
+    return basis
 
 
 def _ladder_count(lam: np.ndarray, partition: Partition) -> int:
@@ -530,13 +551,13 @@ def _ladder_count(lam: np.ndarray, partition: Partition) -> int:
     ladders, and gap 0.
     """
     lengths = np.asarray(partition.lengths)
-    k, ell, eps = len(lengths), lengths[0], np.finfo(float).eps
+    k, ell = len(lengths), lengths[0]
     if len(lam) <= k:
         return 0
     gap = np.min(np.diff(lam)) * ell
-    drift = lam[-1] * np.max(np.abs(lengths - ell)) + eps
+    drift = lam[-1] * np.max(np.abs(lengths - ell)) + _EPS
     period = np.abs(lam[k:] - lam[:-k] - TWO_PI / ell) <= 1e-9
-    return k if np.all(period) and drift <= 10 * eps * lam[-1] * gap else 0
+    return k if np.all(period) and drift <= 10 * _EPS * lam[-1] * gap else 0
 
 
 def multiplication_matrix(loop: UnitaryLoop, partition: Partition,
@@ -633,6 +654,8 @@ class _SectionWindow:
     top: float
     #: the window's `_ladder_count`, 0 when the window lacks a ladder or a column
     ladders: int
+    #: the window's rows of its basis's `_basis_gauge`, None off a ladder window
+    units: np.ndarray
 
     @classmethod
     def of(cls, loop: UnitaryLoop, partition: Partition, cutoffs, basis) -> "_SectionWindow":
@@ -645,7 +668,8 @@ class _SectionWindow:
         lam = basis[0][keep]
         columns = int(np.count_nonzero(lam <= cutoffs[-1] + 1e-9))
         ladders = basis[2] if len(lam) >= basis[2] and columns else 0
-        return cls(loop, partition, lam, basis[1][keep], reach, columns, top, ladders)
+        units = basis.gauge[keep] if ladders else None
+        return cls(loop, partition, lam, basis[1][keep], reach, columns, top, ladders, units)
 
     @cached_property
     def column_strip(self) -> np.ndarray:
@@ -664,8 +688,12 @@ class _SectionWindow:
 
     @cached_property
     def gauge(self):
-        """`_section_gauge` of the window's loop and eigenfunctions."""
-        return _section_gauge(self.loop, self.partition, self.lam, self.coef)
+        """(g, phase): the window's `units` and the loop's `_loop_phase`, or
+        None off a ladder window or where either is undefined."""
+        if self.units is None or not np.all(self.units):
+            return None
+        phase = _loop_phase(self.loop, self.partition)
+        return None if phase is None else (self.units, phase)
 
     @cached_property
     def table(self):
@@ -680,6 +708,13 @@ class _SectionWindow:
         return _gauged(multiplication_matrix(self.loop, self.partition, self.lam, self.coef,
                                              self.lam[ends], self.coef[ends]), g, g[ends], phase)
 
+    def _ladder_vector(self, part: np.ndarray, f: int):
+        """(shift, w): ladder f's vector w off `part`, the real or imaginary
+        `table`, and shift = l - f (see `_gathered`)."""
+        k, n = self.ladders, len(self.lam)
+        shift = k * ((n - 1 - f) // k)
+        return shift, np.concatenate((part[:shift, shift + f + 2 * k - n], part[:, f]))
+
     def _gathered(self, part: np.ndarray, rows: int, cols: int) -> np.ndarray:
         """S[:rows, :cols] read off `part`, the real or imaginary `table`.
 
@@ -691,15 +726,39 @@ class _SectionWindow:
         slice w[l - f - k p:][:rows]: ladder f's columns are one strided view
         of w, stepping back k a column.
         """
-        k, n = self.ladders, len(self.lam)
+        k = self.ladders
         out = np.empty((rows, cols))
         for f in range(min(k, cols)):
-            shift = k * ((n - 1 - f) // k)          # l - f
-            w = np.concatenate((part[:shift, shift + f + 2 * k - n], part[:, f]))
+            shift, w = self._ladder_vector(part, f)
             out[:, f::k] = np.ndarray((rows, len(range(f, cols, k))), buffer=w,
                                       offset=shift * w.itemsize,
                                       strides=(w.itemsize, -k * w.itemsize))
         return out
+
+    def _imag_norms(self, rows: int, cols: int) -> np.ndarray:
+        """Per ladder f, an upper bound on the Frobenius norm of its columns
+        of Im S[:rows, :cols], read off the imaginary `table` without
+        gathering them: the vector's norm bounds ||Im S||_F.
+
+        Ladder f's m columns are the slices w[a_p:][:rows], a_p = shift - k p
+        (`_gathered`), so entry i of w lies in t_i of them, t stepping up by 1
+        at each a_p and down at each a_p + rows, and the squared norm is
+        sum t_i w_i^2 over the L entries from a_{m-1} to shift + rows: L
+        nonnegative terms, each rounded within eps and summed within
+        (L - 1) eps, so (L + 2) eps covers the root of their rounding.
+        """
+        k, imag = self.ladders, self.table.imag
+        norms = []
+        for f in range(min(k, cols)):
+            shift, w = self._ladder_vector(imag, f)
+            first = shift - k * (len(range(f, cols, k)) - 1)
+            w = w[first:shift + rows]
+            steps = np.zeros(len(w) + 1)
+            steps[:shift - first + 1:k] = 1
+            steps[rows::k] -= 1
+            norms.append(math.sqrt(np.dot(steps[:-1].cumsum(), w * w))
+                         * (1 + (len(w) + 2) * _EPS))
+        return np.array(norms)
 
     @cached_property
     def gauge_bound(self) -> float:
@@ -714,13 +773,15 @@ class _SectionWindow:
         window and carries the same error bound.  A larger imaginary part is
         not rounding error: the gauge does not make that strip real.
         """
-        return (10 * np.finfo(float).eps * self.top * _coefficient_sum(self.loop.pieces)
+        return (10 * _EPS * self.top * _coefficient_sum(self.loop.pieces)
                 * math.sqrt(len(self.lam) * self.columns))
 
     def real_strip(self, conjugate: bool = False):
         """(Re S, margin) of the gauged row strip (`conjugate`) or column
         strip, gathered from the window's `table`, or None when the window
-        has no table or ||Im S||_F exceeds `gauge_bound`.
+        has no table or ||Im S||_F exceeds `gauge_bound`.  ||Im S||_F is
+        bounded off the table (`_imag_norms`): the imaginary strip is never
+        gathered.
 
         The margin bounds how far a singular value of a block of Re S, as
         computed, may lie from the complex SVD's of the same section:
@@ -733,36 +794,40 @@ class _SectionWindow:
             return None
         n, c = len(self.lam), self.columns
         shape = (c, n) if conjugate else (n, c)
-        gauged = _certified(*(self._gathered(part, *shape)
-                              for part in (self.table.real, self.table.imag)), self.gauge_bound)
+        gauged = _certified(self._gathered(self.table.real, *shape), self._imag_norms(*shape),
+                            self.gauge_bound)
         if gauged is None:
             return None
-        rounding = 4 * n * np.finfo(float).eps * _coefficient_sum(self.loop.pieces)
+        rounding = 4 * n * _EPS * _coefficient_sum(self.loop.pieces)
         return gauged[0], gauged[1] + rounding
 
 
-def _section_gauge(loop: UnitaryLoop, partition: Partition, lam: np.ndarray, coef: np.ndarray):
-    """(g, phase): g = alpha / |alpha| for alpha = a_1(lam) e^{i lam m_1}, each
-    eigenfunction's first atom coefficient at its piece's midpoint m_1, and
-    phase = e^{-i kappa}, the unit conjugate of c e^{i nu m_1} for the loop's
-    largest term on that piece.  None when some alpha or that term is 0,
-    where the gauge is undefined.
+def _basis_gauge(partition: Partition, lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """g = alpha / |alpha| for alpha = a_1(lam) e^{i lam m_1}, each
+    eigenfunction's first atom coefficient at its piece's midpoint m_1; 0
+    where alpha is 0, where the gauge is undefined.
 
-    For a loop with one term on each of two equal pieces this makes
-    e^{-i kappa} diag(g) M diag(conj g) real (see the module docstring).
-    It is taken only for a ladder window's `_SectionWindow.table`; for any
-    other loop there the gauge is only a candidate, which `_certified`
-    checks.
+    It is the B side of the gauge e^{-i kappa} diag(g) M diag(conj g) that
+    makes M real for a loop with one term on each of two equal pieces (see
+    the module docstring), so each basis takes it once and each window reads
+    its rows (`_SectionWindow.gauge`).  For any other loop the gauge is only
+    a candidate, which `_SectionWindow.real_strip` checks.
     """
     lo, hi = partition.piece_bounds(0)
-    mid = 0.5 * (lo + hi)
-    alpha = coef[:, 0] * _cis(lam * mid)
+    alpha = coef[:, 0] * _cis(lam * (0.5 * (lo + hi)))
     size = np.abs(alpha)
+    return np.divide(alpha, size, out=np.zeros_like(alpha), where=size > 0)
+
+
+def _loop_phase(loop: UnitaryLoop, partition: Partition):
+    """The loop side of the gauge: e^{-i kappa}, the unit conjugate of
+    c e^{i nu m_1} for the loop's largest term on the first piece, at its
+    midpoint m_1; None when that term is 0."""
+    lo, hi = partition.piece_bounds(0)
+    mid = 0.5 * (lo + hi)
     nu, c = max(_terms_at(loop.pieces, mid), key=lambda term: abs(term[1]))
     kappa = c * cmath.exp(1j * nu * mid)
-    if not (np.all(size > 0) and kappa):
-        return None
-    return alpha / size, kappa.conjugate() / abs(kappa)
+    return kappa.conjugate() / abs(kappa) if kappa else None
 
 
 def _gauged(M: np.ndarray, g_rows: np.ndarray, g_cols: np.ndarray, phase: complex) -> np.ndarray:
@@ -774,15 +839,18 @@ def _gauged(M: np.ndarray, g_rows: np.ndarray, g_cols: np.ndarray, phase: comple
 
 
 def _certified(real: np.ndarray, imag: np.ndarray, bound: float):
-    """(Re S, ||Im S||_F) for S = real + i imag, Re S contiguous, or None
-    when ||Im S||_F exceeds `bound` (or is not a number).
+    """(Re S, slack) for S = real + i imag, Re S contiguous, or None when
+    slack exceeds `bound` (or is not a number).  `imag` is Im S, or any
+    array whose norm bounds ||Im S||_F (`_SectionWindow._imag_norms`), and
+    slack is its norm inflated by (L + 4) eps, L its size, past the rounding
+    of the L squares, their sum and its root: an upper bound.
 
     A gauged S has the singular values of its strip (unit diagonal
     factors), and by Weyl's inequality Re S = S - i Im S has each of them
     within ||Im S||_2 <= ||Im S||_F: the certificate that lets a real SVD
     stand for the complex one.
     """
-    slack = math.sqrt(np.einsum("ij,ij->", imag, imag))
+    slack = math.sqrt(np.vdot(imag, imag)) * (1 + (imag.size + 4) * _EPS)
     if not slack <= bound:
         return None
     return np.ascontiguousarray(real), slack
@@ -833,10 +901,12 @@ def _numerical_kernel(A: np.ndarray, margin: float = 0.0):
     sv = np.linalg.svd(A, compute_uv=False)
     scale = max(sv[0], MARGIN) if sv.size else MARGIN
     threshold = KERNEL_TOL * scale
-    if np.any(np.abs(sv - threshold) < margin):
+    # sv descends: the first r are retained, and the two either side of the
+    # threshold are the closest to it
+    r = sv.size - int(sv[::-1].searchsorted(threshold))
+    if any(abs(s - threshold) < margin for s in sv[max(r - 1, 0):r + 1]):
         return None
-    retained = sv[sv >= threshold]
-    return sv.size - retained.size, float(retained[-1] / scale) if retained.size else 0.0
+    return sv.size - r, float(sv[r - 1] / scale) if r else 0.0
 
 
 def _kernel_trajectory(window: _SectionWindow, cutoffs, conjugate: bool = False,
@@ -1017,7 +1087,7 @@ def _two_equal_pieces(partition: Partition) -> bool:
 
 
 def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: int,
-                 seam=None):
+                 seam=None, values: np.ndarray = None):
     """Exact Fredholm index of P M_u P via its block-Toeplitz symbol.
 
     Diagonalizing B = W diag(e^{i phi_j}) W* (`_unitary_eigenbasis`) splits
@@ -1041,7 +1111,9 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: in
     (`_seam_margin`), so the index is minus that winding, and B enters only
     through the seam's margin.  On the loop's `unwinding_grid` N every step
     is proved to be at most MAX_PHASE_STEP; callers pass ngrid = N.
-    `seam` is B's `seam_basis`, built here when not given.
+    `values` are the loop's samples at those 2 ngrid points when the caller
+    has them (a slice of the samples `pair` takes), and `seam` is B's
+    `seam_basis`; each is built here when not given.
 
     Returns (index_or_None, diagnostics dict).
     """
@@ -1049,7 +1121,7 @@ def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: in
         partition = Partition.default()
     if not _two_equal_pieces(partition):
         raise StructuralError("the symbol route is built for two equal pieces")
-    index = -_unwound(loop.grid(2 * ngrid, 0.5))
+    index = -_unwound(loop.grid(2 * ngrid, 0.5) if values is None else values)
     if seam is None:
         seam = seam_basis(B, partition)
     margin, scale = _seam_margin(*_seam_symbols(loop, seam))
@@ -1085,16 +1157,19 @@ _CANONICAL_B = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
-         basis=None, *, seam=None, ngrid: int = None) -> PairingResult:
+         basis=None, *, seam=None, samples: np.ndarray = None) -> PairingResult:
     """Index pairing of a loop with the extension of boundary matrix B; a
     wedge pair comes as its pinch pullback (`UnitaryLoop.wedge_pair`).
 
     `basis` is an `eigen_arrays(B, partition, cutoffs, reach)` result with
     reach at least the loop's frequency reach; the CLI builds it once per B
     and shares it between loops.  Without it the pairing builds its own at
-    the loop's reach.  Likewise `seam` is B's `seam_basis`, and `ngrid` the
-    loop's `unwinding_grid` N, which the CLI computes once per loop; the
-    pairing builds each at most once when not given.
+    the loop's reach.  Likewise `seam` is B's `seam_basis`, and `samples`
+    the loop's values at k / (8N), k < 8N, N its `unwinding_grid` N, which
+    the CLI takes once per loop; the pairing builds each at most once when
+    not given.  Every eighth sample, [::8], is the N-point grid k / N that
+    `winding` unwinds; [2::4] is the midpoint grid (k + 1/2) / (2N) and
+    [1::2] the one (k + 1/2) / (4N).
 
     Each pairing decomposes A(u) and A(ubar) at every cutoff as blocks of
     two strips of one matrix over its basis window (4 `compression_matrix`
@@ -1110,8 +1185,10 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     call is read again from the complex sections, so the result is the
     complex route's (see the module docstring).  It runs two `symbol_index`
     calls: on the loop's `unwinding_grid` N, where the unwinding is proved,
-    and on 2N as a cross-check.  The pairing of ubar is the `adjoint` of
-    this result, so a sweep that holds both loops pairs only one of them.
+    and on 2N as a cross-check, each unwinding its midpoints off `samples`
+    ([2::4] and [1::2]), so no pairing samples the loop again.  The pairing
+    of ubar is the `adjoint` of this result, so a sweep that holds both
+    loops pairs only one of them.
     """
     if partition is None:
         partition = Partition.default()
@@ -1126,24 +1203,27 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
         # no symbol route: the guarded plateau stands only where it agrees
         # with the index theorem, index = -winding
         if resolved:
-            wind = winding(loop, ngrid)
+            wind = winding(loop, None if samples is None else samples[::8])
             if fs_index != -wind:
                 raise NumericalError(
                     f"finite-section index {fs_index} disagrees with -winding {-wind}"
                 )
         return PairingResult(fs_index, plateau, resolved, "finite-section")
 
-    if ngrid is None:
-        ngrid = unwinding_grid(loop)[0]
+    if samples is None:
+        samples = loop.grid(8 * unwinding_grid(loop)[0])
+    ngrid = len(samples) // 8
     if seam is None:
         seam = seam_basis(Bm, partition)
-    sym_index, _diag = symbol_index(loop, Bm, partition, ngrid=ngrid, seam=seam)
+    sym_index, _diag = symbol_index(loop, Bm, partition, ngrid=ngrid, seam=seam,
+                                    values=samples[2::4])
     if sym_index is None:
         # the compression for this B has no index at all (exact chord zero);
         # any finite-section plateau here is an artifact of slow singular-value
         # decay.  The class pairing is evaluated on the canonical
         # anti-diagonal representative, whose compression is always Fredholm.
-        canon, canon_diag = symbol_index(loop, _CANONICAL_B, partition, ngrid=ngrid)
+        canon, canon_diag = symbol_index(loop, _CANONICAL_B, partition, ngrid=ngrid,
+                                         values=samples[2::4])
         if canon is None:
             raise NumericalError(
                 f"compression not Fredholm for B and for the canonical representative: "
@@ -1151,7 +1231,8 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
             )
         return PairingResult(canon, plateau, True, "extension-independence")
     # the grid is proved fine enough; twice the points must agree
-    check, _diag = symbol_index(loop, Bm, partition, ngrid=2 * ngrid, seam=seam)
+    check, _diag = symbol_index(loop, Bm, partition, ngrid=2 * ngrid, seam=seam,
+                                values=samples[1::2])
     if check != sym_index:
         raise NumericalError("symbol winding disagreed across grid refinement")
     # both routes certain: they must agree, and the cheaper one gets credit
@@ -1180,7 +1261,7 @@ def adjoint(result: PairingResult) -> PairingResult:
 
 
 # ---------------------------------------------------------------------------
-# commutator diagnostics
+# multiplier derivatives
 # ---------------------------------------------------------------------------
 
 def _multiplier_pieces(f):
@@ -1201,43 +1282,3 @@ def _derivative_pieces(f):
     """The pieces of f' = sum i nu c e^{i nu theta}, piece by piece."""
     return tuple((lo, hi, tuple((nu, 1j * nu * c) for nu, c in terms))
                  for lo, hi, terms in _multiplier_pieces(f))
-
-
-def commutator_norm_estimate(f, B, samples: int = 20, seed: int = 0,
-                             partition: Partition = None) -> float:
-    """max ||[M_f, T_B] psi|| / ||psi|| over sampled minimal-domain vectors.
-
-    On the minimal domain the commutator acts exactly as multiplication by
-    i f', so the estimate can never exceed sup |f'|; both sides are computed
-    independently (this routine exactly, the bound on a fine grid by the
-    caller/tests).
-    """
-    if partition is None:
-        partition = Partition.default()
-    fprime_pieces = _derivative_pieces(f)
-    fine = Partition(tuple(_cuts(partition.endpoints, fprime_pieces)))
-    fprime_atoms = []
-    for k in range(fine.npieces):
-        lo, hi = fine.piece_bounds(k)
-        for nu, c in _terms_at(fprime_pieces, 0.5 * (lo + hi)):
-            fprime_atoms.append(ExponentialAtom(k, c, 1j * nu))
-    fprime = PiecewiseFunction(fine, tuple(fprime_atoms))
-
-    # sampling with traces vanishing at every cut (knots and multiplier breaks)
-    # keeps M_f psi inside dom(T_B) for every extension at once: the minimal
-    # domain is shared, so B only labels which operator the bound certifies
-    spec = OperatorSpec(fine)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        psi = minimal_domain_sample(spec, rng)
-        commut = multiply(fprime, psi)          # [M_f, T] psi = i f' psi; |i| = 1
-        num = np.sqrt(max(inner_product(commut, commut).real, 0.0))
-        den = np.sqrt(max(inner_product(psi, psi).real, 1e-300))
-        worst = max(worst, num / den)
-    return float(worst)
-
-
-def derivative_sup(f, ngrid: int = 8192) -> float:
-    """sup |f'| on a fine grid, for the commutator bound's right-hand side."""
-    return float(np.max(np.abs(_grid_values(_derivative_pieces(f), ngrid, 0.5))))

@@ -12,12 +12,7 @@ import numpy as np
 
 from extlab.analysis import Partition, from_atoms, inner_product, norm
 from extlab.ksum import verify_identities
-from extlab.pairing import (
-    UnitaryLoop,
-    commutator_norm_estimate,
-    derivative_sup,
-    pair,
-)
+from extlab.pairing import UnitaryLoop, pair
 from extlab.spectral import eigenphases, fd_spectrum
 from extlab.vonneumann import (
     OperatorSpec,
@@ -29,6 +24,7 @@ from extlab.vonneumann import (
     identity_unitary,
     swap_unitary,
 )
+from oracles import commutator_norm_estimate, derivative_sup
 
 PART = Partition((0.0, 0.5, 1.0))
 SPEC = OperatorSpec(PART)

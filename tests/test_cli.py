@@ -469,6 +469,23 @@ def test_suite_size_bounds_name_the_limit(tmp_path, argv, config, limit):
     pytest.param(("spectrum",), {"svg": "no"}, None, id="string-svg-flag"),
     pytest.param(("verify", "extension-independence"), {"suite": {"power": [-1, 1], "count": 1}},
                  None, id="unknown-suite-key"),
+    # a suite key another command reads is no key of this one
+    pytest.param(("verify", "addition-dirac"), {"suite": {"powers": [-1, 1]}}, None,
+                 id="powers-on-addition-dirac"),
+    pytest.param(("verify", "extension-independence"), {"suite": {"max_power": 1, "count": 1}},
+                 None, id="max-power-on-extension-independence"),
+    pytest.param(("verify", "ksum"), {"suite": {"count": 1}}, None, id="count-on-verify-ksum"),
+    pytest.param(("ksum",), {"suite": {"extension_seed": 3}}, None, id="extension-seed-on-ksum"),
+    pytest.param(("verify", "addition-dirac"), {"suite": {"genus_bound": 2}}, None,
+                 id="genus-bound-on-a-sweep"),
+    pytest.param(("boundary-matrix",), {"suite": {"count": 1}}, None,
+                 id="count-on-boundary-matrix"),
+    pytest.param(("pair",), {"loop": {"monomial": 1}, "suite": {"numeric": False}}, None,
+                 id="numeric-on-pair"),
+    pytest.param(("spectrum",), {"suite": {"max_power": 1}}, None, id="max-power-on-spectrum"),
+    pytest.param(("deficiency",), {"suite": {"numeric": True}}, None, id="numeric-on-deficiency"),
+    # a one-term loop's modulus is |c| everywhere: 0.1 is not above MARGIN
+    pytest.param(("pair",), {"loop": {"fourier": {"0": 0.1}}}, None, id="one-term-loop-at-margin"),
 ] + [pytest.param(argv, {"partition": [0, "a", 1], "loop": {"monomial": 1}}, None,
                   id="string-knot-" + "-".join(argv))
      for argv in _PARTITION_COMMANDS])
@@ -479,6 +496,31 @@ def test_malformed_config_numbers_exit_2(tmp_path, argv, config, env):
     assert proc.stdout == ""
     assert "error (validation)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, key, name", [
+    (("verify", "addition-dirac"), "powers", "verify addition-dirac"),
+    (("verify", "extension-independence"), "genus_bound", "verify extension-independence"),
+    (("ksum",), "numeric", "ksum"),
+    (("pair",), "count", "pair"),
+])
+def test_a_suite_key_the_command_does_not_read_is_named(tmp_path, capsys, argv, key, name):
+    from extlab import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"loop": {"monomial": 1}, "suite": {key: 1}}), encoding="utf-8")
+    assert cli.main([*argv, "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"suite keys ['{key}'] are not read by {name}" in err
+
+
+def test_a_one_term_loop_just_above_the_margin_pairs(tmp_path, capsys):
+    from extlab import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"loop": {"fourier": {"0": 0.1000001}}}), encoding="utf-8")
+    assert cli.main(["pair", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["pairings"][0]["index"] == 0
 
 
 @pytest.mark.parametrize("argv, config, size, index", [
@@ -839,6 +881,89 @@ def test_pair_keeps_the_exit_contract_on_any_loop(loop, cutoffs, extension):
         report = json.loads(stdout.getvalue())
         assert report["command"] == "pair"
         assert report["status"] == ("pass" if code == 0 else "unstable")
+
+
+#: the suite options each sweep reads; a key of the other sweep is refused
+_SWEEP_KEYS = {"extension-independence": "powers", "addition-dirac": "max_power"}
+
+
+@st.composite
+def _sweep_configs(draw):
+    """(suite, config, foreign) for either sweep: `count` of 1 or 2 B,
+    `extension_seed`, its own `powers` or `max_power` over small ranges, and
+    cutoffs up to 64 pi, with at most one flaw: a count, seed or range that
+    is invalid (a reversed `powers`, a negative `max_power`), or the other
+    sweep's key, when `foreign`."""
+    suite = draw(st.sampled_from(sorted(_SWEEP_KEYS)))
+    flaw = draw(st.sampled_from([None, None, None, None, "count", "seed", "range", "foreign"]))
+    own = _SWEEP_KEYS[suite]
+    options = {"count": draw(st.sampled_from([0, -1, 1.5, True]) if flaw == "count"
+                             else st.integers(1, 2))}
+    if flaw == "seed" or draw(st.booleans()):
+        options["extension_seed"] = -1 if flaw == "seed" else draw(st.integers(0, 2 ** 63))
+    ranges = {"powers": st.builds(lambda lo, step: [lo, lo + step], st.integers(-4, 4),
+                                  st.integers(-1, 3) if flaw == "range" else st.integers(0, 3)),
+              "max_power": st.integers(-1 if flaw == "range" else 0, 2)}
+    if flaw == "range" or draw(st.booleans()):
+        options[own] = draw(ranges[own])
+    if flaw == "foreign":
+        options[next(key for key in ranges if key != own)] = 0
+    config = {"suite": options}
+    if draw(st.booleans()):
+        config["cutoffs"] = sorted(draw(st.lists(st.floats(1e-3, 64 * math.pi), min_size=1,
+                                                 max_size=4, unique=True)))
+    return suite, config, flaw == "foreign"
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sweep_configs())
+def test_the_sweeps_keep_the_exit_contract(suite_config):
+    # no input escapes `cli.main`; it exits 0-3, the other sweep's key exits
+    # 2, and exit 1 comes only with status fail and the failures named
+    from extlab import cli
+
+    suite, config, foreign = suite_config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", suite, "--config", path, "--out", os.path.join(tmp, "o")])
+    assert code in (0, 1, 2, 3)
+    if foreign:
+        assert code == 2
+    if code == 2:
+        assert stdout.getvalue() == ""
+        return
+    report = json.loads(stdout.getvalue())
+    assert report["command"] == "verify" and report["result"]["suite"] == suite
+    assert report["status"] == {0: "pass", 1: "fail", 3: "unstable"}[code]
+    assert bool(report["result"]["failures"]) == (code == 1)
+
+
+def test_a_sweep_samples_each_paired_loop_once(tmp_path, monkeypatch, capsys):
+    # each of the 5 paired wedge loops is sampled once on 8N points (N = 64
+    # for all), beside its `unwinding_grid` sizing grids; no symbol call and
+    # no pairing samples a grid of its own
+    from extlab import cli, pairing
+
+    grids = []
+    original = pairing._grid_values
+
+    def counted(pieces, npoints, offset=0.0):
+        grids.append((pieces, npoints, offset))
+        return original(pieces, npoints, offset)
+
+    monkeypatch.setattr(pairing, "_grid_values", counted)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": {"count": 2, "max_power": 1}}), encoding="utf-8")
+    assert cli.main(["verify", "addition-dirac", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["pairings"] == 18
+    samplings = [pieces for pieces, npoints, offset in grids if npoints == 8 * 64]
+    assert len(samplings) == len(set(samplings)) == 5
+    assert all(offset == 0.0 and npoints in (64, 512) for _pieces, npoints, offset in grids)
 
 
 #: above this many pieces `boundary-matrix` runs without its numeric route;

@@ -13,6 +13,7 @@ Oracles used here:
 """
 
 import cmath
+import dataclasses
 import math
 import sys
 
@@ -46,9 +47,7 @@ from extlab.pairing import (
     _unitary_eigenbasis,
     _unwound,
     adjoint,
-    commutator_norm_estimate,
     compression_matrix,
-    derivative_sup,
     eigen_arrays,
     multiplication_matrix,
     pair,
@@ -63,6 +62,7 @@ from extlab.vonneumann import (
     build_extension,
     haar_unitary,
 )
+from oracles import commutator_norm_estimate, derivative_sup
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 FAST = (32 * np.pi, 64 * np.pi, 128 * np.pi)
@@ -232,6 +232,32 @@ def test_loops_past_the_coefficient_bound_are_refused():
 def test_margin_guard_rejects_vanishing_loops():
     with pytest.raises(IllConditionedLoopError):
         UnitaryLoop.from_fourier({0: 1.0, 1: 1.0})  # |1 + e^{2 pi i t}| hits 0
+
+
+def test_a_one_term_loop_is_refused_by_its_modulus_without_a_grid(monkeypatch):
+    # on a piece with one term c e^{i nu theta}, |u| = |c| exactly: a loop
+    # whose pieces each carry one term is refused iff min |c| <= MARGIN, and
+    # sampled nowhere; several terms on a piece still take the grid k / 4096
+    grids = []
+    original = pairing._grid_values
+    monkeypatch.setattr(pairing, "_grid_values",
+                        lambda *args: grids.append(args) or original(*args))
+
+    def halves(c):
+        return UnitaryLoop(pieces=((0.0, 0.5, ((TWO_PI, 1.0),)), (0.5, 1.0, ((-2 * TWO_PI, c),))))
+
+    for refused in (lambda: UnitaryLoop.from_fourier({0: 0.1}),
+                    lambda: UnitaryLoop.from_fourier({3: 0.1j}),
+                    lambda: halves(-0.1)):
+        with pytest.raises(IllConditionedLoopError, match="min 0.1000 <= margin 0.1"):
+            refused()
+    UnitaryLoop.from_fourier({0: 0.1000001})
+    UnitaryLoop.from_fourier({-5: 0.1000001j})
+    halves(0.1000001)
+    assert grids == []
+    UnitaryLoop.from_fourier({0: 1.0, 1: 0.5})
+    UnitaryLoop(pieces=((0.0, 0.5, ((0.0, 1.0),)), (0.5, 1.0, ((0.0, 1.0), (TWO_PI, 0.2)))))
+    assert [args[1:] for args in grids] == [(4096, 0.0)] * 2
 
 
 def test_wedge_base_point_must_agree():
@@ -518,6 +544,48 @@ def test_a_section_of_rounding_error_has_a_kernel():
     assert pairing._numerical_kernel(np.diag([0.01, 1e-5])) == (0, 1e-5 / pairing.MARGIN)
 
 
+def _masked_numerical_kernel(A, margin=0.0):
+    """Reference: `_numerical_kernel` as it read every singular value, with a
+    mask and a margin test on each, before it searched the sorted ones."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    scale = max(sv[0], MARGIN) if sv.size else MARGIN
+    threshold = pairing.KERNEL_TOL * scale
+    if np.any(np.abs(sv - threshold) < margin):
+        return None
+    retained = sv[sv >= threshold]
+    return sv.size - retained.size, float(retained[-1] / scale) if retained.size else 0.0
+
+
+def test_the_kernel_reading_is_the_masked_one():
+    # singular values just above, at and just below the threshold 1e-7
+    # sigma_max, alone or with a neighbour across it, read with margins on
+    # either side of their distance from it; empty, zero and rounding-error
+    # sections; and the real and complex sections of a sweep window
+    tol = pairing.KERNEL_TOL
+    cases = [np.zeros((3, 0)), np.zeros((0, 3)), np.zeros((4, 4)), np.full((6, 1), 1e-16),
+             np.diag([0.01, 1e-5]), np.diag([2.0, 0.5, 1e-9])]
+    for near in (tol + 1e-12, tol, tol - 1e-12, tol * (1 + 1e-4), tol * (1 - 1e-4)):
+        cases += [np.diag([1.0, 0.3, near, 1e-12]), np.diag([1.0, near])]
+    cases.append(np.diag([1.0, tol + 3e-12, tol - 5e-12, 0.0]))
+    rng = np.random.default_rng(5)
+    for scale in ([1.0, 1.0, 1e-7, 1e-9], [0.05, 1e-8, 1e-9, 1e-12]):
+        cases.append(rng.standard_normal((6, 4)) @ np.diag(scale))
+    part, loop = Partition.default(), UnitaryLoop.monomial(-2)
+    window = pairing._SectionWindow.of(loop, part, FAST,
+                                       eigen_arrays(random_boundary(3), part, FAST, 4 * math.pi))
+    strip = window.real_strip()
+    for Lam in FAST:
+        cases += [compression_matrix(window, Lam), compression_matrix(window, Lam, real=strip[0])]
+    margins = (0.0, 1e-14, 1e-13, 2e-12, 4e-12, 6e-12, 1e-11, 1e-9, strip[1], 1e-6)
+    readings = set()
+    for A in cases:
+        for margin in margins:
+            reading = pairing._numerical_kernel(A, margin)
+            assert reading == _masked_numerical_kernel(A, margin)
+            readings.add(reading is None)
+    assert readings == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # real sections under the midpoint gauge
 
@@ -772,6 +840,56 @@ def test_the_table_gathers_the_gauged_assembled_strips(k):
             window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
             assert window.ladders == k and window.table.shape == (len(window.lam), 2 * k)
             _gathered_against_assembled(window, exact=k < 3 and loop is not _BROKEN_AT_03)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_table_bounds_the_imaginary_strip_norm(k):
+    # ||Im S||_F read off the table, without gathering Im S, is at least the
+    # norm of the gathered imaginary strip and within (1 + 4 N eps) of it, N
+    # the window's eigenvalues: on k equal pieces against Haar B, for loops
+    # the gauge makes real (Im S of rounding size) and loops it does not
+    part = _equal_pieces(k)
+    loops = _sweep_loops() + [_BROKEN_AT_03]
+    reach = max(loop.frequency_reach for loop in loops)
+    eps = np.finfo(float).eps
+    for seed in range(5):
+        basis = eigen_arrays(_haar_boundary(part, seed), part, DEFAULT_CUTOFFS, reach)
+        for loop in loops:
+            window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
+            n, c = len(window.lam), window.columns
+            for shape in ((n, c), (c, n)):
+                im = window._gathered(window.table.imag, *shape)
+                ref = math.sqrt(np.einsum("ij,ij->", im, im))
+                re = window._gathered(window.table.real, *shape)
+                slack = pairing._certified(re, window._imag_norms(*shape), math.inf)[1]
+                assert ref <= slack <= ref * (1 + 4 * n * eps)
+
+
+def test_a_basis_takes_its_gauge_once_for_every_window():
+    # g = alpha / |alpha| depends on B alone: the basis carries it beside the
+    # tuple (lam, coef, ladders), and each window's gauge is its rows, equal
+    # to the gauge of the window's own eigenfunctions
+    part = Partition.default()
+    basis = eigen_arrays(random_boundary(3), part, DEFAULT_CUTOFFS, 8 * math.pi)
+    lam, coef, ladders = basis
+    assert ladders == 2 and basis.gauge.shape == lam.shape
+    assert np.allclose(np.abs(basis.gauge), 1.0, rtol=0.0, atol=1e-15)
+    for loop in _sweep_loops():
+        window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
+        g, _phase = window.gauge
+        assert np.array_equal(g, pairing._basis_gauge(part, window.lam, window.coef))
+        assert np.shares_memory(g, window.units)
+    # no gauge off the ladders, and none for a window with an eigenfunction
+    # whose first atom coefficient vanishes at the midpoint
+    unequal = Partition((0.0, 0.3, 0.55, 1.0))
+    assert eigen_arrays(_three_piece_boundary(), unequal, DEFAULT_CUTOFFS, 0.0).gauge is None
+    holed = coef.copy()
+    holed[3, 0] = 0.0
+    units = pairing._basis_gauge(part, lam, holed)
+    assert units[3] == 0 and np.array_equal(np.delete(units, 3), np.delete(basis.gauge, 3))
+    window = pairing._SectionWindow.of(UnitaryLoop.monomial(1), part, DEFAULT_CUTOFFS, basis)
+    window = dataclasses.replace(window, units=units[:len(window.lam)])
+    assert window.gauge is None and window.table is None and window.real_strip() is None
 
 
 def _six_cycle():
@@ -1166,6 +1284,53 @@ def test_a_dip_below_the_margin_between_the_checked_points_still_pairs():
     assert (result.index, result.stable, result.method) == (-1, True, "symbol-winding")
 
 
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the ExtlabError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (NumericalError, IllConditionedLoopError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _check_the_strided_samples(loop, boundaries):
+    """A loop's 8N samples, as `pair` takes them, hold to rounding the three
+    grids its winding and both symbol calls unwind, and give each of them
+    its own reading."""
+    ngrid = unwinding_grid(loop)[0]
+    samples = loop.grid(8 * ngrid)
+    assert samples.shape == (8 * ngrid,)
+    scale = pairing._coefficient_sum(loop.pieces) * (loop.frequency_reach + 2)
+    for got, ref in ((samples[::8], loop.grid(ngrid)), (samples[2::4], loop.grid(2 * ngrid, 0.5)),
+                     (samples[1::2], loop.grid(4 * ngrid, 0.5))):
+        assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 64 * np.finfo(float).eps * scale
+    assert _outcome(winding, loop, samples[::8]) == _outcome(winding, loop)
+    for B in boundaries:
+        for n, values in ((ngrid, samples[2::4]), (2 * ngrid, samples[1::2])):
+            assert (_outcome(symbol_index, loop, B, ngrid=n, values=values)
+                    == _outcome(symbol_index, loop, B, ngrid=n))
+    return ngrid
+
+
+def test_the_strided_samples_read_as_each_grid():
+    # every loop of both sweeps, multi-term, random and high-reach loops, and
+    # the dip below the margin that `winding` refuses
+    psi = math.pi - TWO_PI * 64 / 8192
+    loops = (_sweep_loops() + _random_fourier_loops(8)
+             + [UnitaryLoop.monomial(700), UnitaryLoop.from_fourier({-60: 1.0, 70: 0.5}),
+                UnitaryLoop.from_fourier({1: 1.0, 65: 0.905 * cmath.exp(1j * psi)})])
+    grids = {_check_the_strided_samples(loop, (SWAP, np.eye(2), random_boundary(13)))
+             for loop in loops}
+    assert min(grids) == 64 and max(grids) == 16384
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(10, 400), st.sampled_from([-1, 1]), st.integers(1, 6),
+       st.complex_numbers(max_magnitude=0.6), st.integers(0, 2 ** 32 - 1))
+def test_the_strided_samples_read_as_each_grid_past_64_points(n, sign, d, c, seed):
+    loop = UnitaryLoop.from_fourier({sign * n: 1.0, sign * n + d: c})
+    assert _check_the_strided_samples(loop, (SWAP, random_boundary(seed))) > 64
+
+
 def test_the_seam_chord_is_a_segment_out_and_back():
     # the two seam symbols have one determinant, to rounding; against 100001
     # points of the chord determinant the closed-form margin is the sampled
@@ -1275,7 +1440,7 @@ def test_the_unchecked_pullback_is_the_checked_one(monkeypatch, c1, c2):
     loop = UnitaryLoop.wedge_pair(u1, u2)
     assert grids == []
     checked = UnitaryLoop(pieces=loop.pieces)
-    assert len(grids) == 1
+    assert len(grids) == (0 if all(len(t) == 1 for _lo, _hi, t in loop.pieces) else 1)
     assert repr(loop.pieces) == repr(checked.pieces)
     th = np.linspace(0.0, 1.0, 4096, endpoint=False)
     assert np.array_equal(loop(th), checked(th))
