@@ -6,8 +6,8 @@ multiplication operators) lives in the linear span of atoms
     theta -> c * exp(mu * theta)   restricted to one piece of a partition,
 
 so inner products, traces and derivatives can all be evaluated in closed
-form.  Quadrature exists only as a fallback/cross-check route and is kept
-deliberately independent of the closed forms.
+form.  The quadrature cross-check, kept independent of the closed forms,
+lives with the other test oracles in ``tests/oracles.py``.
 """
 
 from dataclasses import dataclass
@@ -252,44 +252,6 @@ def multiply(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
     return PiecewiseFunction(f.partition, tuple(atoms)).collect()
 
 
-def refine_to(f: PiecewiseFunction, fine: Partition) -> PiecewiseFunction:
-    """Re-express f on a finer partition (exact: atoms split, nothing changes)."""
-    if not fine.refines(f.partition):
-        raise StructuralError("target partition does not refine the source")
-    atoms = []
-    for k in range(fine.npieces):
-        lo, hi = fine.piece_bounds(k)
-        src = f.partition.piece_of(0.5 * (lo + hi))
-        for a in f.atoms:
-            if a.piece == src:
-                atoms.append(ExponentialAtom(k, a.coefficient, a.exponent))
-    return PiecewiseFunction(fine, tuple(atoms))
-
-
-# ---- quadrature fallback -----------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def quadrature_inner_product(f, g, partition: Partition = None) -> complex:
-    """Gauss-Legendre (64 nodes per piece) pairing for sampled/callable inputs.
-
-    `f` and `g` may be PiecewiseFunction or plain callables; this route never
-    touches exp_integral, so it doubles as an in-module cross-check.
-    """
-    if partition is None:
-        part = f.partition if isinstance(f, PiecewiseFunction) else g.partition
-    else:
-        part = partition
-    total = 0.0 + 0.0j
-    for k in range(part.npieces):
-        a, b = part.piece_bounds(k)
-        x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-        w = 0.5 * (b - a) * _GL_WEIGHTS
-        total += np.sum(w * np.conj(f(x)) * g(x))
-    return complex(total)
-
-
 def boundary_values(f: PiecewiseFunction):
     """One-sided traces per piece: L_k = f(t_{k-1}+), R_k = f(t_k-)."""
     n = f.partition.npieces
@@ -300,8 +262,3 @@ def boundary_values(f: PiecewiseFunction):
         L[a.piece] += a.coefficient * np.exp(a.exponent * ends[a.piece])
         R[a.piece] += a.coefficient * np.exp(a.exponent * ends[a.piece + 1])
     return L, R
-
-
-def from_atoms(partition: Partition, spec) -> PiecewiseFunction:
-    """Convenience constructor from (piece, coefficient, exponent) triples."""
-    return PiecewiseFunction(partition, tuple(ExponentialAtom(p, c, m) for p, c, m in spec))

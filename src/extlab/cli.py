@@ -433,7 +433,8 @@ class ExperimentConfig:
         if not isinstance(entry, dict):
             raise ValidationError("extension entries must be objects or anchor names")
         n = spec.deficiency_index
-        if "anchor" in entry:
+        kind = _one_of(entry, ("anchor", "matrix", "boundary", "random"), "extension entry")
+        if kind == "anchor":
             name = entry["anchor"]
             if name == "swap":
                 u = swap_unitary(n)
@@ -442,30 +443,29 @@ class ExperimentConfig:
             else:
                 raise ValidationError(f"unknown anchor {name!r} (swap|identity)")
             return [(name, u, self._to_boundary(spec, u))]
-        if "matrix" in entry:
+        if kind == "matrix":
             u = ExtensionUnitary(_parse_complex_matrix(entry["matrix"], n, "matrix"))
             return [("explicit-u", u, self._to_boundary(spec, u))]
-        if "boundary" in entry:
+        if kind == "boundary":
             B = BoundaryMatrix(_parse_complex_matrix(entry["boundary"], n, "boundary"))
             return [("explicit-B", unitary_from_boundary(spec, B), B)]
-        if "random" in entry:
-            opts = entry["random"]
-            if not isinstance(opts, dict):
-                raise ValidationError("random extension options must be an object")
-            seed = _number(opts.get("seed", self.seed), "random extension seed", int)
-            count = _number(opts.get("count", 1), "random extension count", int)
-            if seed < 0 or not 1 <= count <= MAX_RANDOM_COUNT:
-                raise ValidationError("random extensions need a seed >= 0 and a count "
-                                      f"in [1, {MAX_RANDOM_COUNT}]")
-            rng = np.random.default_rng(seed)
-            out = []
-            for i in range(count):
-                u = haar_unitary(rng, n)
-                out.append((f"seed{seed}-{i}", u, self._to_boundary(spec, u)))
-            return out
-        raise ValidationError(
-            "extension entry needs one of: anchor, matrix, boundary, random"
-        )
+        opts = entry["random"]
+        if not isinstance(opts, dict):
+            raise ValidationError("random extension options must be an object")
+        if not set(opts) <= {"seed", "count"}:
+            raise ValidationError(f"random extension keys {sorted(set(opts) - {'seed', 'count'})} "
+                                  "are not read (seed, count)")
+        seed = _number(opts.get("seed", self.seed), "random extension seed", int)
+        count = _number(opts.get("count", 1), "random extension count", int)
+        if seed < 0 or not 1 <= count <= MAX_RANDOM_COUNT:
+            raise ValidationError("random extensions need a seed >= 0 and a count "
+                                  f"in [1, {MAX_RANDOM_COUNT}]")
+        rng = np.random.default_rng(seed)
+        out = []
+        for i in range(count):
+            u = haar_unitary(rng, n)
+            out.append((f"seed{seed}-{i}", u, self._to_boundary(spec, u)))
+        return out
 
     @staticmethod
     def _to_boundary(spec: OperatorSpec, u: ExtensionUnitary) -> BoundaryMatrix:
@@ -491,10 +491,11 @@ def _resolve_loop(entry):
         return f"z^{entry}", UnitaryLoop.monomial(entry)
     if not isinstance(entry, dict):
         raise ValidationError("loop spec must be an object or an integer power")
-    if "monomial" in entry:
+    kind = _one_of(entry, ("monomial", "fourier", "wedge"), "loop spec")
+    if kind == "monomial":
         n = _number(entry["monomial"], "monomial power", int)
         return f"z^{n}", UnitaryLoop.monomial(n)
-    if "fourier" in entry:
+    if kind == "fourier":
         if not isinstance(entry["fourier"], dict):
             raise ValidationError("fourier loop spec must map frequencies to coefficients")
         coeffs = {}
@@ -502,14 +503,21 @@ def _resolve_loop(entry):
             coeffs[_number(key, "fourier frequency", int)] = _parse_complex(val)
         label = "fourier[" + ";".join(str(m) for m in sorted(coeffs)) + "]"
         return label, UnitaryLoop.from_fourier(coeffs)
-    if "wedge" in entry:
-        parts = entry["wedge"]
-        if not isinstance(parts, (list, tuple)) or len(parts) != 2:
-            raise ValidationError("wedge loop spec must list two component loops")
-        lab1, u1 = _resolve_loop(parts[0])
-        lab2, u2 = _resolve_loop(parts[1])
-        return f"wedge({lab1}|{lab2})", UnitaryLoop.wedge_pair(u1, u2)
-    raise ValidationError("loop spec needs one of: monomial, fourier, wedge")
+    parts = entry["wedge"]
+    if not isinstance(parts, (list, tuple)) or len(parts) != 2:
+        raise ValidationError("wedge loop spec must list two component loops")
+    lab1, u1 = _resolve_loop(parts[0])
+    lab2, u2 = _resolve_loop(parts[1])
+    return f"wedge({lab1}|{lab2})", UnitaryLoop.wedge_pair(u1, u2)
+
+
+def _one_of(entry: dict, kinds, what: str) -> str:
+    """The one key of `entry`, one of `kinds`; any other key, or none or two
+    of them, is invalid input that names the keys."""
+    if len(entry) != 1 or not set(entry) <= set(kinds):
+        raise ValidationError(f"{what} needs exactly one of: {', '.join(kinds)}; "
+                              f"got {sorted(entry)}")
+    return next(iter(entry))
 
 
 def _parse_complex(val):

@@ -49,8 +49,8 @@ Silbermann, Analysis of Toeplitz Operators): the spectrum is k ladders
 lam = (2 pi m - phi_j) / l, one per eigenphase of B, each eigenfunction of
 ladder j has B's j-th eigenvector for its atom vector at the knots, and so
 S[i, j] depends only on the ladders of i and j and the rung difference
-m_j - m_i.  When the phi_j are distinct, `eigen_arrays` labels the basis
-once (`_ladder_count`) and takes g once (`_basis_gauge`), and
+m_j - m_i.  `eigenbasis` builds such a basis in closed form, labelled rung
+by rung, for every B, and `eigen_arrays` takes g once (`_basis_gauge`).
 `_SectionWindow` gauges one table of M's rows against each ladder's first
 and last eigenfunction and gathers both real strips from it.  It keeps a
 strip's real part only when ||Im S||_F, bounded off the table without
@@ -58,11 +58,11 @@ gathering Im S, is at most its `gauge_bound`, the assembly error
 `multiplication_matrix` documents, which a gathered entry carries from its
 table representative; by Weyl's inequality each singular value of Re S is
 then within ||Im S||_F of A's.  Every other strip is assembled and
-decomposed complex: off the ladders (unequal pieces, a repeated eigenphase
-such as B = I, whose basis mixes the ladders) and where the check fails
-(several terms on a piece).  So is a whole pairing one of whose kernel
-counts or guard comparisons lies within that distance, plus rounding, of
-its threshold: every reading is the complex one.
+decomposed complex: off the ladders (unequal pieces), without a gauge
+(B = I, whose W = I leaves one ladder's first atom coefficient 0) and
+where the check fails (several terms on a piece).  So is a whole pairing
+one of whose kernel counts or guard comparisons lies within that distance,
+plus rounding, of its threshold: every reading is the complex one.
 
 A pair of loops on the wedge of two circles enters as its pullback along the
 pinch S^1 -> S^1 v S^1 (``UnitaryLoop.wedge_pair``), as the addition formula
@@ -84,7 +84,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .spectral import eigenbasis
+from .spectral import _equal_lengths, _unitary_eigenbasis, eigenbasis
 from .vonneumann import boundary_array
 
 TWO_PI = 2.0 * np.pi
@@ -520,44 +520,19 @@ def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
     """(lam, coef, ladders) of the eigenbasis of T_B on the window
     [0, cutoffs[-1] + reach + PAD]: the read-only `eigenbasis` spectrum and
     its coefficient rows, coef[i, k] being the atom coefficient of
-    eigenfunction i on piece k, and `_ladder_count` of the spectrum, which
-    labels eigenvalue i as rung i // k of ladder i % k (k = ladders).  On a
-    ladder basis its `gauge` is `_basis_gauge`, which depends on B alone.
+    eigenfunction i on piece k, and ladders = k on k equal pieces, where
+    `eigenbasis` builds eigenvalue i as rung i // k of ladder i % k, else 0.
+    On a ladder basis its `gauge` is `_basis_gauge`, which depends on B alone.
 
     One basis serves every loop whose frequency reach is at most `reach`:
     each finite section keeps the eigenvalues inside its own window.
     """
     spec = eigenbasis(B, partition, (-1e-9, basis_window(cutoffs, reach)))
     lam, coef = spec.eigenvalues, spec.coefficients
-    basis = _Basis((lam, coef, _ladder_count(lam, partition)))
-    basis.gauge = _basis_gauge(partition, lam, coef) if basis[2] else None
+    ladders = partition.npieces if _equal_lengths(partition.lengths) else 0
+    basis = _Basis((lam, coef, ladders))
+    basis.gauge = _basis_gauge(partition, lam, coef) if ladders else None
     return basis
-
-
-def _ladder_count(lam: np.ndarray, partition: Partition) -> int:
-    """k when the partition is k equal pieces of length l and the ascending
-    spectrum lam cycles through k ladders of distinct residue, else 0.
-
-    On equal pieces the spectrum is the k ladders (2 pi m - phi_j) / l, one
-    per eigenphase e^{i phi_j} of B, and every eigenfunction of ladder j has
-    B's j-th eigenvector for its atom vector at the knots.  When the phi_j
-    are distinct, lam_{i+k} = lam_i + 2 pi / l for every i, and eigenvalue i
-    lies on ladder i % k at rung i // k: that is checked here, once per
-    basis.  The atom vectors are null vectors computed to eps / gap, gap
-    being the least eigenphase gap, and pieces of lengths l + delta_k move
-    them by about lam |delta| / gap along a ladder; both must stay inside
-    the 10 lam eps that `multiplication_matrix` allows an entry.  A
-    repeated residue (B = I) has double eigenvalues, whose basis mixes the
-    ladders, and gap 0.
-    """
-    lengths = np.asarray(partition.lengths)
-    k, ell = len(lengths), lengths[0]
-    if len(lam) <= k:
-        return 0
-    gap = np.min(np.diff(lam)) * ell
-    drift = lam[-1] * np.max(np.abs(lengths - ell)) + _EPS
-    period = np.abs(lam[k:] - lam[:-k] - TWO_PI / ell) <= 1e-9
-    return k if np.all(period) and drift <= 10 * _EPS * lam[-1] * gap else 0
 
 
 def multiplication_matrix(loop: UnitaryLoop, partition: Partition,
@@ -638,7 +613,7 @@ class _SectionWindow:
     no more than the sections themselves hold, and N C for a loop that is
     its own conjugate.
 
-    On a ladder basis (`_ladder_count` k, every ladder in the window and
+    On a ladder basis (k equal pieces, every ladder in the window and
     C > 0) `real_strip` assembles no strip: it gathers both from the gauged
     `table` of M's N rows against each ladder's first and last
     eigenfunction, N 2k entries (see the module docstring).  A window
@@ -652,7 +627,7 @@ class _SectionWindow:
     reach: float
     columns: int
     top: float
-    #: the window's `_ladder_count`, 0 when the window lacks a ladder or a column
+    #: the basis's ladders k, 0 when the window lacks a ladder or a column
     ladders: int
     #: the window's rows of its basis's `_basis_gauge`, None off a ladder window
     units: np.ndarray
@@ -1018,21 +993,6 @@ def _section_verdict(window: _SectionWindow, cutoffs, sides, real: bool):
 # the exact symbol route
 # ---------------------------------------------------------------------------
 
-def _unitary_eigenbasis(Bm: np.ndarray):
-    """(w, W) with B = W diag(w) W* and W unitary, for a unitary B.
-
-    B is normal, so its Hermitian parts (B + B*)/2 and (B - B*)/2i share its
-    eigenvectors.  `np.linalg.eigh` of the one whose eigenvalues lie further
-    apart gives a W that is unitary to rounding however close two
-    eigenvalues of B are, where `np.linalg.eig`'s eigenvectors can be far
-    from orthogonal.  w is the diagonal of W* B W; a scalar B keeps W = I.
-    """
-    hermitian = (Bm + Bm.conj().T) / 2
-    parts = (np.linalg.eigh(hermitian), np.linalg.eigh(-1j * (Bm - hermitian)))
-    W = max(parts, key=lambda part: np.min(np.diff(part[0])))[1]
-    return np.diagonal(W.conj().T @ Bm @ W), W
-
-
 def seam_basis(B, partition: Partition = None):
     """The seam test's B side (W, g): B = W diag(w) W* with W unitary
     (`_unitary_eigenbasis`) and g = w / |w|, or None on a partition that is
@@ -1082,8 +1042,7 @@ def _seam_margin(vL: np.ndarray, vR: np.ndarray):
 
 def _two_equal_pieces(partition: Partition) -> bool:
     """Whether the partition is the one `symbol_index` is built for."""
-    lengths = partition.lengths
-    return len(lengths) == 2 and abs(lengths[0] - lengths[1]) < 1e-12
+    return partition.npieces == 2 and _equal_lengths(partition.lengths)
 
 
 def symbol_index(loop: UnitaryLoop, B, partition: Partition = None, *, ngrid: int,
@@ -1174,16 +1133,16 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     Each pairing decomposes A(u) and A(ubar) at every cutoff as blocks of
     two strips of one matrix over its basis window (4 `compression_matrix`
     sections and 4 SVDs each on the default schedule, only those of A(u),
-    off one strip, when u is its own conjugate).  On equal pieces with
-    distinct ladders both strips are gathered from one gauged table of N 2k
-    entries, N the window's eigenvalues and k the pieces, and their SVDs are
-    real where the gauge certifies a strip real, which it does for every
-    monomial and wedge pullback on two equal pieces.  Every other strip is
-    assembled and decomposed complex: off the ladders (other partitions, a
-    repeated eigenvalue) and where the gauge fails (several terms on a
-    piece).  A pairing with a real reading too close to its threshold to
-    call is read again from the complex sections, so the result is the
-    complex route's (see the module docstring).  It runs two `symbol_index`
+    off one strip, when u is its own conjugate).  On k equal pieces both
+    strips are gathered from one gauged table of N 2k entries, N the
+    window's eigenvalues, and their SVDs are real where the gauge certifies
+    a strip real, which it does for every monomial and wedge pullback on two
+    equal pieces.  Every other strip is assembled and decomposed complex:
+    off the ladders (other partitions), without a gauge (B = I) and where
+    the gauge fails (several terms on a piece).  A pairing with a real
+    reading too close to its threshold to call is read again from the
+    complex sections, so the result is the complex route's (see the module
+    docstring).  It runs two `symbol_index`
     calls: on the loop's `unwinding_grid` N, where the unwinding is proved,
     and on 2N as a cross-check, each unwinding its midpoints off `samples`
     ([2::4] and [1::2]), so no pairing samples the loop again.  The pairing

@@ -9,10 +9,12 @@ Two independent routes are provided: the characteristic equation (closed form
 for equal piece lengths, monotone eigenphase tracking + bisection in general)
 and a first-order upwind finite-difference discretization used as a
 cross-check oracle.  The eigenbasis is the characteristic spectrum plus one
-row of atom coefficients a_k per eigenfunction, read off the same stacked
-solve that certifies the spectrum.
+row of atom coefficients a_k per eigenfunction: on equal pieces in closed
+form from one certified decomposition of B (`_unitary_eigenbasis`), else
+read off the same stacked solve that certifies the spectrum.
 """
 
+import cmath
 from dataclasses import dataclass, replace
 import math
 
@@ -23,6 +25,11 @@ from .errors import NumericalError, ValidationError
 from .vonneumann import Extension, boundary_array
 
 RESIDUAL_TOL = 1e-9
+
+#: the most Frobenius norm a row that `_unitary_eigenbasis` certifies W* B W
+#: to keep off its diagonal: a B that passes its unitarity check at 1e-9 an
+#: entry is about that far from normal, and a failed decomposition order 1
+DECOMPOSITION_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +124,8 @@ def _certified_solve(B, partition: Partition, window, force_tracking: bool):
     every residual, bit for bit what the one-matrix calls give.  A cluster
     without a numerical null direction has multiplicity 0.
     """
-    Bm = boundary_array(B)
-    lo, hi = float(window[0]), float(window[1])
-    if hi < lo:
-        raise ValidationError("empty window: hi < lo")
-    lengths = np.asarray(partition.lengths)
-    if Bm.shape[0] != len(lengths):
-        raise ValidationError("boundary matrix size does not match partition")
-
-    equal = np.max(np.abs(lengths - lengths[0])) < 1e-12
-    if equal and not force_tracking:
+    Bm, lengths, lo, hi = _problem(B, partition, window)
+    if _equal_lengths(lengths) and not force_tracking:
         roots = _closed_form_roots(Bm, float(lengths[0]), lo, hi)
     else:
         roots = _tracked_roots(Bm, lengths, lo, hi)
@@ -136,6 +135,34 @@ def _certified_solve(B, partition: Partition, window, force_tracking: bool):
     stack = _characteristic_stack(Bm, lengths, lams)
     _, sv, vh = np.linalg.svd(stack)
     mults = _nullity(sv)
+    res = _certified_residuals(stack, lams)
+    spec = Spectrum(window=(lo, hi), eigenvalues=np.repeat(lams, mults),
+                    residuals=np.repeat(res, mults))
+    return spec, lams, mults, vh
+
+
+def _problem(B, partition: Partition, window):
+    """(B's array, the piece lengths, lo, hi); ValidationError for an empty
+    window or a B of the wrong size."""
+    Bm, lengths = boundary_array(B), np.asarray(partition.lengths)
+    lo, hi = float(window[0]), float(window[1])
+    if hi < lo:
+        raise ValidationError("empty window: hi < lo")
+    if Bm.shape[0] != len(lengths):
+        raise ValidationError("boundary matrix size does not match partition")
+    return Bm, lengths, lo, hi
+
+
+def _equal_lengths(lengths) -> bool:
+    """Whether all pieces have the first one's length, to 1e-12: the one
+    equal-pieces test, of the closed forms here and of `pairing`'s ladders
+    and symbol route."""
+    return bool(np.max(np.abs(np.asarray(lengths) - lengths[0])) < 1e-12)
+
+
+def _certified_residuals(stack, lams) -> np.ndarray:
+    """|det| of each characteristic matrix of the stack, one `det` call;
+    NumericalError where one exceeds RESIDUAL_TOL."""
     det = np.linalg.det(stack)
     # hypot is what abs() of one complex scalar computes; np.abs on an array
     # may round differently
@@ -143,23 +170,59 @@ def _certified_solve(B, partition: Partition, window, force_tracking: bool):
     bad = np.flatnonzero(res > RESIDUAL_TOL)
     if bad.size:
         raise NumericalError(f"characteristic residual {res[bad[0]]:.2e} at lambda={float(lams[bad[0]])!r}")
-    spec = Spectrum(window=(lo, hi), eigenvalues=np.repeat(lams, mults),
-                    residuals=np.repeat(res, mults))
-    return spec, lams, mults, vh
+    return res
 
 
 def _closed_form_roots(Bm, ell, lo, hi):
-    phis = np.angle(np.linalg.eigvals(Bm))
-    roots = []
-    for phi in phis:
-        # lambda * ell = -phi + 2 pi m
-        m_lo = int(np.floor((lo * ell + phi) / (2 * np.pi))) - 1
-        m_hi = int(np.ceil((hi * ell + phi) / (2 * np.pi))) + 1
-        for m in range(m_lo, m_hi + 1):
-            lam = (2 * np.pi * m - phi) / ell
-            if lo - 1e-12 <= lam <= hi + 1e-12:
-                roots.append(lam)
-    return roots
+    """The roots on equal pieces of length ell, from `eigvals`' phases of B."""
+    return _rungs(np.angle(np.linalg.eigvals(Bm)), ell, lo, hi)[0]
+
+
+def _rungs(phis, ell, lo, hi):
+    """(lam, ladder): the roots lambda = (2 pi m - phi_j) / ell in [lo, hi],
+    to 1e-12, rung by rung, ladder[i] being the j of root i.
+
+    Rung r holds each ladder's r-th root in the window, the ladders in the
+    order of their first roots, which lie within 2 pi / ell above lo: so
+    the roots ascend, and only the last rung may lack ladders.
+    """
+    rung = np.arange(int((hi - lo) * ell / (2 * np.pi)) + 5)[:, None]
+    lam = (2 * np.pi * (np.floor((lo * ell + phis) / (2 * np.pi)) - 1 + rung) - phis) / ell
+    inside = (lo - 1e-12 <= lam) & (lam <= hi + 1e-12)
+    # each ladder's roots in the window are consecutive: move them to row 0
+    lam = np.take_along_axis(lam, np.minimum(np.argmax(inside, axis=0) + rung, len(rung) - 1),
+                             axis=0)
+    count = np.count_nonzero(inside, axis=0)
+    order = np.argsort(np.where(count > 0, lam[0], np.inf), kind="stable")
+    valid = (rung < count)[:, order]
+    return lam[:, order][valid], np.broadcast_to(order, lam.shape)[valid]
+
+
+def _unitary_eigenbasis(Bm: np.ndarray):
+    """(w, W) with B = W diag(w) W* and W unitary, for a unitary B.
+
+    B turned by the unit factor that puts -1 mid-way across the widest gap
+    of its `eigvals` keeps its eigenvalues e^{i psi} at least pi / n from
+    -1, so its Cayley transform H = i (I - B')(I + B')^{-1} is a Hermitian
+    matrix of eigenvalues tan(psi / 2) and B's eigenvectors.  `eigh` of H
+    gives a W unitary to rounding however close two eigenvalues of B are,
+    where `eig`'s eigenvectors can be far from orthogonal; a scalar B keeps
+    W = I.  w is the diagonal of W* B W, and its off-diagonal, whose
+    Frobenius norm is the distance from B to W diag(w) W*, is certified to
+    be at most DECOMPOSITION_TOL a row, else NumericalError.
+    """
+    n = Bm.shape[0]
+    phases = np.sort(np.angle(np.linalg.eigvals(Bm)))
+    gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
+    j = np.argmax(gaps)
+    turned = cmath.exp(1j * (np.pi - phases[j] - gaps[j] / 2)) * Bm
+    W = np.linalg.eigh(1j * np.linalg.solve(np.eye(n) + turned, np.eye(n) - turned))[1]
+    D = W.conj().T @ Bm @ W
+    w = np.diagonal(D).copy()
+    off = np.linalg.norm(D - np.diag(w))
+    if not off <= DECOMPOSITION_TOL * n:
+        raise NumericalError(f"unitary eigenbasis of B off by {off:.2e}")
+    return w, W
 
 
 TRACK_STEP = (4 * np.pi) / 4096   # grid pitch pinned: 4096 points per 4pi window
@@ -316,20 +379,38 @@ def _nullity(sv):
 # ---------------------------------------------------------------------------
 
 def eigenbasis(B, partition: Partition, window, force_tracking: bool = False) -> Spectrum:
-    """The `eigenphases` spectrum with an orthonormal eigenbasis as its
-    ``coefficients`` rows, from the same stacked solve.
+    """The characteristic spectrum with an orthonormal eigenbasis as its
+    ``coefficients`` rows.
 
     The characteristic null vector c is the left-trace vector; the atom
     coefficients differ from it by the phase of e^{i lambda theta} at the
-    left knot:  a_k = c_k e^{-i lambda t_{k-1}}.  A simple eigenvalue's null
-    vector, the last right singular vector, is scaled to unit L^2 norm: unit
-    length in the metric <c, c'> = sum l_k conj(c_k) c'_k.  Only clusters of
-    multiplicity above 1 run `eigh` on the Gram matrix of their null space to
-    orthonormalize it.
+    left knot:  a_k = c_k e^{-i lambda t_{k-1}}, c scaled to unit L^2 norm:
+    unit length in the metric <c, c'> = sum l_k conj(c_k) c'_k.
+
+    On k equal pieces of length l (unless `force_tracking`) the rows are in
+    closed form: lambda is a root exactly when e^{-i lambda l} is an
+    eigenvalue w_j = e^{i phi_j} of B, of null vector W[:, j], so
+    (w, W) = `_unitary_eigenbasis(B)` gives lambda = (2 pi m - phi_j) / l
+    rung by rung (`_rungs`): row i is rung i // k of ladder i % k, one W
+    column a ladder, for every B.  These lambda, from w's phases, may differ
+    from `eigenphases`' in the last bits, and each is certified by its
+    residual as there.  On other partitions the rows are read off
+    `eigenphases`' stacked solve: a simple eigenvalue's null vector is the
+    last right singular vector, and only clusters of multiplicity above 1
+    run `eigh` on the Gram matrix of their null space to orthonormalize it.
     """
-    spec, lams, mults, vh = _certified_solve(B, partition, window, force_tracking)
     lengths = np.asarray(partition.lengths)
-    phase = np.exp(-1j * lams[:, None] * np.asarray(partition.endpoints[:-1]))
+    tleft = np.asarray(partition.endpoints[:-1])
+    if _equal_lengths(lengths) and not force_tracking:
+        Bm, lengths, lo, hi = _problem(B, partition, window)
+        w, W = _unitary_eigenbasis(Bm)
+        lam, ladder = _rungs(np.angle(w), float(lengths[0]), lo, hi)
+        res = _certified_residuals(_characteristic_stack(Bm, lengths, lam), lam)
+        unit = W / np.sqrt(lengths @ (W.real ** 2 + W.imag ** 2))
+        return Spectrum(window=(lo, hi), eigenvalues=lam, residuals=res,
+                        coefficients=np.exp(-1j * lam[:, None] * tleft) * unit.T[ladder])
+    spec, lams, mults, vh = _certified_solve(B, partition, window, force_tracking)
+    phase = np.exp(-1j * lams[:, None] * tleft)
     c = vh[:, -1, :].conj()
     coef = np.repeat(phase * (c / np.sqrt((c.real ** 2 + c.imag ** 2) @ lengths)[:, None]),
                      mults, axis=0)

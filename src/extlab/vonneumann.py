@@ -313,10 +313,6 @@ def build_extension(spec: OperatorSpec, u: ExtensionUnitary) -> Extension:
     return Extension(spec=spec, unitary=u, boundary=boundary_matrix_general(spec, u))
 
 
-def extension_from_boundary(spec: OperatorSpec, B: BoundaryMatrix) -> Extension:
-    return build_extension(spec, unitary_from_boundary(spec, B))
-
-
 # ---------------------------------------------------------------------------
 # sampling and the numeric boundary-matrix oracle
 # ---------------------------------------------------------------------------
@@ -457,23 +453,3 @@ def boundary_matrix_numeric(ext: Extension, rng=None, nsamples: int = None,
         if residual < 1e-7:
             return BoundaryMatrix(B)
     raise NumericalError("could not recover a boundary matrix from sampled traces")
-
-
-def symmetry_defect(ext: Extension, rng=None, npairs: int = 50) -> float:
-    """max |<T_u f, g> - <f, T_u g>| over sampled domain pairs (Lagrange check)."""
-    if rng is None:
-        rng = np.random.default_rng(1)
-    n = ext.spec.deficiency_index
-    worst = 0.0
-    for _ in range(npairs):
-        xi1 = minimal_domain_sample(ext.spec, rng)
-        xi2 = minimal_domain_sample(ext.spec, rng)
-        e1 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        e2 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        f, Tf = ext.domain_vector(xi1, e1), ext.apply_decomposed(xi1, e1)
-        g, Tg = ext.domain_vector(xi2, e2), ext.apply_decomposed(xi2, e2)
-        nf = math.sqrt(max(inner_product(f, f).real, 1e-30))
-        ng = math.sqrt(max(inner_product(g, g).real, 1e-30))
-        defect = abs(inner_product(Tf, g) - inner_product(f, Tg)) / (nf * ng)
-        worst = max(worst, defect)
-    return worst

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from extlab.analysis import Partition, from_atoms, inner_product, norm
+from extlab.analysis import Partition, inner_product, norm
 from extlab.ksum import verify_identities
 from extlab.pairing import UnitaryLoop, pair
 from extlab.spectral import eigenphases, fd_spectrum
@@ -24,7 +24,7 @@ from extlab.vonneumann import (
     identity_unitary,
     swap_unitary,
 )
-from oracles import commutator_norm_estimate, derivative_sup
+from oracles import commutator_norm_estimate, derivative_sup, from_atoms
 
 PART = Partition((0.0, 0.5, 1.0))
 SPEC = OperatorSpec(PART)

@@ -16,14 +16,12 @@ from extlab.analysis import (
     PiecewiseFunction,
     boundary_values,
     exp_integral,
-    from_atoms,
     inner_product,
     multiply,
     norm,
-    quadrature_inner_product,
-    refine_to,
 )
 from extlab.errors import StructuralError, ValidationError
+from oracles import from_atoms, quadrature_inner_product, refine_to
 
 # oracle value, frozen: quad(lambda t: exp(-2*t), 0, 0.5)
 HALF_DECAY_INTEGRAL = 0.31606027941427883

@@ -514,6 +514,36 @@ def test_a_suite_key_the_command_does_not_read_is_named(tmp_path, capsys, argv, 
     assert out == "" and f"suite keys ['{key}'] are not read by {name}" in err
 
 
+@pytest.mark.parametrize("config, message", [
+    pytest.param({"extension": {"random": {"seed": 1, "cnt": 5}}},
+                 "random extension keys ['cnt'] are not read (seed, count)", id="random-typo"),
+    pytest.param({"extension": {"anchor": "swap", "matrix": [[0, 1], [1, 0]]}},
+                 "extension entry needs exactly one of: anchor, matrix, boundary, random; "
+                 "got ['anchor', 'matrix']", id="anchor-and-matrix"),
+    pytest.param({"extensions": [{"anchor": "swap", "seed": 3}]},
+                 "extension entry needs exactly one of: anchor, matrix, boundary, random; "
+                 "got ['anchor', 'seed']", id="extension-stray-key"),
+    pytest.param({"extension": {}}, "extension entry needs exactly one of", id="extension-empty"),
+    pytest.param({"loop": {"monomial": 1, "fourier": {"3": 1.0}}},
+                 "loop spec needs exactly one of: monomial, fourier, wedge; "
+                 "got ['fourier', 'monomial']", id="monomial-and-fourier"),
+    pytest.param({"loop": {"monomial": 1, "bogus": 2}}, "got ['bogus', 'monomial']",
+                 id="loop-stray-key"),
+    pytest.param({"loop": {"wedge": [{"monomial": 1, "power": 2}, {"monomial": 1}]}},
+                 "got ['monomial', 'power']", id="wedge-component-stray-key"),
+])
+def test_an_entry_with_a_key_it_does_not_read_exits_2(tmp_path, capsys, config, message):
+    # an extension entry and a loop spec hold exactly one alternative, and
+    # `random` reads only seed and count: anything else is named, not ignored
+    from extlab import cli
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"loop": {"monomial": 1}, **config}), encoding="utf-8")
+    assert cli.main(["pair", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def test_a_one_term_loop_just_above_the_margin_pairs(tmp_path, capsys):
     from extlab import cli
 
@@ -1222,8 +1252,9 @@ def test_a_sweep_reads_the_same_bytes_with_or_without_the_table(tmp_path, monkey
                                                                 suite, seed):
     # one B: stdout and every artifact (report.json and the sweep's CSV) are
     # the same with the ladder table, without it (every real strip gauged
-    # from its assembled strip), and with three CLI threads; the ladders are
-    # labelled once per basis, on the main thread, before the pool starts
+    # from its assembled strip), and with three CLI threads; the basis is
+    # built once, on the main thread, before the pool starts, and labels
+    # the two pieces' ladders
     import threading
 
     from extlab import cli, pairing
@@ -1231,13 +1262,14 @@ def test_a_sweep_reads_the_same_bytes_with_or_without_the_table(tmp_path, monkey
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"suite": {"count": 1, "extension_seed": seed}}),
                       encoding="utf-8")
-    labelled, ladder_count = [], pairing._ladder_count
+    labelled, eigen_arrays = [], cli.eigen_arrays
 
     def counted(*args):
-        labelled.append(threading.current_thread() is threading.main_thread())
-        return ladder_count(*args)
+        basis = eigen_arrays(*args)
+        labelled.append((threading.current_thread() is threading.main_thread(), basis[2]))
+        return basis
 
-    monkeypatch.setattr(pairing, "_ladder_count", counted)
+    monkeypatch.setattr(cli, "eigen_arrays", counted)
 
     def run(name, jobs="1"):
         out = tmp_path / name
@@ -1247,7 +1279,7 @@ def test_a_sweep_reads_the_same_bytes_with_or_without_the_table(tmp_path, monkey
 
     table = run("table")
     threads = run("threads", "3")
-    assert labelled == [True, True]
+    assert labelled == [(True, 2), (True, 2)]
     monkeypatch.setattr(pairing._SectionWindow, "table", None)
     assert table == run("no-table") == threads
     assert sorted(table[2]) == ["report.json", f"verify-{suite}.csv"]

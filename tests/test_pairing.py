@@ -679,7 +679,7 @@ def _two_unequal_pieces_boundary():
 
 
 def _close_residue_boundary():
-    # eigenphases 1e-5 apart: too close for a ladder table on two pieces
+    # eigenphases 1e-5 apart: a ladder basis by construction, like any other
     W = haar_unitary(np.random.default_rng(4), 2).matrix
     return (W * np.exp(1j * np.array([0.3, 0.3 + 1e-5]))) @ W.conj().T
 
@@ -701,11 +701,11 @@ def _close_residue_boundary():
     pytest.param({"-2": 1.0}, (0.0, 0.5, 1.0), lambda: random_boundary(3), True,
                  id="monomial"),
     pytest.param({"1": 1.0}, (0.0, 0.5, 1.0), lambda: SWAP, True, id="monomial-swap"),
-    # no table: two unequal pieces, and eigenphases too close to label the
-    # ladders, so even a monomial takes complex sections
+    # no table on two unequal pieces, so even a monomial takes complex
+    # sections; eigenphases 1e-5 apart still label their ladders
     pytest.param({"1": 1.0}, (0.0, 0.4, 1.0), _two_unequal_pieces_boundary, False,
                  id="two-unequal-pieces"),
-    pytest.param({"1": 1.0}, (0.0, 0.5, 1.0), _close_residue_boundary, False,
+    pytest.param({"1": 1.0}, (0.0, 0.5, 1.0), _close_residue_boundary, True,
                  id="close-residues"),
 ])
 def test_a_pairing_reads_as_the_complex_route(monkeypatch, loop, endpoints, make_B, certified):
@@ -901,28 +901,33 @@ def _six_cycle():
 _MONOMIALS = (0, -1, 2)
 
 
-@pytest.mark.parametrize("endpoints, make_B, cutoffs, reach, monomials", [
+@pytest.mark.parametrize("endpoints, make_B, cutoffs, reach, monomials, ladders", [
     pytest.param((0.0, 0.3, 0.55, 1.0), _three_piece_boundary, DEFAULT_CUTOFFS, None, _MONOMIALS,
-                 id="unequal-pieces"),
-    pytest.param((0.0, 0.5, 1.0), lambda: np.eye(2), DEFAULT_CUTOFFS, None, _MONOMIALS,
+                 0, id="unequal-pieces"),
+    # on their ladders, but a diagonal B has W = I up to order, which leaves
+    # one ladder's first atom coefficient 0: no gauge
+    pytest.param((0.0, 0.5, 1.0), lambda: np.eye(2), DEFAULT_CUTOFFS, None, _MONOMIALS, 2,
                  id="identity"),
     pytest.param((0.0, 0.5, 1.0), lambda: np.diag([1.0, cmath.exp(1e-9j)]), DEFAULT_CUTOFFS,
-                 None, _MONOMIALS, id="near-repeated-residue"),
+                 None, _MONOMIALS, 2, id="near-repeated-residue"),
     pytest.param((0.0, 0.5, 1.0), lambda: random_boundary(3), (0.001, 0.002, 0.003), None,
-                 _MONOMIALS, id="no-column"),
+                 _MONOMIALS, 0, id="no-column"),
     # z^0's window [0, 8 pi] holds 5 of the 6 ladders of a basis built for a
     # reach of 12 pi
     pytest.param(tuple(np.linspace(0.0, 1.0, 7)), _six_cycle, (0.001, 0.002, 0.003),
-                 12 * math.pi, (0,), id="window-without-a-ladder"),
+                 12 * math.pi, (0,), 0, id="window-without-a-ladder"),
 ])
 def test_a_window_off_the_ladders_builds_no_table(monkeypatch, endpoints, make_B, cutoffs,
-                                                  reach, monomials):
-    # and its pairing is the complex route's: no real strip is gathered
+                                                  reach, monomials, ladders):
+    # nor does a ladder window without a gauge; either pairing is the complex
+    # route's: no real strip is gathered
     part, B = Partition(endpoints), make_B()
     for loop in map(UnitaryLoop.monomial, monomials):
         basis = eigen_arrays(B, part, cutoffs, loop.frequency_reach if reach is None else reach)
         window = pairing._SectionWindow.of(loop, part, cutoffs, basis)
-        assert window.ladders == 0 and window.table is None
+        assert window.ladders == ladders and window.table is None
+        if ladders:
+            assert basis.gauge is not None and window.gauge is None
         if reach is not None:
             assert basis[2] == part.npieces      # the basis has every ladder, the window not
 
@@ -936,20 +941,54 @@ def test_a_window_off_the_ladders_builds_no_table(monkeypatch, endpoints, make_B
             assert fields(got) == fields(pair(loop, B, cutoffs, part))
 
 
-@pytest.mark.parametrize("k, built", [(3, False), (4, True)])
-def test_close_residues_build_a_table_only_on_exact_lengths(k, built):
-    # eigenphases 0.005 apart: on thirds, whose lengths differ in the last
-    # bit, the atom vectors drift along a ladder by about lam |delta| / gap,
-    # as much as the assembly error; quarters are exact, and gather
+@pytest.mark.parametrize("k", [3, 4])
+def test_close_residues_build_a_table_on_thirds_and_quarters(k):
+    # eigenphases 0.005 apart: every rung of a ladder takes one W column,
+    # so the atom vectors do not drift along it even on thirds, whose
+    # lengths differ in the last bit, and the table gathers the assembly
     part = _equal_pieces(k)
-    W = haar_unitary(np.random.default_rng(4), k).matrix
-    B = (W * np.exp(1j * np.array([0.3, 0.305, 2.0, 4.0][:k]))) @ W.conj().T
+    B = _close_phase_boundary(k, 0.005)
     loop = UnitaryLoop.monomial(1)
     basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, loop.frequency_reach)
     window = pairing._SectionWindow.of(loop, part, DEFAULT_CUTOFFS, basis)
-    assert (window.table is not None) == built
-    if built:
-        _gathered_against_assembled(window)
+    assert window.table is not None
+    _gathered_against_assembled(window)
+
+
+def _close_phase_boundary(k, gap):
+    """W diag(e^{i phi}) W* on k pieces, Haar W, with its first two
+    eigenphases `gap` apart."""
+    W = haar_unitary(np.random.default_rng(4), k).matrix
+    return (W * np.exp(1j * np.array([0.3, 0.3 + gap, 2.0, 4.0][:k]))) @ W.conj().T
+
+
+_LADDER_BOUNDARIES = {
+    "haar": lambda k: boundary_array(_haar_boundary(_equal_pieces(k), 60 + k)),
+    "identity": lambda k: np.eye(k),
+    # swap on two pieces, the transposition of the outer pieces on three
+    "swap": lambda k: np.fliplr(np.eye(k)),
+    "repeated": lambda k: _close_phase_boundary(k, 0.0),
+    "1e-9-apart": lambda k: _close_phase_boundary(k, 1e-9),
+    "0.005-apart": lambda k: _close_phase_boundary(k, 0.005),
+}
+
+
+@pytest.mark.parametrize("name", list(_LADDER_BOUNDARIES))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_every_equal_partition_gets_its_ladder_labels(k, name):
+    # eigenvalue i is rung i // k of ladder i % k: the ladder's eigenvalues
+    # step by 2 pi / l, and all its rows are one trace vector c, an eigenvector
+    # of B with eigenvalue e^{-i lam l}, at the phases e^{-i lam t} of the knots
+    part, B = _equal_pieces(k), _LADDER_BOUNDARIES[name](k)
+    lam, coef, ladders = eigen_arrays(B, part, DEFAULT_CUTOFFS, 8 * math.pi)
+    assert ladders == k and len(lam) > 100
+    ell, tleft = part.lengths[0], np.asarray(part.endpoints[:-1])
+    assert np.all(np.diff(lam) >= 0)
+    assert np.max(np.abs(lam[k:] - lam[:-k] - 2 * math.pi / ell)) <= 1e-11
+    trace = coef * np.exp(1j * lam[:, None] * tleft)
+    assert np.max(np.abs(trace[k:] - trace[:-k])) <= 1e-11
+    eigen = np.exp(-1j * lam[:k] * ell)[:, None] * trace[:k]
+    assert np.max(np.abs(trace[:k] @ boundary_array(B).T - eigen)) <= 1e-13
 
 
 _TABLE_LOOPS = st.one_of(
@@ -964,9 +1003,10 @@ _TABLE_LOOPS = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.booleans(), _TABLE_LOOPS)
-def test_the_table_is_built_exactly_on_distinct_residues(k, seed, repeat, loop):
-    # a Haar B, or one with its first eigenphase repeated: the table is built
-    # exactly when B's eigenphases are distinct, and then gathers the
+def test_the_table_is_built_on_repeated_and_distinct_residues(k, seed, repeat, loop):
+    # a Haar B, or one with its first eigenphase repeated: every window of the
+    # equal partition is a ladder window, its table is built wherever its
+    # gauge is defined, always on distinct eigenphases, and gathers the
     # assembled strips
     part = _equal_pieces(k)
     B = boundary_array(_haar_boundary(part, seed))
@@ -983,7 +1023,9 @@ def test_the_table_is_built_exactly_on_distinct_residues(k, seed, repeat, loop):
         assume(np.min(np.diff(np.append(phases, phases[0] + 2 * math.pi))) >= 0.1)
     basis = eigen_arrays(B, part, FAST, loop.frequency_reach)
     window = pairing._SectionWindow.of(loop, part, FAST, basis)
-    assert (window.table is not None) == (not repeat)
+    assert window.ladders == k
+    assert (window.table is not None) == (window.gauge is not None)
+    assert repeat or window.table is not None
     if window.table is not None:
         _gathered_against_assembled(window)
 

@@ -478,6 +478,29 @@ def _object_eigenbasis(B, partition, window, force_tracking=False):
     return lam, coef
 
 
+#: how far the closed-form rows on equal pieces may lie from the SVD path's:
+#: both solve the same null spaces, at eigenvalues whose phases come from
+#: `_unitary_eigenbasis` and from `eigvals`, which agree to rounding
+_CLOSED_FORM_TOL = 1e-12
+
+
+def _assert_same_eigenspaces(basis, lam, coef, tol):
+    """`basis` has the eigenvalues lam to tol, and on each group of lam closer
+    than 1e-6 the same projector A* A of its coefficient rows A as coef, to
+    tol: the same eigenspaces, whichever orthonormal basis a repeated
+    eigenvalue's rows take, and whatever phase a row has."""
+    assert basis.eigenvalues.size == basis.coefficients.shape[0] == lam.size
+    assert np.max(np.abs(basis.eigenvalues - lam)) <= tol
+    for rows in np.split(np.arange(lam.size), np.flatnonzero(np.diff(lam) > 1e-6) + 1):
+        got, want = basis.coefficients[rows], coef[rows]
+        assert np.max(np.abs(got.conj().T @ got - want.conj().T @ want)) <= tol
+
+
+def _closed_form(part, force):
+    """Whether `eigenbasis` builds its rows in closed form on `part`."""
+    return spectral._equal_lengths(part.lengths) and not force
+
+
 def _assert_object_eigenbasis(basis, B, part, window, force=False):
     """`basis` is B's eigenbasis, bit for bit, and read-only."""
     lam, coef = _object_eigenbasis(B, part, window, force)
@@ -518,6 +541,15 @@ def test_stacked_solves_match_the_per_root_loops(case, window):
 
     basis = eigenbasis(Bm, part, window, force_tracking=force)
     ref = _per_root_eigenbasis(Bm, part, window, force)
+    if _closed_form(part, force):
+        # rows in closed form: the per-root and the stacked SVD's eigenspaces
+        # to rounding, not bit for bit
+        _assert_same_eigenspaces(basis, np.array([lam for lam, _a in ref]),
+                                 np.array([a for _lam, a in ref]), _CLOSED_FORM_TOL)
+        _assert_same_eigenspaces(basis, *_object_eigenbasis(Bm, part, window), _CLOSED_FORM_TOL)
+        assert not basis.eigenvalues.flags.writeable
+        assert not basis.coefficients.flags.writeable
+        return
     pairs = _eigenfunctions(basis, part)
     assert [lam for lam, _psi in pairs] == [lam for lam, _a in ref]
     for (lam, psi), (_lam, a) in zip(pairs, ref):
@@ -531,9 +563,80 @@ def test_stacked_solves_match_the_per_root_loops(case, window):
 
 @pytest.mark.parametrize("part", [PART, _THREE], ids=["2-pieces", "3-pieces"])
 def test_coefficient_rows_equal_the_object_eigenbasis_on_haar_samples(part):
+    # bit for bit off equal pieces; on them the closed-form rows span the
+    # SVD path's eigenspaces to rounding
+    window = (-1e-9, 40.0)
     for seed in range(20):
         B = _haar_boundary(part, 100 + seed)
-        _assert_object_eigenbasis(eigenbasis(B, part, (-1e-9, 40.0)), B, part, (-1e-9, 40.0))
+        basis = eigenbasis(B, part, window)
+        if _closed_form(part, False):
+            _assert_same_eigenspaces(basis, *_object_eigenbasis(B, part, window),
+                                     _CLOSED_FORM_TOL)
+        else:
+            _assert_object_eigenbasis(basis, B, part, window)
+
+
+def _conjugated(diagonal, seed):
+    """Q diag(diagonal) Q* for a Haar Q."""
+    Q = haar_unitary(np.random.default_rng(seed), len(diagonal)).matrix
+    return (Q * np.asarray(diagonal)) @ Q.conj().T
+
+
+_DECOMPOSED = {
+    # the max-gap rule of the Hermitian parts took the anti-Hermitian part of
+    # this swap, of eigenvalue gaps at rounding size, and missed B by 1.0
+    "3-piece-transposition": np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex),
+    "four-quarter-turns": _conjugated([1, 1j, -1, -1j], 6),
+    "1x1": np.array([[np.exp(2.5j)]]),
+    "identity-3": np.eye(3, dtype=complex),
+    "diag(1,1,-1)": np.diag([1.0, 1.0, -1.0]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("name", list(_DECOMPOSED))
+def test_the_unitary_eigenbasis_decomposes_B(name):
+    B = _DECOMPOSED[name]
+    n = B.shape[0]
+    w, W = spectral._unitary_eigenbasis(B)
+    assert np.max(np.abs(W.conj().T @ W - np.eye(n))) <= 1e-14
+    # to rounding, far inside the certified bound DECOMPOSITION_TOL * n
+    assert np.linalg.norm((W * w) @ W.conj().T - B) <= 1e-14
+
+
+def test_a_failed_unitary_eigenbasis_is_refused(monkeypatch):
+    # an eigh that leaves W = I decomposes the transposition only on its
+    # diagonal: the off-diagonal check refuses it
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: (np.zeros(len(H)), np.eye(len(H))))
+    with pytest.raises(NumericalError, match="unitary eigenbasis of B off by 1.41e"):
+        spectral._unitary_eigenbasis(_DECOMPOSED["3-piece-transposition"])
+
+
+def _equal_piece_boundaries(k):
+    """Haar, identity, swap, a repeated eigenphase and eigenphases 0.005
+    apart on k pieces."""
+    phases = np.array([0.3, 0.3, 2.0, 4.0][:k])
+    close = phases.copy()
+    close[1:2] += 0.005
+    return {"haar": _haar_boundary(_equal(k), 40 + k), "identity": np.eye(k, dtype=complex),
+            "swap": np.fliplr(np.eye(k)).astype(complex),
+            "repeated": _conjugated(np.exp(1j * phases), k),
+            "0.005-apart": _conjugated(np.exp(1j * close), k)}
+
+
+def _equal(k):
+    return Partition(tuple(np.linspace(0.0, 1.0, k + 1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_equal_piece_rows_span_the_tracked_eigenspaces(k):
+    # the closed form against branch tracking and the stacked SVD: the
+    # tracked roots are bisected to 1e-11 (`_bisect_branches`), and so the
+    # eigenvalues and the eigenspaces' projectors agree to that
+    window = (-1e-9, 200.0)
+    for B in _equal_piece_boundaries(k).values():
+        tracked = eigenbasis(B, _equal(k), window, force_tracking=True)
+        _assert_same_eigenspaces(eigenbasis(B, _equal(k), window), tracked.eigenvalues,
+                                 tracked.coefficients, 1e-11)
 
 
 def test_eigenbasis_makes_one_stacked_solve(monkeypatch):

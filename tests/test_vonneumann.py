@@ -28,14 +28,13 @@ from extlab.vonneumann import (
     build_extension,
     compute_deficiency,
     deficiency_normalizer,
-    extension_from_boundary,
     haar_unitary,
     identity_unitary,
     minimal_domain_sample,
     swap_unitary,
-    symmetry_defect,
     unitary_from_boundary,
 )
+from oracles import extension_from_boundary, symmetry_defect
 
 SQRT_E = math.sqrt(math.e)
 
