@@ -30,9 +30,5 @@ class IllConditionedLoopError(NumericalError):
     """A loop violated its invertibility margin or produced unsafe phase steps."""
 
 
-class BandwidthError(NumericalError):
-    """A Fourier re-expansion could not meet tolerance at the requested bandwidth."""
-
-
 class PropertyFailure(ExtlabError):
     """A verified mathematical identity failed; reserved for verify suites."""

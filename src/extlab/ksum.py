@@ -254,18 +254,6 @@ class KClassVector:
     def __neg__(self) -> "KClassVector":
         return (-1) * self
 
-    @property
-    def h0_part(self) -> Tuple[int, ...]:
-        if self.parity != "even":
-            raise ValidationError("odd classes have no H0 part")
-        return self.coordinates[: self.space.h0_rank]
-
-    @property
-    def h2_part(self) -> Tuple[int, ...]:
-        if self.parity != "even":
-            raise ValidationError("odd classes have no H2 part")
-        return self.coordinates[self.space.h0_rank :]
-
 
 def _derived(space: SurfaceSpace, parity: str, coordinates: Tuple[int, ...]) -> KClassVector:
     """A class the calculus computed from valid classes and maps, whose

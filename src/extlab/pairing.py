@@ -78,7 +78,6 @@ import numpy as np
 
 from .analysis import Partition, exp_integral
 from .errors import (
-    BandwidthError,
     IllConditionedLoopError,
     NumericalError,
     StructuralError,
@@ -248,31 +247,6 @@ class UnitaryLoop:
         """max |nu| over all terms — how far M_u can shift eigenfrequencies."""
         return max((abs(nu) for _lo, _hi, terms in self.pieces for nu, _c in terms),
                    default=0.0)
-
-    def fourier_coefficients(self, bandwidth: int, tol: float = 1e-10) -> dict:
-        """Re-expansion as a plain Fourier series up to the given bandwidth.
-
-        The L^2 re-expansion residual is computed exactly via Parseval; if it
-        exceeds `tol` the loop genuinely needs a larger bandwidth (piecewise
-        loops with mismatched halves have 1/m coefficient tails and may admit
-        no acceptable finite bandwidth).
-        """
-        ms = np.arange(-bandwidth, bandwidth + 1)
-        cm = np.zeros(len(ms), dtype=complex)
-        norm2 = 0.0
-        for lo, hi, terms in self.pieces:
-            nus, cs = (np.array(v) for v in zip(*terms))
-            cm += exp_integral(1j * (nus[None, :] - TWO_PI * ms[:, None]), lo, hi) @ cs
-            gram = exp_integral(1j * (nus[None, :] - nus[:, None]), lo, hi)
-            norm2 += (cs.conj() @ gram @ cs).real
-        coeffs = dict(zip(ms.tolist(), cm))
-        residual2 = norm2 - sum(abs(c) ** 2 for c in coeffs.values())
-        if residual2 > tol ** 2 * max(norm2, 1.0) + 1e-15:
-            raise BandwidthError(
-                f"re-expansion residual {np.sqrt(max(residual2, 0.0)):.3e} above {tol:.0e}; "
-                f"a larger bandwidth than M={bandwidth} is required"
-            )
-        return coeffs
 
 
 def _normalize_pieces(pieces):

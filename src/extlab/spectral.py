@@ -5,13 +5,15 @@ phases a_k e^{i lambda theta} per piece; lambda is an eigenvalue exactly when
 
     det(I - B Diag(e^{i lambda l_k})) = 0.
 
-Two independent routes are provided: the characteristic equation (closed form
-for equal piece lengths, monotone eigenphase tracking + bisection in general)
-and a first-order upwind finite-difference discretization used as a
-cross-check oracle.  The eigenbasis is the characteristic spectrum plus one
-row of atom coefficients a_k per eigenfunction: on equal pieces in closed
-form from one certified decomposition of B (`_unitary_eigenbasis`), else
-read off the same stacked solve that certifies the spectrum.
+Two independent routes are provided: the characteristic equation and a
+first-order upwind finite-difference discretization used as a cross-check
+oracle.  On equal piece lengths the characteristic roots are in closed form
+from one certified decomposition of B (`_unitary_eigenbasis`), one ladder
+per eigenphase; in general they are tracked along the monotone eigenphase
+branches and bisected, and a cluster of roots counts once per root.  The
+eigenbasis is that spectrum plus one row of atom coefficients a_k per
+eigenfunction: a column of the decomposition on equal pieces, else null
+vectors read off one SVD of the stack that certifies the spectrum.
 """
 
 import cmath
@@ -36,10 +38,15 @@ DECOMPOSITION_TOL = 1e-8
 class Spectrum:
     """Sorted eigenvalues (repeated per multiplicity) in a window.
 
-    ``residuals`` holds |det(I - B Diag(e^{i lambda l_k}))| per eigenvalue.
-    For ``source='characteristic'`` these are bounded by 1e-9; for
-    ``source='finite-difference'`` they are diagnostics of the scheme's
-    O(lambda^2/N) error and carry no tolerance promise.
+    A characteristic multiplicity is a root count: on equal pieces each
+    ladder's root is one entry, so a repeated eigenphase of B repeats its
+    eigenvalues; on other partitions a cluster of roots within 1e-9 takes
+    their mean once per root.  ``residuals`` holds
+    |det(I - B Diag(e^{i lambda l_k}))| per eigenvalue.  For
+    ``source='characteristic'`` these are bounded by 1e-9; for
+    ``source='finite-difference'`` they are |Im mu| plus the |det| at
+    Re mu, diagnostics of the scheme's O(lambda^2/N) error that carry no
+    tolerance promise.
 
     ``coefficients`` is set by `eigenbasis` only: a (len, npieces) array
     whose row i holds the atom coefficients a_k of eigenfunction i, which is
@@ -67,15 +74,6 @@ class Spectrum:
         return _cluster(self.eigenvalues, tol)
 
 
-def _characteristic_matrix(B: np.ndarray, lengths, lam: float) -> np.ndarray:
-    """I - B Diag(e^{i lambda l_k})."""
-    return np.eye(B.shape[0]) - B @ np.diag(np.exp(1j * lam * np.asarray(lengths)))
-
-
-def characteristic_residual(B: np.ndarray, lengths, lam: float) -> float:
-    return float(abs(np.linalg.det(_characteristic_matrix(B, lengths, lam))))
-
-
 def _phase_stack(B: np.ndarray, lengths, lams) -> np.ndarray:
     """The (K, n, n) stack of B Diag(e^{i lambda l_k}), one per lambda, entry
     for entry what `B @ np.diag(...)` builds one at a time (B times a diagonal
@@ -88,8 +86,8 @@ def _phase_stack(B: np.ndarray, lengths, lams) -> np.ndarray:
 
 def _characteristic_stack(B: np.ndarray, lengths, lams) -> np.ndarray:
     """The (K, n, n) stack of I - B Diag(e^{i lambda l_k}), one per lambda,
-    entry for entry the matrices `_characteristic_matrix` builds one at a
-    time."""
+    entry for entry the matrices `np.eye(n) - B @ np.diag(...)` builds one at
+    a time."""
     return np.eye(B.shape[0]) - _phase_stack(B, lengths, lams)
 
 
@@ -100,45 +98,35 @@ def _characteristic_stack(B: np.ndarray, lengths, lams) -> np.ndarray:
 def eigenphases(B, partition: Partition, window, force_tracking: bool = False) -> Spectrum:
     """All eigenvalues in the window from the characteristic equation.
 
-    Equal piece lengths l: exact closed form lambda = (2 pi m - phi_j)/l from
-    the eigenphases e^{i phi_j} of B.  General lengths: the eigenphases of
-    B Diag(e^{i lambda l_k}) increase strictly in lambda with speed between
-    min(l) and max(l).  On a grid of 4096 points per 4 pi, each row is lifted
-    to the branches from its own eigenvalues (a cyclic shift of the sorted
-    phases, counted from their sum; see `_branch_lift`), and only the rows
-    that bracket a crossing of 2 pi Z are evaluated: a binary search per
-    branch and crossing, then a bisection to 1e-11, all in step
-    (`_tracked_roots`).  `_certified_solve` certifies them.
-    """
-    return _certified_solve(B, partition, window, force_tracking)[0]
-
-
-def _certified_solve(B, partition: Partition, window, force_tracking: bool):
-    """(Spectrum, lams, mults, vh): the spectrum of the roots' clusters lams,
-    their multiplicities, and vh[i], the right singular vectors of cluster
-    i's characteristic matrix, whose last mults[i] rows span its null space.
-
-    The roots are clustered within 1e-9, and the characteristic matrices of
-    all clusters are solved as one (K, n, n) stack: one full singular-value
-    decomposition gives every multiplicity and null space, one `det` call
-    every residual, bit for bit what the one-matrix calls give.  A cluster
-    without a numerical null direction has multiplicity 0.
+    Equal piece lengths l: the closed form lambda = (2 pi m - phi_j)/l of
+    `_ladder_spectrum`, the spectrum `eigenbasis` builds.  General lengths:
+    the eigenphase branches of B Diag(e^{i lambda l_k}) rise strictly in
+    lambda, and their crossings of 2 pi Z are bracketed on a grid and
+    bisected to 1e-11 (`_tracked_roots`); `_certified_solve` counts and
+    certifies them.
     """
     Bm, lengths, lo, hi = _problem(B, partition, window)
     if _equal_lengths(lengths) and not force_tracking:
-        roots = _closed_form_roots(Bm, float(lengths[0]), lo, hi)
-    else:
-        roots = _tracked_roots(Bm, lengths, lo, hi)
+        return _ladder_spectrum(Bm, lengths, lo, hi)[0]
+    return _certified_solve(Bm, lengths, lo, hi)[0]
 
-    roots = np.sort(np.asarray(roots))
-    lams = np.asarray([lam for lam, _mult in _cluster(roots, 1e-9)], dtype=float)
+
+def _certified_solve(Bm, lengths, lo, hi):
+    """(Spectrum, lams, mults, stack): the tracked roots' clusters within
+    1e-9, each cluster's multiplicity, and the stack of their characteristic
+    matrices, certified by one `det` call (`_certified_residuals`).  A
+    cluster's multiplicity is its root count: each eigenphase branch crossing
+    2 pi Z there is one null direction (Hellmann-Feynman; Kato, Ch. II).
+    """
+    roots = np.sort(_tracked_roots(Bm, lengths, lo, hi))
+    clusters = _cluster(roots, 1e-9)
+    lams = np.asarray([lam for lam, _mult in clusters], dtype=float)
+    mults = np.asarray([mult for _lam, mult in clusters], dtype=np.int64)
     stack = _characteristic_stack(Bm, lengths, lams)
-    _, sv, vh = np.linalg.svd(stack)
-    mults = _nullity(sv)
     res = _certified_residuals(stack, lams)
     spec = Spectrum(window=(lo, hi), eigenvalues=np.repeat(lams, mults),
                     residuals=np.repeat(res, mults))
-    return spec, lams, mults, vh
+    return spec, lams, mults, stack
 
 
 def _problem(B, partition: Partition, window):
@@ -160,22 +148,33 @@ def _equal_lengths(lengths) -> bool:
     return bool(np.max(np.abs(np.asarray(lengths) - lengths[0])) < 1e-12)
 
 
-def _certified_residuals(stack, lams) -> np.ndarray:
-    """|det| of each characteristic matrix of the stack, one `det` call;
-    NumericalError where one exceeds RESIDUAL_TOL."""
+def _residuals(stack) -> np.ndarray:
+    """|det| of each matrix of the stack, one `det` call, bit for bit abs() of
+    each one-matrix `det`: hypot is what abs() of one complex scalar
+    computes, where np.abs on an array may round differently."""
     det = np.linalg.det(stack)
-    # hypot is what abs() of one complex scalar computes; np.abs on an array
-    # may round differently
-    res = np.hypot(det.real, det.imag)
+    return np.hypot(det.real, det.imag)
+
+
+def _certified_residuals(stack, lams) -> np.ndarray:
+    """`_residuals`; NumericalError where one exceeds RESIDUAL_TOL."""
+    res = _residuals(stack)
     bad = np.flatnonzero(res > RESIDUAL_TOL)
     if bad.size:
         raise NumericalError(f"characteristic residual {res[bad[0]]:.2e} at lambda={float(lams[bad[0]])!r}")
     return res
 
 
-def _closed_form_roots(Bm, ell, lo, hi):
-    """The roots on equal pieces of length ell, from `eigvals`' phases of B."""
-    return _rungs(np.angle(np.linalg.eigvals(Bm)), ell, lo, hi)[0]
+def _ladder_spectrum(Bm, lengths, lo, hi):
+    """(Spectrum, W, ladder) on equal pieces of length l: lambda is a root
+    exactly when e^{-i lambda l} is an eigenvalue e^{i phi_j} of
+    B = W diag(w) W* (`_unitary_eigenbasis`), of null vector W[:, j]; root i
+    of `_rungs` lies on ladder ladder[i], a repeated eigenphase being as
+    many ladders."""
+    w, W = _unitary_eigenbasis(Bm)
+    lam, ladder = _rungs(np.angle(w), float(lengths[0]), lo, hi)
+    res = _certified_residuals(_characteristic_stack(Bm, lengths, lam), lam)
+    return Spectrum(window=(lo, hi), eigenvalues=lam, residuals=res), W, ladder
 
 
 def _rungs(phis, ell, lo, hi):
@@ -365,15 +364,6 @@ def _cluster(sorted_vals, tol):
     return out
 
 
-def _nullity(sv):
-    """Null dimensions of characteristic matrices from their singular values,
-    one row (descending) per matrix."""
-    # threshold floored at the natural scale 1 of I - (unitary)(unitary):
-    # at a full-multiplicity eigenvalue the matrix is numerically zero and a
-    # purely relative cut would see rank where there is none
-    return np.sum(sv < 1e-8 * np.maximum(sv[:, :1], 1.0), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # eigenbasis
 # ---------------------------------------------------------------------------
@@ -387,29 +377,24 @@ def eigenbasis(B, partition: Partition, window, force_tracking: bool = False) ->
     left knot:  a_k = c_k e^{-i lambda t_{k-1}}, c scaled to unit L^2 norm:
     unit length in the metric <c, c'> = sum l_k conj(c_k) c'_k.
 
-    On k equal pieces of length l (unless `force_tracking`) the rows are in
-    closed form: lambda is a root exactly when e^{-i lambda l} is an
-    eigenvalue w_j = e^{i phi_j} of B, of null vector W[:, j], so
-    (w, W) = `_unitary_eigenbasis(B)` gives lambda = (2 pi m - phi_j) / l
-    rung by rung (`_rungs`): row i is rung i // k of ladder i % k, one W
-    column a ladder, for every B.  These lambda, from w's phases, may differ
-    from `eigenphases`' in the last bits, and each is certified by its
-    residual as there.  On other partitions the rows are read off
-    `eigenphases`' stacked solve: a simple eigenvalue's null vector is the
-    last right singular vector, and only clusters of multiplicity above 1
-    run `eigh` on the Gram matrix of their null space to orthonormalize it.
+    On k equal pieces (unless `force_tracking`) the spectrum is
+    `eigenphases`' closed form (`_ladder_spectrum`), and row i is rung
+    i // k of ladder i % k: its null vector is the ladder's W column, one
+    column a ladder, for every B.  On other partitions one SVD of
+    `_certified_solve`'s stack gives the null vectors: a cluster of
+    multiplicity m has the last m right singular vectors, and only clusters
+    of multiplicity above 1 run `eigh` on the Gram matrix of their null
+    space to orthonormalize it.
     """
-    lengths = np.asarray(partition.lengths)
+    Bm, lengths, lo, hi = _problem(B, partition, window)
     tleft = np.asarray(partition.endpoints[:-1])
     if _equal_lengths(lengths) and not force_tracking:
-        Bm, lengths, lo, hi = _problem(B, partition, window)
-        w, W = _unitary_eigenbasis(Bm)
-        lam, ladder = _rungs(np.angle(w), float(lengths[0]), lo, hi)
-        res = _certified_residuals(_characteristic_stack(Bm, lengths, lam), lam)
+        spec, W, ladder = _ladder_spectrum(Bm, lengths, lo, hi)
         unit = W / np.sqrt(lengths @ (W.real ** 2 + W.imag ** 2))
-        return Spectrum(window=(lo, hi), eigenvalues=lam, residuals=res,
-                        coefficients=np.exp(-1j * lam[:, None] * tleft) * unit.T[ladder])
-    spec, lams, mults, vh = _certified_solve(B, partition, window, force_tracking)
+        return replace(spec, coefficients=np.exp(-1j * spec.eigenvalues[:, None] * tleft)
+                       * unit.T[ladder])
+    spec, lams, mults, stack = _certified_solve(Bm, lengths, lo, hi)
+    vh = np.linalg.svd(stack)[2]
     phase = np.exp(-1j * lams[:, None] * tleft)
     c = vh[:, -1, :].conj()
     coef = np.repeat(phase * (c / np.sqrt((c.real ** 2 + c.imag ** 2) @ lengths)[:, None]),
@@ -580,9 +565,7 @@ def fd_spectrum(ext: Extension, N: int, window) -> Spectrum:
     order = np.argsort(mu.real)
     mu = mu[order]
     lengths = ext.spec.effective_partition.lengths
-    residuals = np.asarray([
-        abs(m.imag) + characteristic_residual(ext.boundary.matrix, lengths, m.real)
-        for m in mu
-    ])
+    residuals = np.abs(mu.imag) + _residuals(_characteristic_stack(ext.boundary.matrix, lengths,
+                                                                   mu.real))
     return Spectrum(window=(lo, hi), eigenvalues=mu.real, residuals=residuals,
                     source="finite-difference")

@@ -286,12 +286,6 @@ class Extension:
         return self._plus_deficiency(xi, [complex(c) for c in eta],
                                      [complex(c) for c in ueta])
 
-    def apply_decomposed(self, xi: PiecewiseFunction, eta: np.ndarray) -> PiecewiseFunction:
-        """T_u(xi + eta + u(eta)) = T(xi) + i eta - i u(eta)."""
-        ueta = self.unitary.matrix @ np.asarray(eta, dtype=complex)
-        return self._plus_deficiency(xi.dirac_apply(), [1j * complex(c) for c in eta],
-                                     [-1j * complex(c) for c in ueta])
-
     def _plus_deficiency(self, f: PiecewiseFunction, minus, plus) -> PiecewiseFunction:
         """f + sum_j minus[j] e-_j + plus[j] e+_j, merged by one `collect`:
         each e-_j and e+_j is one atom, on piece j at exponent -1 or +1, so

@@ -663,6 +663,26 @@ def test_spectrum_svg_refuses_crowded_plots(tmp_path):
     assert "at most 4" in proc.stderr
 
 
+@pytest.mark.parametrize("delta", [1e-9, 3e-9, 1e-7])
+def test_spectrum_counts_a_near_double_eigenvalue_once(tmp_path, capsys, delta):
+    # B = Q diag(e^{0.3i}, e^{(0.3 + delta)i}) Q* on halves has 4 eigenvalues
+    # in [0, 30]; an SVD threshold of 1e-8 counted 8 at delta 1e-9 and 3e-9
+    from extlab import cli
+    from extlab.vonneumann import haar_unitary
+
+    Q = haar_unitary(np.random.default_rng(0), 2).matrix
+    B = (Q * np.exp(1j * np.array([0.3, 0.3 + delta]))) @ Q.conj().T
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "extension": {"boundary": [[[z.real, z.imag] for z in row] for row in B.tolist()]},
+        "window": [0.0, 30.0]}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["spectra"][0]["count"] == 4
+    _header, rows = _csv_rows(out / "spectrum.csv")
+    assert sum(int(r[2]) for r in rows) == 4
+
+
 def test_environment_tolerance_escalates(tmp_path):
     proc = run_cli("spectrum", env_extra={"EXTLAB_TOL": "1e-20"})
     assert proc.returncode == 3

@@ -3,6 +3,8 @@ finite-difference cross-check (an independent discretization route)."""
 
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from extlab.analysis import (
 from extlab.errors import NumericalError, ValidationError
 from extlab.spectral import (
     Spectrum,
-    characteristic_residual,
     eigenbasis,
     eigenphases,
     fd_matrix,
@@ -32,6 +33,7 @@ from extlab.vonneumann import (
     identity_unitary,
     swap_unitary,
 )
+from oracles import characteristic_matrix, characteristic_residual, nullity
 
 PART = Partition((0.0, 0.5, 1.0))
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -402,23 +404,38 @@ def test_eigenbasis_handles_degenerate_clusters_on_three_pieces():
     assert np.max(np.abs(G - np.eye(3))) < 1e-10
 
 
-def _roots(Bm, part, window, force_tracking):
-    lengths = np.asarray(part.lengths)
-    if np.max(np.abs(lengths - lengths[0])) < 1e-12 and not force_tracking:
-        roots = spectral._closed_form_roots(Bm, float(lengths[0]), *window)
-    else:
-        roots = spectral._tracked_roots(Bm, lengths, *window)
+def _ladder_roots(Bm, part, window):
+    """Reference: every root (2 pi m - phi_j) / l in the window, one ladder
+    j and one m at a time, from the phases of the certified decomposition
+    of B; sorted."""
+    ell = float(part.lengths[0])
+    lo, hi = window
+    roots = []
+    for phi in np.angle(spectral._unitary_eigenbasis(Bm)[0]):
+        for m in range(math.floor((lo * ell + phi) / (2 * np.pi)) - 1,
+                       math.ceil((hi * ell + phi) / (2 * np.pi)) + 2):
+            lam = (2 * np.pi * float(m) - phi) / ell
+            if lo - 1e-12 <= lam <= hi + 1e-12:
+                roots.append(lam)
     return np.sort(np.asarray(roots))
 
 
+def _root_clusters(Bm, part, window, force_tracking):
+    """(lambda, multiplicity) per eigenvalue: on equal pieces each ladder
+    root alone, else the tracked roots clustered within 1e-9, a cluster's
+    multiplicity its root count."""
+    if _closed_form(part, force_tracking):
+        return [(lam, 1) for lam in _ladder_roots(Bm, part, window)]
+    roots = spectral._tracked_roots(Bm, np.asarray(part.lengths), *window)
+    return spectral._cluster(np.sort(roots), 1e-9)
+
+
 def _per_root_spectrum(Bm, part, window, force_tracking=False):
-    """Reference: one multiplicity SVD and one residual determinant per root
-    cluster, the loop the stacked solves replaced."""
+    """Reference: one residual determinant per eigenvalue, the loop the
+    stacked solves replaced."""
     lengths = np.asarray(part.lengths)
     values, residuals = [], []
-    for lam, _m in spectral._cluster(_roots(Bm, part, window, force_tracking), 1e-9):
-        sv = np.linalg.svd(spectral._characteristic_matrix(Bm, lengths, lam), compute_uv=False)
-        mult = int(np.sum(sv < 1e-8 * max(sv[0], 1.0)))
+    for lam, mult in _root_clusters(Bm, part, window, force_tracking):
         res = characteristic_residual(Bm, lengths, lam)
         values.extend([lam] * mult)
         residuals.extend([res] * mult)
@@ -427,15 +444,15 @@ def _per_root_spectrum(Bm, part, window, force_tracking=False):
 
 def _per_root_eigenbasis(Bm, part, window, force_tracking=False):
     """Reference: one full SVD and one Gram `eigh` per cluster, the loop the
-    stacked solve replaced; (lambda, atom coefficients) per eigenfunction."""
+    stacked solve replaced; (lambda, atom coefficients) per eigenfunction.
+    A cluster of multiplicity m takes the last m right singular vectors."""
     spec = eigenphases(Bm, part, window, force_tracking=force_tracking)
     lengths = np.asarray(part.lengths)
     tleft = np.asarray(part.endpoints[:-1])
     out = []
-    for lam, _m in spec.grouped(tol=1e-9):
-        _, sv, vh = np.linalg.svd(spectral._characteristic_matrix(Bm, lengths, lam))
-        nullity = int(np.sum(sv < 1e-8 * max(sv[0], 1.0)))
-        C = vh[len(sv) - nullity:].conj().T
+    for lam, mult in spec.grouped(tol=1e-9):
+        _, sv, vh = np.linalg.svd(characteristic_matrix(Bm, lengths, lam))
+        C = vh[len(sv) - mult:].conj().T
         G = C.conj().T @ (lengths[:, None] * C)
         evals, evecs = np.linalg.eigh(G)
         C = C @ evecs / np.sqrt(evals)
@@ -446,23 +463,25 @@ def _per_root_eigenbasis(Bm, part, window, force_tracking=False):
 def _object_eigenbasis(B, partition, window, force_tracking=False):
     """Reference: the eigenbasis as one (lambda, PiecewiseFunction) object per
     eigenfunction, re-solving the clusters of the `eigenphases` spectrum with
-    a second stacked SVD, the route the coefficient rows replaced."""
+    a second stacked SVD, the route the coefficient rows replaced; a
+    cluster of multiplicity m takes the last m right singular vectors."""
     Bm = boundary_array(B)
     spec = eigenphases(Bm, partition, window, force_tracking=force_tracking)
     lengths = np.asarray(partition.lengths)
     tleft = np.asarray(partition.endpoints[:-1])
-    lams = np.asarray([lam for lam, _mult in spec.grouped(tol=1e-9)], dtype=float)
-    _, sv, vh = np.linalg.svd(spectral._characteristic_stack(Bm, lengths, lams))
-    nullity = spectral._nullity(sv)
+    groups = spec.grouped(tol=1e-9)
+    lams = np.asarray([lam for lam, _mult in groups], dtype=float)
+    mults = [mult for _lam, mult in groups]
+    _, _sv, vh = np.linalg.svd(spectral._characteristic_stack(Bm, lengths, lams))
     phase = np.exp(-1j * lams[:, None] * tleft)
     c = vh[:, -1, :].conj()
     simple = phase * (c / np.sqrt((c.real ** 2 + c.imag ** 2) @ lengths)[:, None])
     pairs = []
     for i, lam in enumerate(lams):
-        if nullity[i] == 1:
+        if mults[i] == 1:
             coefs = simple[i:i + 1]
         else:
-            C = vh[i, len(lengths) - nullity[i]:].conj().T
+            C = vh[i, len(lengths) - mults[i]:].conj().T
             G = C.conj().T @ (lengths[:, None] * C)
             evals, evecs = np.linalg.eigh(G)
             coefs = (C @ evecs / np.sqrt(evals)).T * phase[i]
@@ -479,8 +498,8 @@ def _object_eigenbasis(B, partition, window, force_tracking=False):
 
 
 #: how far the closed-form rows on equal pieces may lie from the SVD path's:
-#: both solve the same null spaces, at eigenvalues whose phases come from
-#: `_unitary_eigenbasis` and from `eigvals`, which agree to rounding
+#: both give the null spaces at the same eigenvalues, one from the columns of
+#: `_unitary_eigenbasis`, the other from singular vectors, equal to rounding
 _CLOSED_FORM_TOL = 1e-12
 
 
@@ -540,6 +559,8 @@ def test_stacked_solves_match_the_per_root_loops(case, window):
     assert np.array_equal(spec.residuals, residuals)
 
     basis = eigenbasis(Bm, part, window, force_tracking=force)
+    assert np.array_equal(basis.eigenvalues, spec.eigenvalues)
+    assert np.array_equal(basis.residuals, spec.residuals)
     ref = _per_root_eigenbasis(Bm, part, window, force)
     if _closed_form(part, force):
         # rows in closed form: the per-root and the stacked SVD's eigenspaces
@@ -640,22 +661,89 @@ def test_equal_piece_rows_span_the_tracked_eigenspaces(k):
 
 
 def test_eigenbasis_makes_one_stacked_solve(monkeypatch):
-    calls = {"stack": 0, "svd": 0, "det": 0}
+    # tracked: one stack and one det certify every cluster, and only the
+    # eigenbasis takes an SVD, for its null vectors; equal pieces: one
+    # decomposition of B, and no SVD
+    calls = {}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] = calls.get(name, 0) + 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(spectral, "_characteristic_stack",
-                        counted("stack", spectral._characteristic_stack))
+    for name in ("_characteristic_stack", "_unitary_eigenbasis"):
+        monkeypatch.setattr(spectral, name, counted(name, getattr(spectral, name)))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+    third = Partition((0.0, 1 / 3, 2 / 3, 1.0))
+    solves = [(eigenphases, _THREE, {"_characteristic_stack": 1, "det": 1}),
+              (eigenbasis, _THREE, {"_characteristic_stack": 1, "svd": 1, "det": 1}),
+              (eigenphases, third, {"_unitary_eigenbasis": 1, "_characteristic_stack": 1, "det": 1}),
+              (eigenbasis, third, {"_unitary_eigenbasis": 1, "_characteristic_stack": 1, "det": 1})]
+    for solve, part, want in solves:
+        calls.clear()
+        assert len(solve(_haar_boundary(part, 3), part, (-1e-9, 40.0))) > 5
+        assert calls == want
+    # neither route goes through the other
     monkeypatch.setattr(spectral, "eigenphases", None)
-    basis = eigenbasis(_haar_boundary(_THREE, 3), _THREE, (-1e-9, 40.0))
-    assert len(basis) > 5
-    assert calls == {"stack": 1, "svd": 1, "det": 1}
+    assert len(eigenbasis(_haar_boundary(_THREE, 3), _THREE, (-1e-9, 40.0))) > 5
+
+
+_UNEQUAL = [(0.0, 0.3, 1.0), (0.0, 0.3, 0.55, 1.0), (0.0, 0.2, 0.55, 1.0),
+            (0.0, 0.1, 0.35, 0.6, 1.0), (0.0, 0.25, 0.4, 0.8, 1.0),
+            (0.0, 0.05, 0.3, 0.45, 0.7, 1.0)]
+
+
+@pytest.mark.parametrize("knots", _UNEQUAL, ids=lambda k: f"{len(k) - 1}-pieces-{k[1]}")
+def test_root_counts_equal_the_svd_nullity(knots):
+    # a tracked cluster's multiplicity is its root count; the SVD threshold
+    # it replaced reads the same null dimension on Haar, identity and swap
+    part = Partition(knots)
+    n = part.npieces
+    lengths = np.asarray(part.lengths)
+    for B in (_haar_boundary(part, n), np.eye(n, dtype=complex),
+              np.fliplr(np.eye(n)).astype(complex)):
+        _spec, lams, mults, _stack = spectral._certified_solve(B, lengths, -40.0, 40.0)
+        assert mults.sum() > 10
+        assert [nullity(B, lengths, lam) for lam in lams] == mults.tolist()
+
+
+@pytest.mark.parametrize("delta", [1e-9, 3e-9, 1e-7])
+def test_a_near_double_eigenvalue_counts_once(delta):
+    # two eigenphases delta apart make two ladders of roots 2 delta apart:
+    # 4 eigenvalues in [0, 30].  An SVD threshold of 1e-8 read each of the
+    # two roots as a double, 8 in all, for delta up to about 1e-8
+    B = _conjugated(np.exp(1j * np.array([0.3, 0.3 + delta])), 0)
+    closed = eigenphases(B, PART, (0.0, 30.0))
+    tracked = eigenphases(B, PART, (0.0, 30.0), force_tracking=True)
+    assert len(closed) == len(tracked) == 4
+    for force in (False, True):
+        assert len(eigenbasis(B, PART, (0.0, 30.0), force_tracking=force)) == 4
+    assert np.max(np.abs(closed.eigenvalues - tracked.eigenvalues)) < 1e-10
+    assert np.max(closed.residuals) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.none(), st.floats(1e-12, 1e-6)), st.floats(-1000.0, 1000.0),
+       st.integers(1, 6))
+def test_the_closed_form_spectrum_is_the_eigenbasis_spectrum(k, seed, gap, lo, periods):
+    # Haar B, or B with two eigenphases gap apart: both calls read the same
+    # ladders, and r whole periods 2 pi / l hold r roots of each ladder
+    rng = np.random.default_rng(seed)
+    B = haar_unitary(rng, k).matrix
+    if gap is not None and k > 1:
+        phases = rng.uniform(-np.pi, np.pi, k)
+        phases[1] = phases[0] + gap
+        B = (B * np.exp(1j * phases)) @ B.conj().T
+    part = _equal(k)
+    window = (lo, lo + periods * 2 * np.pi / part.lengths[0])
+    spec = eigenphases(B, part, window)
+    basis = eigenbasis(B, part, window)
+    assert np.array_equal(spec.eigenvalues, basis.eigenvalues)
+    assert np.array_equal(spec.residuals, basis.residuals)
+    assert len(spec) == k * periods
 
 
 def test_spectra_without_a_basis_have_no_coefficients():
@@ -786,6 +874,22 @@ _FD_CASES = [
     pytest.param("identity", id="identity"),
     pytest.param("swap", id="swap"),
 ]
+
+
+@pytest.mark.parametrize("N", [128, 1024], ids=["dense", "shift-invert"])
+@pytest.mark.parametrize("case", _FD_CASES)
+def test_fd_residuals_are_the_per_mu_loop(monkeypatch, case, N):
+    # one stacked det over the FD eigenvalues' real parts, bit for bit the
+    # per-mu determinants; a run without them reads |Im mu| alone
+    ext = _fd_extension(case)
+    fd = fd_spectrum(ext, N, FD_WINDOW)
+    monkeypatch.setattr(spectral, "_residuals", lambda stack: np.zeros(len(stack)))
+    damping = fd_spectrum(ext, N, FD_WINDOW).residuals
+    lengths = ext.spec.effective_partition.lengths
+    per_mu = [d + characteristic_residual(ext.boundary.matrix, lengths, lam)
+              for lam, d in zip(fd.eigenvalues, damping)]
+    assert len(fd) >= 4
+    assert np.array_equal(fd.residuals, per_mu)
 
 
 @pytest.mark.parametrize("N", [1024, 2048])
