@@ -272,6 +272,12 @@ _SUITE_KEYS = {
     "ksum": {"genus_bound"},
 }
 
+#: the top-level keys each command or verify suite reads; a command without a
+#: row yet is held only to `_ALLOWED_KEYS`
+_COMMAND_KEYS = {
+    "ksum": {"suite", "seed", "tolerance"},
+}
+
 
 def _number(value, what: str, kind=float):
     """``kind(value)`` for a config entry, kind being float or int.
@@ -341,10 +347,13 @@ class ExperimentConfig:
         if not isinstance(suite, dict):
             raise ValidationError("suite must be an object")
         command = args.suite or args.command
+        name = args.command if args.suite is None else f"{args.command} {args.suite}"
         unknown = set(suite) - _SUITE_KEYS.get(command, set())
         if unknown:
-            name = args.command if args.suite is None else f"{args.command} {args.suite}"
             raise ValidationError(f"suite keys {sorted(unknown)} are not read by {name}")
+        unread = set(raw) - _COMMAND_KEYS.get(command, _ALLOWED_KEYS)
+        if unread:
+            raise ValidationError(f"config keys {sorted(unread)} are not read by {name}")
         for what, value in (("svg", raw.get("svg", False)),
                             ("suite numeric", suite.get("numeric", True))):
             if not isinstance(value, bool):

@@ -15,6 +15,14 @@ carried as a matrix per homology degree.
 Genus -1 appears as a *formal* surface: the natural sum of two genus-0
 surfaces along handles has formal genus -1, and the calculus extends to
 it consistently (Euler characteristic 4, Dolbeault index 2).
+
+The identity grid runs each identity once over every genus pair of the
+bound b at once: the genera are int64 arrays, a class is one coordinate row
+per pair, and a map's matrices act on all rows in one product.  Every
+coordinate on the grid is at most 4(b + 1) in absolute value, and the
+largest intermediate, a ``_det3`` of such coordinates, at most six times its
+cube; both stay below 2^62 for b ≤ 229 002 (``MAX_GRID_BOUND``), and
+``verify_identities`` refuses a larger bound, past which int64 would wrap.
 """
 
 from dataclasses import dataclass, field
@@ -22,9 +30,14 @@ from itertools import chain, repeat
 from operator import add, mul, sub
 from typing import NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from .errors import StructuralError, ValidationError
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
+
+#: the largest grid bound b with 6 (4 (b + 1))^3 < 2^62, see above
+MAX_GRID_BOUND = 229_002
 
 # ---------------------------------------------------------------------------
 # tiny exact-integer matrix helpers (dimensions here never exceed 4)
@@ -36,6 +49,10 @@ def _identity(n: int) -> IntMatrix:
 
 def _zeros(rows: int, cols: int) -> IntMatrix:
     return ((0,) * cols,) * rows
+
+
+def _ones(rows: int, cols: int) -> IntMatrix:
+    return ((1,) * cols,) * rows
 
 
 def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -50,7 +67,9 @@ def _matvec(a: IntMatrix, v: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple([sum(map(mul, row, v)) for row in a])
 
 
-def _det3(m: IntMatrix) -> int:
+def _det3(m):
+    """The determinant of a 3×3 matrix given by rows; on rows of int64
+    columns, the determinant of every grid row at once."""
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
@@ -122,37 +141,29 @@ class SurfaceSpace:
         object.__setattr__(self, "h1_rank", h1)
         object.__setattr__(self, "h2_rank", h2)
 
-    # -- constructors: each returns the interned space of its fields; a
-    # genus that only equals an int (True, 2.0) is never looked up, since it
-    # would find the int's space
-
     @staticmethod
     def point() -> "SurfaceSpace":
-        return _interned("point")
+        return SurfaceSpace("point")
 
     @staticmethod
     def circle() -> "SurfaceSpace":
-        return _interned("circle")
+        return SurfaceSpace("circle")
 
     @staticmethod
     def surface(genus: int) -> "SurfaceSpace":
-        if type(genus) is not int:
-            return SurfaceSpace("surface", genus=genus)
-        return _interned("surface", genus)
+        return SurfaceSpace("surface", genus=genus)
 
     @staticmethod
     def wedge(left: "SurfaceSpace", right: "SurfaceSpace") -> "SurfaceSpace":
-        return _interned("wedge", parts=(left, right))
+        return SurfaceSpace("wedge", parts=(left, right))
 
     @staticmethod
     def circle_union(g1: int, g2: int) -> "SurfaceSpace":
-        if type(g1) is not int or type(g2) is not int:
-            return SurfaceSpace("circle_union", genera=(g1, g2))
-        return _interned("circle_union", genera=(g1, g2))
+        return SurfaceSpace("circle_union", genera=(g1, g2))
 
     @staticmethod
     def disjoint(left: "SurfaceSpace", right: "SurfaceSpace") -> "SurfaceSpace":
-        return _interned("disjoint", parts=(left, right))
+        return SurfaceSpace("disjoint", parts=(left, right))
 
     def describe(self) -> str:
         if self.kind == "surface":
@@ -165,28 +176,6 @@ class SurfaceSpace:
         return self.kind
 
 
-#: spaces built by the ``SurfaceSpace`` constructors, keyed by their fields;
-#: emptied when full, so equal spaces are usually, not always, one object (two
-#: threads that miss at once also leave two); space checks fall back to ``==``
-_SPACES: dict = {}
-_MAX_SPACES = 4096
-
-
-def _interned(kind: str, genus=None, parts=(), genera=()) -> SurfaceSpace:
-    key = (kind, genus, parts, genera)
-    space = _SPACES.get(key)
-    if space is None:
-        space = SurfaceSpace(kind, genus, parts, genera)
-        if len(_SPACES) >= _MAX_SPACES:
-            _SPACES.clear()
-        _SPACES[key] = space
-    return space
-
-
-def _same_space(a: SurfaceSpace, b: SurfaceSpace) -> bool:
-    return a is b or a == b
-
-
 # ---------------------------------------------------------------------------
 # classes
 
@@ -195,10 +184,9 @@ def _same_space(a: SurfaceSpace, b: SurfaceSpace) -> bool:
 class KClassVector:
     """An even (H0 ⊕ H2) or odd (H1) integer coordinate vector on a space.
 
-    A class built here is checked: parity, length against the space's ranks
-    and integer coordinates.  The calculus derives classes from checked
-    ones (sums, integer multiples, pushforwards, even disjoint pairs) and
-    builds those unchecked, see ``_derived``.
+    Every class is checked when built, derived ones (sums, integer
+    multiples, pushforwards, disjoint pairs) included: parity, length
+    against the space's ranks and integer coordinates.
     """
 
     space: SurfaceSpace
@@ -227,41 +215,31 @@ class KClassVector:
         # would fail; a tuple comes back as itself
         object.__setattr__(self, "coordinates", tuple(self.coordinates))
 
-    # -- exact abelian-group arithmetic: valid classes give valid classes,
-    # which are built without re-validation
+    # -- exact abelian-group arithmetic
 
     def _check_compatible(self, other: "KClassVector"):
-        if not _same_space(self.space, other.space) or self.parity != other.parity:
+        if self.space != other.space or self.parity != other.parity:
             raise StructuralError("classes live on different spaces or parities")
 
     def __add__(self, other: "KClassVector") -> "KClassVector":
         self._check_compatible(other)
         coords = tuple(map(add, self.coordinates, other.coordinates))
-        return _derived(self.space, self.parity, coords)
+        return KClassVector(self.space, self.parity, coords)
 
     def __sub__(self, other: "KClassVector") -> "KClassVector":
         self._check_compatible(other)
         coords = tuple(map(sub, self.coordinates, other.coordinates))
-        return _derived(self.space, self.parity, coords)
+        return KClassVector(self.space, self.parity, coords)
 
     def __rmul__(self, scalar: int) -> "KClassVector":
         if not isinstance(scalar, int):
             raise ValidationError("K-class scalars must be integers")
-        return _derived(
+        return KClassVector(
             self.space, self.parity, tuple([scalar * c for c in self.coordinates])
         )
 
     def __neg__(self) -> "KClassVector":
         return (-1) * self
-
-
-def _derived(space: SurfaceSpace, parity: str, coordinates: Tuple[int, ...]) -> KClassVector:
-    """A class the calculus computed from valid classes and maps, whose
-    parity, length and integer coordinates hold by construction: built
-    without ``KClassVector``'s checks."""
-    x = object.__new__(KClassVector)
-    x.__dict__.update(space=space, parity=parity, coordinates=coordinates)
-    return x
 
 
 def even_class(space: SurfaceSpace, h0, h2=()) -> KClassVector:
@@ -312,26 +290,71 @@ def fundamental_k_class(space: SurfaceSpace) -> KClassVector:
     )
 
 
-def euler_characteristic(g: int) -> int:
-    """Euler characteristic 2 - 2g of the genus-g surface (formal at g = -1)."""
+def euler_characteristic(g):
+    """Euler characteristic 2 - 2g of the genus-g surface (formal at g = -1);
+    elementwise on an array of genera."""
     return 2 - 2 * g
 
 
 # ---------------------------------------------------------------------------
+# canonical matrices: one definition per map kind, (h0, h2, h1) from the
+# source and target ranks (``h0_rank``, ``h1_rank``, ``h2_rank``); the map
+# constructors and the identity grid both read them from ``_MATRICES`` when
+# they build a map
+
+
+def _h1(source, target, matrix):
+    """``matrix(rows, cols)`` in H1 where both sides fix an odd basis."""
+    if source.h1_rank is None or target.h1_rank is None:
+        return None
+    return matrix(target.h1_rank, source.h1_rank)
+
+
+def _identification(source, target):
+    """Every component generator to the one H0 generator; H1 and H2
+    generators pass through unchanged."""
+    return (_ones(1, source.h0_rank), _identity(source.h2_rank),
+            _h1(source, target, lambda rows, cols: _identity(cols)))
+
+
+def _pinch(source, target):
+    """Each generator to the sum of the target's generators of its degree."""
+    return (_ones(1, 1), _ones(target.h2_rank, source.h2_rank),
+            _h1(source, target, _ones))
+
+
+def _crunch(source, target):
+    """The left factor's classes kept, the right factor's crushed."""
+    return ((1,),), ((1, 0),), None
+
+
+def _collapse(source, target):
+    """Component generators add up in the point's H0; the rest vanishes."""
+    return (_ones(1, source.h0_rank), _zeros(0, source.h2_rank),
+            _h1(source, target, _zeros))
+
+
+def _basepoint(source, target):
+    """The point's generator to the first H0 generator."""
+    return (((1,),) + ((0,),) * (target.h0_rank - 1), _zeros(target.h2_rank, 0),
+            _h1(source, target, _zeros))
+
+
+_MATRICES = {
+    "j_disjoint_to_wedge": _identification,
+    "j_disjoint_to_union": _identification,
+    "p_pinch_connected_sum": _pinch,
+    "p_pinch_natural_sum": _pinch,
+    "q_crunch": _crunch,
+    "q0_constant": _collapse,
+    "iota_basepoint": _basepoint,
+}
+
+_MAP_KINDS = (*_MATRICES, "identity", "composite")
+
+
+# ---------------------------------------------------------------------------
 # canonical maps
-
-
-_MAP_KINDS = (
-    "j_disjoint_to_wedge",
-    "j_disjoint_to_union",
-    "p_pinch_connected_sum",
-    "p_pinch_natural_sum",
-    "q_crunch",
-    "q0_constant",
-    "iota_basepoint",
-    "identity",
-    "composite",
-)
 
 
 @dataclass(frozen=True)
@@ -339,11 +362,9 @@ class CanonicalMap:
     """A canonical continuous map carried as one integer matrix per degree.
 
     Matrices act on coordinate columns: target = matrix · source.  The H1
-    matrix is only present where both sides carry a fixed odd basis.  A map
-    built here is checked once: its kind, integer entries and each matrix's
-    shape against both spaces' ranks; so its pushforward of a valid class is
-    valid.  The module's own constructors and ``compose`` check the shapes
-    only, see ``_own_map``.
+    matrix is only present where both sides carry a fixed odd basis.  Every
+    map is checked when built, composites included: its kind, integer
+    entries and each matrix's shape against both spaces' ranks.
     """
 
     kind: str
@@ -354,22 +375,16 @@ class CanonicalMap:
     h1: Optional[IntMatrix] = None
 
     def __post_init__(self):
-        if self.kind not in _MAP_KINDS:
-            raise ValidationError(f"unknown map kind: {self.kind!r}")
-        _check_shapes(self.source, self.target, self.h0, self.h2, self.h1)
-        matrices = (self.h0, self.h2) if self.h1 is None else (self.h0, self.h2, self.h1)
-        entries = chain.from_iterable(chain.from_iterable(matrices))
-        if not all(map(isinstance, entries, repeat(int))):
-            raise ValidationError("map matrix entries must be integers")
+        _check_map(self.kind, self.source, self.target, self.h0, self.h2, self.h1)
 
     def compose(self, inner: "CanonicalMap") -> "CanonicalMap":
         """The composite self ∘ inner, with matrices multiplied per degree."""
-        if not _same_space(inner.target, self.source):
+        if inner.target != self.source:
             raise StructuralError("maps do not compose: middle spaces differ")
         h1 = None
         if self.h1 is not None and inner.h1 is not None:
             h1 = _matmul(self.h1, inner.h1)
-        return _own_map(
+        return CanonicalMap(
             "composite",
             inner.source,
             self.target,
@@ -379,9 +394,11 @@ class CanonicalMap:
         )
 
 
-def _check_shapes(source: SurfaceSpace, target: SurfaceSpace, h0, h2, h1):
-    """Each matrix's shape against both spaces' ranks; an H1 matrix needs an
-    odd basis fixed on both sides."""
+def _check_map(kind: str, source, target, h0, h2, h1):
+    """A map's kind, each matrix's shape against both sides' ranks (an H1
+    matrix needs an odd basis fixed on both sides) and integer entries."""
+    if kind not in _MAP_KINDS:
+        raise ValidationError(f"unknown map kind: {kind!r}")
     _check_shape("H0", h0, target.h0_rank, source.h0_rank)
     _check_shape("H2", h2, target.h2_rank, source.h2_rank)
     if h1 is not None:
@@ -391,6 +408,10 @@ def _check_shapes(source: SurfaceSpace, target: SurfaceSpace, h0, h2, h1):
                 f"{(source if source.h1_rank is None else target).describe()}"
             )
         _check_shape("H1", h1, target.h1_rank, source.h1_rank)
+    matrices = (h0, h2) if h1 is None else (h0, h2, h1)
+    entries = chain.from_iterable(chain.from_iterable(matrices))
+    if not all(map(isinstance, entries, repeat(int))):
+        raise ValidationError("map matrix entries must be integers")
 
 
 def _check_shape(degree: str, matrix: IntMatrix, rows: int, cols: int):
@@ -398,20 +419,13 @@ def _check_shape(degree: str, matrix: IntMatrix, rows: int, cols: int):
         raise StructuralError(f"{degree} matrix shape does not match spaces")
 
 
-def _own_map(kind: str, source: SurfaceSpace, target: SurfaceSpace,
-             h0: IntMatrix, h2: IntMatrix, h1: Optional[IntMatrix] = None) -> CanonicalMap:
-    """A map this module builds from a kind in ``_MAP_KINDS`` and integer
-    literals, ``_identity``, ``_zeros`` or ``_matmul`` of checked maps: its
-    shapes are checked, its kind and integer entries hold by construction."""
-    _check_shapes(source, target, h0, h2, h1)
-    m = object.__new__(CanonicalMap)
-    m.__dict__.update(kind=kind, source=source, target=target, h0=h0, h2=h2, h1=h1)
-    return m
+def _canonical(kind: str, source: SurfaceSpace, target: SurfaceSpace) -> CanonicalMap:
+    return CanonicalMap(kind, source, target, *_MATRICES[kind](source, target))
 
 
 def pushforward(mapping: CanonicalMap, x: KClassVector) -> KClassVector:
     """Apply a canonical map's induced integer matrices to a K-class."""
-    if not _same_space(x.space, mapping.source):
+    if x.space != mapping.source:
         raise StructuralError(
             f"class lives on {x.space.describe()}, "
             f"map starts at {mapping.source.describe()}"
@@ -420,13 +434,13 @@ def pushforward(mapping: CanonicalMap, x: KClassVector) -> KClassVector:
         # equal spaces have equal ranks, so x's split is the source's
         h0, coords = x.space.h0_rank, x.coordinates
         coords = _matvec(mapping.h0, coords[:h0]) + _matvec(mapping.h2, coords[h0:])
-        return _derived(mapping.target, "even", coords)
+        return KClassVector(mapping.target, "even", coords)
     if mapping.h1 is None:
         raise StructuralError(
             f"map {mapping.kind} carries no odd matrix between "
             f"{mapping.source.describe()} and {mapping.target.describe()}"
         )
-    return _derived(mapping.target, "odd", _matvec(mapping.h1, x.coordinates))
+    return KClassVector(mapping.target, "odd", _matvec(mapping.h1, x.coordinates))
 
 
 def identification_to_wedge(left: SurfaceSpace, right: SurfaceSpace) -> CanonicalMap:
@@ -435,23 +449,14 @@ def identification_to_wedge(left: SurfaceSpace, right: SurfaceSpace) -> Canonica
     Both component generators map to the single H0 generator; H1 and H2
     generators pass through unchanged.
     """
-    source = SurfaceSpace.disjoint(left, right)
-    target = SurfaceSpace.wedge(left, right)
-    h1 = None
-    if source.h1_rank is not None and target.h1_rank is not None:
-        h1 = _identity(source.h1_rank)
-    return _own_map(
-        "j_disjoint_to_wedge", source, target, ((1, 1),), _identity(source.h2_rank), h1
-    )
+    return _canonical("j_disjoint_to_wedge", SurfaceSpace.disjoint(left, right),
+                      SurfaceSpace.wedge(left, right))
 
 
 def identification_to_union(g1: int, g2: int) -> CanonicalMap:
     """Include both surfaces: disjoint(Σ_g1, Σ_g2) → their union along a circle."""
     source = SurfaceSpace.disjoint(SurfaceSpace.surface(g1), SurfaceSpace.surface(g2))
-    target = SurfaceSpace.circle_union(g1, g2)
-    return _own_map(
-        "j_disjoint_to_union", source, target, ((1, 1),), _identity(2)
-    )
+    return _canonical("j_disjoint_to_union", source, SurfaceSpace.circle_union(g1, g2))
 
 
 def pinch_connected_sum(g1: int, g2: int) -> CanonicalMap:
@@ -461,22 +466,16 @@ def pinch_connected_sum(g1: int, g2: int) -> CanonicalMap:
     The fundamental class maps to the sum of the two wedge fundamental
     classes.
     """
-    source = SurfaceSpace.surface(g1 + g2)
     target = SurfaceSpace.wedge(SurfaceSpace.surface(g1), SurfaceSpace.surface(g2))
-    return _own_map(
-        "p_pinch_connected_sum", source, target, ((1,),), ((1,), (1,))
-    )
+    return _canonical("p_pinch_connected_sum", SurfaceSpace.surface(g1 + g2), target)
 
 
 def pinch_circle_sum() -> CanonicalMap:
     """Circle instance of the connected-sum pinch: circle → wedge of two
     circles, collapsing two antipodal points' identification; the H1
     generator maps diagonally."""
-    source = SurfaceSpace.circle()
     target = SurfaceSpace.wedge(SurfaceSpace.circle(), SurfaceSpace.circle())
-    return _own_map(
-        "p_pinch_connected_sum", source, target, ((1,),), _zeros(0, 0), ((1,), (1,))
-    )
+    return _canonical("p_pinch_connected_sum", SurfaceSpace.circle(), target)
 
 
 def pinch_natural_sum(g1: int, g2: int) -> CanonicalMap:
@@ -486,50 +485,25 @@ def pinch_natural_sum(g1: int, g2: int) -> CanonicalMap:
     The single fundamental class maps to the sum of the two surface
     fundamental classes of the union.
     """
-    source = SurfaceSpace.surface(g1 + g2 - 1)
-    target = SurfaceSpace.circle_union(g1, g2)
-    return _own_map(
-        "p_pinch_natural_sum", source, target, ((1,),), ((1,), (1,))
-    )
+    return _canonical("p_pinch_natural_sum", SurfaceSpace.surface(g1 + g2 - 1),
+                      SurfaceSpace.circle_union(g1, g2))
 
 
 def crunch(g1: int, g2: int) -> CanonicalMap:
     """Crush the second wedge factor to the base point:
     wedge(surface(g1), surface(g2)) → surface(g1)."""
     source = SurfaceSpace.wedge(SurfaceSpace.surface(g1), SurfaceSpace.surface(g2))
-    target = SurfaceSpace.surface(g1)
-    return _own_map("q_crunch", source, target, ((1,),), ((1, 0),))
+    return _canonical("q_crunch", source, SurfaceSpace.surface(g1))
 
 
 def constant_map(space: SurfaceSpace) -> CanonicalMap:
     """Collapse everything to the point; H0 adds up component generators."""
-    h1 = None
-    if space.h1_rank is not None:
-        h1 = _zeros(0, space.h1_rank)
-    return _own_map(
-        "q0_constant",
-        space,
-        SurfaceSpace.point(),
-        ((1,) * space.h0_rank,),
-        _zeros(0, space.h2_rank),
-        h1,
-    )
+    return _canonical("q0_constant", space, SurfaceSpace.point())
 
 
 def basepoint_inclusion(space: SurfaceSpace) -> CanonicalMap:
     """Include the base point (in the first component) into the space."""
-    h0 = ((1,),) + ((0,),) * (space.h0_rank - 1)
-    h1 = None
-    if space.h1_rank is not None:
-        h1 = _zeros(space.h1_rank, 0)
-    return _own_map(
-        "iota_basepoint",
-        SurfaceSpace.point(),
-        space,
-        h0,
-        _zeros(space.h2_rank, 0),
-        h1,
-    )
+    return _canonical("iota_basepoint", SurfaceSpace.point(), space)
 
 
 def disjoint_pair(x: KClassVector, y: KClassVector) -> KClassVector:
@@ -540,7 +514,7 @@ def disjoint_pair(x: KClassVector, y: KClassVector) -> KClassVector:
     if x.parity == "even":
         # each operand is a circle or a surface: one H0 coordinate, then H2
         xs, ys = x.coordinates, y.coordinates
-        return _derived(space, "even", xs[:1] + ys[:1] + xs[1:] + ys[1:])
+        return KClassVector(space, "even", xs[:1] + ys[:1] + xs[1:] + ys[1:])
     # an odd basis is fixed only when both operands are circles
     return KClassVector(space, "odd", x.coordinates + y.coordinates)
 
@@ -548,6 +522,127 @@ def disjoint_pair(x: KClassVector, y: KClassVector) -> KClassVector:
 def basepoint_unit(space: SurfaceSpace) -> KClassVector:
     """The image of the point generator under the base-point inclusion."""
     return pushforward(basepoint_inclusion(space), unit_point_class())
+
+
+# ---------------------------------------------------------------------------
+# the identity grid: one space, class or map per grid row, as int64 arrays
+
+
+class _Family(NamedTuple):
+    """One space of ``kind`` per grid row, row p's surfaces having the
+    genera ``genera[p]`` (a (P, k) int64 array).  The grid holds even
+    classes only, so no H1 basis is fixed; H0 and H2 ranks are every row's."""
+
+    kind: str
+    genera: np.ndarray
+    h0_rank: int
+    h2_rank: int
+    h1_rank: Optional[int] = None
+
+    def describe(self) -> str:
+        return f"{self.kind} family"
+
+
+def _surfaces(g: np.ndarray):
+    """The surface of each genus in ``g``, its Dolbeault and fundamental class."""
+    s = _Family("surface", g[:, None], 1, 1)
+    return s, _grid_class(s, 1 - g, 1), _grid_class(s, 0, 1)
+
+
+def _joined(kind: str, left: _Family, right: _Family) -> _Family:
+    """The wedge, disjoint union or union along a circle of two surfaces,
+    row by row."""
+    if left.kind != "surface" or right.kind != "surface":
+        raise ValidationError(f"{kind} operands on the grid must be surfaces")
+    return _Family(kind, np.concatenate([left.genera, right.genera], axis=1),
+                   2 if kind == "disjoint" else 1, 2)
+
+
+def _check_family(a: _Family, b: _Family, what: str):
+    if a is not b and (a.kind != b.kind or not np.array_equal(a.genera, b.genera)):
+        raise StructuralError(f"{what}: {a.describe()} and {b.describe()} differ")
+
+
+@dataclass(frozen=True, eq=False)
+class _GridClass:
+    """An even class per grid row: ``coordinates[p]`` on row p of ``family``."""
+
+    family: _Family
+    coordinates: np.ndarray
+
+    # numpy defers ``array * class`` to ``__rmul__``
+    __array_ufunc__ = None
+
+    def __add__(self, other: "_GridClass") -> "_GridClass":
+        _check_family(self.family, other.family, "classes live on different spaces")
+        return _GridClass(self.family, self.coordinates + other.coordinates)
+
+    def __sub__(self, other: "_GridClass") -> "_GridClass":
+        _check_family(self.family, other.family, "classes live on different spaces")
+        return _GridClass(self.family, self.coordinates - other.coordinates)
+
+    def __rmul__(self, scalars) -> "_GridClass":
+        """Row p times ``scalars[p]``, or every row times one integer."""
+        scalars = np.asarray(scalars)
+        if scalars.dtype.kind not in "iu":
+            raise ValidationError("K-class scalars must be integers")
+        return _GridClass(self.family, self.coordinates * scalars.reshape(-1, 1))
+
+
+def _grid_class(family: _Family, *columns) -> _GridClass:
+    """The class whose coordinate i is ``columns[i]`` (per row or one int)."""
+    coords = np.empty((len(family.genera), len(columns)), dtype=np.int64)
+    for i, column in enumerate(columns):
+        coords[:, i] = column
+    return _GridClass(family, coords)
+
+
+@dataclass(frozen=True, eq=False)
+class _GridMap:
+    """One canonical map per grid row, the same even matrices on every row."""
+
+    kind: str
+    source: _Family
+    target: _Family
+    h0: np.ndarray
+    h2: np.ndarray
+
+    def compose(self, inner: "_GridMap") -> "_GridMap":
+        _check_family(inner.target, self.source, "maps do not compose")
+        return _GridMap("composite", inner.source, self.target,
+                        self.h0 @ inner.h0, self.h2 @ inner.h2)
+
+
+def _grid_map(kind: str, source: _Family, target: _Family) -> _GridMap:
+    h0, h2, h1 = _MATRICES[kind](source, target)
+    _check_map(kind, source, target, h0, h2, h1)
+    return _GridMap(kind, source, target,
+                    np.array(h0, dtype=np.int64).reshape(target.h0_rank, source.h0_rank),
+                    np.array(h2, dtype=np.int64).reshape(target.h2_rank, source.h2_rank))
+
+
+def _push(mapping: _GridMap, x: _GridClass) -> _GridClass:
+    _check_family(x.family, mapping.source, f"map {mapping.kind} starts elsewhere")
+    h0, coords = x.family.h0_rank, x.coordinates
+    return _GridClass(mapping.target, np.concatenate(
+        [coords[:, :h0] @ mapping.h0.T, coords[:, h0:] @ mapping.h2.T], axis=1))
+
+
+def _pair(x: _GridClass, y: _GridClass) -> _GridClass:
+    """The even class (x, y) on the disjoint unions, row by row."""
+    xs, ys = x.coordinates, y.coordinates
+    return _GridClass(_joined("disjoint", x.family, y.family),
+                      np.concatenate([xs[:, :1], ys[:, :1], xs[:, 1:], ys[:, 1:]], axis=1))
+
+
+def _points(family: _Family) -> _Family:
+    return _Family("point", family.genera[:, :0], 1, 0)
+
+
+def _unit(family: _Family) -> _GridClass:
+    """The base-point unit on every row of ``family``."""
+    point = _points(family)
+    return _push(_grid_map("iota_basepoint", point, family), _grid_class(point, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -587,25 +682,25 @@ class KsumReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _check(name, g1, g2, lhs, rhs, expect_equal=True) -> IdentityCheck:
-    lhs_t = tuple(lhs.coordinates) if isinstance(lhs, KClassVector) else tuple(lhs)
-    rhs_t = tuple(rhs.coordinates) if isinstance(rhs, KClassVector) else tuple(rhs)
-    equal = lhs_t == rhs_t
-    return IdentityCheck(name, g1, g2, lhs_t, rhs_t, expect_equal, equal == expect_equal)
+def _check(name, lhs: KClassVector, rhs: KClassVector) -> IdentityCheck:
+    lhs_t, rhs_t = tuple(lhs.coordinates), tuple(rhs.coordinates)
+    return IdentityCheck(name, None, None, lhs_t, rhs_t, True, lhs_t == rhs_t)
 
 
-class _Genus(NamedTuple):
-    """One genus's surface and distinguished classes, all on that surface."""
-
-    surface: SurfaceSpace
-    dolbeault: KClassVector
-    fundamental: KClassVector
-    unit: KClassVector
-
-
-def _genus(g: int) -> _Genus:
-    dol = chern_dolbeault(g)
-    return _Genus(dol.space, dol, fundamental_k_class(dol.space), basepoint_unit(dol.space))
+def _grid_checks(identities, g1: np.ndarray, g2: Optional[np.ndarray]):
+    """The ``IdentityCheck``s of (name, lhs, rhs, expect_equal) identities,
+    row-major: every identity of row 0, then of row 1, …  A side is a
+    ``_GridClass`` or a (P, d) array; all leaves are Python ints and bools."""
+    g1_list = g1.tolist()
+    g2_list = repeat(None) if g2 is None else g2.tolist()
+    per_identity = []
+    for name, lhs, rhs, expect_equal in identities:
+        lhs, rhs = (getattr(side, "coordinates", side) for side in (lhs, rhs))
+        ok = ((lhs == rhs).all(axis=1) == expect_equal).tolist()
+        per_identity.append(list(map(IdentityCheck._make, zip(
+            repeat(name), g1_list, g2_list, map(tuple, lhs.tolist()),
+            map(tuple, rhs.tolist()), repeat(expect_equal), ok))))
+    return chain.from_iterable(zip(*per_identity))
 
 
 def verify_identities(genus_bound: int = 6) -> KsumReport:
@@ -614,201 +709,102 @@ def verify_identities(genus_bound: int = 6) -> KsumReport:
     Runs every identity of the circle/surface addition calculus over all
     genus pairs 0 ≤ g1, g2 ≤ genus_bound, plus the asserted *inequality*
     showing H0 incompatibility of Euler terms under the ordinary
-    connected sum.  All arithmetic is exact integer arithmetic.
+    connected sum.  All arithmetic is exact integer arithmetic; a bound
+    past ``MAX_GRID_BOUND`` is refused.
     """
-    checks = []
-
+    if genus_bound > MAX_GRID_BOUND:
+        raise ValidationError(
+            f"genus_bound {genus_bound} exceeds {MAX_GRID_BOUND}, past which "
+            "the grid's int64 arithmetic could overflow"
+        )
     # circle addition: both descriptions of the Dirac class sum agree in
     # the odd group of the wedge of two circles.
     d = dirac_circle_class()
     j_circ = identification_to_wedge(SurfaceSpace.circle(), SurfaceSpace.circle())
-    lhs = pushforward(j_circ, disjoint_pair(d, d))
-    rhs = pushforward(pinch_circle_sum(), d)
-    checks.append(_check("circle-dirac-addition", None, None, lhs, rhs))
-
-    # the circle's fundamental K-class is minus the Dirac class.
-    checks.append(
-        _check(
-            "circle-fundamental-vs-dirac",
-            None,
-            None,
-            fundamental_k_class(SurfaceSpace.circle()),
-            -d,
-        )
-    )
-
-    # every genus the grid reaches: g1 + g2 for the connected sum and
-    # g1 + g2 - 1 for the natural sum
-    genera = {g: _genus(g) for g in range(-1, 2 * genus_bound + 1)}
-
-    for g in range(genus_bound + 1):
-        surf, dol, fund, iota_unit = genera[g]
-
-        # normalization: fundamental class = Dolbeault + (g-1) point units.
-        checks.append(
-            _check(
-                "fundamental-class-normalization",
-                g,
-                None,
-                fund,
-                dol + (g - 1) * iota_unit,
-            )
-        )
-
-        # collapsing to the point recovers the Dolbeault index 1 - g.
-        checks.append(
-            _check(
-                "constant-map-index",
-                g,
-                None,
-                pushforward(constant_map(surf), dol),
-                (1 - g,),
-            )
-        )
-
-    for g1 in range(genus_bound + 1):
-        for g2 in range(genus_bound + 1):
-            checks.extend(_pair_checks(g1, g2, genera))
-
+    checks = [
+        _check("circle-dirac-addition", pushforward(j_circ, disjoint_pair(d, d)),
+               pushforward(pinch_circle_sum(), d)),
+        # the circle's fundamental K-class is minus the Dirac class.
+        _check("circle-fundamental-vs-dirac", fundamental_k_class(SurfaceSpace.circle()), -d),
+    ]
+    g = np.arange(genus_bound + 1, dtype=np.int64)
+    checks.extend(_genus_grid(g))
+    # pair-major: g1 outer, g2 inner
+    checks.extend(_pair_grid(np.repeat(g, len(g)), np.tile(g, len(g))))
     return KsumReport(tuple(checks))
 
 
-def _pair_checks(g1: int, g2: int, genera):
-    """All identities attached to one ordered genus pair; ``genera`` maps
-    each genus the pair reaches to its ``_Genus``."""
-    checks = []
-    s1, dol1, fund1, iota_s1 = genera[g1]
-    s2, dol2, fund2, _ = genera[g2]
-    dol_sharp = genera[g1 + g2].dolbeault
-    fund_sharp = genera[g1 + g2].fundamental
-    dol_nat = genera[g1 + g2 - 1].dolbeault
-    fund_nat = genera[g1 + g2 - 1].fundamental
+def _genus_grid(g: np.ndarray):
+    """The two identities of each genus in ``g``."""
+    surf, dol, fund = _surfaces(g)
+    return _grid_checks([
+        # normalization: fundamental class = Dolbeault + (g-1) point units.
+        ("fundamental-class-normalization", fund,
+         dol + (g - 1) * _unit(surf), True),
+        # collapsing to the point recovers the Dolbeault index 1 - g.
+        ("constant-map-index", _push(_grid_map("q0_constant", surf, _points(surf)), dol),
+         (1 - g)[:, None], True),
+    ], g, None)
 
-    j_wedge = identification_to_wedge(s1, s2)
-    p_sharp = pinch_connected_sum(g1, g2)
-    q = crunch(g1, g2)
-    iota_wedge = basepoint_unit(j_wedge.target)
+
+def _pair_grid(g1: np.ndarray, g2: np.ndarray):
+    """The twelve identities of each ordered genus pair (g1[p], g2[p])."""
+    ((s1, dol1, fund1), (s2, dol2, fund2), (s_sharp, dol_sharp, fund_sharp),
+     (s_nat, dol_nat, fund_nat)) = map(_surfaces, (g1, g2, g1 + g2, g1 + g2 - 1))
+    iota_s1 = _unit(s1)
+
+    disjoint, wedge = _joined("disjoint", s1, s2), _joined("wedge", s1, s2)
+    j_wedge = _grid_map("j_disjoint_to_wedge", disjoint, wedge)
+    p_sharp = _grid_map("p_pinch_connected_sum", s_sharp, wedge)
+    q = _grid_map("q_crunch", wedge, s1)
+    iota_wedge = _unit(wedge)
 
     # the wedge classes of the two Dolbeault operators.
-    dol1_w = pushforward(j_wedge, disjoint_pair(dol1, 0 * dol2))
-    dol2_w = pushforward(j_wedge, disjoint_pair(0 * dol1, dol2))
+    dol1_w = _push(j_wedge, _pair(dol1, 0 * dol2))
+    dol2_w = _push(j_wedge, _pair(0 * dol1, dol2))
 
     # point unit, left Dolbeault, right Dolbeault form a unimodular basis
     # of the rank-3 even group of the wedge.
-    basis = (iota_wedge.coordinates, dol1_w.coordinates, dol2_w.coordinates)
-    checks.append(
-        _check("wedge-basis-unimodular", g1, g2, (abs(_det3(basis)),), (1,))
-    )
+    det = _det3((iota_wedge.coordinates.T, dol1_w.coordinates.T, dol2_w.coordinates.T))
 
-    # crushing the right factor keeps the left Dolbeault class and turns
-    # the right one into its index in point units.
-    checks.append(
-        _check(
-            "crunch-left-dolbeault", g1, g2, pushforward(q, dol1_w), dol1
-        )
-    )
-    checks.append(
-        _check(
-            "crunch-right-dolbeault",
-            g1,
-            g2,
-            pushforward(q, dol2_w),
-            (1 - g2) * iota_s1,
-        )
-    )
+    pinched = _push(p_sharp, dol_sharp)
+    via_composite = _push(q.compose(p_sharp), dol_sharp)
 
-    # pinching the connected sum costs exactly one point unit.
-    pinched = pushforward(p_sharp, dol_sharp)
-    checks.append(
-        _check(
-            "pinch-dolbeault-defect",
-            g1,
-            g2,
-            pinched,
-            dol1_w + dol2_w - iota_wedge,
-        )
-    )
+    both_fund = _pair(fund1, fund2)
+    union = _joined("circle_union", s1, s2)
+    j_union = _grid_map("j_disjoint_to_union", disjoint, union)
+    p_nat = _grid_map("p_pinch_natural_sum", s_nat, union)
 
-    # composite crunch∘pinch acts by composed matrices (functoriality) ...
-    qp = q.compose(p_sharp)
-    via_composite = pushforward(qp, dol_sharp)
-    via_stages = pushforward(q, pinched)
-    checks.append(
-        _check("crunch-pinch-functoriality", g1, g2, via_composite, via_stages)
-    )
-    # ... and sends the big Dolbeault class to the left one minus g2 units.
-    checks.append(
-        _check(
-            "crunch-pinch-composite",
-            g1,
-            g2,
-            via_composite,
-            dol1 - g2 * iota_s1,
-        )
-    )
-
-    # stabilizing a class by a trivial genus-g2 block leaves the
-    # normalized combination unchanged.
-    checks.append(
-        _check(
-            "stabilization-well-defined",
-            g1,
-            g2,
-            via_composite + (g1 + g2 - 1) * iota_s1,
-            dol1 + (g1 - 1) * iota_s1,
-        )
-    )
-
-    # Euler characteristic is additive for the natural (handle) sum ...
-    checks.append(
-        _check(
-            "natural-sum-euler-additivity",
-            g1,
-            g2,
-            (euler_characteristic(g1 + g2 - 1),),
-            (euler_characteristic(g1) + euler_characteristic(g2),),
-        )
-    )
-    # ... but differs by exactly 2 for the ordinary connected sum, which
-    # is the asserted H0 inequality blocking a naive addition formula.
-    checks.append(
-        _check(
-            "connected-sum-euler-defect",
-            g1,
-            g2,
-            (euler_characteristic(g1) + euler_characteristic(g2),),
-            (euler_characteristic(g1 + g2),),
-            expect_equal=False,
-        )
-    )
-
-    # fundamental classes are compatible for the ordinary connected sum.
-    both_fund = disjoint_pair(fund1, fund2)
-    j_fund = pushforward(j_wedge, both_fund)
-    p_fund = pushforward(p_sharp, fund_sharp)
-    checks.append(_check("connected-sum-fundamental-class", g1, g2, j_fund, p_fund))
-
-    # identities in the union along a circle (natural sum target).
-    j_union = identification_to_union(g1, g2)
-    p_nat = pinch_natural_sum(g1, g2)
-
-    checks.append(
-        _check(
-            "dolbeault-natural-sum-addition",
-            g1,
-            g2,
-            pushforward(j_union, disjoint_pair(dol1, dol2)),
-            pushforward(p_nat, dol_nat),
-        )
-    )
-    checks.append(
-        _check(
-            "natural-sum-fundamental-class",
-            g1,
-            g2,
-            pushforward(j_union, both_fund),
-            pushforward(p_nat, fund_nat),
-        )
-    )
-
-    return checks
+    euler_sum = (euler_characteristic(g1) + euler_characteristic(g2))[:, None]
+    return _grid_checks([
+        ("wedge-basis-unimodular", np.abs(det)[:, None], np.ones_like(det)[:, None], True),
+        # crushing the right factor keeps the left Dolbeault class and turns
+        # the right one into its index in point units.
+        ("crunch-left-dolbeault", _push(q, dol1_w), dol1, True),
+        ("crunch-right-dolbeault", _push(q, dol2_w), (1 - g2) * iota_s1, True),
+        # pinching the connected sum costs exactly one point unit.
+        ("pinch-dolbeault-defect", pinched, dol1_w + dol2_w - iota_wedge, True),
+        # composite crunch∘pinch acts by composed matrices (functoriality) ...
+        ("crunch-pinch-functoriality", via_composite, _push(q, pinched), True),
+        # ... and sends the big Dolbeault class to the left one minus g2 units.
+        ("crunch-pinch-composite", via_composite, dol1 - g2 * iota_s1, True),
+        # stabilizing a class by a trivial genus-g2 block leaves the
+        # normalized combination unchanged.
+        ("stabilization-well-defined", via_composite + (g1 + g2 - 1) * iota_s1,
+         dol1 + (g1 - 1) * iota_s1, True),
+        # Euler characteristic is additive for the natural (handle) sum ...
+        ("natural-sum-euler-additivity",
+         euler_characteristic(g1 + g2 - 1)[:, None], euler_sum, True),
+        # ... but differs by exactly 2 for the ordinary connected sum, which
+        # is the asserted H0 inequality blocking a naive addition formula.
+        ("connected-sum-euler-defect", euler_sum,
+         euler_characteristic(g1 + g2)[:, None], False),
+        # fundamental classes are compatible for the ordinary connected sum.
+        ("connected-sum-fundamental-class", _push(j_wedge, both_fund),
+         _push(p_sharp, fund_sharp), True),
+        # identities in the union along a circle (natural sum target).
+        ("dolbeault-natural-sum-addition", _push(j_union, _pair(dol1, dol2)),
+         _push(p_nat, dol_nat), True),
+        ("natural-sum-fundamental-class", _push(j_union, both_fund),
+         _push(p_nat, fund_nat), True),
+    ], g1, g2)

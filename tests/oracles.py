@@ -15,6 +15,9 @@ pytest puts this directory on the import path).
   references of the stacked solves in `extlab.spectral`.
 - A loop's plain Fourier re-expansion, and the H0 and H2 parts of an even
   K-class.
+- The ksum identities of one genus or one genus pair through the scalar
+  K-class calculus, one class and one map at a time: the reference of the
+  identity grid, which runs every genus pair at once on int64 arrays.
 """
 
 import math
@@ -30,6 +33,22 @@ from extlab.analysis import (
     multiply,
 )
 from extlab.errors import NumericalError, StructuralError, ValidationError
+from extlab.ksum import (
+    IdentityCheck,
+    SurfaceSpace,
+    basepoint_unit,
+    chern_dolbeault,
+    constant_map,
+    crunch,
+    disjoint_pair,
+    euler_characteristic,
+    fundamental_k_class,
+    identification_to_union,
+    identification_to_wedge,
+    pinch_connected_sum,
+    pinch_natural_sum,
+    pushforward,
+)
 from extlab.pairing import TWO_PI, _cuts, _derivative_pieces, _grid_values, _terms_at
 from extlab.vonneumann import (
     BoundaryMatrix,
@@ -214,3 +233,69 @@ def h2_part(x) -> tuple:
     if x.parity != "even":
         raise ValidationError("odd classes have no H2 part")
     return x.coordinates[x.space.h0_rank :]
+
+
+def det3(rows) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _identity_check(name, g1, g2, lhs, rhs, expect_equal=True) -> IdentityCheck:
+    lhs, rhs = (tuple(getattr(side, "coordinates", side)) for side in (lhs, rhs))
+    return IdentityCheck(name, g1, g2, lhs, rhs, expect_equal, (lhs == rhs) == expect_equal)
+
+
+def genus_checks(g: int) -> list:
+    """The two identities `ksum.verify_identities` checks for genus g."""
+    s, dol = SurfaceSpace.surface(g), chern_dolbeault(g)
+    return [
+        _identity_check("fundamental-class-normalization", g, None,
+                        fundamental_k_class(s), dol + (g - 1) * basepoint_unit(s)),
+        _identity_check("constant-map-index", g, None,
+                        pushforward(constant_map(s), dol), (1 - g,)),
+    ]
+
+
+def pair_checks(g1: int, g2: int) -> list:
+    """The twelve identities `ksum.verify_identities` checks for the ordered
+    genus pair (g1, g2), in its order."""
+    s1, s2 = SurfaceSpace.surface(g1), SurfaceSpace.surface(g2)
+    dol1, dol2 = chern_dolbeault(g1), chern_dolbeault(g2)
+    fund1, fund2 = fundamental_k_class(s1), fundamental_k_class(s2)
+    dol_sharp, dol_nat = chern_dolbeault(g1 + g2), chern_dolbeault(g1 + g2 - 1)
+    fund_sharp = fundamental_k_class(dol_sharp.space)
+    fund_nat = fundamental_k_class(dol_nat.space)
+    iota_s1 = basepoint_unit(s1)
+
+    j_wedge = identification_to_wedge(s1, s2)
+    p_sharp = pinch_connected_sum(g1, g2)
+    q = crunch(g1, g2)
+    iota_wedge = basepoint_unit(j_wedge.target)
+    dol1_w = pushforward(j_wedge, disjoint_pair(dol1, 0 * dol2))
+    dol2_w = pushforward(j_wedge, disjoint_pair(0 * dol1, dol2))
+    basis = (iota_wedge.coordinates, dol1_w.coordinates, dol2_w.coordinates)
+    pinched = pushforward(p_sharp, dol_sharp)
+    via_composite = pushforward(q.compose(p_sharp), dol_sharp)
+    both_fund = disjoint_pair(fund1, fund2)
+    j_union = identification_to_union(g1, g2)
+    p_nat = pinch_natural_sum(g1, g2)
+    euler_sum = (euler_characteristic(g1) + euler_characteristic(g2),)
+
+    return [_identity_check(name, g1, g2, *sides) for name, *sides in [
+        ("wedge-basis-unimodular", (abs(det3(basis)),), (1,)),
+        ("crunch-left-dolbeault", pushforward(q, dol1_w), dol1),
+        ("crunch-right-dolbeault", pushforward(q, dol2_w), (1 - g2) * iota_s1),
+        ("pinch-dolbeault-defect", pinched, dol1_w + dol2_w - iota_wedge),
+        ("crunch-pinch-functoriality", via_composite, pushforward(q, pinched)),
+        ("crunch-pinch-composite", via_composite, dol1 - g2 * iota_s1),
+        ("stabilization-well-defined", via_composite + (g1 + g2 - 1) * iota_s1,
+         dol1 + (g1 - 1) * iota_s1),
+        ("natural-sum-euler-additivity", (euler_characteristic(g1 + g2 - 1),), euler_sum),
+        ("connected-sum-euler-defect", euler_sum, (euler_characteristic(g1 + g2),), False),
+        ("connected-sum-fundamental-class", pushforward(j_wedge, both_fund),
+         pushforward(p_sharp, fund_sharp)),
+        ("dolbeault-natural-sum-addition", pushforward(j_union, disjoint_pair(dol1, dol2)),
+         pushforward(p_nat, dol_nat)),
+        ("natural-sum-fundamental-class", pushforward(j_union, both_fund),
+         pushforward(p_nat, fund_nat)),
+    ]]

@@ -514,6 +514,37 @@ def test_a_suite_key_the_command_does_not_read_is_named(tmp_path, capsys, argv, 
     assert out == "" and f"suite keys ['{key}'] are not read by {name}" in err
 
 
+_UNREAD_BY_KSUM = {
+    "extension": "swap",
+    "extensions": ["swap"],
+    "cutoffs": [10, 20, 30],
+    "partition": [0, 0.5, 1],
+    "knot_constraints": [1, 1],
+    "loop": {"monomial": 1},
+    "window": [-5, 5],
+    "svg": True,
+}
+
+
+@pytest.mark.parametrize("argv", [("verify", "ksum"), ("ksum",)], ids=" ".join)
+@pytest.mark.parametrize("key", sorted(_UNREAD_BY_KSUM))
+def test_a_config_key_ksum_does_not_read_is_named(tmp_path, capsys, argv, key):
+    from extlab import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, key: _UNREAD_BY_KSUM[key]}), encoding="utf-8")
+    assert cli.main([*argv, "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"config keys ['{key}'] are not read by {' '.join(argv)}" in err
+
+
+def test_ksum_reads_its_suite_seed_and_tolerance(tmp_path, capsys):
+    code, report, *_ = _verify_ksum_in_process(
+        tmp_path, capsys, {"suite": {"genus_bound": 1}, "seed": 5, "tolerance": 1e-6})
+    assert code == 0
+    assert (report["seed"], report["tolerance"], report["result"]["checks"]) == (5, 1e-6, 54)
+
+
 @pytest.mark.parametrize("config, message", [
     pytest.param({"extension": {"random": {"seed": 1, "cnt": 5}}},
                  "random extension keys ['cnt'] are not read (seed, count)", id="random-typo"),
@@ -1455,26 +1486,41 @@ def test_verify_ksum_bytes_beyond_the_golden_bound(tmp_path, capsys, bound):
     assert got == _KSUM_DIGESTS[bound]
 
 
-def test_a_broken_crunch_fails_only_the_identities_that_read_it(tmp_path, monkeypatch, capsys):
+def _broken_crunch(source, target):
+    # keeps the right factor's fundamental class instead of the left's
+    return ((1,),), ((0, 1),), None
+
+
+def _broken_natural_pinch(source, target):
+    # sends the handle surface's fundamental class to the left surface's only
+    return ((1,),), ((1,), (0,)), None
+
+
+@pytest.mark.parametrize("kind, broken, constructor, failing", [
+    # the crunched pinch still sends both wedge fundamental classes' sum to
+    # the one surface class, so only the two single-factor crunches fail;
+    # crunch-pinch-functoriality holds for any linear q
+    pytest.param("q_crunch", _broken_crunch, "crunch",
+                 {"crunch-left-dolbeault", "crunch-right-dolbeault"}, id="crunch"),
+    pytest.param("p_pinch_natural_sum", _broken_natural_pinch, "pinch_natural_sum",
+                 {"dolbeault-natural-sum-addition", "natural-sum-fundamental-class"},
+                 id="natural-sum-pinch"),
+])
+def test_a_broken_map_fails_only_the_identities_that_read_it(tmp_path, monkeypatch, capsys,
+                                                             kind, broken, constructor, failing):
     from extlab import ksum
 
-    def crunch(g1, g2):
-        # keeps the right factor's fundamental class instead of the left's
-        source = ksum.SurfaceSpace.wedge(ksum.SurfaceSpace.surface(g1),
-                                         ksum.SurfaceSpace.surface(g2))
-        return ksum.CanonicalMap("q_crunch", source, ksum.SurfaceSpace.surface(g1),
-                                 ((1,),), ((0, 1),))
-
-    monkeypatch.setattr(ksum, "crunch", crunch)
+    # the map kind's one matrix definition, which the grid and the scalar
+    # constructor both read
+    monkeypatch.setitem(ksum._MATRICES, kind, broken)
+    scalar = getattr(ksum, constructor)(2, 3)
+    assert (scalar.h0, scalar.h2, scalar.h1) == broken(None, None)
     code, report, header, body = _verify_ksum_in_process(tmp_path, capsys)
     assert code == 1
     assert report["status"] == "fail"
     assert report["result"]["checks"] == 604
     failed = {line.split()[1] for line in report["result"]["failures"]}
-    # the crunched pinch still sends both wedge fundamental classes' sum to
-    # the one surface class, so only the two single-factor crunches fail;
-    # crunch-pinch-functoriality holds for any linear q
-    assert failed == {"crunch-left-dolbeault", "crunch-right-dolbeault"}
+    assert failed == failing
     assert header[-1] == "status" and len(body) == 604
     mismatched = [row for row in body if row[-1] == "mismatch"]
     assert len(mismatched) == len(report["result"]["failures"]) == 2 * 7 * 7

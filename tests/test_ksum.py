@@ -11,8 +11,10 @@ import time
 
 from hypothesis import given
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
+from extlab import ksum
 from extlab.errors import StructuralError, ValidationError
 from extlab.ksum import (
     CanonicalMap,
@@ -38,12 +40,7 @@ from extlab.ksum import (
     unit_point_class,
     verify_identities,
 )
-from oracles import h0_part, h2_part
-
-
-def det3(rows):
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+from oracles import det3, genus_checks, h0_part, h2_part, pair_checks
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +355,7 @@ def test_canonical_map_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# derived classes are not re-validated, so each check must hold where its
-# input enters: a map's entries and shapes when it is built, an odd disjoint
-# pair on its space
+# every class and map is checked when built, derived ones included
 
 
 def test_a_map_with_a_float_entry_pushes_nothing_forward():
@@ -399,12 +394,10 @@ def test_non_integral_genera_are_refused():
         SurfaceSpace.circle_union(1, 2.0)
 
 
-def test_equal_spaces_built_by_the_constructors_are_one_object():
+def test_equal_spaces_built_any_way_are_interchangeable():
     s = SurfaceSpace.surface(3)
-    assert SurfaceSpace.surface(3) is s
-    assert SurfaceSpace.wedge(s, SurfaceSpace.circle()) is SurfaceSpace.wedge(
+    assert SurfaceSpace.wedge(s, SurfaceSpace.circle()) == SurfaceSpace.wedge(
         SurfaceSpace.surface(3), SurfaceSpace.circle())
-    # a space built field by field is equal, not necessarily the same object
     other = SurfaceSpace("surface", genus=3)
     assert other == s
     assert pushforward(constant_map(other), chern_dolbeault(3)) == (-2) * unit_point_class()
@@ -477,8 +470,7 @@ def _constructor_maps(g1, g2):
 
 @given(st.integers(min_value=0, max_value=64), st.integers(min_value=0, max_value=64))
 def test_constructor_maps_pass_every_check_of_the_public_constructor(g1, g2):
-    # the constructors check shapes only; kinds and integer entries hold by
-    # construction, so a rebuild through every check succeeds
+    # the matrices each kind reads from its one definition pass every check
     for mapping in _constructor_maps(g1, g2):
         rebuilt = CanonicalMap(mapping.kind, mapping.source, mapping.target,
                                mapping.h0, mapping.h2, mapping.h1)
@@ -555,3 +547,77 @@ def test_inequality_checks_assert_strict_difference():
         assert not c.expect_equal
         assert c.ok
         assert c.lhs != c.rhs
+
+
+# ---------------------------------------------------------------------------
+# the grid against the scalar calculus
+
+
+_GRID_GENERA = st.integers(min_value=0, max_value=64)
+
+
+@given(st.lists(st.tuples(_GRID_GENERA, _GRID_GENERA), min_size=1, max_size=8))
+def test_each_grid_row_is_the_scalar_calculus_of_its_pair(pairs):
+    # one grid call over the drawn pairs, row p against its own scalar checks
+    g1, g2 = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    got = list(ksum._pair_grid(g1, g2))
+    assert got == [c for pair in pairs for c in pair_checks(*pair)]
+    assert all(type(x) is int for c in got for x in (c.g1, c.g2, *c.lhs, *c.rhs))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 5])
+def test_the_report_is_the_scalar_calculus_in_order(bound):
+    report = verify_identities(bound)
+    genera = range(bound + 1)
+    expected = ([c for g in genera for c in genus_checks(g)]
+                + [c for g1 in genera for g2 in genera for c in pair_checks(g1, g2)])
+    assert list(report.checks[2:]) == expected
+    assert [c.name for c in report.checks[:2]] == ["circle-dirac-addition",
+                                                   "circle-fundamental-vs-dirac"]
+
+
+def test_grid_operations_refuse_families_that_differ_in_one_genus():
+    s, dol, fund = ksum._surfaces(np.arange(4, dtype=np.int64))
+    other, other_dol, _ = ksum._surfaces(np.array([0, 1, 5, 3], dtype=np.int64))
+    collapse = ksum._grid_map("q0_constant", other, ksum._points(other))
+    with pytest.raises(StructuralError):
+        ksum._push(collapse, dol)
+    assert ksum._push(collapse, other_dol).coordinates.tolist() == [[1], [0], [-4], [-2]]
+    with pytest.raises(StructuralError):
+        dol + other_dol
+    with pytest.raises(StructuralError):
+        fund - other_dol
+    pinch = ksum._grid_map("p_pinch_connected_sum", s, ksum._joined("wedge", s, s))
+    with pytest.raises(StructuralError):
+        ksum._grid_map("q_crunch", ksum._joined("wedge", other, s), other).compose(pinch)
+
+
+def test_grid_scalars_must_be_integers():
+    _, dol, _ = ksum._surfaces(np.arange(3, dtype=np.int64))
+    with pytest.raises(ValidationError):
+        np.array([0.5, 1.0, 2.0]) * dol
+
+
+def test_a_grid_map_keeps_the_checks_of_the_public_constructor(monkeypatch):
+    monkeypatch.setitem(ksum._MATRICES, "q_crunch", lambda source, target: (
+        ((1,),), ((1.0, 0),), None))
+    with pytest.raises(ValidationError, match="entries must be integers"):
+        verify_identities(1)
+    monkeypatch.setitem(ksum._MATRICES, "q_crunch", lambda source, target: (
+        ((1,),), ((1, 0, 0),), None))
+    with pytest.raises(StructuralError, match="H2 matrix shape"):
+        verify_identities(1)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 6, 12, 64])
+def test_grid_coordinates_stay_within_the_overflow_budget(bound):
+    # the module docstring's bound on every coordinate, which caps the grid
+    report = verify_identities(bound)
+    assert max(abs(x) for c in report.checks for x in c.lhs + c.rhs) <= 4 * (bound + 1)
+    assert 6 * (4 * (ksum.MAX_GRID_BOUND + 1)) ** 3 < 2 ** 62
+    assert 6 * (4 * (ksum.MAX_GRID_BOUND + 2)) ** 3 >= 2 ** 62
+
+
+def test_a_bound_past_the_overflow_cap_is_refused():
+    with pytest.raises(ValidationError, match="int64"):
+        verify_identities(ksum.MAX_GRID_BOUND + 1)
