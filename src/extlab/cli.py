@@ -28,7 +28,8 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .pairing import (
     MAX_BASIS_WINDOW,
     TWO_PI,
     UnitaryLoop,
+    _two_equal_pieces,
     adjoint,
     basis_window,
     eigen_arrays,
@@ -131,7 +133,7 @@ def _emit_json(obj, out):
     elif isinstance(obj, (complex, np.complexfloating)):
         _emit_json([float(obj.real), float(obj.imag)], out)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -139,7 +141,7 @@ def _emit_json(obj, out):
                 raise ValidationError("JSON object keys must be strings")
             if i:
                 out.append(", ")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(encode_basestring(key))
             out.append(": ")
             _emit_json(obj[key], out)
         out.append("}")
@@ -275,6 +277,11 @@ _SUITE_KEYS = {
 #: the top-level keys each command or verify suite reads; a command without a
 #: row yet is held only to `_ALLOWED_KEYS`
 _COMMAND_KEYS = {
+    "deficiency": {"partition", "knot_constraints", "seed", "tolerance"},
+    "spectrum": {"partition", "knot_constraints", "extension", "extensions", "window",
+                 "seed", "tolerance", "svg"},
+    "pair": {"partition", "knot_constraints", "extension", "extensions", "loop", "cutoffs",
+             "seed", "tolerance"},
     "ksum": {"suite", "seed", "tolerance"},
 }
 
@@ -728,12 +735,18 @@ def _or_error(fn, *args, **kwargs):
         return exc
 
 
-def _loop_side(loop):
-    """(winding, samples): the loop's values at k / (8N), N its
-    `unwinding_grid` N, taken once for its `winding` (every eighth) and both
-    `symbol_index` calls of every pairing of the loop (see `pair`), and the
-    winding on them."""
-    samples = loop.grid(8 * unwinding_grid(loop)[0])
+def _loop_side(loop, partition):
+    """(winding, samples): the loop's `pair` samples on `partition`, taken
+    once for its `winding` and every pairing of the loop, and the winding on
+    them.  N is its `unwinding_grid` N.  On two equal pieces the samples
+    are the values at k / (8N), which the winding (every eighth) and both
+    `symbol_index` calls of each pairing read; elsewhere only the winding
+    reads them, and they are the values at k / N."""
+    ngrid = unwinding_grid(loop)[0]
+    if not _two_equal_pieces(partition):
+        samples = loop.grid(ngrid)
+        return winding(loop, samples), samples
+    samples = loop.grid(8 * ngrid)
     return winding(loop, samples[::8]), samples
 
 
@@ -756,7 +769,12 @@ def _pairings(loops, boundaries, partition, cutoffs, jobs):
     """
     reach = max(loop.frequency_reach for loop in loops)
     bases = [_or_error(eigen_arrays, B, partition, cutoffs, reach) for B in boundaries]
-    seams = [seam_basis(B, partition) for B in boundaries]
+    # each B's seam reads the decomposition its basis made; a failed basis
+    # is the error of every pairing with its B, and its seam is still built,
+    # on its own, so a B that cannot be decomposed raises here
+    seams = [seam_basis(B, partition,
+                        None if isinstance(basis, NumericalError) else basis.decomposition)
+             for B, basis in zip(boundaries, bases)]
 
     # conjugate_of[i]: the position of the paired loop that loop i is the
     # conjugate of, or None when loop i is paired itself
@@ -782,7 +800,7 @@ def _pairings(loops, boundaries, partition, cutoffs, jobs):
     def tasks():
         for i, (loop, j) in enumerate(zip(loops, conjugate_of)):
             if j is None:
-                side = _or_error(_loop_side, loop)
+                side = _or_error(_loop_side, loop, partition)
                 sides[i] = side if isinstance(side, NumericalError) else side[0]
                 for B, basis, seam in zip(boundaries, bases, seams):
                     yield loop, side, B, basis, seam
@@ -893,18 +911,31 @@ def _sweep(cfg: ExperimentConfig, loops, default_count: int):
 
 
 def _ksum_rows(report):
-    return [
-        (
-            name,
-            "" if g1 is None else str(g1),
-            "" if g2 is None else str(g2),
-            " ".join(map(str, lhs)),
-            " ".join(map(str, rhs)),
-            "equal" if expect_equal else "unequal",
-            "ok" if ok else "mismatch",
-        )
-        for name, g1, g2, lhs, rhs, expect_equal, ok in report.checks
-    ]
+    """The CSV rows of a `KsumReport` in its `checks` order: each identity
+    block formatted in one pass, then the blocks of each grid interleaved
+    row by row."""
+    rows = []
+    for blocks in report.grids:
+        # the blocks of a grid share their genus columns
+        g1, g2 = (repeat("") if g is None else list(map(str, g.tolist()))
+                  for g in (blocks[0].g1, blocks[0].g2))
+        rows.extend(chain.from_iterable(zip(*[_ksum_block_rows(block, g1, g2)
+                                               for block in blocks])))
+    return rows
+
+
+def _ksum_block_rows(block, g1, g2):
+    """The CSV rows of one `ksum.IdentityBlock`, in row order; `g1` and `g2`
+    are its genus cells."""
+
+    def coordinates(side):
+        # one format over the whole (P, d) block: "x y" a row
+        row = " ".join(["%d"] * side.shape[1])
+        return ("\n".join([row] * len(side)) % tuple(side.ravel().tolist())).split("\n")
+
+    return list(zip(repeat(block.name), g1, g2, coordinates(block.lhs), coordinates(block.rhs),
+                    repeat("equal" if block.expect_equal else "unequal"),
+                    np.where(block.ok, "ok", "mismatch").tolist()))
 
 
 _KSUM_CSV_HEADER = ("identity", "g1", "g2", "lhs", "rhs", "expected", "status")
@@ -924,7 +955,7 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
         rep = ksum_calculus.verify_identities(bound)
         result = {
             "suite": suite,
-            "checks": len(rep.checks),
+            "checks": len(rep),
             "failures": [c.describe() for c in rep.failures],
         }
         report = _base_report(cfg, result, "pass" if rep.passed else "fail")

@@ -23,9 +23,12 @@ coordinate on the grid is at most 4(b + 1) in absolute value, and the
 largest intermediate, a ``_det3`` of such coordinates, at most six times its
 cube; both stay below 2^62 for b ≤ 229 002 (``MAX_GRID_BOUND``), and
 ``verify_identities`` refuses a larger bound, past which int64 would wrap.
+Its report keeps those arrays, one block per identity; the per-check
+``IdentityCheck`` tuples are built only for failed rows, or on demand.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from operator import add, mul, sub
 from typing import NamedTuple, Optional, Tuple
@@ -669,38 +672,89 @@ class IdentityCheck(NamedTuple):
         return f"{status:8s} {self.name}{where}: {self.lhs} {relation} {self.rhs}"
 
 
-@dataclass(frozen=True)
+class IdentityBlock(NamedTuple):
+    """One identity over the rows of a grid: row p checks ``lhs[p]`` against
+    ``rhs[p]`` ((P, d) int64 arrays) at genus ``g1[p]`` (and ``g2[p]``), and
+    ``ok[p]`` says whether they are equal exactly when ``expect_equal``.  A
+    scalar check is a one-row block with no genera."""
+
+    name: str
+    g1: Optional[np.ndarray]
+    g2: Optional[np.ndarray]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    expect_equal: bool
+    ok: np.ndarray
+
+
+def _block_checks(block: IdentityBlock, rows=slice(None)):
+    """The ``IdentityCheck``s of a block's ``rows``, all leaves Python ints
+    and bools."""
+    g1 = repeat(None) if block.g1 is None else block.g1[rows].tolist()
+    g2 = repeat(None) if block.g2 is None else block.g2[rows].tolist()
+    return list(map(IdentityCheck._make, zip(
+        repeat(block.name), g1, g2, map(tuple, block.lhs[rows].tolist()),
+        map(tuple, block.rhs[rows].tolist()), repeat(block.expect_equal),
+        block.ok[rows].tolist())))
+
+
+@dataclass(frozen=True, eq=False)
 class KsumReport:
-    checks: Tuple[IdentityCheck, ...]
+    """The checked identities as grids: each grid is the blocks of one set
+    of rows (the blocks share their genus columns), and its checks run
+    row-major (every identity of row 0, then of row 1, …).  The first grid
+    holds the scalar circle checks, then come the per-genus and the
+    per-pair grid."""
+
+    grids: Tuple[Tuple[IdentityBlock, ...], ...]
+
+    def __len__(self) -> int:
+        """The number of checks."""
+        return sum(len(block.ok) for blocks in self.grids for block in blocks)
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return all(block.ok.all() for blocks in self.grids for block in blocks)
 
     @property
     def failures(self) -> Tuple[IdentityCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
+        """The failed checks, in ``checks`` order; only these are built."""
+        out = []
+        for blocks in self.grids:
+            bad = ~np.stack([block.ok for block in blocks], axis=1)
+            if not bad.any():
+                continue
+            # (row, block) of each failure, row-major; each block's failed
+            # rows come up in ascending order
+            failed = [iter(_block_checks(block, np.flatnonzero(bad[:, i])))
+                      for i, block in enumerate(blocks)]
+            out.extend(next(failed[i]) for i in np.nonzero(bad)[1].tolist())
+        return tuple(out)
+
+    @cached_property
+    def checks(self) -> Tuple[IdentityCheck, ...]:
+        """Every check as an ``IdentityCheck``, grid by grid, row-major;
+        built at the first access.  Reports compare equal by it."""
+        return tuple(chain.from_iterable(
+            chain.from_iterable(zip(*map(_block_checks, blocks))) for blocks in self.grids))
+
+    def __eq__(self, other):
+        if not isinstance(other, KsumReport):
+            return NotImplemented
+        return self.checks == other.checks
 
 
-def _check(name, lhs: KClassVector, rhs: KClassVector) -> IdentityCheck:
-    lhs_t, rhs_t = tuple(lhs.coordinates), tuple(rhs.coordinates)
-    return IdentityCheck(name, None, None, lhs_t, rhs_t, True, lhs_t == rhs_t)
-
-
-def _grid_checks(identities, g1: np.ndarray, g2: Optional[np.ndarray]):
-    """The ``IdentityCheck``s of (name, lhs, rhs, expect_equal) identities,
-    row-major: every identity of row 0, then of row 1, …  A side is a
-    ``_GridClass`` or a (P, d) array; all leaves are Python ints and bools."""
-    g1_list = g1.tolist()
-    g2_list = repeat(None) if g2 is None else g2.tolist()
-    per_identity = []
+def _grid_checks(identities, g1: Optional[np.ndarray] = None,
+                 g2: Optional[np.ndarray] = None) -> Tuple[IdentityBlock, ...]:
+    """The ``IdentityBlock`` of each (name, lhs, rhs, expect_equal) identity
+    over the rows of ``g1`` (and ``g2``), every block sharing these genus
+    columns.  A side is a ``_GridClass`` or a (P, d) int64 array."""
+    blocks = []
     for name, lhs, rhs, expect_equal in identities:
         lhs, rhs = (getattr(side, "coordinates", side) for side in (lhs, rhs))
-        ok = ((lhs == rhs).all(axis=1) == expect_equal).tolist()
-        per_identity.append(list(map(IdentityCheck._make, zip(
-            repeat(name), g1_list, g2_list, map(tuple, lhs.tolist()),
-            map(tuple, rhs.tolist()), repeat(expect_equal), ok))))
-    return chain.from_iterable(zip(*per_identity))
+        blocks.append(IdentityBlock(name, g1, g2, lhs, rhs, expect_equal,
+                                    (lhs == rhs).all(axis=1) == expect_equal))
+    return tuple(blocks)
 
 
 def verify_identities(genus_bound: int = 6) -> KsumReport:
@@ -717,21 +771,28 @@ def verify_identities(genus_bound: int = 6) -> KsumReport:
             f"genus_bound {genus_bound} exceeds {MAX_GRID_BOUND}, past which "
             "the grid's int64 arithmetic could overflow"
         )
-    # circle addition: both descriptions of the Dirac class sum agree in
-    # the odd group of the wedge of two circles.
+    g = np.arange(genus_bound + 1, dtype=np.int64)
+    # pair-major: g1 outer, g2 inner
+    return KsumReport((_circle_checks(), _genus_grid(g),
+                       _pair_grid(np.repeat(g, len(g)), np.tile(g, len(g)))))
+
+
+def _circle_checks():
+    """The two circle identities, on the scalar calculus: one-row blocks."""
+    def row(x: KClassVector) -> np.ndarray:
+        return np.array([x.coordinates], dtype=np.int64)
+
     d = dirac_circle_class()
     j_circ = identification_to_wedge(SurfaceSpace.circle(), SurfaceSpace.circle())
-    checks = [
-        _check("circle-dirac-addition", pushforward(j_circ, disjoint_pair(d, d)),
-               pushforward(pinch_circle_sum(), d)),
+    return _grid_checks([
+        # circle addition: both descriptions of the Dirac class sum agree in
+        # the odd group of the wedge of two circles.
+        ("circle-dirac-addition", row(pushforward(j_circ, disjoint_pair(d, d))),
+         row(pushforward(pinch_circle_sum(), d)), True),
         # the circle's fundamental K-class is minus the Dirac class.
-        _check("circle-fundamental-vs-dirac", fundamental_k_class(SurfaceSpace.circle()), -d),
-    ]
-    g = np.arange(genus_bound + 1, dtype=np.int64)
-    checks.extend(_genus_grid(g))
-    # pair-major: g1 outer, g2 inner
-    checks.extend(_pair_grid(np.repeat(g, len(g)), np.tile(g, len(g))))
-    return KsumReport(tuple(checks))
+        ("circle-fundamental-vs-dirac", row(fundamental_k_class(SurfaceSpace.circle())),
+         row(-d), True),
+    ])
 
 
 def _genus_grid(g: np.ndarray):
@@ -744,7 +805,7 @@ def _genus_grid(g: np.ndarray):
         # collapsing to the point recovers the Dolbeault index 1 - g.
         ("constant-map-index", _push(_grid_map("q0_constant", surf, _points(surf)), dol),
          (1 - g)[:, None], True),
-    ], g, None)
+    ], g)
 
 
 def _pair_grid(g1: np.ndarray, g2: np.ndarray):

@@ -457,7 +457,7 @@ def winding(loop: UnitaryLoop, values: np.ndarray = None) -> int:
     """The loop's winding number, unwound on its `unwinding_grid` N, where
     every sample must also keep its modulus above MARGIN.  `values` are the
     loop's samples at k / N when the caller has them (every eighth of the
-    samples `pair` takes)."""
+    samples `pair` takes on two equal pieces, all of them elsewhere)."""
     if values is None:
         values = loop.grid(unwinding_grid(loop)[0])
     low = np.min(np.abs(values))
@@ -485,9 +485,11 @@ def basis_window(cutoffs, reach: float) -> float:
 
 class _Basis(tuple):
     """An `eigen_arrays` result: the tuple (lam, coef, ladders), carrying the
-    basis's `gauge` vector beside it (None off a ladder basis)."""
+    basis's `gauge` vector beside it (None off a ladder basis) and the
+    spectrum's `decomposition` of B (None off equal pieces)."""
 
     gauge: np.ndarray
+    decomposition: tuple
 
 
 def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
@@ -496,7 +498,9 @@ def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
     its coefficient rows, coef[i, k] being the atom coefficient of
     eigenfunction i on piece k, and ladders = k on k equal pieces, where
     `eigenbasis` builds eigenvalue i as rung i // k of ladder i % k, else 0.
-    On a ladder basis its `gauge` is `_basis_gauge`, which depends on B alone.
+    On a ladder basis its `gauge` is `_basis_gauge`, which depends on B alone,
+    and its `decomposition` is the (w, W) of B the closed form read, which
+    `seam_basis` reads too.
 
     One basis serves every loop whose frequency reach is at most `reach`:
     each finite section keeps the eigenvalues inside its own window.
@@ -506,6 +510,7 @@ def eigen_arrays(B, partition: Partition, cutoffs, reach: float):
     ladders = partition.npieces if _equal_lengths(partition.lengths) else 0
     basis = _Basis((lam, coef, ladders))
     basis.gauge = _basis_gauge(partition, lam, coef) if ladders else None
+    basis.decomposition = spec.decomposition
     return basis
 
 
@@ -967,16 +972,17 @@ def _section_verdict(window: _SectionWindow, cutoffs, sides, real: bool):
 # the exact symbol route
 # ---------------------------------------------------------------------------
 
-def seam_basis(B, partition: Partition = None):
+def seam_basis(B, partition: Partition = None, decomposition=None):
     """The seam test's B side (W, g): B = W diag(w) W* with W unitary
     (`_unitary_eigenbasis`) and g = w / |w|, or None on a partition that is
     not two equal pieces, where `symbol_index` does not apply.
 
     It depends on B alone, so the CLI builds it once per B, beside that B's
-    `eigen_arrays` basis, for every pairing with B."""
+    `eigen_arrays` basis, for every pairing with B.  `decomposition` is that
+    basis's (w, W) when the caller has it; B is decomposed here otherwise."""
     if not _two_equal_pieces(Partition.default() if partition is None else partition):
         return None
-    w, W = _unitary_eigenbasis(boundary_array(B))
+    w, W = _unitary_eigenbasis(boundary_array(B)) if decomposition is None else decomposition
     return W, w / np.abs(w)
 
 
@@ -1098,11 +1104,13 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
     reach at least the loop's frequency reach; the CLI builds it once per B
     and shares it between loops.  Without it the pairing builds its own at
     the loop's reach.  Likewise `seam` is B's `seam_basis`, and `samples`
-    the loop's values at k / (8N), k < 8N, N its `unwinding_grid` N, which
-    the CLI takes once per loop; the pairing builds each at most once when
-    not given.  Every eighth sample, [::8], is the N-point grid k / N that
-    `winding` unwinds; [2::4] is the midpoint grid (k + 1/2) / (2N) and
-    [1::2] the one (k + 1/2) / (4N).
+    the loop's samples on the grid its partition reads, N being the loop's
+    `unwinding_grid` N, which the CLI takes once per loop; the pairing
+    builds each at most once when not given.  On two equal pieces the
+    samples are the values at k / (8N), k < 8N: every eighth sample, [::8],
+    is the N-point grid k / N that `winding` unwinds; [2::4] is the midpoint
+    grid (k + 1/2) / (2N) and [1::2] the one (k + 1/2) / (4N).  On any other
+    partition only `winding` reads them, and they are the values at k / N.
 
     Each pairing decomposes A(u) and A(ubar) at every cutoff as blocks of
     two strips of one matrix over its basis window (4 `compression_matrix`
@@ -1136,7 +1144,7 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
         # no symbol route: the guarded plateau stands only where it agrees
         # with the index theorem, index = -winding
         if resolved:
-            wind = winding(loop, None if samples is None else samples[::8])
+            wind = winding(loop, samples)
             if fs_index != -wind:
                 raise NumericalError(
                     f"finite-section index {fs_index} disagrees with -winding {-wind}"
@@ -1147,7 +1155,7 @@ def pair(loop: UnitaryLoop, B, cutoffs=None, partition: Partition = None,
         samples = loop.grid(8 * unwinding_grid(loop)[0])
     ngrid = len(samples) // 8
     if seam is None:
-        seam = seam_basis(Bm, partition)
+        seam = seam_basis(Bm, partition, getattr(basis, "decomposition", None))
     sym_index, _diag = symbol_index(loop, Bm, partition, ngrid=ngrid, seam=seam,
                                     values=samples[2::4])
     if sym_index is None:

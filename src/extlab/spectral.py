@@ -51,6 +51,8 @@ class Spectrum:
     ``coefficients`` is set by `eigenbasis` only: a (len, npieces) array
     whose row i holds the atom coefficients a_k of eigenfunction i, which is
     a_k e^{i lambda_i theta} on piece k.  Every array is read-only.
+    ``decomposition`` is the (w, W) of `_unitary_eigenbasis` that the closed
+    form on equal pieces reads, B = W diag(w) W*, else None.
     """
 
     window: tuple
@@ -58,6 +60,7 @@ class Spectrum:
     residuals: np.ndarray
     source: str = "characteristic"
     coefficients: np.ndarray = None
+    decomposition: tuple = None
 
     def __post_init__(self):
         for name, dtype in (("eigenvalues", float), ("residuals", float), ("coefficients", complex)):
@@ -166,15 +169,17 @@ def _certified_residuals(stack, lams) -> np.ndarray:
 
 
 def _ladder_spectrum(Bm, lengths, lo, hi):
-    """(Spectrum, W, ladder) on equal pieces of length l: lambda is a root
+    """(Spectrum, ladder) on equal pieces of length l: lambda is a root
     exactly when e^{-i lambda l} is an eigenvalue e^{i phi_j} of
-    B = W diag(w) W* (`_unitary_eigenbasis`), of null vector W[:, j]; root i
-    of `_rungs` lies on ladder ladder[i], a repeated eigenphase being as
-    many ladders."""
+    B = W diag(w) W* (`_unitary_eigenbasis`, the spectrum's
+    ``decomposition``), of null vector W[:, j]; root i of `_rungs` lies on
+    ladder ladder[i], a repeated eigenphase being as many ladders."""
     w, W = _unitary_eigenbasis(Bm)
+    w.flags.writeable = W.flags.writeable = False
     lam, ladder = _rungs(np.angle(w), float(lengths[0]), lo, hi)
     res = _certified_residuals(_characteristic_stack(Bm, lengths, lam), lam)
-    return Spectrum(window=(lo, hi), eigenvalues=lam, residuals=res), W, ladder
+    spec = Spectrum(window=(lo, hi), eigenvalues=lam, residuals=res, decomposition=(w, W))
+    return spec, ladder
 
 
 def _rungs(phis, ell, lo, hi):
@@ -389,7 +394,8 @@ def eigenbasis(B, partition: Partition, window, force_tracking: bool = False) ->
     Bm, lengths, lo, hi = _problem(B, partition, window)
     tleft = np.asarray(partition.endpoints[:-1])
     if _equal_lengths(lengths) and not force_tracking:
-        spec, W, ladder = _ladder_spectrum(Bm, lengths, lo, hi)
+        spec, ladder = _ladder_spectrum(Bm, lengths, lo, hi)
+        W = spec.decomposition[1]
         unit = W / np.sqrt(lengths @ (W.real ** 2 + W.imag ** 2))
         return replace(spec, coefficients=np.exp(-1j * spec.eigenvalues[:, None] * tleft)
                        * unit.T[ladder])

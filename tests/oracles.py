@@ -17,7 +17,9 @@ pytest puts this directory on the import path).
   K-class.
 - The ksum identities of one genus or one genus pair through the scalar
   K-class calculus, one class and one map at a time: the reference of the
-  identity grid, which runs every genus pair at once on int64 arrays.
+  identity grid, which runs every genus pair at once on int64 arrays; and
+  the `verify ksum` CSV rows formatted one check at a time, the reference
+  of the CLI's per-block formatter.
 """
 
 import math
@@ -299,3 +301,19 @@ def pair_checks(g1: int, g2: int) -> list:
         ("natural-sum-fundamental-class", pushforward(j_union, both_fund),
          pushforward(p_nat, fund_nat)),
     ]]
+
+
+def ksum_rows(checks) -> list:
+    """The `verify ksum` CSV rows of `IdentityCheck`s, one check at a time."""
+    return [
+        (
+            name,
+            "" if g1 is None else str(g1),
+            "" if g2 is None else str(g2),
+            " ".join(map(str, lhs)),
+            " ".join(map(str, rhs)),
+            "equal" if expect_equal else "unequal",
+            "ok" if ok else "mismatch",
+        )
+        for name, g1, g2, lhs, rhs, expect_equal, ok in checks
+    ]

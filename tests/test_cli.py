@@ -96,7 +96,9 @@ def test_a_piece_too_short_to_normalize_exits_2(tmp_path, argv):
     # found by the exit-contract property test: e^{2 theta} takes one float
     # value on a piece this short, and the normalizer divided by zero
     # (ZeroDivisionError out of `cli.main`)
-    config = {"partition": [0.0, 3.9596822655897583e-166, 1.0], "loop": 1}
+    config = {"partition": [0.0, 3.9596822655897583e-166, 1.0]}
+    if argv == ("pair",):
+        config["loop"] = 1
     proc = run_cli(*argv, config=config, tmp_path=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "too short to normalize" in proc.stderr and "Traceback" not in proc.stderr
@@ -543,6 +545,63 @@ def test_ksum_reads_its_suite_seed_and_tolerance(tmp_path, capsys):
         tmp_path, capsys, {"suite": {"genus_bound": 1}, "seed": 5, "tolerance": 1e-6})
     assert code == 0
     assert (report["seed"], report["tolerance"], report["result"]["checks"]) == (5, 1e-6, 54)
+
+
+@pytest.mark.parametrize("argv, config, unread", [
+    pytest.param(("spectrum",), {"loop": {"monomial": 1}}, ["loop"], id="spectrum-loop"),
+    pytest.param(("spectrum",), {"cutoffs": [10, 20, 30]}, ["cutoffs"], id="spectrum-cutoffs"),
+    pytest.param(("deficiency",), {"window": [-5, 5], "loop": {"monomial": 1}},
+                 ["loop", "window"], id="deficiency-window-loop"),
+    pytest.param(("pair",), {"loop": {"monomial": 1}, "window": [-5, 5], "svg": True},
+                 ["svg", "window"], id="pair-window-svg"),
+    pytest.param(("deficiency",), {"extension": "swap"}, ["extension"], id="deficiency-extension"),
+    # none of the three reads a suite option, so an empty suite is refused too
+    pytest.param(("deficiency",), {"suite": {}}, ["suite"], id="deficiency-suite"),
+    pytest.param(("spectrum",), {"suite": {}}, ["suite"], id="spectrum-suite"),
+    pytest.param(("pair",), {"loop": 1, "suite": {}}, ["suite"], id="pair-suite"),
+])
+def test_a_config_key_the_command_does_not_read_is_named(tmp_path, capsys, argv, config, unread):
+    from extlab import cli
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 3, **config}), encoding="utf-8")
+    assert cli.main([*argv, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"config keys {unread} are not read by {argv[0]}" in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(("deficiency",), {"partition": [0, 0.5, 1], "knot_constraints": [0.0, 1.0],
+                                   "seed": 3, "tolerance": 1e-9}, id="deficiency"),
+    pytest.param(("spectrum",), {"partition": [0, 0.5, 1], "knot_constraints": [0.0, 1.0],
+                                 "extensions": ["swap"], "window": [-5, 5], "seed": 3,
+                                 "tolerance": 1e-8, "svg": True}, id="spectrum-extensions"),
+    pytest.param(("spectrum",), {"extension": "identity"}, id="spectrum-extension"),
+    pytest.param(("pair",), {"partition": [0, 0.5, 1], "knot_constraints": [0.0, 1.0],
+                             "extension": "swap", "loop": 1, "cutoffs": [40, 80, 160],
+                             "seed": 3, "tolerance": 1e-8}, id="pair-extension"),
+    pytest.param(("pair",), {"extensions": ["swap"], "loop": -1}, id="pair-extensions"),
+])
+def test_every_key_a_command_reads_is_admitted(tmp_path, capsys, argv, config):
+    from extlab import cli
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+def test_every_benchmark_config_holds_only_keys_its_command_reads(monkeypatch):
+    from extlab import cli
+
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(SRC), "bench"))
+    import jobs
+
+    for workload in jobs.WORKLOADS:
+        for seed in (0, 1, 7):
+            for job in jobs.workload_jobs(workload, seed):
+                command = job.argv[-1]
+                assert set(job.config) <= cli._COMMAND_KEYS.get(command, cli._ALLOWED_KEYS)
 
 
 @pytest.mark.parametrize("config, message", [
@@ -1047,6 +1106,47 @@ def test_a_sweep_samples_each_paired_loop_once(tmp_path, monkeypatch, capsys):
     assert all(offset == 0.0 and npoints in (64, 512) for _pieces, npoints, offset in grids)
 
 
+# sha256 of report.json and pair.csv of `_UNEQUAL_PAIR`, recorded when each
+# loop was sampled on 8N points on every partition
+_UNEQUAL_PAIR = {"partition": [0, 0.3, 0.55, 1], "loop": {"fourier": {"0": 1.0, "3": 0.25}},
+                 "extensions": [{"random": {"count": 2, "seed": 1}}, "swap"]}
+_UNEQUAL_PAIR_DIGESTS = (
+    "66b9c3499c3b374ea1045123d4f6a8dd410099572f8295de388862b275cb0d9d",
+    "ae872d55b80a3fd5ad7ed684381a4c270230ae0669c2255a17709f41c27f949d",
+)
+
+
+@pytest.mark.parametrize("partition, per_point", [([0, 0.3, 0.55, 1], 1), ([0, 0.5, 1], 8)],
+                         ids=["unequal", "halves"])
+def test_pair_samples_a_loop_on_the_grid_its_partition_reads(tmp_path, monkeypatch, capsys,
+                                                            partition, per_point):
+    # off two equal pieces `pair` reads only the winding's N-point grid, so
+    # the loop is sampled on N points there; on two equal pieces the symbol
+    # calls read the 8N points
+    import hashlib
+
+    from extlab import cli, pairing
+
+    lengths = []
+    original = cli.pair
+
+    def recorded(*args, samples=None, **kwargs):
+        lengths.append(len(samples))
+        return original(*args, samples=samples, **kwargs)
+
+    monkeypatch.setattr(cli, "pair", recorded)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_UNEQUAL_PAIR, "partition": partition}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["pair", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    ngrid = pairing.unwinding_grid(cli._resolve_loop(_UNEQUAL_PAIR["loop"])[1])[0]
+    assert lengths == [per_point * ngrid] * 3
+    if per_point == 1:
+        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("report.json", "pair.csv")) == _UNEQUAL_PAIR_DIGESTS
+
+
 #: above this many pieces `boundary-matrix` runs without its numeric route;
 #: `_operator_configs` draws at most `cli.MAX_PIECES` = 64 pieces, so the
 #: route is fuzzed at every admitted size (about 0.1 s an extension at 64)
@@ -1236,10 +1336,11 @@ def test_sweeps_compress_and_decompose_each_loop_once(
 
 
 def _count_pairing_stages(monkeypatch):
-    """Call lists of the stages a pairing shares: the seam's B side (its
-    `_unitary_eigenbasis`), the loop's `unwinding_grid`, wherever it is
-    called from, and `symbol_index`.  Lists, so threads may append."""
-    from extlab import cli, pairing
+    """Call lists of the stages a pairing shares: B's decomposition (its
+    `_unitary_eigenbasis`, which B's eigenbasis and its seam share), the
+    loop's `unwinding_grid`, wherever each is called from, and
+    `symbol_index`.  Lists, so threads may append."""
+    from extlab import cli, pairing, spectral
 
     calls = {"seam": [], "grid": [], "symbol": []}
     seam, grid, symbol = (pairing._unitary_eigenbasis, pairing.unwinding_grid,
@@ -1252,6 +1353,7 @@ def _count_pairing_stages(monkeypatch):
         return call
 
     monkeypatch.setattr(pairing, "_unitary_eigenbasis", counted("seam", seam))
+    monkeypatch.setattr(spectral, "_unitary_eigenbasis", pairing._unitary_eigenbasis)
     monkeypatch.setattr(pairing, "unwinding_grid", counted("grid", grid))
     monkeypatch.setattr(cli, "unwinding_grid", pairing.unwinding_grid)
     monkeypatch.setattr(pairing, "symbol_index", counted("symbol", symbol))
@@ -1289,9 +1391,10 @@ def test_a_report_builds_each_shared_stage_once(tmp_path, monkeypatch, capsys,
     finally:
         sys.setswitchinterval(interval)
     capsys.readouterr()
-    # the seam's B side once per B, the unwinding grid once per paired loop,
-    # and still two symbol calls (at N and 2N) per pairing
-    assert len(calls["seam"]) == extensions
+    # B decomposed once per B, for its eigenbasis and its seam, the
+    # unwinding grid once per paired loop, and still two symbol calls (at N
+    # and 2N) per pairing
+    assert len(calls["seam"]) == len({B.tobytes() for B in calls["seam"]}) == extensions
     assert len(calls["grid"]) == len({id(loop) for loop in calls["grid"]}) == paired
     assert len(calls["symbol"]) == 2 * paired * extensions
     assert {id(loop) for loop in calls["symbol"]} == {id(loop) for loop in calls["grid"]}
@@ -1526,6 +1629,59 @@ def test_a_broken_map_fails_only_the_identities_that_read_it(tmp_path, monkeypat
     assert len(mismatched) == len(report["result"]["failures"]) == 2 * 7 * 7
     assert {row[0] for row in mismatched} == failed
     assert all(row[-1] == "ok" for row in body if row[0] not in failed)
+
+
+def _first_h0_entry_plus_one(kind):
+    """`kind`'s matrices with their first H0 entry one larger."""
+    from extlab import ksum
+
+    original = ksum._MATRICES[kind]
+
+    def broken(source, target):
+        h0, h2, h1 = original(source, target)
+        return ((h0[0][0] + 1, *h0[0][1:]), *h0[1:]), h2, h1
+
+    return broken
+
+
+#: every kind of `ksum._MATRICES`
+_KSUM_MAP_KINDS = ("iota_basepoint", "j_disjoint_to_union", "j_disjoint_to_wedge",
+                   "p_pinch_connected_sum", "p_pinch_natural_sum", "q0_constant", "q_crunch")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 20), st.sampled_from([None, *_KSUM_MAP_KINDS]))
+def test_the_block_formatter_writes_the_per_check_csv(bound, kind):
+    # the CLI formats each identity block in one pass and interleaves the
+    # blocks; the oracle formats the report's checks one at a time
+    from extlab import cli, ksum
+    from oracles import ksum_rows
+
+    assert sorted(ksum._MATRICES) == list(_KSUM_MAP_KINDS)
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        if kind is not None:
+            patch.setitem(ksum._MATRICES, kind, _first_h0_entry_plus_one(kind))
+        report = ksum.verify_identities(bound)
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"suite": {"genus_bound": bound}}, fh)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["verify", "ksum", "--config", config, "--out", tmp])
+        with open(os.path.join(tmp, "verify-ksum.csv"), encoding="utf-8") as fh:
+            written = fh.read()
+    checks = report.checks
+    assert written == cli.csv_text(cli._KSUM_CSV_HEADER, ksum_rows(checks))
+    failed = [c for c in checks if not c.ok]
+    assert list(report.failures) == failed
+    assert (code, report.passed, len(report)) == (1 if failed else 0, not failed, len(checks))
+    result = json.loads(stdout.getvalue())["result"]
+    assert result["checks"] == len(checks)
+    assert result["failures"] == [c.describe() for c in failed]
+    assert all(line.startswith("MISMATCH ") for line in result["failures"])
+    mismatched = [line for line in written.splitlines() if line.endswith(",mismatch")]
+    assert mismatched == [",".join(row) for row in ksum_rows(failed)]
+    assert bool(failed) == (kind is not None)
 
 
 def test_the_ksum_alias_writes_the_verify_ksum_bytes(tmp_path):

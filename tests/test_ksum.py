@@ -501,6 +501,16 @@ def test_identity_grid_all_pass_quickly():
     assert dt < 1.0
 
 
+def test_a_report_builds_its_check_tuples_only_when_asked():
+    report = verify_identities(6)
+    # the count, the verdict and the (empty) failures read the blocks
+    assert (len(report), report.passed, report.failures) == (604, True, ())
+    assert "checks" not in vars(report)
+    assert report.checks is report.checks and len(report.checks) == 604
+    assert report == verify_identities(6)
+    assert report != verify_identities(5)
+
+
 @pytest.mark.parametrize("bound", range(9))
 def test_identity_grid_size(bound):
     # 2 circle checks, 2 per genus, 12 per ordered genus pair
@@ -560,7 +570,7 @@ _GRID_GENERA = st.integers(min_value=0, max_value=64)
 def test_each_grid_row_is_the_scalar_calculus_of_its_pair(pairs):
     # one grid call over the drawn pairs, row p against its own scalar checks
     g1, g2 = (np.array(column, dtype=np.int64) for column in zip(*pairs))
-    got = list(ksum._pair_grid(g1, g2))
+    got = list(ksum.KsumReport((ksum._pair_grid(g1, g2),)).checks)
     assert got == [c for pair in pairs for c in pair_checks(*pair)]
     assert all(type(x) is int for c in got for x in (c.g1, c.g2, *c.lhs, *c.rhs))
 

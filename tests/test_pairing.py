@@ -1394,6 +1394,25 @@ def test_the_seam_chord_is_a_segment_out_and_back():
                 assert abs(np.sum(np.angle(q[1:] / q[:-1]))) <= 1e-9
 
 
+@pytest.mark.parametrize("knots", [(0.0, 0.5, 1.0), (0.0, 1 / 3, 2 / 3, 1.0), (0.0, 0.3, 1.0)],
+                         ids=["halves", "thirds", "unequal"])
+def test_the_seam_reads_the_decomposition_its_basis_made(knots):
+    part = Partition(knots)
+    n = len(knots) - 1
+    for B in (np.fliplr(np.eye(n)), haar_unitary(np.random.default_rng(7), n).matrix):
+        basis = eigen_arrays(B, part, DEFAULT_CUTOFFS, 2 * np.pi)
+        if len(knots) == 3 and knots[1] == 0.5:
+            # the closed form's decomposition, bit for bit B's own
+            W = basis.decomposition[1]
+            shared, own = seam_basis(B, part, basis.decomposition), seam_basis(B, part)
+            assert all(np.array_equal(a, b) for a, b in zip(shared, own))
+            assert np.array_equal(shared[0], W) and not W.flags.writeable
+        elif len(knots) == 4:
+            assert basis.decomposition is not None and seam_basis(B, part) is None
+        else:
+            assert basis.decomposition is None and seam_basis(B, part) is None
+
+
 def test_a_nearly_scalar_boundary_gets_a_unitary_eigenbasis():
     # B = Q diag(e^{i phi}, e^{i (phi + eps)}) Q* with eps <= 1e-9: W stays
     # unitary to rounding, diagonalises B to within eps, and the symbol route
